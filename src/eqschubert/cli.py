@@ -38,14 +38,23 @@ def _context(k, n):
         raise click.UsageError(str(exc))
 
 
+def _fail(message):
+    """Report an internal or cache error on one line and exit 3."""
+    click.echo(message, err=True)
+    sys.exit(3)
+
+
 def _emit(text, out):
     if out == "-":
         click.echo(text, nl=False)
-    else:
-        tmp = out + ".tmp"
+        return
+    tmp = out + ".tmp"
+    try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, out)
+    except OSError as exc:
+        _fail("cannot write %s: %s" % (out, exc))
 
 
 @click.group()
@@ -79,16 +88,15 @@ def table(k, n, d_max, fmt, out, cache_dir, no_cache):
         try:
             payload = cache_load(cache_dir, k, n, d_max)
         except CacheError as exc:
-            click.echo("cache error: %s" % exc, err=True)
-            sys.exit(3)
+            _fail("cache error: %s" % exc)
     if payload is None:
         payload = table_json(ctx, d_max)
         if use_cache:
-            cache_store(cache_dir, k, n, d_max, payload)
-    if fmt == "json":
-        _emit(payload, out)
-    else:
-        _emit(table_csv(ctx, d_max), out)
+            try:
+                cache_store(cache_dir, k, n, d_max, payload)
+            except OSError as exc:
+                _fail("cache error: %s" % exc)
+    _emit(payload if fmt == "json" else table_csv(payload), out)
 
 
 @cli.command("multiply")
@@ -192,8 +200,7 @@ def fixtures(regen, path):
         with open(path, "r", encoding="utf-8") as fh:
             on_disk = fh.read()
     except OSError as exc:
-        click.echo("cannot read %s: %s" % (path, exc), err=True)
-        sys.exit(3)
+        _fail("cannot read %s: %s" % (path, exc))
     if on_disk != fresh:
         click.echo("fixture file %s is stale; rerun with --regen" % path, err=True)
         sys.exit(1)

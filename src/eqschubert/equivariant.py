@@ -308,13 +308,6 @@ def elr_table(ctx):
     return out
 
 
-def elr_from_table(ctx, u, v, w):
-    """Table lookup with canonicalization; zero when absent."""
-    table = elr_table(ctx)
-    a, b = sorted((u, v), key=lambda p: p.sort_key)
-    return table.get((a.parts, b.parts, w.parts), Polynomial.zero(ctx.r))
-
-
 def c1_curve_integral(ctx):
     """Degree of q computed honestly: the first Chern class of the tangent
     bundle integrated over the one-dimensional basis class."""

@@ -113,15 +113,6 @@ def enumerate_classes(ctx):
     return tuple(classes)
 
 
-def class_index(ctx):
-    """Map parts tuple -> position in the canonical order."""
-    return {p.parts: i for i, p in enumerate(enumerate_classes(ctx))}
-
-
-def dual(p):
-    return p.dual()
-
-
 def add_box_shapes(p):
     """All partitions obtained from ``p`` by adding one box inside the box."""
     k, w = p.ctx.k, p.ctx.width

@@ -136,10 +136,6 @@ class Polynomial:
             g = gcd(g, c)
         return g
 
-    def exponents(self):
-        """Exponent tuples in no particular order."""
-        return [_unpack(k, self.nvars) for k in self.terms]
-
     def canonical_terms(self):
         """(exponent tuple, coefficient) pairs in graded-lex descending order."""
         keys = sorted(self.terms, key=lambda k: (-_key_degree(k), -k))
@@ -524,18 +520,3 @@ def _count(factors):
 def _multiplicity(counter, fid):
     return counter[fid][1] if fid in counter else 0
 
-
-def rational_add(a, b):
-    return a.add(b)
-
-
-def rational_mul(a, b):
-    return a.mul(b)
-
-
-def rational_reduce(a):
-    return a.reduced()
-
-
-def expect_polynomial(e):
-    return e.expect_polynomial()

@@ -315,6 +315,17 @@ class EQTable:
                     terms[(w.parts, dd)] = c
         return QModuleElement(ctx, terms)
 
+    def rows(self, d_max):
+        """Every nonzero (u, v, w, d, poly) with d <= d_max, partitions as
+        parts tuples, in export order: pairs once with u <= v in the class
+        order, then by d, then w in the class order."""
+        classes = enumerate_classes(self.ctx)
+        for i, u in enumerate(classes):
+            for v in classes[i:]:
+                for (w, d), c in self.element(u, v).canonical_items():
+                    if d <= d_max:
+                        yield u.parts, v.parts, w, d, c
+
     def circ(self, elem, t):
         """Multiply a module element by a basis class."""
         out = QModuleElement(self.ctx)

@@ -78,27 +78,14 @@ def table_entries(ctx, d_max=None):
 
     if d_max is None:
         d_max = default_d_max(ctx)
-    table = eq_table(ctx)
-    classes = enumerate_classes(ctx)
-    rows = []
-    for i, u in enumerate(classes):
-        for v in classes[i:]:
-            elem = table.element(u, v)
-            for (w, d), c in elem.canonical_items():
-                if d <= d_max:
-                    rows.append(
-                        {
-                            "u": list(u.parts),
-                            "v": list(v.parts),
-                            "w": list(w),
-                            "d": d,
-                            "poly": poly_json(c),
-                        }
-                    )
-    return rows
+    return [
+        {"u": list(u), "v": list(v), "w": list(w), "d": d, "poly": poly_json(c)}
+        for u, v, w, d, c in eq_table(ctx).rows(d_max)
+    ]
 
 
 def table_json(ctx, d_max=None):
+    """The canonical table payload, the one source of every table export."""
     payload = {
         "k": ctx.k,
         "n": ctx.n,
@@ -109,18 +96,20 @@ def table_json(ctx, d_max=None):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def table_csv(ctx, d_max=None):
+def table_csv(payload):
+    """CSV rendering of the entries of a canonical table payload string."""
+    table = json.loads(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v", "w", "d", "poly"])
-    for row in table_entries(ctx, d_max):
+    for row in table["entries"]:
         writer.writerow(
             [
                 json.dumps(row["u"], separators=(",", ":")),
                 json.dumps(row["v"], separators=(",", ":")),
                 json.dumps(row["w"], separators=(",", ":")),
                 row["d"],
-                poly_text(poly_from_json(row["poly"], ctx.r)),
+                poly_text(poly_from_json(row["poly"], table["variables"])),
             ]
         )
     return buf.getvalue()
@@ -146,6 +135,6 @@ def restriction_table_json(ctx, family="schubert"):
 def partition_argument(ctx, text):
     """Parse a partition given as a JSON array, e.g. ``[2,1]``."""
     parts = json.loads(text)
-    if not isinstance(parts, list) or not all(isinstance(p, int) for p in parts):
+    if not isinstance(parts, list) or not all(type(p) is int for p in parts):
         raise ValueError("expected a JSON array of integers")
     return Partition(tuple(parts), ctx)

@@ -8,7 +8,7 @@ result, and the caller decides the exit status.
 from __future__ import annotations
 
 from .equivariant import elr_table, gkm_violations, pairing
-from .grass import Partition, default_d_max, enumerate_classes
+from .grass import default_d_max, enumerate_classes
 from .oracles import quantum_lr_rimhook
 from .polyring import (
     Polynomial,
@@ -56,16 +56,6 @@ def verify_gkm(ctx):
     }
 
 
-def _table_coefficients(ctx, d_max):
-    table = eq_table(ctx)
-    classes = enumerate_classes(ctx)
-    for i, u in enumerate(classes):
-        for v in classes[i:]:
-            for (w, d), c in table.element(u, v).terms.items():
-                if d <= d_max:
-                    yield u, v, Partition(w, ctx), d, c
-
-
 def verify_tbasis(ctx, d_max=None):
     """Round-trip every coefficient through the T-variable presentation.
 
@@ -77,19 +67,12 @@ def verify_tbasis(ctx, d_max=None):
         d_max = default_d_max(ctx)
     checked = 0
     violations = []
-    for u, v, w, d, c in _table_coefficients(ctx, d_max):
+    for u, v, w, d, c in eq_table(ctx).rows(d_max):
         checked += 1
         image = to_T_variables(c, ctx.n)
         back = express_in_T_differences(image)
         if back != c or is_x_nonnegative(back) != is_x_nonnegative(c):
-            violations.append(
-                {
-                    "u": list(u.parts),
-                    "v": list(v.parts),
-                    "w": list(w.parts),
-                    "d": d,
-                }
-            )
+            violations.append({"u": list(u), "v": list(v), "w": list(w), "d": d})
     return {
         "suite": "tbasis",
         "context": {"k": ctx.k, "n": ctx.n},

@@ -1,11 +1,21 @@
 import gzip
+import hashlib
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
+import eqschubert.cli as cli_mod
+import eqschubert.render as render_mod
 from eqschubert.cli import cli
 from eqschubert.render import poly_from_json
+
+# sha256 of the CSV exports recorded in bench/expected.json; CSV bytes must not change
+SEED_CSV_SHA256 = {
+    (1, 2): "2717ef48948483894c3965031b8cd6bc656bf9c694cb73aa3d14b6fb259808f9",
+    (2, 4): "b307a738b56dd505eb22664ce01d0b482f445d929000353198db3817f9b6344d",
+}
 
 
 def run(*args, **kwargs):
@@ -33,6 +43,29 @@ def test_table_smoke_gr24_json_and_csv():
     assert len(lines) == len(payload["entries"]) + 1
 
 
+@pytest.mark.parametrize("k, n", sorted(SEED_CSV_SHA256))
+def test_table_csv_bytes_match_seed(k, n):
+    result = run("table", "--k", str(k), "--n", str(n), "--format", "csv")
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == SEED_CSV_SHA256[(k, n)]
+
+
+def test_warm_csv_renders_the_cached_payload(tmp_path, monkeypatch):
+    args = ("table", "--k", "2", "--n", "4", "--format", "csv", "--cache-dir", str(tmp_path))
+    cold = run(*args, "--no-cache")
+    assert cold.exit_code == 0 and not os.listdir(tmp_path)
+    assert run(*args).exit_code == 0 and len(os.listdir(tmp_path)) == 1
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a warm CSV export must not rebuild the table")
+
+    monkeypatch.setattr(cli_mod, "table_json", recompute)
+    monkeypatch.setattr(render_mod, "table_entries", recompute)
+    warm = run(*args)
+    assert warm.exit_code == 0
+    assert warm.stdout_bytes == cold.stdout_bytes
+
+
 def test_table_cache_round_trip(tmp_path):
     cache_dir = str(tmp_path / "cache")
     first = run("table", "--k", "2", "--n", "4", "--cache-dir", cache_dir)
@@ -44,17 +77,41 @@ def test_table_cache_round_trip(tmp_path):
     assert first.output == second.output
 
 
-def test_table_rejects_corrupt_cache(tmp_path):
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda blob: dict(blob, payload=blob["payload"][:-2] + "]}"),
+        lambda blob: [blob],
+        lambda blob: dict(blob, payload=1),
+    ],
+    ids=["bad-checksum", "list-envelope", "int-payload"],
+)
+def test_table_rejects_corrupt_cache(tmp_path, corrupt):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
     run_ok = run("table", "--k", "1", "--n", "2", "--cache-dir", str(cache_dir))
     assert run_ok.exit_code == 0
     (path,) = cache_dir.iterdir()
     blob = json.loads(gzip.decompress(path.read_bytes()))
-    blob["payload"] = blob["payload"][:-2] + "]}"
-    path.write_bytes(gzip.compress(json.dumps(blob).encode()))
+    path.write_bytes(gzip.compress(json.dumps(corrupt(blob)).encode()))
     result = run("table", "--k", "1", "--n", "2", "--cache-dir", str(cache_dir))
     assert result.exit_code == 3
+    assert result.stderr.startswith("cache error:")
+
+
+def test_table_cache_dir_on_a_regular_file_exits_3(tmp_path):
+    blocker = tmp_path / "cache"
+    blocker.write_text("")
+    result = run("table", "--k", "1", "--n", "2", "--cache-dir", str(blocker))
+    assert result.exit_code == 3
+    assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
+
+
+def test_table_out_into_missing_directory_exits_3(tmp_path):
+    out = tmp_path / "missing" / "table.json"
+    result = run("table", "--k", "1", "--n", "2", "--out", str(out))
+    assert result.exit_code == 3
+    assert result.stderr.startswith("cannot write ") and result.stderr.count("\n") == 1
 
 
 def test_table_ignores_stale_cache(tmp_path):
@@ -74,6 +131,7 @@ def test_usage_errors_exit_2():
     assert run("table", "--k", "3", "--n", "2").exit_code == 2
     assert run("multiply", "--k", "2", "--n", "4", "--u", "[3]", "--v", "[]").exit_code == 2
     assert run("multiply", "--k", "2", "--n", "4", "--u", "nope", "--v", "[]").exit_code == 2
+    assert run("multiply", "--k", "2", "--n", "4", "--u", "[true]", "--v", "[]").exit_code == 2
     assert run("verify", "--k", "2", "--n", "4", "--suite", "bogus").exit_code == 2
 
 

@@ -7,12 +7,8 @@ from eqschubert import (
     NonPolynomialError,
     Polynomial,
     RationalExpression,
-    expect_polynomial,
     express_in_T_differences,
     is_x_nonnegative,
-    rational_add,
-    rational_mul,
-    rational_reduce,
     to_T_variables,
 )
 
@@ -122,20 +118,20 @@ def test_rational_examples():
     one = Polynomial.const(NVARS, 1)
     a = RationalExpression(one, (x(1),))
     b = RationalExpression(one, (-x(1),))
-    assert rational_add(a, b).is_zero
+    assert a.add(b).is_zero
     c = RationalExpression(x(1), (x(2),))
     d = RationalExpression(x(2), (x(1),))
-    assert expect_polynomial(rational_mul(c, d)) == one
-    e = rational_reduce(RationalExpression(x(1) * x(2), (x(1),)))
+    assert c.mul(d).expect_polynomial() == one
+    e = RationalExpression(x(1) * x(2), (x(1),)).reduced()
     assert e.numerator == x(2) and not e.factors
 
 
 def test_expect_polynomial():
-    assert expect_polynomial(RationalExpression(x(1) ** 2, (x(1),))) == x(1)
+    assert RationalExpression(x(1) ** 2, (x(1),)).expect_polynomial() == x(1)
     with pytest.raises(NonPolynomialError):
-        expect_polynomial(RationalExpression(Polynomial.const(NVARS, 1), (x(1),)))
+        RationalExpression(Polynomial.const(NVARS, 1), (x(1),)).expect_polynomial()
     with pytest.raises(NonPolynomialError):
-        expect_polynomial(RationalExpression(x(1), (), 2))
+        RationalExpression(x(1), (), 2).expect_polynomial()
 
 
 def test_denominator_normalization():

@@ -1,3 +1,5 @@
+import pytest
+
 from eqschubert import Polynomial, multiply
 from eqschubert.render import (
     partition_argument,
@@ -44,3 +46,5 @@ def test_qelem_text(gr24):
 def test_partition_argument(gr24):
     assert partition_argument(gr24, "[2,1]") == part(gr24, 2, 1)
     assert partition_argument(gr24, "[]") == part(gr24)
+    with pytest.raises(ValueError):
+        partition_argument(gr24, "[true]")
