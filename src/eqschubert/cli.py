@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -96,7 +95,12 @@ def table(k, n, d_max, fmt, out, cache_dir, no_cache):
                 cache_store(cache_dir, k, n, d_max, payload)
             except OSError as exc:
                 _fail("cache error: %s" % exc)
-    _emit(payload if fmt == "json" else table_csv(payload), out)
+    if fmt == "csv":
+        try:
+            payload = table_csv(payload)
+        except (ValueError, KeyError, TypeError) as exc:
+            _fail("cache error: %s" % exc)
+    _emit(payload, out)
 
 
 @cli.command("multiply")
@@ -136,22 +140,22 @@ def multiply_cmd(k, n, u_text, v_text, fmt):
     help="Suites to run; defaults to all. Known: %s" % ", ".join(sorted(SUITES)),
 )
 @click.option("--d-max", type=int, default=None)
-@click.option("--workers", type=int, default=1)
+@click.option(
+    "--workers", type=int, default=1, help="Accepted for compatibility and has no effect."
+)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(k, n, suite_names, d_max, workers, fmt):
     """Run verification suites; exit 0 only if every check passes."""
     ctx = _context(k, n)
+    if d_max is not None and d_max < 0:
+        raise click.UsageError("--d-max must be nonnegative")
     names = list(suite_names) or sorted(SUITES)
     for name in names:
         if name not in SUITES:
             raise click.UsageError(
                 "unknown suite %r (known: %s)" % (name, ", ".join(sorted(SUITES)))
             )
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda name: SUITES[name](ctx, d_max), names))
-    else:
-        reports = [SUITES[name](ctx, d_max) for name in names]
+    reports = [SUITES[name](ctx, d_max) for name in names]
     reports.sort(key=lambda rep: rep["suite"])
     if fmt == "json":
         click.echo(json.dumps(reports, sort_keys=True, separators=(",", ":")))
@@ -192,7 +196,10 @@ def fixtures(regen, path):
     """Check (or with --regen, rewrite) the oracle-stamped fixture file."""
     fresh = json.dumps(build_fixtures(), sort_keys=True, indent=1) + "\n"
     if regen:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        except OSError as exc:
+            _fail("cannot write %s: %s" % (path, exc))
         _emit(fresh, path)
         click.echo("wrote %s" % path)
         return

@@ -272,39 +272,38 @@ def elr(u, v, w):
 def elr_table(ctx):
     """All nonzero ELR coefficients keyed by (u.parts, v.parts, w.parts).
 
-    Keys are canonical: u <= v in the class order.  Pointwise products are
-    shared across the w-loop but every coefficient still goes through
-    :func:`integrate`.
+    Keys are canonical: u <= v in the class order.  Restrictions are upper
+    triangular (sigma(x)|w = 0 unless x is contained in w; sigma(w)|w != 0),
+    so walking the fixed points in class order gives each coefficient of
+    sigma(u) sigma(v) by one exact division:
+    c_w = (sigma(u)|w sigma(v)|w - sum of c_x sigma(x)|w over x found) / sigma(w)|w.
     """
     classes = enumerate_classes(ctx)
-    points = fixed_points(ctx)
-    sigma = restriction_table(ctx, "schubert")
-    tilde = restriction_table(ctx, "opposite")
-    zero = Polynomial.zero(ctx.r)
+    points = [pt.subset for pt in fixed_points(ctx)]
+    sigma = restriction_table(ctx, "schubert").entries
     out = {}
     for i, u in enumerate(classes):
         for v in classes[i:]:
-            pair_values = {}
-            for pt in points:
-                a = sigma.restriction(u, pt)
-                if a.is_zero:
-                    continue
-                b = sigma.restriction(v, pt)
-                if b.is_zero:
-                    continue
-                pair_values[pt] = a * b
-            for w in classes:
+            found = []
+            for w, pt in zip(classes, points):
                 if w.size > u.size + v.size:
+                    break
+                # every x found so far contains u and v, so vanishes where they do
+                a, b = sigma[(u.parts, pt)], sigma[(v.parts, pt)]
+                if a.is_zero or b.is_zero:
                     continue
-                wd = w.dual()
-                values = dict.fromkeys(points, zero)
-                for pt, ab in pair_values.items():
-                    t = tilde.restriction(wd, pt)
-                    if not t.is_zero:
-                        values[pt] = ab * t
-                c = integrate(ctx, values)
-                if not c.is_zero:
-                    out[(u.parts, v.parts, w.parts)] = c
+                rest = a * b
+                for x, c in found:
+                    rest = rest - c * sigma[(x, pt)]
+                if not rest.is_zero:
+                    key = (u.parts, v.parts, w.parts)
+                    c = rest.divide_exact(sigma[(w.parts, pt)])
+                    if c is None:
+                        raise NonPolynomialError(
+                            "inexact restriction expansion at %r" % (key,)
+                        )
+                    found.append((w.parts, c))
+                    out[key] = c
     return out
 
 

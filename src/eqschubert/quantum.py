@@ -30,7 +30,6 @@ and lower targets, so the whole table is well founded.
 from __future__ import annotations
 
 import random
-import threading
 from functools import lru_cache
 
 from .equivariant import elr
@@ -123,10 +122,6 @@ class EQTable:
         self._blocks_running = set()
         self._zero = Polynomial.zero(ctx.r)
         self._one = Polynomial.const(ctx.r, 1)
-        # construction is sequential-by-dependency; reads after that are
-        # free, so one reentrant lock around the solver suffices for
-        # concurrent verification workers
-        self._lock = threading.RLock()
 
     # -- the divisor product --------------------------------------------------
 
@@ -167,21 +162,17 @@ class EQTable:
         cached = self._coeff.get(key)
         if cached is not None:
             return cached
-        with self._lock:
-            cached = self._coeff.get(key)
-            if cached is not None:
-                return cached
-            if not u.parts:
-                value = self._one if (v.parts == w.parts and d == 0) else self._zero
-            elif u.parts == (1,):
-                value = self.chevalley_terms(v).get((w.parts, d), self._zero)
-            elif w == u or w == v:
-                self._solve_block(w, d)
-                value = self._coeff[key]
-            else:
-                value = self._difference_step(u, v, w, d)
-            self._store(key, value, degree)
-            return value
+        if not u.parts:
+            value = self._one if (v.parts == w.parts and d == 0) else self._zero
+        elif u.parts == (1,):
+            value = self.chevalley_terms(v).get((w.parts, d), self._zero)
+        elif w == u or w == v:
+            self._solve_block(w, d)
+            value = self._coeff[key]
+        else:
+            value = self._difference_step(u, v, w, d)
+        self._store(key, value, degree)
+        return value
 
     def _store(self, key, value, degree):
         if not value.is_homogeneous_of_degree(degree):

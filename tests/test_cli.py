@@ -6,6 +6,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+import eqschubert.cache as cache_mod
 import eqschubert.cli as cli_mod
 import eqschubert.render as render_mod
 from eqschubert.cli import cli
@@ -114,6 +115,16 @@ def test_table_out_into_missing_directory_exits_3(tmp_path):
     assert result.stderr.startswith("cannot write ") and result.stderr.count("\n") == 1
 
 
+def test_table_csv_of_a_cached_non_table_exits_3(tmp_path):
+    cache_mod.store(str(tmp_path), 2, 4, 2, '["not a table"]')
+    args = ("table", "--k", "2", "--n", "4", "--cache-dir", str(tmp_path))
+    result = run(*args, "--format", "csv")
+    assert result.exit_code == 3
+    assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
+    # JSON emits a checksum-valid payload as is
+    assert run(*args).stdout == '["not a table"]'
+
+
 def test_table_ignores_stale_cache(tmp_path):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
@@ -133,6 +144,10 @@ def test_usage_errors_exit_2():
     assert run("multiply", "--k", "2", "--n", "4", "--u", "nope", "--v", "[]").exit_code == 2
     assert run("multiply", "--k", "2", "--n", "4", "--u", "[true]", "--v", "[]").exit_code == 2
     assert run("verify", "--k", "2", "--n", "4", "--suite", "bogus").exit_code == 2
+    assert run(
+        "verify", "--k", "2", "--n", "4", "--suite", "positivity", "--suite", "tbasis",
+        "--d-max", "-1",
+    ).exit_code == 2
 
 
 def test_multiply_text_rendering():
@@ -172,11 +187,10 @@ def test_verify_all_suites_p1_json():
 
 
 def test_verify_workers_flag():
-    result = run(
-        "verify", "--k", "2", "--n", "4", "--suite", "duality", "--suite", "gkm",
-        "--workers", "2",
-    )
+    args = ("verify", "--k", "2", "--n", "4", "--suite", "duality", "--suite", "gkm")
+    result = run(*args, "--workers", "2")
     assert result.exit_code == 0
+    assert result.output == run(*args).output
 
 
 def test_verify_failure_exits_1(monkeypatch):
@@ -209,3 +223,11 @@ def test_fixtures_check_mode(tmp_path):
     assert run("fixtures", "--path", str(path)).exit_code == 0
     path.write_text(path.read_text() + " ")
     assert run("fixtures", "--path", str(path)).exit_code == 1
+
+
+def test_fixtures_regen_into_unwritable_path_exits_3(tmp_path):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    result = run("fixtures", "--regen", "--path", str(blocker / "fx.json"))
+    assert result.exit_code == 3
+    assert result.stderr.startswith("cannot write ") and result.stderr.count("\n") == 1

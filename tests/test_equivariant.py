@@ -17,7 +17,7 @@ from eqschubert import (
     restriction_table,
     tangent_weights,
 )
-from eqschubert.equivariant import b_difference, gkm_violations
+from eqschubert.equivariant import b_difference, elr_table, gkm_violations
 
 from conftest import part
 
@@ -183,6 +183,20 @@ def test_elr_grading_positivity_and_classical_limit(gr24):
                 assert value.is_homogeneous_of_degree(u.size + v.size - w.size)
                 assert is_x_nonnegative(value)
                 assert value.evaluate_at_zero() == lr_tableau(u, v, w)
+
+
+def test_elr_table_matches_atiyah_bott_per_triple(gr12, gr24, gr25):
+    # the triangular expansion against the per-triple localization sum
+    for ctx in (gr12, gr24, gr25):
+        classes = enumerate_classes(ctx)
+        expected = {}
+        for i, u in enumerate(classes):
+            for v in classes[i:]:
+                for w in classes:
+                    value = elr(u, v, w)
+                    if not value.is_zero:
+                        expected[(u.parts, v.parts, w.parts)] = value
+        assert elr_table(ctx) == expected
 
 
 def test_edge_weights_are_b_differences(gr24):
