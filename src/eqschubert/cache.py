@@ -64,11 +64,12 @@ def load(cache_dir, k, n, d_max):
             envelope = json.loads(fh.read().decode("utf-8"))
         payload = envelope["payload"]
         digest = envelope["sha256"]
+        if not isinstance(payload, str):
+            raise CacheError("cache file %s has a non-string payload" % path)
+        actual = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CacheError("unreadable cache file %s: %s" % (path, exc))
-    if not isinstance(payload, str):
-        raise CacheError("cache file %s has a non-string payload" % path)
-    if hashlib.sha256(payload.encode("utf-8")).hexdigest() != digest:
+    if actual != digest:
         raise CacheError("checksum mismatch in cache file %s" % path)
     if (
         envelope.get("cache_version") != CACHE_VERSION

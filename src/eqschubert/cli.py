@@ -6,6 +6,7 @@ cache error.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -53,6 +54,8 @@ def _emit(text, out):
             fh.write(text)
         os.replace(tmp, out)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         _fail("cannot write %s: %s" % (out, exc))
 
 
@@ -206,7 +209,7 @@ def fixtures(regen, path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             on_disk = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail("cannot read %s: %s" % (path, exc))
     if on_disk != fresh:
         click.echo("fixture file %s is stale; rerun with --regen" % path, err=True)

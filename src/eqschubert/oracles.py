@@ -29,10 +29,10 @@ def lr_tableau(u, v, w):
     ut = u.parts if isinstance(u, Partition) else tuple(u)
     vt = v.parts if isinstance(v, Partition) else tuple(v)
     wt = w.parts if isinstance(w, Partition) else tuple(w)
-    return _lr_count(ut, vt, wt)
+    return _lr_coefficient(ut, vt, wt)
 
 
-def _lr_count(u, v, w):
+def _lr_coefficient(u, v, w):
     if sum(u) + sum(v) != sum(w):
         return 0
     if len(w) < len(u) or any(w[i] < u[i] for i in range(len(u))):
@@ -94,7 +94,7 @@ def wide_lr_expansion(u, v, k):
     out = {}
     first_bound = (u[0] if u else 0) + (v[0] if v else 0)
     for shape in _partitions_of(total, k, max(first_bound, 0)):
-        c = _lr_count(u, v, shape)
+        c = _lr_coefficient(u, v, shape)
         if c:
             out[shape] = c
     return out

@@ -62,27 +62,6 @@ class QModuleElement:
         key = (w.parts if isinstance(w, Partition) else tuple(w), d)
         return self.terms.get(key, Polynomial.zero(self.ctx.r))
 
-    def add(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            c2 = out.get(key)
-            c2 = c if c2 is None else c2 + c
-            if c2.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = c2
-        return QModuleElement(self.ctx, out)
-
-    def scale(self, poly):
-        if isinstance(poly, int):
-            poly = Polynomial.const(self.ctx.r, poly)
-        return QModuleElement(self.ctx, {key: c * poly for key, c in self.terms.items()})
-
-    def q_shift(self, e=1):
-        return QModuleElement(
-            self.ctx, {(w, d + e): c for (w, d), c in self.terms.items()}
-        )
-
     def canonical_items(self):
         """Terms sorted by q-power then class order."""
 
@@ -261,11 +240,11 @@ class EQTable:
         if b0.is_zero:
             raise TableSolveError("singular block %r" % ((t.parts, d),))
         num = residual.numerator * b0.scale
-        for f in b0.factors:
-            num = num * f
+        for f, m in b0.factors.items():
+            num = num * f**m
         den = b0.numerator * residual.scale
-        for f in residual.factors:
-            den = den * f
+        for f, m in residual.factors.items():
+            den = den * f**m
         x_t = num.divide_exact(den)
         if x_t is None:
             raise TableSolveError("inexact block solve %r" % ((t.parts, d),))
@@ -319,10 +298,12 @@ class EQTable:
 
     def circ(self, elem, t):
         """Multiply a module element by a basis class."""
-        out = QModuleElement(self.ctx)
+        terms = {}
         for (z, e), c in elem.terms.items():
-            out = out.add(self.element(Partition(z, self.ctx), t).scale(c).q_shift(e))
-        return out
+            for (w, d), c2 in self.element(Partition(z, self.ctx), t).terms.items():
+                key = (w, d + e)
+                terms[key] = terms[key] + c * c2 if key in terms else c * c2
+        return QModuleElement(self.ctx, terms)
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,13 @@ import eqschubert.render as render_mod
 from eqschubert.cli import cli
 from eqschubert.render import poly_from_json
 
-# sha256 of the CSV exports recorded in bench/expected.json; CSV bytes must not change
-SEED_CSV_SHA256 = {
-    (1, 2): "2717ef48948483894c3965031b8cd6bc656bf9c694cb73aa3d14b6fb259808f9",
-    (2, 4): "b307a738b56dd505eb22664ce01d0b482f445d929000353198db3817f9b6344d",
+# sha256 of exports recorded in bench/expected.json; export bytes must not change.
+# Gr(2,5) and Gr(3,6) run q-degree >= 1 blocks through the rational sweep.
+SEED_SHA256 = {
+    ("csv", 1, 2): "2717ef48948483894c3965031b8cd6bc656bf9c694cb73aa3d14b6fb259808f9",
+    ("csv", 2, 4): "b307a738b56dd505eb22664ce01d0b482f445d929000353198db3817f9b6344d",
+    ("json", 2, 5): "1d36fc6940b2506f6418de686220386e74bd88adb084f32eb7474f3a73f7bd8c",
+    ("json", 3, 6): "82e960725a9f500e6890f1610a014d2162bfe48f88daa92ef1d9cf0455f298d0",
 }
 
 
@@ -44,11 +47,11 @@ def test_table_smoke_gr24_json_and_csv():
     assert len(lines) == len(payload["entries"]) + 1
 
 
-@pytest.mark.parametrize("k, n", sorted(SEED_CSV_SHA256))
-def test_table_csv_bytes_match_seed(k, n):
-    result = run("table", "--k", str(k), "--n", str(n), "--format", "csv")
+@pytest.mark.parametrize("fmt, k, n", sorted(SEED_SHA256))
+def test_table_csv_bytes_match_seed(fmt, k, n):
+    result = run("table", "--k", str(k), "--n", str(n), "--format", fmt)
     assert result.exit_code == 0
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == SEED_CSV_SHA256[(k, n)]
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == SEED_SHA256[(fmt, k, n)]
 
 
 def test_warm_csv_renders_the_cached_payload(tmp_path, monkeypatch):
@@ -84,8 +87,9 @@ def test_table_cache_round_trip(tmp_path):
         lambda blob: dict(blob, payload=blob["payload"][:-2] + "]}"),
         lambda blob: [blob],
         lambda blob: dict(blob, payload=1),
+        lambda blob: dict(blob, payload="\ud800"),
     ],
-    ids=["bad-checksum", "list-envelope", "int-payload"],
+    ids=["bad-checksum", "list-envelope", "int-payload", "surrogate-payload"],
 )
 def test_table_rejects_corrupt_cache(tmp_path, corrupt):
     cache_dir = tmp_path / "cache"
@@ -108,11 +112,19 @@ def test_table_cache_dir_on_a_regular_file_exits_3(tmp_path):
     assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
 
 
-def test_table_out_into_missing_directory_exits_3(tmp_path):
-    out = tmp_path / "missing" / "table.json"
+@pytest.mark.parametrize(
+    "existing", [False, True], ids=["missing-directory", "existing-directory"]
+)
+def test_table_out_into_missing_directory_exits_3(tmp_path, existing):
+    if existing:
+        out = tmp_path / "taken"
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "table.json"
     result = run("table", "--k", "1", "--n", "2", "--out", str(out))
     assert result.exit_code == 3
     assert result.stderr.startswith("cannot write ") and result.stderr.count("\n") == 1
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_table_csv_of_a_cached_non_table_exits_3(tmp_path):
@@ -231,3 +243,11 @@ def test_fixtures_regen_into_unwritable_path_exits_3(tmp_path):
     result = run("fixtures", "--regen", "--path", str(blocker / "fx.json"))
     assert result.exit_code == 3
     assert result.stderr.startswith("cannot write ") and result.stderr.count("\n") == 1
+
+
+def test_fixtures_check_of_a_non_utf8_file_exits_3(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    result = run("fixtures", "--path", str(path))
+    assert result.exit_code == 3
+    assert result.stderr.startswith("cannot read ") and result.stderr.count("\n") == 1

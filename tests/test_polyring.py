@@ -124,6 +124,13 @@ def test_rational_examples():
     assert c.mul(d).expect_polynomial() == one
     e = RationalExpression(x(1) * x(2), (x(1),)).reduced()
     assert e.numerator == x(2) and not e.factors
+    # repeated factors are one map entry with a multiplicity
+    f = RationalExpression(x(1) ** 2 * x(2), (x(1), x(1))).reduced()
+    assert f.numerator == x(2) and not f.factors
+    g = a.add(RationalExpression(one, (x(1), x(1))))
+    assert g.numerator == x(1) + 1 and g.factors == {x(1): 2}
+    h = a.mul(RationalExpression(one, (2 * x(1),)))
+    assert h.numerator == one and h.scale == 2 and h.factors == {x(1): 2}
 
 
 def test_expect_polynomial():
@@ -140,5 +147,5 @@ def test_denominator_normalization():
     form = 2 * x(2) - 2 * x(1)
     r = RationalExpression(Polynomial.const(NVARS, 4), (form,))
     assert r.scale == 2
-    assert list(r.factors) == [x(1) - x(2)]
+    assert r.factors == {x(1) - x(2): 1}
     assert r.numerator == Polynomial.const(NVARS, -4)

@@ -61,6 +61,18 @@ def test_chevalley_d0_column_matches_localization(gr24, gr25):
                 assert elem.get(w, 0) == elr(divisor, v, w)
 
 
+def test_circ_on_basis_classes(gr24):
+    table = eq_table(gr24)
+    for u in enumerate_classes(gr24):
+        for v in enumerate_classes(gr24):
+            product = table.element(u, v)
+            assert table.circ(QModuleElement.basis(u), v) == product
+            raised = {(w, d + 1): c for (w, d), c in product.terms.items()}
+            assert table.circ(QModuleElement.basis(u, d=1), v) == QModuleElement(
+                gr24, raised
+            )
+
+
 def test_multiply_unit(gr24):
     for v in enumerate_classes(gr24):
         assert multiply(part(gr24), v) == QModuleElement.basis(v)
