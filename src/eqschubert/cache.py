@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import zlib
 
 from .errors import CacheError
 from .version import CACHE_VERSION, ENGINE_VERSION
@@ -67,7 +68,15 @@ def load(cache_dir, k, n, d_max):
         if not isinstance(payload, str):
             raise CacheError("cache file %s has a non-string payload" % path)
         actual = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (
+        OSError,
+        EOFError,
+        zlib.error,
+        RecursionError,
+        ValueError,
+        KeyError,
+        TypeError,
+    ) as exc:
         raise CacheError("unreadable cache file %s: %s" % (path, exc))
     if actual != digest:
         raise CacheError("checksum mismatch in cache file %s" % path)

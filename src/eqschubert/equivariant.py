@@ -176,7 +176,7 @@ def _restrict_cached(ctx, parts, subset, family):
     if family == "schubert":
         return _restrict_main(ctx, parts, subset)
     mu_dual = partition_of(FixedPoint(subset, ctx)).dual()
-    value = _restrict_main(ctx, parts, point_of(mu_dual).subset)
+    value = _restrict_cached(ctx, parts, point_of(mu_dual).subset, "schubert")
     return _w0_substitution(ctx, value)
 
 

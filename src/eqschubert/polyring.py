@@ -4,8 +4,12 @@ A polynomial is a sparse map from a packed exponent key to a nonzero
 arbitrary-precision integer coefficient.  Exponent vectors pack into a single
 Python int, sixteen bits per variable with the first variable in the highest
 lanes, so comparing keys as integers is exactly lexicographic comparison of
-exponent vectors.  Every variable has complex degree one; the degree of a
-monomial is the sum of its exponents.
+exponent vectors.  Exponents stay below 2**15, so the top bit of every lane
+is a guard bit: ``((k | G) - d) & G == G``, with ``G`` the guard bits of all
+lanes, holds exactly when every exponent of ``k`` is at least that of ``d``,
+which tests monomial divisibility on packed keys in one subtraction.  Every
+variable has complex degree one; the degree of a monomial is the sum of its
+exponents.
 
 Rational expressions keep the denominator factored as a multiset of primitive
 linear forms (a map from form to multiplicity) times a positive integer
@@ -16,18 +20,20 @@ is ever divided out silently.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from math import gcd
 
 from .errors import DimensionMismatchError, NonPolynomialError
 
 _SHIFT = 16
 _LANE = (1 << _SHIFT) - 1
+_MAX_EXPONENT = (1 << (_SHIFT - 1)) - 1
 
 
 def _pack(exponents):
     key = 0
     for e in exponents:
-        if e < 0 or e > _LANE:
+        if e < 0 or e > _MAX_EXPONENT:
             raise OverflowError("exponent %r outside packing range" % (e,))
         key = (key << _SHIFT) | e
     return key
@@ -39,6 +45,12 @@ def _unpack(key, nvars):
         out[i] = key & _LANE
         key >>= _SHIFT
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _guard_mask(nvars):
+    """The guard (top) bit of every one of ``nvars`` lanes."""
+    return sum(1 << (_SHIFT * i + _SHIFT - 1) for i in range(nvars))
 
 
 def _key_degree(key):
@@ -300,7 +312,7 @@ class Polynomial:
             return self
         dlead = max(divisor.terms)
         dlc = divisor.terms[dlead]
-        dexps = _unpack(dlead, self.nvars)
+        guard = _guard_mask(self.nvars)
         dtail = [(k, c) for k, c in divisor.terms.items() if k != dlead]
         work = dict(self.terms)
         heap = [-k for k in work]
@@ -311,8 +323,8 @@ class Polynomial:
             c = work.get(k)
             if not c:
                 continue
-            kexps = _unpack(k, self.nvars)
-            if any(ke < de for ke, de in zip(kexps, dexps)) or c % dlc:
+            # a lane of k below the divisor's clears its guard bit
+            if ((k | guard) - dlead) & guard != guard or c % dlc:
                 return None
             qk = k - dlead
             qc = c // dlc
@@ -453,33 +465,30 @@ class RationalExpression:
         return _rational(num_a + num_b, s, union).reduced()
 
     def mul(self, other):
-        factors = dict(other.factors)  # argument first, as in add()
-        for f, m in self.factors.items():
-            factors[f] = factors.get(f, 0) + m
-        return _rational(
-            self.numerator * other.numerator, self.scale * other.scale, factors
-        ).reduced()
+        """The product, reduced when both operands are (as every result of
+        ``add``, ``mul`` and ``reduced`` is).
+
+        A reduced numerator is divisible by none of its own factors, and a
+        positive primitive linear form is prime in Z[x], so a factor divides
+        the product of the numerators exactly as often as it divides the
+        other operand's numerator.  Dividing each numerator by the other
+        operand's factors alone therefore cancels all that the full product
+        could.
+        """
+        if self.is_zero or other.is_zero:
+            return _rational(self.numerator * other.numerator, 1, {})
+        factors = {}  # argument first, as in add()
+        num_a = _cancel(self.numerator, other.factors, factors)
+        num_b = _cancel(other.numerator, self.factors, factors)
+        return _without_content(num_a * num_b, self.scale * other.scale, factors)
 
     def reduced(self):
         """Cancel common linear factors and integer content."""
         if self.is_zero:
             return _rational(self.numerator, 1, {})
-        num = self.numerator
         remaining = {}
-        for f, m in self.factors.items():
-            while m:
-                q = num.divide_exact(f)
-                if q is None:
-                    remaining[f] = m
-                    break
-                num = q
-                m -= 1
-        scale = self.scale
-        g = gcd(num.content(), scale)
-        if g > 1:
-            num = num.divide_exact(g)
-            scale //= g
-        return _rational(num, scale, remaining)
+        num = _cancel(self.numerator, self.factors, remaining)
+        return _without_content(num, self.scale, remaining)
 
     def expect_polynomial(self):
         """The value as a polynomial; errors unless the denominator clears."""
@@ -500,3 +509,27 @@ def _rational(numerator, scale, factors):
     out.scale = scale
     out.factors = factors
     return out
+
+
+def _cancel(num, factors, out):
+    """Divide ``num`` by each form of ``factors`` up to its multiplicity and
+    add the multiplicity left over to ``out``; return the quotient."""
+    for f, m in factors.items():
+        while m:
+            q = num.divide_exact(f)
+            if q is None:
+                break
+            num = q
+            m -= 1
+        if m:
+            out[f] = out.get(f, 0) + m
+    return num
+
+
+def _without_content(num, scale, factors):
+    """num / (scale * factors) with the common integer content removed."""
+    g = gcd(num.content(), scale)
+    if g > 1:
+        num = num.divide_exact(g)
+        scale //= g
+    return _rational(num, scale, factors)

@@ -235,8 +235,7 @@ class EQTable:
             affine[a.parts] = (sum_a.mul(inv), sum_b.mul(inv))
         anchor = self._one if d == 0 else self._zero
         a0, b0 = affine[()]
-        residual = RationalExpression(anchor).add(a0.neg()).reduced()
-        b0 = b0.reduced()
+        residual = RationalExpression(anchor).add(a0.neg())
         if b0.is_zero:
             raise TableSolveError("singular block %r" % ((t.parts, d),))
         num = residual.numerator * b0.scale

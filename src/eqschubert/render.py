@@ -134,7 +134,10 @@ def restriction_table_json(ctx, family="schubert"):
 
 def partition_argument(ctx, text):
     """Parse a partition given as a JSON array, e.g. ``[2,1]``."""
-    parts = json.loads(text)
+    try:
+        parts = json.loads(text)
+    except RecursionError:
+        raise ValueError("partition is nested too deeply")
     if not isinstance(parts, list) or not all(type(p) is int for p in parts):
         raise ValueError("expected a JSON array of integers")
     return Partition(tuple(parts), ctx)

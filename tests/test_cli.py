@@ -19,6 +19,7 @@ SEED_SHA256 = {
     ("csv", 2, 4): "b307a738b56dd505eb22664ce01d0b482f445d929000353198db3817f9b6344d",
     ("json", 2, 5): "1d36fc6940b2506f6418de686220386e74bd88adb084f32eb7474f3a73f7bd8c",
     ("json", 3, 6): "82e960725a9f500e6890f1610a014d2162bfe48f88daa92ef1d9cf0455f298d0",
+    ("json", 2, 7): "26fb918386d8c6707697e08da6c2b640644e4fff4584de750fe75d12a9dcf585",
 }
 
 
@@ -104,6 +105,26 @@ def test_table_rejects_corrupt_cache(tmp_path, corrupt):
     assert result.stderr.startswith("cache error:")
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda raw: raw[:30],
+        # a first deflate byte of 0xff declares the reserved block type
+        lambda raw: raw[:10] + b"\xff" + raw[11:],
+        lambda raw: gzip.compress(b"[" * 200000),
+    ],
+    ids=["truncated", "corrupt-deflate", "deep-nesting"],
+)
+def test_table_rejects_undecodable_cache(tmp_path, damage):
+    cache_dir = tmp_path / "cache"
+    assert run("table", "--k", "1", "--n", "2", "--cache-dir", str(cache_dir)).exit_code == 0
+    (path,) = cache_dir.iterdir()
+    path.write_bytes(damage(path.read_bytes()))
+    result = run("table", "--k", "1", "--n", "2", "--cache-dir", str(cache_dir))
+    assert result.exit_code == 3
+    assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
+
+
 def test_table_cache_dir_on_a_regular_file_exits_3(tmp_path):
     blocker = tmp_path / "cache"
     blocker.write_text("")
@@ -155,6 +176,7 @@ def test_usage_errors_exit_2():
     assert run("multiply", "--k", "2", "--n", "4", "--u", "[3]", "--v", "[]").exit_code == 2
     assert run("multiply", "--k", "2", "--n", "4", "--u", "nope", "--v", "[]").exit_code == 2
     assert run("multiply", "--k", "2", "--n", "4", "--u", "[true]", "--v", "[]").exit_code == 2
+    assert run("multiply", "--k", "2", "--n", "4", "--u", "[" * 100000, "--v", "[1]").exit_code == 2
     assert run("verify", "--k", "2", "--n", "4", "--suite", "bogus").exit_code == 2
     assert run(
         "verify", "--k", "2", "--n", "4", "--suite", "positivity", "--suite", "tbasis",

@@ -81,6 +81,38 @@ def test_divide_exact():
     assert p.divide_exact(2) is None
 
 
+def test_exponents_stay_below_the_guard_bit():
+    top = 2**15 - 1
+    assert Polynomial.from_exponents(1, [((top,), 1)]).coefficient((top,)) == 1
+    with pytest.raises(OverflowError):
+        Polynomial.from_exponents(1, [((2**15,), 1)])
+
+
+def linear_forms(nvars=NVARS):
+    return st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars).filter(any).map(
+        lambda coeffs: Polynomial.linear(nvars, coeffs)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys().filter(lambda b: not b.is_zero), linear_forms())
+def test_divide_exact_against_products(a, b, ell):
+    assert (a * b).divide_exact(b) == a
+    assert (a * ell + 1).divide_exact(ell) is None
+
+
+def test_divide_exact_at_the_lane_edges():
+    top = 2**15 - 1
+    p = Polynomial.from_exponents(2, [((top, 1), 3), ((top - 1, 2), 3)])
+    x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    assert p.divide_exact(x1 + x2) == Polynomial.from_exponents(2, [((top - 1, 1), 3)])
+    assert p.divide_exact(x1**top) is None
+    assert (p * x2).divide_exact(p) == x2
+    # x2**3 has a zero lane where the divisor's leading monomial x1 has a one
+    assert (x2**3).divide_exact(x1 + x2) is None
+    assert (x(2) ** 2 * x(3)).divide_exact(x(1)) is None
+
+
 def test_to_T_examples():
     T = lambda i: Polynomial.variable(4, i)
     assert to_T_variables(x(1), 4) == T(1) - T(2)
@@ -131,6 +163,41 @@ def test_rational_examples():
     assert g.numerator == x(1) + 1 and g.factors == {x(1): 2}
     h = a.mul(RationalExpression(one, (2 * x(1),)))
     assert h.numerator == one and h.scale == 2 and h.factors == {x(1): 2}
+
+
+def linear_factors():
+    # a small pool, so that operands share factors and cancel against each other
+    pool = [x(1), x(2), x(1) - x(2), x(1) + x(2) + x(3), -2 * x(3), 3 * x(2) - 3 * x(1)]
+    return st.lists(st.sampled_from(pool), max_size=3)
+
+
+def rationals():
+    numerator = st.builds(
+        lambda p, fs, c: p * c if not fs else p * fs[0] * c,
+        polys(max_terms=3, max_exp=2),
+        linear_factors(),
+        st.integers(1, 6),
+    )
+    return st.builds(
+        lambda num, fs, s: RationalExpression(num, fs, s).reduced(),
+        numerator,
+        linear_factors(),
+        st.sampled_from([1, 2, 3, 4, 6]),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals(), rationals())
+def test_mul_matches_the_full_reduction(a, b):
+    everything = [f for r in (b, a) for f, m in r.factors.items() for _ in range(m)]
+    full = RationalExpression(
+        a.numerator * b.numerator, everything, a.scale * b.scale
+    ).reduced()
+    product = a.mul(b)
+    assert product.numerator == full.numerator
+    assert product.scale == full.scale
+    # the same multiplicities in the same, argument-first, order
+    assert list(product.factors.items()) == list(full.factors.items())
 
 
 def test_expect_polynomial():
