@@ -138,20 +138,6 @@ def quantum_chevalley_shape(p):
     return None
 
 
-def quantum_chevalley_parent(p):
-    """The unique shape whose q-term index is ``p``, when one exists.
-
-    The q-term map drops a full first row and one box from each remaining
-    row, so its image is the set of shapes with at most k-1 rows and first
-    part below the box width.
-    """
-    w = p.ctx.width
-    padded = p.padded()
-    if padded[0] >= w or padded[p.ctx.k - 1] != 0:
-        return None
-    return Partition((w,) + tuple(q + 1 for q in padded[: p.ctx.k - 1]), p.ctx)
-
-
 def to_grassmannian_permutation(p):
     """The one-line permutation with at most one descent, at position k.
 

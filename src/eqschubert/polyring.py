@@ -20,8 +20,9 @@ is ever divided out silently.
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import or_
 
 from .errors import DimensionMismatchError, NonPolynomialError
 
@@ -212,6 +213,9 @@ class Polynomial:
                     out[k] = c
                 else:
                     del out[k]
+        # factor lanes stay below 2**15: a lane past the cap sets only its guard bit
+        if reduce(or_, out, 0) & _guard_mask(self.nvars):
+            raise OverflowError("product exponent above %d" % _MAX_EXPONENT)
         return Polynomial(self.nvars, out)
 
     __rmul__ = __mul__

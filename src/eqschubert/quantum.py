@@ -25,6 +25,11 @@ sweeping a downward from the box expresses every X_a as an affine-rational
 function of the single symbol X_o, and the known unit row X_empty pins the
 symbol.  Block solves only consult strictly smaller blocks, lower q-degrees
 and lower targets, so the whole table is well founded.
+
+The recursion runs on class positions in ``enumerate_classes`` order over
+one graph per context, built by ``EQTable``: the add-box edges a -> a+ and
+the q-edge a -> a-hat, with the inverses w -> w- and w -> qparent(w) read
+off by inverting those two maps.  Only the public methods take partitions.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .grass import (
     add_box_shapes,
     default_d_max,
     enumerate_classes,
-    quantum_chevalley_parent,
     quantum_chevalley_shape,
 )
 from .polyring import Polynomial, RationalExpression, is_x_nonnegative
@@ -59,8 +63,7 @@ class QModuleElement:
         return cls(p.ctx, {(p.parts, d): Polynomial.const(p.ctx.r, 1)})
 
     def get(self, w, d):
-        key = (w.parts if isinstance(w, Partition) else tuple(w), d)
-        return self.terms.get(key, Polynomial.zero(self.ctx.r))
+        return self.terms.get((w.parts, d), Polynomial.zero(self.ctx.r))
 
     def canonical_items(self):
         """Terms sorted by q-power then class order."""
@@ -95,9 +98,21 @@ class EQTable:
     def __init__(self, ctx, mirrored=False):
         self.ctx = ctx
         self.mirrored = mirrored
+        self._classes = classes = enumerate_classes(ctx)
+        self._index = index = {p.parts: i for i, p in enumerate(classes)}
+        self._size = [p.size for p in classes]
+        self._up = [[index[m.parts] for m in add_box_shapes(p)] for p in classes]
+        hats = [quantum_chevalley_shape(p) for p in classes]
+        self._qshape = [None if h is None else index[h.parts] for h in hats]
+        self._down = [[] for _ in classes]
+        self._qparent = [None] * len(classes)
+        for i in reversed(range(len(classes))):
+            for j in self._up[i]:
+                self._down[j].append(i)
+            if self._qshape[i] is not None:
+                self._qparent[self._qshape[i]] = i
         self._chev = {}
         self._coeff = {}
-        self._blocks_done = set()
         self._blocks_running = set()
         self._zero = Polynomial.zero(ctx.r)
         self._one = Polynomial.const(ctx.r, 1)
@@ -109,135 +124,141 @@ class EQTable:
         cached = self._chev.get(a.parts)
         if cached is not None:
             return cached
-        terms = {(m.parts, 0): self._one for m in add_box_shapes(a)}
-        one_box = Partition((1,), self.ctx)
-        diag = elr(one_box, a, a)
+        classes, i = self._classes, self._index[a.parts]
+        terms = {(classes[j].parts, 0): self._one for j in self._up[i]}
+        diag = elr(classes[1], a, a)
         if not (diag.is_zero or diag.is_homogeneous_of_degree(1)):
             raise TableSolveError("divisor diagonal for %r is not linear" % (a.parts,))
         if not diag.is_zero:
             terms[(a.parts, 0)] = diag
-        qshape = quantum_chevalley_shape(a)
-        if qshape is not None:
-            terms[(qshape.parts, 1)] = self._one
+        if self._qshape[i] is not None:
+            terms[(classes[self._qshape[i]].parts, 1)] = self._one
         self._chev[a.parts] = terms
         return terms
-
-    def chevalley_diagonal(self, a):
-        return self.chevalley_terms(a).get((a.parts, 0), self._zero)
 
     # -- structure constants ----------------------------------------------------
 
     def coefficient(self, u, v, w, d):
         """The polynomial on q^d sigma(w) in sigma(u) * sigma(v)."""
-        ctx = self.ctx
+        index = self._index
+        return self._coefficient(index[u.parts], index[v.parts], index[w.parts], d)
+
+    def _coefficient(self, iu, iv, iw, d):
         if d < 0:
             return self._zero
-        degree = u.size + v.size - w.size - d * ctx.n
+        size = self._size
+        degree = size[iu] + size[iv] - size[iw] - d * self.ctx.n
         if degree < 0:
             return self._zero
-        if u.sort_key > v.sort_key:
-            u, v = v, u
-        key = (u.parts, v.parts, w.parts, d)
+        if iu > iv:
+            iu, iv = iv, iu
+        key = (iu, iv, iw, d)
         cached = self._coeff.get(key)
         if cached is not None:
             return cached
-        if not u.parts:
-            value = self._one if (v.parts == w.parts and d == 0) else self._zero
-        elif u.parts == (1,):
-            value = self.chevalley_terms(v).get((w.parts, d), self._zero)
-        elif w == u or w == v:
-            self._solve_block(w, d)
+        # positions 0 and 1 hold the unit and the divisor; c_z is C[1,z,z,0]
+        if iu == 0:
+            value = self._one if (iv == iw and d == 0) else self._zero
+        elif iu == 1:
+            terms = self.chevalley_terms(self._classes[iv])
+            value = terms.get((self._classes[iw].parts, d), self._zero)
+        elif iw == iu or iw == iv:
+            self._solve_block(iw, d)
             value = self._coeff[key]
         else:
-            value = self._difference_step(u, v, w, d)
+            value = self._difference_step(iu, iv, iw, d)
         self._store(key, value, degree)
         return value
+
+    def _named(self, key):
+        """A key of class positions with each class named by its parts."""
+        return tuple(self._classes[i].parts for i in key[:-1]) + key[-1:]
 
     def _store(self, key, value, degree):
         if not value.is_homogeneous_of_degree(degree):
             raise TableSolveError(
-                "coefficient %r is not homogeneous of degree %d" % (key, degree)
+                "coefficient %r is not homogeneous of degree %d"
+                % (self._named(key), degree)
             )
         self._coeff[key] = value
 
-    def _known_tail(self, a, o, w, d):
+    def _known_tail(self, ia, io, iw, d):
         """The reference terms of the difference relation that never touch
         the unknowns of the current step: lower q-degree and lower targets."""
         tail = self._zero
-        ahat = quantum_chevalley_shape(a)
+        ahat = self._qshape[ia]
         if ahat is not None:
-            tail = tail + self.coefficient(ahat, o, w, d - 1)
-        for wm in _corner_removals(w):
-            tail = tail - self.coefficient(a, o, wm, d)
-        qp = quantum_chevalley_parent(w)
+            tail = tail + self._coefficient(ahat, io, iw, d - 1)
+        for wm in self._down[iw]:
+            tail = tail - self._coefficient(ia, io, wm, d)
+        qp = self._qparent[iw]
         if qp is not None and d >= 1:
-            tail = tail - self.coefficient(a, o, qp, d - 1)
+            tail = tail - self._coefficient(ia, io, qp, d - 1)
         return tail
 
-    def _difference_step(self, u, v, w, d):
+    def _difference_step(self, iu, iv, iw, d):
         """Solve the associativity relation for one off-diagonal target."""
-        a, o = (v, u) if self.mirrored else (u, v)
-        rhs = self._known_tail(a, o, w, d)
-        for up in add_box_shapes(a):
-            rhs = rhs + self.coefficient(up, o, w, d)
-        divisor = self.chevalley_diagonal(w) - self.chevalley_diagonal(a)
+        ia, io = (iv, iu) if self.mirrored else (iu, iv)
+        rhs = self._known_tail(ia, io, iw, d)
+        for up in self._up[ia]:
+            rhs = rhs + self._coefficient(up, io, iw, d)
+        divisor = self._coefficient(1, iw, iw, 0) - self._coefficient(1, ia, ia, 0)
         if divisor.is_zero:
             raise TableSolveError("vanishing divisor difference")
         value = rhs.divide_exact(divisor)
         if value is None:
             raise TableSolveError(
-                "inexact division for %r" % ((u.parts, v.parts, w.parts, d),)
+                "inexact division for %r" % (self._named((iu, iv, iw, d)),)
             )
         return value
 
-    def _solve_block(self, t, d):
+    def _solve_block(self, it, d):
         """Solve all C[a,t,t,d] at once.
 
         Every X_a is expressed as A_a + B_a * X_t with factored-rational
         A, B by sweeping a from the box downward; the unit row then pins
-        X_t, and the divisor row is left over as a consistency check.
+        X_t, and the divisor row is left over as a consistency check.  It
+        stores every row it solves, so the memo keeps it from running twice.
         """
-        block_key = (t.parts, d)
-        if block_key in self._blocks_done:
-            return
-        if block_key in self._blocks_running:
-            raise TableSolveError("re-entered block %r" % (block_key,))
-        self._blocks_running.add(block_key)
+        key = (it, d)
+        if key in self._blocks_running:
+            raise TableSolveError("re-entered block %r" % (self._named(key),))
+        self._blocks_running.add(key)
         try:
-            self._solve_block_inner(t, d)
+            self._solve_block_inner(key)
         finally:
-            self._blocks_running.discard(block_key)
-        self._blocks_done.add(block_key)
+            self._blocks_running.discard(key)
 
-    def _solve_block_inner(self, t, d):
-        ctx = self.ctx
+    def _solve_block_inner(self, key):
+        it, d = key
         zero_r = RationalExpression(self._zero)
         one_r = RationalExpression(self._one)
-        classes = sorted(enumerate_classes(ctx), key=lambda p: p.sort_key, reverse=True)
-        affine = {t.parts: (zero_r, one_r)}
-        c_t = self.chevalley_diagonal(t)
-        for a in classes:
-            if a == t:
+        positions = range(len(self._classes) - 1, -1, -1)
+        affine = [None] * len(self._classes)
+        affine[it] = (zero_r, one_r)
+        c_t = self._coefficient(1, it, it, 0)
+        for ia in positions:
+            if ia == it:
                 continue
             # No grading shortcut here: rows whose value is forced to zero
             # still carry their relation downward, and for d >= 1 the unit
             # row below them is the only thing that pins X_t.
             sum_a, sum_b = zero_r, zero_r
-            for up in add_box_shapes(a):
-                pa, pb = affine[up.parts]
+            for up in self._up[ia]:
+                pa, pb = affine[up]
                 sum_a = sum_a.add(pa)
                 sum_b = sum_b.add(pb)
-            sum_a = sum_a.add(RationalExpression(self._known_tail(a, t, t, d)))
-            ell = c_t - self.chevalley_diagonal(a)
+            sum_a = sum_a.add(RationalExpression(self._known_tail(ia, it, it, d)))
+            ell = c_t - self._coefficient(1, ia, ia, 0)
             if ell.is_zero:
                 raise TableSolveError("coincident divisor diagonals")
             inv = RationalExpression(self._one, (ell,))
-            affine[a.parts] = (sum_a.mul(inv), sum_b.mul(inv))
+            affine[ia] = (sum_a.mul(inv), sum_b.mul(inv))
         anchor = self._one if d == 0 else self._zero
-        a0, b0 = affine[()]
+        a0, b0 = affine[0]
         residual = RationalExpression(anchor).add(a0.neg())
         if b0.is_zero:
-            raise TableSolveError("singular block %r" % ((t.parts, d),))
+            raise TableSolveError("singular block %r" % (self._named(key),))
         num = residual.numerator * b0.scale
         for f, m in b0.factors.items():
             num = num * f**m
@@ -246,60 +267,55 @@ class EQTable:
             den = den * f**m
         x_t = num.divide_exact(den)
         if x_t is None:
-            raise TableSolveError("inexact block solve %r" % ((t.parts, d),))
+            raise TableSolveError("inexact block solve %r" % (self._named(key),))
         x_t_r = RationalExpression(x_t)
-        for a in classes:
-            value = (
-                x_t
-                if a == t
-                else affine[a.parts][0].add(affine[a.parts][1].mul(x_t_r)).expect_polynomial()
-            )
-            if not a.parts:
-                expected = anchor
-            elif a.parts == (1,):
-                expected = self.chevalley_terms(t).get((t.parts, d), self._zero)
-            else:
-                expected = None
-            if expected is not None:
+        for ia in positions:
+            pa, pb = affine[ia]
+            value = x_t if ia == it else pa.add(pb.mul(x_t_r)).expect_polynomial()
+            if ia <= 1:
+                expected = anchor if ia == 0 else self._coefficient(1, it, it, d)
                 if value != expected:
                     raise TableSolveError(
-                        "block %r disagrees with its anchor row" % ((t.parts, d),)
+                        "block %r disagrees with its anchor row" % (self._named(key),)
                     )
                 continue
-            lo, hi = sorted((a, t), key=lambda p: p.sort_key)
-            self._store((lo.parts, hi.parts, t.parts, d), value, a.size - d * ctx.n)
+            row = (min(ia, it), max(ia, it), it, d)
+            self._store(row, value, self._size[ia] - d * self.ctx.n)
 
     # -- assembled products --------------------------------------------------------
 
     def element(self, u, v):
-        """The full product sigma(u) * sigma(v)."""
-        ctx = self.ctx
+        """The full product sigma(u) * sigma(v), its terms in export order:
+        by q-power, then the class order."""
+        n = self.ctx.n
+        total = u.size + v.size
         terms = {}
-        for dd in range((u.size + v.size) // ctx.n + 1):
-            for w in enumerate_classes(ctx):
-                if w.size + dd * ctx.n > u.size + v.size:
-                    continue
+        for dd in range(total // n + 1):
+            for w, size in zip(self._classes, self._size):
+                if size + dd * n > total:
+                    break
                 c = self.coefficient(u, v, w, dd)
                 if not c.is_zero:
                     terms[(w.parts, dd)] = c
-        return QModuleElement(ctx, terms)
+        return QModuleElement(self.ctx, terms)
 
     def rows(self, d_max):
         """Every nonzero (u, v, w, d, poly) with d <= d_max, partitions as
         parts tuples, in export order: pairs once with u <= v in the class
         order, then by d, then w in the class order."""
-        classes = enumerate_classes(self.ctx)
+        classes = self._classes
         for i, u in enumerate(classes):
             for v in classes[i:]:
-                for (w, d), c in self.element(u, v).canonical_items():
+                for (w, d), c in self.element(u, v).terms.items():
                     if d <= d_max:
                         yield u.parts, v.parts, w, d, c
 
     def circ(self, elem, t):
         """Multiply a module element by a basis class."""
         terms = {}
-        for (z, e), c in elem.terms.items():
-            for (w, d), c2 in self.element(Partition(z, self.ctx), t).terms.items():
+        for (parts, e), c in elem.terms.items():
+            z = self._classes[self._index[parts]]
+            for (w, d), c2 in self.element(z, t).terms.items():
                 key = (w, d + e)
                 terms[key] = terms[key] + c * c2 if key in terms else c * c2
         return QModuleElement(self.ctx, terms)
@@ -341,18 +357,6 @@ def specialize_x0(elem):
     return out
 
 
-def _corner_removals(p):
-    """All partitions obtained by removing one box of p."""
-    padded = p.padded()
-    out = []
-    for i in range(p.ctx.k):
-        if padded[i] > 0 and (i == p.ctx.k - 1 or padded[i] > padded[i + 1]):
-            shrunk = list(padded)
-            shrunk[i] -= 1
-            out.append(Partition(tuple(shrunk), p.ctx))
-    return out
-
-
 # -- verification reports ---------------------------------------------------------
 
 
@@ -368,7 +372,8 @@ def verify_positivity(ctx, d_max=None, coefficient_fn=None):
     for i, u in enumerate(classes):
         for v in classes[i:]:
             for w in classes:
-                for d in range(d_max + 1):
+                # the grading leaves no term past q^((|u|+|v|) // n)
+                for d in range(min(d_max, (u.size + v.size) // ctx.n) + 1):
                     if u.size + v.size - w.size - d * ctx.n < 0:
                         continue
                     c = coefficient_fn(u, v, w, d)
@@ -392,12 +397,17 @@ def verify_positivity(ctx, d_max=None, coefficient_fn=None):
     }
 
 
-def verify_algebra(ctx, max_triples=1000, sample_size=500, seed=7):
+MAX_TRIPLES = 1000
+SAMPLE_SIZE = 500
+SAMPLE_SEED = 7
+
+
+def verify_algebra(ctx):
     """Unit, commutativity and associativity of the product.
 
     Commutativity is checked by recomputing every product with the mirrored
-    recursion.  Associativity is exhaustive when the number of triples is at
-    most ``max_triples`` and uniformly sampled otherwise.
+    recursion.  Associativity is exhaustive up to ``MAX_TRIPLES`` triples;
+    beyond that ``SAMPLE_SIZE`` triples are drawn with seed ``SAMPLE_SEED``.
     """
     classes = enumerate_classes(ctx)
     table = eq_table(ctx)
@@ -418,13 +428,13 @@ def verify_algebra(ctx, max_triples=1000, sample_size=500, seed=7):
                     {"law": "commutativity", "u": list(u.parts), "v": list(v.parts)}
                 )
     total = len(classes) ** 3
-    if total <= max_triples:
+    if total <= MAX_TRIPLES:
         triples = [(u, v, w) for u in classes for v in classes for w in classes]
     else:
-        rng = random.Random(seed)
+        rng = random.Random(SAMPLE_SEED)
         triples = [
             (rng.choice(classes), rng.choice(classes), rng.choice(classes))
-            for _ in range(sample_size)
+            for _ in range(SAMPLE_SIZE)
         ]
     for u, v, w in triples:
         left = table.circ(table.element(u, v), w)

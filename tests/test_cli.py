@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import os
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -208,6 +209,15 @@ def test_verify_single_suite_passes():
     result = run("verify", "--k", "2", "--n", "4", "--suite", "duality")
     assert result.exit_code == 0
     assert "duality" in result.output and "pass" in result.output
+
+
+def test_verify_positivity_ignores_a_d_max_past_the_grading():
+    start = time.perf_counter()
+    args = ("--k", "1", "--n", "2", "--suite", "positivity", "--d-max", "100000000")
+    result = run("verify", *args)
+    assert result.exit_code == 0
+    assert "checked=6" in result.output
+    assert time.perf_counter() - start < 10
 
 
 def test_verify_all_suites_p1_json():

@@ -15,7 +15,8 @@ from eqschubert import (
     to_grassmannian_permutation,
 )
 from eqschubert.equivariant import c1_curve_integral
-from eqschubert.grass import partition_from_permutation, quantum_chevalley_parent
+from eqschubert.grass import partition_from_permutation
+from eqschubert.quantum import EQTable
 
 from conftest import part
 
@@ -136,16 +137,24 @@ def test_quantum_chevalley_shape_degree():
                 assert hat.size == p.size - (n - 1) >= 0
 
 
-def test_quantum_chevalley_parent_roundtrip():
+def test_engine_graph_inverts_add_box_and_q_shape():
+    # the engine reads corner removals and q-parents off its inverted maps;
+    # check them against containment and the q-shape, computed independently
     for k, n in CONTEXTS:
         ctx = GrassContext(k, n)
-        for p in enumerate_classes(ctx):
+        classes = enumerate_classes(ctx)
+        table = EQTable(ctx)
+        for i, p in enumerate(classes):
+            removals = [
+                j for j, m in enumerate(classes) if m.size + 1 == p.size and p.contains(m)
+            ]
+            assert sorted(table._down[i]) == removals
             hat = quantum_chevalley_shape(p)
             if hat is not None:
-                assert quantum_chevalley_parent(hat) == p
-            parent = quantum_chevalley_parent(p)
+                assert classes[table._qparent[classes.index(hat)]] == p
+            parent = table._qparent[i]
             if parent is not None:
-                assert quantum_chevalley_shape(parent) == p
+                assert quantum_chevalley_shape(classes[parent]) == p
 
 
 def test_remove_rim_hooks(gr24, gr12):

@@ -88,6 +88,20 @@ def test_exponents_stay_below_the_guard_bit():
         Polynomial.from_exponents(1, [((2**15,), 1)])
 
 
+def test_products_stay_below_the_guard_bit():
+    x1 = Polynomial.variable(1, 1)
+    half = x1 ** 2**14
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        half**2
+    with pytest.raises(OverflowError):
+        x(3) ** 2**15
+    top = x1 ** (2**15 - 1)
+    assert top.divide_exact(x1) == x1 ** (2**15 - 2)
+    assert (x1 ** 2**14 * x1 ** (2**14 - 1)) == top
+
+
 def linear_forms(nvars=NVARS):
     return st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars).filter(any).map(
         lambda coeffs: Polynomial.linear(nvars, coeffs)

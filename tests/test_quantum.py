@@ -220,6 +220,25 @@ def test_table_recomputation_is_identical(gr24):
             assert fresh.element(u, v) == table.element(u, v)
 
 
+def test_warmed_rows_walk_builds_no_partition(gr36, monkeypatch):
+    from eqschubert import Partition
+    from eqschubert.quantum import EQTable
+
+    table = EQTable(gr36)
+    for a in enumerate_classes(gr36):
+        table.chevalley_terms(a)
+    built = []
+    check = Partition.__post_init__
+
+    def counted(self):
+        built.append(self.parts)
+        check(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counted)
+    rows = list(table.rows(default_d_max(gr36)))
+    assert rows and built == []
+
+
 def test_other_box_shapes():
     # odd boxes and k > n-k exercise the same machinery end to end
     from eqschubert import GrassContext
