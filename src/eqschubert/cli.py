@@ -20,7 +20,9 @@ from .grass import GrassContext, default_d_max
 from .oracles import build_fixtures
 from .quantum import multiply
 from .render import (
+    canonical_json,
     partition_argument,
+    qelem_json,
     qelem_text,
     restriction_table_json,
     table_csv,
@@ -101,7 +103,7 @@ def table(k, n, d_max, fmt, out, cache_dir, no_cache):
     if fmt == "csv":
         try:
             payload = table_csv(payload)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             _fail("cache error: %s" % exc)
     _emit(payload, out)
 
@@ -121,16 +123,7 @@ def multiply_cmd(k, n, u_text, v_text, fmt):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     elem = multiply(u, v)
-    if fmt == "text":
-        click.echo(qelem_text(elem))
-    else:
-        from .render import poly_json
-
-        rows = [
-            {"w": list(w), "d": d, "poly": poly_json(c)}
-            for (w, d), c in elem.canonical_items()
-        ]
-        click.echo(json.dumps(rows, sort_keys=True, separators=(",", ":")))
+    click.echo(qelem_text(elem) if fmt == "text" else qelem_json(elem))
 
 
 @cli.command()
@@ -161,7 +154,7 @@ def verify(k, n, suite_names, d_max, workers, fmt):
     reports = [SUITES[name](ctx, d_max) for name in names]
     reports.sort(key=lambda rep: rep["suite"])
     if fmt == "json":
-        click.echo(json.dumps(reports, sort_keys=True, separators=(",", ":")))
+        click.echo(canonical_json(reports))
     else:
         for rep in reports:
             status = "pass" if rep["passed"] else "FAIL"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from .errors import ContextError
 
@@ -39,10 +38,6 @@ class GrassContext:
     def dim(self):
         """Complex dimension k(n-k)."""
         return self.k * (self.n - self.k)
-
-    @property
-    def num_classes(self):
-        return comb(self.n, self.k)
 
 
 @dataclass(frozen=True)
@@ -191,11 +186,6 @@ def remove_rim_hooks(shape, ctx):
             new_parts = new_parts[:-1]
         out.append((new_parts, sign))
     return out
-
-
-def q_degree(ctx):
-    """Complex degree of the quantum parameter: n for Gr(k,n)."""
-    return ctx.n
 
 
 def default_d_max(ctx):

@@ -130,10 +130,6 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max(map(_key_degree, self.terms)) if self.terms else -1
 
-    def is_homogeneous(self):
-        degs = {_key_degree(k) for k in self.terms}
-        return len(degs) <= 1
-
     def is_homogeneous_of_degree(self, d):
         """True if every monomial has degree d (vacuously true when zero)."""
         return all(_key_degree(k) == d for k in self.terms)
@@ -293,10 +289,6 @@ class Polynomial:
             k = _pack(new)
             out[k] = out.get(k, 0) + c
         return Polynomial(self.nvars, {k: c for k, c in out.items() if c})
-
-    def evaluate_at_zero(self):
-        """All variables set to zero."""
-        return self.terms.get(0, 0)
 
     def divide_exact(self, divisor):
         """Exact quotient self / divisor over Z, or None when not divisible."""

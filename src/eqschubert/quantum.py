@@ -351,7 +351,7 @@ def specialize_x0(elem):
     """Set every x to zero; the quantum limit as integers."""
     out = {}
     for (w, d), c in elem.terms.items():
-        value = c.evaluate_at_zero()
+        value = c.constant_term()
         if value:
             out[(Partition(w, elem.ctx), d)] = value
     return out

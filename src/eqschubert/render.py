@@ -2,7 +2,8 @@
 
 Monomials always print in graded-lex descending order and coefficients
 serialize as decimal strings, so every export is byte-stable for a fixed
-input and code version.
+input and code version. ``canonical_json`` is the one JSON encoding of every
+export: sorted keys, no whitespace.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import json
 
 from .grass import Partition, default_d_max, enumerate_classes
 from .polyring import Polynomial
+
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def poly_text(p, symbol="x"):
@@ -68,32 +71,46 @@ def qelem_text(elem, symbol="x"):
     return " + ".join(pieces)
 
 
+def qelem_json(elem):
+    """Canonical JSON list of the ``{"w", "d", "poly"}`` terms of an element."""
+    return canonical_json(
+        [
+            {"w": list(w), "d": d, "poly": poly_json(c)}
+            for (w, d), c in elem.canonical_items()
+        ]
+    )
+
+
 def table_entries(ctx, d_max=None):
-    """Canonical export rows for the full product table.
+    """Canonical JSON export rows for the full product table, one string per row.
 
     One row per nonzero coefficient, pairs listed once with u <= v in the
-    class order, sorted by (u, v, d, w).
+    class order, sorted by (u, v, d, w). Each row is encoded as it is built,
+    so no dict outlives its row.
     """
     from .quantum import eq_table
 
     if d_max is None:
         d_max = default_d_max(ctx)
     return [
-        {"u": list(u), "v": list(v), "w": list(w), "d": d, "poly": poly_json(c)}
+        canonical_json(
+            {"u": list(u), "v": list(v), "w": list(w), "d": d, "poly": poly_json(c)}
+        )
         for u, v, w, d, c in eq_table(ctx).rows(d_max)
     ]
 
 
 def table_json(ctx, d_max=None):
-    """The canonical table payload, the one source of every table export."""
-    payload = {
-        "k": ctx.k,
-        "n": ctx.n,
-        "d_max": default_d_max(ctx) if d_max is None else d_max,
-        "variables": ctx.r,
-        "entries": table_entries(ctx, d_max),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """The canonical table payload, the one source of every table export.
+
+    The rows of ``table_entries`` are joined into the place of the empty
+    entries list in the encoded envelope, whose other values are integers.
+    """
+    if d_max is None:
+        d_max = default_d_max(ctx)
+    envelope = {"k": ctx.k, "n": ctx.n, "d_max": d_max, "variables": ctx.r, "entries": []}
+    head, tail = canonical_json(envelope).split("[]")
+    return "%s[%s]%s\n" % (head, ",".join(table_entries(ctx, d_max)), tail)
 
 
 def table_csv(payload):
@@ -105,9 +122,9 @@ def table_csv(payload):
     for row in table["entries"]:
         writer.writerow(
             [
-                json.dumps(row["u"], separators=(",", ":")),
-                json.dumps(row["v"], separators=(",", ":")),
-                json.dumps(row["w"], separators=(",", ":")),
+                canonical_json(row["u"]),
+                canonical_json(row["v"]),
+                canonical_json(row["w"]),
                 row["d"],
                 poly_text(poly_from_json(row["poly"], table["variables"])),
             ]
@@ -129,7 +146,7 @@ def restriction_table_json(ctx, family="schubert"):
         for pt in fixed_points(ctx)
     ]
     payload = {"k": ctx.k, "n": ctx.n, "family": family, "entries": rows}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(payload) + "\n"
 
 
 def partition_argument(ctx, text):

@@ -113,7 +113,7 @@ def verify_specialization(ctx):
                     )
                 for d in range((u.size + v.size) // ctx.n + 1):
                     checked += 1
-                    got = elem.get(w, d).evaluate_at_zero()
+                    got = elem.get(w, d).constant_term()
                     if got != quantum_lr_rimhook(u, v, w, d):
                         violations.append(
                             {

@@ -23,6 +23,30 @@ SEED_SHA256 = {
     ("json", 2, 7): "26fb918386d8c6707697e08da6c2b640644e4fff4584de750fe75d12a9dcf585",
 }
 
+# sha256 of the other canonical JSON outputs on Gr(2,4).
+OUTPUT_SHA256 = [
+    pytest.param(
+        ("restrictions", "--family", "schubert"),
+        "81f7083509463305b8430ba1efeebb8abf0a3e98d6bc7ee68121824b8175bef0",
+        id="restrictions-schubert",
+    ),
+    pytest.param(
+        ("restrictions", "--family", "opposite"),
+        "c1a10caa8f789ceb56a4c39726029f71906dadeffea27e4be293fa948da643b2",
+        id="restrictions-opposite",
+    ),
+    pytest.param(
+        ("multiply", "--u", "[2,1]", "--v", "[2,1]", "--format", "json"),
+        "6d38db9863190c620e3443cd85e76657cfbf502272dabb2ed657ebe2db1e79e1",
+        id="multiply",
+    ),
+    pytest.param(
+        ("verify", "--format", "json"),
+        "01e393def2355c0a356a721c8e5aeabdef882859e57c7c6409ecd553693dfcc1",
+        id="verify",
+    ),
+]
+
 
 def run(*args, **kwargs):
     return CliRunner().invoke(cli, list(args), **kwargs)
@@ -54,6 +78,13 @@ def test_table_csv_bytes_match_seed(fmt, k, n):
     result = run("table", "--k", str(k), "--n", str(n), "--format", fmt)
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == SEED_SHA256[(fmt, k, n)]
+
+
+@pytest.mark.parametrize("args, digest", OUTPUT_SHA256)
+def test_json_output_bytes_match_seed(args, digest):
+    result = run(args[0], "--k", "2", "--n", "4", *args[1:])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
 def test_warm_csv_renders_the_cached_payload(tmp_path, monkeypatch):
@@ -149,14 +180,24 @@ def test_table_out_into_missing_directory_exits_3(tmp_path, existing):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_table_csv_of_a_cached_non_table_exits_3(tmp_path):
-    cache_mod.store(str(tmp_path), 2, 4, 2, '["not a table"]')
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '["not a table"]',
+        '{"entries":[{"d":0,"poly":[{"c":"1","e":[-1]}],"u":[],"v":[],"w":[]}],"variables":1}',
+        '{"entries":[{"d":0,"poly":[{"c":"1","e":[40000]}],"u":[],"v":[],"w":[]}],"variables":1}',
+        "[" * 100000 + "]" * 100000,
+    ],
+    ids=["non-table", "negative-exponent", "exponent-past-cap", "deep-nesting"],
+)
+def test_table_csv_of_a_cached_non_table_exits_3(tmp_path, payload):
+    cache_mod.store(str(tmp_path), 2, 4, 2, payload)
     args = ("table", "--k", "2", "--n", "4", "--cache-dir", str(tmp_path))
     result = run(*args, "--format", "csv")
     assert result.exit_code == 3
     assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
     # JSON emits a checksum-valid payload as is
-    assert run(*args).stdout == '["not a table"]'
+    assert run(*args).stdout == payload
 
 
 def test_table_ignores_stale_cache(tmp_path):

@@ -182,7 +182,7 @@ def test_elr_grading_positivity_and_classical_limit(gr24):
                 value = elr(u, v, w)
                 assert value.is_homogeneous_of_degree(u.size + v.size - w.size)
                 assert is_x_nonnegative(value)
-                assert value.evaluate_at_zero() == lr_tableau(u, v, w)
+                assert value.constant_term() == lr_tableau(u, v, w)
 
 
 def test_elr_table_matches_atiyah_bott_per_triple(gr12, gr24, gr25):

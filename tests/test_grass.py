@@ -9,7 +9,6 @@ from eqschubert import (
     Partition,
     add_box_shapes,
     enumerate_classes,
-    q_degree,
     quantum_chevalley_shape,
     remove_rim_hooks,
     to_grassmannian_permutation,
@@ -56,7 +55,7 @@ def test_enumerate_counts_and_order(gr24, gr12, gr36):
     for k, n in CONTEXTS:
         ctx = GrassContext(k, n)
         classes = enumerate_classes(ctx)
-        assert len(classes) == comb(n, k) == ctx.num_classes
+        assert len(classes) == comb(n, k)
         assert len(set(classes)) == len(classes)
 
 
@@ -90,7 +89,7 @@ def test_permutation_against_descent_enumeration():
             descents = [i for i in range(1, n) if w[i - 1] > w[i]]
             if descents in ([], [k]):
                 one_descent.append(w)
-        assert len(one_descent) == ctx.num_classes
+        assert len(one_descent) == comb(n, k)
         by_code = {}
         for w in one_descent:
             code = tuple(w[k - i] - (k + 1 - i) for i in range(1, k + 1))
@@ -179,5 +178,4 @@ def test_remove_rim_hooks_drops_n_cells(gr36):
 def test_q_degree_formula_and_oracle():
     for k, n in CONTEXTS:
         ctx = GrassContext(k, n)
-        assert q_degree(ctx) == n
         assert c1_curve_integral(ctx) == n

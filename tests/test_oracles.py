@@ -93,7 +93,7 @@ def test_fs_oracle_unit_and_classical_limit(gr24):
         for v in enumerate_classes(gr24):
             for w in enumerate_classes(gr24):
                 value = elr_factorial_schur(u, v, w)
-                assert value.evaluate_at_zero() == lr_tableau(u, v, w)
+                assert value.constant_term() == lr_tableau(u, v, w)
 
 
 def test_fs_oracle_matches_engine(gr24):

@@ -68,8 +68,8 @@ def test_nonnegativity_closed_under_product(a, b):
 
 def test_homogeneity_tracking():
     p = x(1) * x(2) + x(3) ** 2
-    assert p.is_homogeneous() and p.is_homogeneous_of_degree(2)
-    assert not (p + x(1)).is_homogeneous()
+    assert p.is_homogeneous_of_degree(2)
+    assert not any((p + x(1)).is_homogeneous_of_degree(d) for d in (1, 2))
     assert Polynomial.zero(NVARS).is_homogeneous_of_degree(7)
 
 

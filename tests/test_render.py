@@ -1,12 +1,16 @@
+import json
+
 import pytest
 
-from eqschubert import Polynomial, multiply
+from eqschubert import GrassContext, Polynomial, multiply
 from eqschubert.render import (
     partition_argument,
     poly_from_json,
     poly_json,
     poly_text,
     qelem_text,
+    table_entries,
+    table_json,
 )
 
 from conftest import part
@@ -48,3 +52,14 @@ def test_partition_argument(gr24):
     assert partition_argument(gr24, "[]") == part(gr24)
     with pytest.raises(ValueError):
         partition_argument(gr24, "[true]")
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 4)])
+def test_table_json_joins_canonical_rows(k, n):
+    ctx = GrassContext(k, n)
+    rows = table_entries(ctx)
+    assert rows and all(type(row) is str for row in rows)
+    payload = table_json(ctx)
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    assert encode(json.loads(payload)) + "\n" == payload
+    assert [encode(row) for row in json.loads(payload)["entries"]] == rows
