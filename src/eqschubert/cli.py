@@ -15,7 +15,13 @@ import click
 
 from .cache import load as cache_load
 from .cache import store as cache_store
-from .errors import CacheError, ContextError
+from .errors import (
+    CacheError,
+    ContextError,
+    ExpansionError,
+    NonPolynomialError,
+    TableSolveError,
+)
 from .grass import GrassContext, default_d_max
 from .oracles import build_fixtures
 from .quantum import multiply
@@ -61,7 +67,17 @@ def _emit(text, out):
         _fail("cannot write %s: %s" % (out, exc))
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a defect the engine detects as an internal error: exit 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (TableSolveError, NonPolynomialError, ExpansionError) as exc:
+            _fail("internal error: %s" % exc)
+
+
+@click.group(cls=_Group)
 def cli():
     """Exact equivariant quantum Schubert calculus on Gr(k,n)."""
 

@@ -143,7 +143,10 @@ def _restrict_main(ctx, parts, subset):
     for c in range(k):
         for d in range(c + 1, k):
             det = det.divide_exact(b_difference(ctx, subset[d], subset[c]))
-            assert det is not None, "Vandermonde division must be exact"
+            if det is None:
+                raise NonPolynomialError(
+                    "inexact Vandermonde division at %r for %r" % (subset, parts)
+                )
             sign = -sign
     return det * sign
 
@@ -174,6 +177,11 @@ def _w0_substitution(ctx, p):
 @lru_cache(maxsize=None)
 def _restrict_cached(ctx, parts, subset, family):
     if family == "schubert":
+        # zero unless parts fits in the partition of the point, whose j-th
+        # part is subset[k-1-j] - (k-j)
+        k = ctx.k
+        if any(a > subset[k - 1 - j] - (k - j) for j, a in enumerate(parts)):
+            return Polynomial.zero(ctx.r)
         return _restrict_main(ctx, parts, subset)
     mu_dual = partition_of(FixedPoint(subset, ctx)).dual()
     value = _restrict_cached(ctx, parts, point_of(mu_dual).subset, "schubert")
@@ -225,7 +233,7 @@ def integrate(ctx, values):
         if value.is_zero:
             continue
         forms, sign = _euler_factors(point)
-        acc = acc.add(RationalExpression(value * sign, forms))
+        acc = acc.add(RationalExpression(value * sign, forms).reduced())
     return acc.expect_polynomial()
 
 

@@ -18,7 +18,8 @@ class NonPolynomialError(ArithmeticError):
 
 
 class ExpansionError(ArithmeticError):
-    """Triangular basis expansion hit a non-partition leading term."""
+    """A brute-force expansion went wrong: a triangular basis expansion hit a
+    non-partition leading term, or two rim-hook removal orders disagreed."""
 
 
 class TableSolveError(RuntimeError):

@@ -120,7 +120,8 @@ def rim_reduce(shape, ctx):
         outcomes.append(None if sub is None else (sub[0], sign * sub[1], sub[2] + 1))
     if not outcomes:
         return None
-    assert all(o == outcomes[0] for o in outcomes[1:]), "rim-hook reduction diverged"
+    if any(o != outcomes[0] for o in outcomes[1:]):
+        raise ExpansionError("rim-hook reduction of %r diverged" % (shape,))
     return outcomes[0]
 
 

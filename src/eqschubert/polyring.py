@@ -7,9 +7,17 @@ lanes, so comparing keys as integers is exactly lexicographic comparison of
 exponent vectors.  Exponents stay below 2**15, so the top bit of every lane
 is a guard bit: ``((k | G) - d) & G == G``, with ``G`` the guard bits of all
 lanes, holds exactly when every exponent of ``k`` is at least that of ``d``,
-which tests monomial divisibility on packed keys in one subtraction.  Every
+which tests monomial divisibility on packed keys in one subtraction.  A key's
+big-endian bytes unpack to its exponents in one ``struct`` call.  Every
 variable has complex degree one; the degree of a monomial is the sum of its
 exponents.
+
+Exact division takes one of three paths by the divisor's shape.  A monomial
+divides in one pass over the dividend.  A linear form (every key a single
+lane's unit) divides synthetically in its lead variable, bucket by bucket,
+with no heap.  Any other divisor takes Monagan-Pearce heap division
+("Sparse polynomial division using a heap", JSC 2011), which is the general
+path and the reference the tests hold the other two against.
 
 Rational expressions keep the denominator factored as a multiset of primitive
 linear forms (a map from form to multiplicity) times a positive integer
@@ -20,6 +28,7 @@ is ever divided out silently.
 from __future__ import annotations
 
 import heapq
+import struct
 from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
@@ -40,12 +49,14 @@ def _pack(exponents):
     return key
 
 
+@lru_cache(maxsize=None)
+def _lanes(nvars):
+    """The unpacker of a key's big-endian bytes into its ``nvars`` lanes."""
+    return struct.Struct(">%dH" % nvars).unpack
+
+
 def _unpack(key, nvars):
-    out = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        out[i] = key & _LANE
-        key >>= _SHIFT
-    return tuple(out)
+    return _lanes(nvars)(key.to_bytes(2 * nvars, "big"))
 
 
 @lru_cache(maxsize=None)
@@ -55,11 +66,8 @@ def _guard_mask(nvars):
 
 
 def _key_degree(key):
-    d = 0
-    while key:
-        d += key & _LANE
-        key >>= _SHIFT
-    return d
+    nvars = (key.bit_length() + _SHIFT - 1) // _SHIFT
+    return sum(_lanes(nvars)(key.to_bytes(2 * nvars, "big")))
 
 
 class Polynomial:
@@ -132,7 +140,8 @@ class Polynomial:
 
     def is_homogeneous_of_degree(self, d):
         """True if every monomial has degree d (vacuously true when zero)."""
-        return all(_key_degree(k) == d for k in self.terms)
+        unpack, size = _lanes(self.nvars), 2 * self.nvars
+        return all(sum(unpack(k.to_bytes(size, "big"))) == d for k in self.terms)
 
     def constant_term(self):
         return self.terms.get(0, 0)
@@ -148,8 +157,14 @@ class Polynomial:
 
     def canonical_terms(self):
         """(exponent tuple, coefficient) pairs in graded-lex descending order."""
-        keys = sorted(self.terms, key=lambda k: (-_key_degree(k), -k))
-        return [(_unpack(k, self.nvars), self.terms[k]) for k in keys]
+        unpack, size = _lanes(self.nvars), 2 * self.nvars
+        rows = []
+        for k, c in self.terms.items():
+            exps = unpack(k.to_bytes(size, "big"))
+            rows.append((sum(exps), exps, c))
+        # (degree, exponents) is unique per term, so c is never compared
+        rows.sort(reverse=True)
+        return [(exps, c) for _, exps, c in rows]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -284,7 +299,7 @@ class Polynomial:
             new = [0] * self.nvars
             for i, e in enumerate(exps):
                 new[perm[i] - 1] = e
-            if negate and (_key_degree(key) & 1):
+            if negate and (sum(exps) & 1):
                 c = -c
             k = _pack(new)
             out[k] = out.get(k, 0) + c
@@ -306,36 +321,122 @@ class Polynomial:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return self
-        dlead = max(divisor.terms)
-        dlc = divisor.terms[dlead]
-        guard = _guard_mask(self.nvars)
-        dtail = [(k, c) for k, c in divisor.terms.items() if k != dlead]
-        work = dict(self.terms)
-        heap = [-k for k in work]
-        heapq.heapify(heap)
-        quotient = {}
-        while heap:
-            k = -heapq.heappop(heap)
-            c = work.get(k)
-            if not c:
-                continue
-            # a lane of k below the divisor's clears its guard bit
-            if ((k | guard) - dlead) & guard != guard or c % dlc:
+        keys = divisor.terms
+        if len(keys) == 1:
+            return _divide_monomial(self, divisor)
+        # a linear form: every key is one lane's unit
+        if all(k & (k - 1) == 0 and (k.bit_length() - 1) % _SHIFT == 0 for k in keys):
+            return _divide_linear(self, divisor)
+        return _divide_heap(self, divisor)
+
+
+# -- exact division by a nonzero divisor, each over the dividend's variables --
+
+
+def _divide_monomial(dividend, divisor):
+    """One pass: every key must clear the divisor's key and every
+    coefficient its coefficient."""
+    ((dkey, dc),) = divisor.terms.items()
+    guard = _guard_mask(dividend.nvars)
+    out = {}
+    for k, c in dividend.terms.items():
+        # a lane of k below the divisor's clears its guard bit
+        if ((k | guard) - dkey) & guard != guard or c % dc:
+            return None
+        out[k - dkey] = c // dc
+    return Polynomial(dividend.nvars, out)
+
+
+def _divide_linear(dividend, divisor):
+    """Synthetic division by a linear form in its lead variable x_j.
+
+    The dividend is bucketed by the exponent of x_j.  Walking the buckets
+    from the top, the terms of bucket e divided by the lead coefficient are
+    the quotient terms of x_j-exponent e-1, and subtracting them times the
+    rest of the form changes bucket e-1 only.  The quotient exists exactly
+    when every such division is exact and bucket 0 ends up empty.
+    """
+    lead = max(divisor.terms)
+    lc = divisor.terms[lead]
+    tail = [(k, c) for k, c in divisor.terms.items() if k != lead]
+    shift = lead.bit_length() - 1
+    buckets = {}
+    for k, c in dividend.terms.items():
+        e = (k >> shift) & _LANE
+        bucket = buckets.get(e)
+        if bucket is None:
+            buckets[e] = {k: c}
+        else:
+            bucket[k] = c
+    top = max(buckets)
+    bucket = buckets[top]
+    quotient = {}
+    for e in range(top, 0, -1):
+        below = buckets.get(e - 1)
+        if below is None:
+            below = {}
+        get = below.get
+        for k, c in bucket.items():
+            if c % lc:
                 return None
-            qk = k - dlead
-            qc = c // dlc
+            qc = c // lc
+            qk = k - lead
             quotient[qk] = qc
-            del work[k]
-            for tk, tc in dtail:
+            for tk, tc in tail:
                 nk = qk + tk
-                nc = work.get(nk, 0) - qc * tc
+                nc = get(nk, 0) - qc * tc
                 if nc:
-                    if nk not in work:
-                        heapq.heappush(heap, -nk)
-                    work[nk] = nc
-                elif nk in work:
-                    del work[nk]
-        return Polynomial(self.nvars, quotient) if not work else None
+                    below[nk] = nc
+                else:
+                    del below[nk]
+        bucket = below
+    return None if bucket else Polynomial(dividend.nvars, quotient)
+
+
+def _divide_heap(dividend, divisor):
+    """Monagan-Pearce division: the general path, and the reference the
+    tests hold the other two against."""
+    dlead = max(divisor.terms)
+    dlc = divisor.terms[dlead]
+    guard = _guard_mask(dividend.nvars)
+    dtail = [(k, c) for k, c in divisor.terms.items() if k != dlead]
+    work = dict(dividend.terms)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = work.get(k)
+        if not c:
+            continue
+        # a lane of k below the divisor's clears its guard bit
+        if ((k | guard) - dlead) & guard != guard or c % dlc:
+            return None
+        qk = k - dlead
+        qc = c // dlc
+        quotient[qk] = qc
+        del work[k]
+        for tk, tc in dtail:
+            nk = qk + tk
+            nc = work.get(nk, 0) - qc * tc
+            if nc:
+                if nk not in work:
+                    heapq.heappush(heap, -nk)
+                work[nk] = nc
+            elif nk in work:
+                del work[nk]
+    return Polynomial(dividend.nvars, quotient) if not work else None
+
+
+def add_into(terms, p, sign=1):
+    """Fold ``sign * p`` into the term map ``terms`` in place (sign is +-1)."""
+    get = terms.get
+    for k, c in p.terms.items():
+        c = get(k, 0) + c if sign > 0 else get(k, 0) - c
+        if c:
+            terms[k] = c
+        else:
+            del terms[k]
 
 
 def is_x_nonnegative(p):
@@ -440,16 +541,27 @@ class RationalExpression:
         )
 
     def add(self, other):
+        """The sum, reduced when both operands are (as every result of
+        ``add``, ``mul`` and ``reduced`` is).
+
+        Over the common denominator each numerator is multiplied by the
+        forms it lacks.  A form whose multiplicity differs between the
+        operands thus divides the scaled numerator of the operand with the
+        smaller multiplicity, but not the other one: that is a reduced
+        numerator times other forms, and distinct positive primitive linear
+        forms are distinct primes of Z[x].  So it cannot divide the sum,
+        and only the forms of equal multiplicity on both sides are tried.
+        """
         if self.is_zero:
-            return other.reduced()
+            return other
         if other.is_zero:
-            return self.reduced()
+            return self
         s = self.scale * other.scale // gcd(self.scale, other.scale)
         num_a = self.numerator * (s // self.scale)
         num_b = other.numerator * (s // other.scale)
-        # reduced() divides in the map's order, and the order sets its cost:
-        # on the Gr(2,5)..Gr(3,7) tables the argument's factors first take
-        # about 10% fewer divide_exact steps than self's first.
+        # The map's order is the order of later trial divisions, which sets
+        # their cost: on the Gr(2,5)..Gr(3,7) tables the argument's factors
+        # first took about 10% fewer divide_exact steps than self's first.
         union = dict(other.factors)
         for f, m in self.factors.items():
             union[f] = max(m, union.get(f, 0))
@@ -458,7 +570,16 @@ class RationalExpression:
                 num_a = num_a * f
             for _ in range(m - other.factors.get(f, 0)):
                 num_b = num_b * f
-        return _rational(num_a + num_b, s, union).reduced()
+        num = num_a + num_b
+        if num.is_zero:
+            return _rational(num, 1, {})
+        factors = {}
+        for f, m in union.items():
+            if self.factors.get(f) == other.factors.get(f):
+                num = _cancel(num, ((f, m),), factors)
+            else:
+                factors[f] = m
+        return _without_content(num, s, factors)
 
     def mul(self, other):
         """The product, reduced when both operands are (as every result of
@@ -474,8 +595,8 @@ class RationalExpression:
         if self.is_zero or other.is_zero:
             return _rational(self.numerator * other.numerator, 1, {})
         factors = {}  # argument first, as in add()
-        num_a = _cancel(self.numerator, other.factors, factors)
-        num_b = _cancel(other.numerator, self.factors, factors)
+        num_a = _cancel(self.numerator, other.factors.items(), factors)
+        num_b = _cancel(other.numerator, self.factors.items(), factors)
         return _without_content(num_a * num_b, self.scale * other.scale, factors)
 
     def reduced(self):
@@ -483,7 +604,7 @@ class RationalExpression:
         if self.is_zero:
             return _rational(self.numerator, 1, {})
         remaining = {}
-        num = _cancel(self.numerator, self.factors, remaining)
+        num = _cancel(self.numerator, self.factors.items(), remaining)
         return _without_content(num, self.scale, remaining)
 
     def expect_polynomial(self):
@@ -507,10 +628,11 @@ def _rational(numerator, scale, factors):
     return out
 
 
-def _cancel(num, factors, out):
-    """Divide ``num`` by each form of ``factors`` up to its multiplicity and
-    add the multiplicity left over to ``out``; return the quotient."""
-    for f, m in factors.items():
+def _cancel(num, items, out):
+    """Divide ``num`` by each form of the (form, multiplicity) ``items`` up
+    to its multiplicity and add the multiplicity left over to ``out``;
+    return the quotient."""
+    for f, m in items:
         while m:
             q = num.divide_exact(f)
             if q is None:

@@ -46,7 +46,7 @@ from .grass import (
     enumerate_classes,
     quantum_chevalley_shape,
 )
-from .polyring import Polynomial, RationalExpression, is_x_nonnegative
+from .polyring import Polynomial, RationalExpression, add_into, is_x_nonnegative
 
 
 class QModuleElement:
@@ -184,16 +184,17 @@ class EQTable:
 
     def _known_tail(self, ia, io, iw, d):
         """The reference terms of the difference relation that never touch
-        the unknowns of the current step: lower q-degree and lower targets."""
-        tail = self._zero
+        the unknowns of the current step: lower q-degree and lower targets.
+        Their sum is a fresh term map, for the caller to fold more into."""
+        tail = {}
         ahat = self._qshape[ia]
         if ahat is not None:
-            tail = tail + self._coefficient(ahat, io, iw, d - 1)
+            add_into(tail, self._coefficient(ahat, io, iw, d - 1))
         for wm in self._down[iw]:
-            tail = tail - self._coefficient(ia, io, wm, d)
+            add_into(tail, self._coefficient(ia, io, wm, d), -1)
         qp = self._qparent[iw]
         if qp is not None and d >= 1:
-            tail = tail - self._coefficient(ia, io, qp, d - 1)
+            add_into(tail, self._coefficient(ia, io, qp, d - 1), -1)
         return tail
 
     def _difference_step(self, iu, iv, iw, d):
@@ -201,11 +202,11 @@ class EQTable:
         ia, io = (iv, iu) if self.mirrored else (iu, iv)
         rhs = self._known_tail(ia, io, iw, d)
         for up in self._up[ia]:
-            rhs = rhs + self._coefficient(up, io, iw, d)
+            add_into(rhs, self._coefficient(up, io, iw, d))
         divisor = self._coefficient(1, iw, iw, 0) - self._coefficient(1, ia, ia, 0)
         if divisor.is_zero:
             raise TableSolveError("vanishing divisor difference")
-        value = rhs.divide_exact(divisor)
+        value = Polynomial(self.ctx.r, rhs).divide_exact(divisor)
         if value is None:
             raise TableSolveError(
                 "inexact division for %r" % (self._named((iu, iv, iw, d)),)
@@ -248,7 +249,8 @@ class EQTable:
                 pa, pb = affine[up]
                 sum_a = sum_a.add(pa)
                 sum_b = sum_b.add(pb)
-            sum_a = sum_a.add(RationalExpression(self._known_tail(ia, it, it, d)))
+            tail = Polynomial(self.ctx.r, self._known_tail(ia, it, it, d))
+            sum_a = sum_a.add(RationalExpression(tail))
             ell = c_t - self._coefficient(1, ia, ia, 0)
             if ell.is_zero:
                 raise TableSolveError("coincident divisor diagonals")

@@ -9,8 +9,10 @@ from click.testing import CliRunner
 
 import eqschubert.cache as cache_mod
 import eqschubert.cli as cli_mod
+import eqschubert.quantum as quantum_mod
 import eqschubert.render as render_mod
 from eqschubert.cli import cli
+from eqschubert.errors import ExpansionError, NonPolynomialError, TableSolveError
 from eqschubert.render import poly_from_json
 
 # sha256 of exports recorded in bench/expected.json; export bytes must not change.
@@ -288,6 +290,59 @@ def test_verify_failure_exits_1(monkeypatch):
     result = run("verify", "--k", "2", "--n", "4", "--suite", "duality")
     assert result.exit_code == 1
     assert "FAIL" in result.output
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error("forced failure")
+
+    return fail
+
+
+# (CLI arguments, object, attribute, error): patching the attribute to raise
+# the error stands for a defect deep inside the command.
+INTERNAL_FAILURES = [
+    pytest.param(
+        ("table", "--k", "2", "--n", "4", "--no-cache"),
+        quantum_mod.EQTable,
+        "element",
+        TableSolveError,
+        id="table",
+    ),
+    pytest.param(
+        ("multiply", "--k", "2", "--n", "4", "--u", "[1]", "--v", "[1]"),
+        cli_mod,
+        "multiply",
+        NonPolynomialError,
+        id="multiply",
+    ),
+    pytest.param(
+        ("verify", "--k", "2", "--n", "4", "--suite", "duality"),
+        cli_mod.SUITES,
+        "duality",
+        ExpansionError,
+        id="verify",
+    ),
+    pytest.param(
+        ("restrictions", "--k", "2", "--n", "4"),
+        cli_mod,
+        "restriction_table_json",
+        NonPolynomialError,
+        id="restrictions",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, owner, attr, error", INTERNAL_FAILURES)
+def test_internal_errors_exit_3(monkeypatch, args, owner, attr, error):
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, attr, _raising(error))
+    else:
+        monkeypatch.setattr(owner, attr, _raising(error))
+    result = run(*args)
+    assert result.exit_code == 3
+    assert result.stderr == "internal error: forced failure\n"
+    assert result.stdout == ""
 
 
 def test_restrictions_export(gr24):

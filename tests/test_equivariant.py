@@ -17,7 +17,12 @@ from eqschubert import (
     restriction_table,
     tangent_weights,
 )
-from eqschubert.equivariant import b_difference, elr_table, gkm_violations
+from eqschubert.equivariant import (
+    _restrict_main,
+    b_difference,
+    elr_table,
+    gkm_violations,
+)
 
 from conftest import part
 
@@ -58,15 +63,24 @@ def test_unit_restricts_to_one(gr12, gr24, gr25):
             assert restrict_schubert(unit, pt) == Polynomial.const(ctx.r, 1)
 
 
-def test_restriction_support(gr24):
-    for p in enumerate_classes(gr24):
-        for pt in fixed_points(gr24):
-            value = restrict_schubert(p, pt)
-            if not partition_of(pt).contains(p):
-                assert value.is_zero
-            else:
-                assert not value.is_zero
-                assert value.is_homogeneous_of_degree(p.size)
+def test_restriction_support(gr24, gr25, gr36):
+    # the raw bialternant, not the containment shortcut in front of it
+    for ctx in (gr24, gr25, gr36):
+        for p in enumerate_classes(ctx):
+            for pt in fixed_points(ctx):
+                value = _restrict_main(ctx, p.parts, pt.subset)
+                assert value == restrict_schubert(p, pt)
+                if not partition_of(pt).contains(p):
+                    assert value.is_zero
+                else:
+                    assert not value.is_zero
+                    assert value.is_homogeneous_of_degree(p.size)
+
+
+def test_inexact_vandermonde_division_raises(gr24, monkeypatch):
+    monkeypatch.setattr(Polynomial, "divide_exact", lambda self, divisor: None)
+    with pytest.raises(NonPolynomialError):
+        _restrict_main(gr24, (1,), (2, 4))
 
 
 def test_restriction_at_own_point_is_normal_weight_product(gr12, gr24):

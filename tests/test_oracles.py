@@ -1,4 +1,8 @@
+import pytest
+
+import eqschubert.oracles as oracles_mod
 from eqschubert import (
+    ExpansionError,
     Polynomial,
     elr,
     elr_factorial_schur,
@@ -46,6 +50,14 @@ def test_rim_reduce(gr24, gr12):
     assert rim_reduce((4, 4), gr24) == ((), 1, 2)
     assert rim_reduce((4, 1), gr24) is None
     assert rim_reduce((2,), gr12) == ((), 1, 1)
+
+
+def test_diverging_rim_hook_removals_raise(gr24, monkeypatch):
+    # two removal orders of (4,) ending in the empty shape with opposite signs
+    removals = lambda shape, ctx: [((), 1), ((), -1)]
+    monkeypatch.setattr(oracles_mod, "remove_rim_hooks", removals)
+    with pytest.raises(ExpansionError):
+        rim_reduce.__wrapped__((4,), gr24)
 
 
 def test_quantum_lr_examples(gr24):

@@ -1,6 +1,10 @@
+from math import lcm
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import eqschubert.polyring as polyring
 
 from eqschubert import (
     DimensionMismatchError,
@@ -10,6 +14,13 @@ from eqschubert import (
     express_in_T_differences,
     is_x_nonnegative,
     to_T_variables,
+)
+from eqschubert.polyring import (
+    _divide_heap,
+    _divide_linear,
+    _key_degree,
+    _pack,
+    _unpack,
 )
 
 NVARS = 3
@@ -127,6 +138,102 @@ def test_divide_exact_at_the_lane_edges():
     assert (x(2) ** 2 * x(3)).divide_exact(x(1)) is None
 
 
+def offset_linear_forms(nvars=4):
+    # lead variable x_j with j >= 2: x_1..x_{j-1} ride along as passengers
+    def form(j, lead, rest):
+        return Polynomial.linear(nvars, [0] * (j - 1) + [lead] + rest)
+
+    return st.integers(2, nvars).flatmap(
+        lambda j: st.builds(
+            form,
+            st.just(j),
+            st.sampled_from([-3, -2, -1, 1, 2, 3]),
+            st.lists(st.integers(-3, 3), min_size=nvars - j, max_size=nvars - j),
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(nvars=4), offset_linear_forms(), polys(nvars=4, max_terms=2))
+@example(
+    (x(1, 4) + 2 * x(3, 4)) ** 2,
+    2 * x(2, 4) - 3 * x(4, 4),
+    Polynomial.zero(4),
+)
+def test_linear_division_matches_the_heap(a, ell, m):
+    product = a * ell
+    assert product.divide_exact(ell) == a
+    if not product.is_zero:
+        assert _divide_linear(product, ell) == a
+    # the kernels take a nonzero dividend
+    dividend = product + m
+    if not dividend.is_zero:
+        expected = _divide_heap(dividend, ell)
+        assert dividend.divide_exact(ell) == expected
+        assert _divide_linear(dividend, ell) == expected
+
+
+def edge_monomials(nvars=2):
+    top = 2**15 - 1
+    lane = st.sampled_from([0, 1, 2, top - 1, top])
+    return st.builds(
+        lambda e, c: Polynomial.from_exponents(nvars, [(tuple(e), c)]),
+        st.lists(lane, min_size=nvars, max_size=nvars),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(edge_monomials(), min_size=1, max_size=4), edge_monomials())
+def test_monomial_division_at_the_lane_edges_matches_the_heap(parts, mono):
+    dividend = sum(parts, Polynomial.zero(2))
+    if not dividend.is_zero:
+        assert dividend.divide_exact(mono) == _divide_heap(dividend, mono)
+    # the terms with small exponents, times a monomial near the cap
+    low = Polynomial(
+        2, {k: c for k, c in dividend.terms.items() if max(_unpack(k, 2)) <= 2}
+    )
+    cap = Polynomial.from_exponents(2, [((2**15 - 3, 2**15 - 3), -2)])
+    assert (low * cap).divide_exact(cap) == low
+
+
+def test_a_square_plus_a_variable_is_not_linear(monkeypatch):
+    # x1**2 has a power-of-two key too, but not one lane's unit
+    def refuse(dividend, divisor):
+        raise AssertionError("divided by a nonlinear form as if linear")
+
+    monkeypatch.setattr(polyring, "_divide_linear", refuse)
+    f = x(1) ** 2 + x(2)
+    q = x(1) * x(3) - 2 * x(2) + 5
+    assert (q * f).divide_exact(f) == q
+    assert (q * f + x(3)).divide_exact(f) is None
+
+
+TOP = 2**15 - 1
+
+
+@pytest.mark.parametrize("exps", [(), (0,), (TOP,), (0, 0, 0), (TOP, 0, TOP), (5, TOP)])
+def test_lane_unpacking_round_trips(exps):
+    assert _unpack(_pack(exps), len(exps)) == exps
+    assert _key_degree(_pack(exps)) == sum(exps)
+
+
+def _old_key_degree(key):
+    d = 0
+    while key:
+        d += key & 0xFFFF
+        key >>= 16
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=8))
+@example(x(1) ** 3 + x(2) * x(3) - 4 * x(3) ** 2 + x(1) - 7 + 2 * x(2) ** 3)
+def test_canonical_terms_keep_the_graded_lex_order(p):
+    keys = sorted(p.terms, key=lambda k: (-_old_key_degree(k), -k))
+    assert p.canonical_terms() == [(_unpack(k, NVARS), p.terms[k]) for k in keys]
+
+
 def test_to_T_examples():
     T = lambda i: Polynomial.variable(4, i)
     assert to_T_variables(x(1), 4) == T(1) - T(2)
@@ -212,6 +319,42 @@ def test_mul_matches_the_full_reduction(a, b):
     assert product.scale == full.scale
     # the same multiplicities in the same, argument-first, order
     assert list(product.factors.items()) == list(full.factors.items())
+
+
+def _full_sum(a, b):
+    """The sum as the full reduction of the common-denominator fraction."""
+    s = lcm(a.scale, b.scale)
+    union = dict(b.factors)
+    for f, m in a.factors.items():
+        union[f] = max(m, union.get(f, 0))
+    num_a = a.numerator * (s // a.scale)
+    num_b = b.numerator * (s // b.scale)
+    for f, m in union.items():
+        num_a = num_a * f ** (m - a.factors.get(f, 0))
+        num_b = num_b * f ** (m - b.factors.get(f, 0))
+    everything = [f for f, m in union.items() for _ in range(m)]
+    return RationalExpression(num_a + num_b, everything, s).reduced()
+
+
+def _reduced(num, forms, scale=1):
+    return RationalExpression(num, forms, scale).reduced()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals(), rationals())
+# x1: equal multiplicities; x2: unequal; x3, x1 - x2: on one side only
+@example(
+    _reduced(x(3) + 1, (x(1), x(2), x(2), x(3)), 2),
+    _reduced(x(2) - x(3), (x(1), x(2), x(1) - x(2)), 3),
+)
+# the sum cancels the shared form x1 and the integer scale
+@example(_reduced(x(2), (x(1),), 2), _reduced(x(1) - x(2), (x(1),), 2))
+def test_add_matches_the_full_reduction(a, b):
+    full = _full_sum(a, b)
+    total = a.add(b)
+    assert total.numerator == full.numerator
+    assert total.scale == full.scale
+    assert list(total.factors.items()) == list(full.factors.items())
 
 
 def test_expect_polynomial():
