@@ -37,6 +37,7 @@ from .render import (
 from .suites import SUITES
 
 DEFAULT_FIXTURE_PATH = os.path.join("fixtures", "oracle_fixtures.json")
+EMIT_SLICE = 1 << 20
 
 
 def _context(k, n):
@@ -53,13 +54,19 @@ def _fail(message):
 
 
 def _emit(text, out):
+    """Write ``text`` to stdout or, through a temporary file, to ``out``, in
+    slices of ``EMIT_SLICE`` characters, so no encoded copy of the whole
+    text is ever made."""
+    slices = range(0, len(text), EMIT_SLICE)
     if out == "-":
-        click.echo(text, nl=False)
+        for i in slices:
+            click.echo(text[i : i + EMIT_SLICE], nl=False)
         return
     tmp = out + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for i in slices:
+                fh.write(text[i : i + EMIT_SLICE])
         os.replace(tmp, out)
     except OSError as exc:
         with contextlib.suppress(OSError):

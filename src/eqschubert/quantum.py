@@ -23,8 +23,12 @@ When the target equals a factor (w = o, say) the relation couples all the
 unknowns X_a = C[a,o,o,d] to each other, so those are solved as one block:
 sweeping a downward from the box expresses every X_a as an affine-rational
 function of the single symbol X_o, and the known unit row X_empty pins the
-symbol.  Block solves only consult strictly smaller blocks, lower q-degrees
-and lower targets, so the whole table is well founded.
+symbol.  The rationals serve only to pin X_o: once it is known, the
+relation (c_o - c_a) X_a = sum X_a+ + known terms has exactly one solution,
+so the rows follow from it from the box downward, one exact division each,
+and the unit and divisor rows check the result.  Block solves only consult
+strictly smaller blocks, lower q-degrees and lower targets, so the whole
+table is well founded.
 
 The recursion runs on class positions in ``enumerate_classes`` order over
 one graph per context, built by ``EQTable``: the add-box edges a -> a+ and
@@ -46,7 +50,13 @@ from .grass import (
     enumerate_classes,
     quantum_chevalley_shape,
 )
-from .polyring import Polynomial, RationalExpression, add_into, is_x_nonnegative
+from .polyring import (
+    Polynomial,
+    RationalExpression,
+    _key_degree,
+    add_into,
+    is_x_nonnegative,
+)
 
 
 class QModuleElement:
@@ -113,6 +123,8 @@ class EQTable:
                 self._qparent[self._qshape[i]] = i
         self._chev = {}
         self._coeff = {}
+        self._keys = {}
+        self._gaps = {}
         self._blocks_running = set()
         self._zero = Polynomial.zero(ctx.r)
         self._one = Polynomial.const(ctx.r, 1)
@@ -164,23 +176,51 @@ class EQTable:
             value = terms.get((self._classes[iw].parts, d), self._zero)
         elif iw == iu or iw == iv:
             self._solve_block(iw, d)
-            value = self._coeff[key]
+            return self._coeff[key]
         else:
             value = self._difference_step(iu, iv, iw, d)
-        self._store(key, value, degree)
-        return value
+        return self._store(key, value, degree)
 
     def _named(self, key):
         """A key of class positions with each class named by its parts."""
         return tuple(self._classes[i].parts for i in key[:-1]) + key[-1:]
 
     def _store(self, key, value, degree):
-        if not value.is_homogeneous_of_degree(degree):
-            raise TableSolveError(
-                "coefficient %r is not homogeneous of degree %d"
-                % (self._named(key), degree)
-            )
-        self._coeff[key] = value
+        """Memoize ``value`` under ``key`` and return the stored copy.
+
+        One pass over the terms checks that every monomial has ``degree``
+        and rebuilds the polynomial on the table's shared key objects
+        (``_keys`` maps a key to its first-seen object and its degree), so
+        equal monomials in different entries are one int.  Every zero is
+        stored as the one ``_zero``.
+        """
+        if not value.terms:
+            self._coeff[key] = self._zero
+            return self._zero
+        shared = self._keys
+        terms = {}
+        for k, c in value.terms.items():
+            entry = shared.get(k)
+            if entry is None:
+                entry = shared[k] = (k, _key_degree(k))
+            if entry[1] != degree:
+                raise TableSolveError(
+                    "coefficient %r is not homogeneous of degree %d"
+                    % (self._named(key), degree)
+                )
+            terms[entry[0]] = c
+        value = self._coeff[key] = Polynomial(value.nvars, terms)
+        return value
+
+    def _gap(self, iw, ia):
+        """The divisor c_w - c_a of the relation, built and checked once per pair."""
+        gap = self._gaps.get((iw, ia))
+        if gap is None:
+            gap = self._coefficient(1, iw, iw, 0) - self._coefficient(1, ia, ia, 0)
+            if gap.is_zero:
+                raise TableSolveError("vanishing divisor difference")
+            self._gaps[(iw, ia)] = gap
+        return gap
 
     def _known_tail(self, ia, io, iw, d):
         """The reference terms of the difference relation that never touch
@@ -203,10 +243,10 @@ class EQTable:
         rhs = self._known_tail(ia, io, iw, d)
         for up in self._up[ia]:
             add_into(rhs, self._coefficient(up, io, iw, d))
-        divisor = self._coefficient(1, iw, iw, 0) - self._coefficient(1, ia, ia, 0)
-        if divisor.is_zero:
-            raise TableSolveError("vanishing divisor difference")
-        value = Polynomial(self.ctx.r, rhs).divide_exact(divisor)
+        gap = self._gap(iw, ia)
+        if not rhs:
+            return self._zero
+        value = Polynomial(self.ctx.r, rhs).divide_exact(gap)
         if value is None:
             raise TableSolveError(
                 "inexact division for %r" % (self._named((iu, iv, iw, d)),)
@@ -218,8 +258,10 @@ class EQTable:
 
         Every X_a is expressed as A_a + B_a * X_t with factored-rational
         A, B by sweeping a from the box downward; the unit row then pins
-        X_t, and the divisor row is left over as a consistency check.  It
-        stores every row it solves, so the memo keeps it from running twice.
+        X_t.  The rows then follow from the relation itself, again from the
+        box downward, each by one exact division, and the unit and divisor
+        rows are left over as consistency checks.  It stores every row it
+        solves, so the memo keeps it from running twice.
         """
         key = (it, d)
         if key in self._blocks_running:
@@ -237,7 +279,7 @@ class EQTable:
         positions = range(len(self._classes) - 1, -1, -1)
         affine = [None] * len(self._classes)
         affine[it] = (zero_r, one_r)
-        c_t = self._coefficient(1, it, it, 0)
+        tails = [None] * len(self._classes)
         for ia in positions:
             if ia == it:
                 continue
@@ -249,12 +291,9 @@ class EQTable:
                 pa, pb = affine[up]
                 sum_a = sum_a.add(pa)
                 sum_b = sum_b.add(pb)
-            tail = Polynomial(self.ctx.r, self._known_tail(ia, it, it, d))
-            sum_a = sum_a.add(RationalExpression(tail))
-            ell = c_t - self._coefficient(1, ia, ia, 0)
-            if ell.is_zero:
-                raise TableSolveError("coincident divisor diagonals")
-            inv = RationalExpression(self._one, (ell,))
+            tail = tails[ia] = self._known_tail(ia, it, it, d)
+            sum_a = sum_a.add(RationalExpression(Polynomial(self.ctx.r, tail)))
+            inv = RationalExpression(self._one, (self._gap(it, ia),))
             affine[ia] = (sum_a.mul(inv), sum_b.mul(inv))
         anchor = self._one if d == 0 else self._zero
         a0, b0 = affine[0]
@@ -270,19 +309,30 @@ class EQTable:
         x_t = num.divide_exact(den)
         if x_t is None:
             raise TableSolveError("inexact block solve %r" % (self._named(key),))
-        x_t_r = RationalExpression(x_t)
+        # X_t pinned, the relation has one solution: X_a = (sum X_a+ + tail_a)
+        # / (c_t - c_a), each an exact division, from the box downward.  The
+        # sweep's results hold no tail map, so the rows are summed into them.
+        rows = [None] * len(self._classes)
         for ia in positions:
-            pa, pb = affine[ia]
-            value = x_t if ia == it else pa.add(pb.mul(x_t_r)).expect_polynomial()
+            row = (min(ia, it), max(ia, it), it, d)
+            if ia == it:
+                value = x_t
+            else:
+                rhs = tails[ia]
+                for up in self._up[ia]:
+                    add_into(rhs, rows[up])
+                value = Polynomial(self.ctx.r, rhs).divide_exact(self._gap(it, ia))
+                if value is None:
+                    raise TableSolveError("inexact block row %r" % (self._named(row),))
             if ia <= 1:
                 expected = anchor if ia == 0 else self._coefficient(1, it, it, d)
                 if value != expected:
                     raise TableSolveError(
                         "block %r disagrees with its anchor row" % (self._named(key),)
                     )
-                continue
-            row = (min(ia, it), max(ia, it), it, d)
-            self._store(row, value, self._size[ia] - d * self.ctx.n)
+                rows[ia] = value
+            else:
+                rows[ia] = self._store(row, value, self._size[ia] - d * self.ctx.n)
 
     # -- assembled products --------------------------------------------------------
 

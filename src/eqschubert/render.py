@@ -105,12 +105,17 @@ def table_json(ctx, d_max=None):
 
     The rows of ``table_entries`` are joined into the place of the empty
     entries list in the encoded envelope, whose other values are integers.
+    The envelope's two halves go onto the first and last row strings, so
+    the one join is the only copy of the payload beyond its rows.
     """
     if d_max is None:
         d_max = default_d_max(ctx)
     envelope = {"k": ctx.k, "n": ctx.n, "d_max": d_max, "variables": ctx.r, "entries": []}
     head, tail = canonical_json(envelope).split("[]")
-    return "%s[%s]%s\n" % (head, ",".join(table_entries(ctx, d_max)), tail)
+    rows = table_entries(ctx, d_max) or [""]
+    rows[0] = head + "[" + rows[0]
+    rows[-1] += "]" + tail + "\n"
+    return ",".join(rows)
 
 
 def table_csv(payload):

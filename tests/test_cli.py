@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -343,6 +344,56 @@ def test_internal_errors_exit_3(monkeypatch, args, owner, attr, error):
     assert result.exit_code == 3
     assert result.stderr == "internal error: forced failure\n"
     assert result.stdout == ""
+
+
+def _corrupt_block_gaps(monkeypatch, rows_only):
+    """Double every gap a block reads, or with ``rows_only`` only the gaps
+    its back-substitution reads (the second read of a pair by a block)."""
+    gap = quantum_mod.EQTable._gap
+    seen = set()
+
+    def corrupted(self, iw, ia):
+        value = gap(self, iw, ia)
+        if sys._getframe(1).f_code.co_name != "_solve_block_inner":
+            return value
+        if rows_only and (iw, ia) not in seen:
+            seen.add((iw, ia))
+            return value
+        return value + value
+
+    monkeypatch.setattr(quantum_mod.EQTable, "_gap", corrupted)
+
+
+@pytest.mark.parametrize(
+    "rows_only, reason",
+    [(True, "inexact block row"), (False, "disagrees with its anchor row")],
+    ids=["rows", "relation"],
+)
+def test_corrupted_block_rows_exit_3(monkeypatch, rows_only, reason):
+    # the corrupted table must not outlive the test in the shared memo
+    quantum_mod.eq_table.cache_clear()
+    _corrupt_block_gaps(monkeypatch, rows_only)
+    try:
+        result = run("table", "--k", "2", "--n", "4", "--no-cache")
+    finally:
+        quantum_mod.eq_table.cache_clear()
+    assert result.exit_code == 3
+    assert result.stderr.startswith("internal error: ") and reason in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
+def test_emit_writes_slices_byte_for_byte(tmp_path):
+    size = cli_mod.EMIT_SLICE * 5 // 2
+    text = ("[0,1]é\n" * size)[:size]
+    out = tmp_path / "out.json"
+    cli_mod._emit(text, str(out))
+    assert out.read_bytes() == text.encode("utf-8")
+    assert list(tmp_path.glob("*.tmp")) == []
+    with CliRunner().isolation() as (stdout, *_):
+        cli_mod._emit(text, "-")
+        written = stdout.getvalue()
+    assert written == text.encode("utf-8")
 
 
 def test_restrictions_export(gr24):

@@ -239,6 +239,22 @@ def test_warmed_rows_walk_builds_no_partition(gr36, monkeypatch):
     assert rows and built == []
 
 
+def test_warmed_rows_walk_shares_keys_and_zero(gr36):
+    # equal monomials in different memo entries are one int object, and
+    # every zero entry is the table's one zero
+    from eqschubert.quantum import EQTable
+
+    table = EQTable(gr36)
+    for a in enumerate_classes(gr36):
+        table.chevalley_terms(a)
+    assert list(table.rows(default_d_max(gr36)))
+    values = list(table._coeff.values())
+    keys = [k for p in values for k in p.terms]
+    assert len({id(k) for k in keys}) == len(set(keys))
+    zeros = [p for p in values if p.is_zero]
+    assert zeros and all(p is table._zero for p in zeros)
+
+
 def test_other_box_shapes():
     # odd boxes and k > n-k exercise the same machinery end to end
     from eqschubert import GrassContext
