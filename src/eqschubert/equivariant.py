@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 
 from .errors import NonPolynomialError
 from .grass import Partition, enumerate_classes
-from .polyring import Polynomial, RationalExpression
+from .polyring import Polynomial, RationalExpression, add_product_into, finish_terms
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,18 @@ def _restrict_main(ctx, parts, subset):
     padded = parts + (0,) * (k - len(parts))
     rows = [padded[i] + k - 1 - i for i in range(k)]
     matrix = [[_ffpow(ctx, s, m) for s in subset] for m in rows]
-    det = Polynomial.zero(ctx.r)
-    for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        prod = Polynomial.const(ctx.r, sign)
-        for i in range(k):
-            prod = prod * matrix[i][perm[i]]
-        det = det + prod
+    # Laplace expansion along the first row, the minors shared: minors[cols]
+    # is the determinant of the last len(cols) rows over the columns cols.
+    minors = {(c,): matrix[k - 1][c] for c in range(k)}
+    for size in range(2, k + 1):
+        row = matrix[k - size]
+        for cols in combinations(range(k), size):
+            terms = {}
+            for j, c in enumerate(cols):
+                rest = minors[cols[:j] + cols[j + 1 :]]
+                add_product_into(terms, row[c], rest, -1 if j & 1 else 1)
+            minors[cols] = finish_terms(ctx.r, terms)
+    det = minors[tuple(range(k))]
     # Divide by the Vandermonde in the staircase values; subset is ascending,
     # so each pair (c < d) contributes -(b_{s_d} - b_{s_c}).
     sign = 1
@@ -149,23 +154,6 @@ def _restrict_main(ctx, parts, subset):
                 )
             sign = -sign
     return det * sign
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _w0_substitution(ctx, p):
@@ -276,6 +264,14 @@ def elr(u, v, w):
     return integrate(ctx, values)
 
 
+def _own_weights(ctx, subset):
+    """The weights b_a - b_b, a in the subset and b < a outside it, whose
+    product is the restriction of the point's class to the point itself."""
+    return [
+        b_difference(ctx, a, b) for a in subset for b in range(1, a) if b not in subset
+    ]
+
+
 @lru_cache(maxsize=None)
 def elr_table(ctx):
     """All nonzero ELR coefficients keyed by (u.parts, v.parts, w.parts).
@@ -285,10 +281,25 @@ def elr_table(ctx):
     so walking the fixed points in class order gives each coefficient of
     sigma(u) sigma(v) by one exact division:
     c_w = (sigma(u)|w sigma(v)|w - sum of c_x sigma(x)|w over x found) / sigma(w)|w.
+    The numerator is accumulated in one term map.  The divisor sigma(w)|w is
+    the product of the linear forms ``_own_weights`` of w's point, checked
+    against the restriction table once per class, so the division runs form
+    by form, each on the heap-free linear path.
     """
     classes = enumerate_classes(ctx)
     points = [pt.subset for pt in fixed_points(ctx)]
     sigma = restriction_table(ctx, "schubert").entries
+    weights = {}
+    for w, pt in zip(classes, points):
+        forms = weights[w.parts] = _own_weights(ctx, pt)
+        product = Polynomial.const(ctx.r, 1)
+        for f in forms:
+            product = product * f
+        if product != sigma[(w.parts, pt)]:
+            raise NonPolynomialError(
+                "restriction of %r at its own point is not its weight product"
+                % (w.parts,)
+            )
     out = {}
     for i, u in enumerate(classes):
         for v in classes[i:]:
@@ -300,18 +311,22 @@ def elr_table(ctx):
                 a, b = sigma[(u.parts, pt)], sigma[(v.parts, pt)]
                 if a.is_zero or b.is_zero:
                     continue
-                rest = a * b
+                rest = {}
+                add_product_into(rest, a, b)
                 for x, c in found:
-                    rest = rest - c * sigma[(x, pt)]
-                if not rest.is_zero:
-                    key = (u.parts, v.parts, w.parts)
-                    c = rest.divide_exact(sigma[(w.parts, pt)])
+                    add_product_into(rest, c, sigma[(x, pt)], -1)
+                c = finish_terms(ctx.r, rest)
+                if c.is_zero:
+                    continue
+                key = (u.parts, v.parts, w.parts)
+                for f in weights[w.parts]:
+                    c = c.divide_exact(f)
                     if c is None:
                         raise NonPolynomialError(
                             "inexact restriction expansion at %r" % (key,)
                         )
-                    found.append((w.parts, c))
-                    out[key] = c
+                found.append((w.parts, c))
+                out[key] = c
     return out
 
 

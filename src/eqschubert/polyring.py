@@ -19,6 +19,13 @@ with no heap.  Any other divisor takes Monagan-Pearce heap division
 ("Sparse polynomial division using a heap", JSC 2011), which is the general
 path and the reference the tests hold the other two against.
 
+Sums of products fold into one term map with ``add_product_into``, a fused
+multiply-accumulate that builds no polynomial per product and copies no
+partial sum; ``finish_terms`` turns the map into a polynomial once.
+``substitute`` evaluates by multivariate Horner on the same kernel, so each
+step multiplies by one power of an image instead of building a power
+product per term.
+
 Rational expressions keep the denominator factored as a multiset of primitive
 linear forms (a map from form to multiplicity) times a positive integer
 scalar.  Localization sums then cancel denominators factor by factor; nothing
@@ -265,27 +272,54 @@ class Polynomial:
     # -- structural operations ----------------------------------------------
 
     def substitute(self, images, out_nvars):
-        """Evaluate with variable i replaced by images[i-1] (all over out_nvars)."""
+        """Evaluate with variable i replaced by images[i-1] (all over out_nvars).
+
+        Multivariate Horner: the terms are bucketed by the exponent of the
+        first variable and each bucket is substituted in the remaining
+        ones.  Walking the buckets from the top exponent down, the running
+        sum is multiplied once by the image raised to the gap to the next
+        bucket, and that bucket's value is folded into the product.
+        """
         if len(images) != self.nvars:
             raise DimensionMismatchError("need one image per variable")
+        if any(image.nvars != out_nvars for image in images):
+            raise DimensionMismatchError("images must be over %d variables" % out_nvars)
+        nvars = self.nvars
         powers = {}
 
         def power(i, e):
             p = powers.get((i, e))
             if p is None:
-                p = images[i] ** e
-                powers[(i, e)] = p
+                p = powers[(i, e)] = images[i] ** e
             return p
 
-        acc = Polynomial.zero(out_nvars)
-        for key, c in self.terms.items():
-            exps = _unpack(key, self.nvars)
-            term = Polynomial.const(out_nvars, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
+        def horner(items, i):
+            # items share their exponents of the first i variables
+            if i == nvars:
+                ((_, c),) = items
+                return Polynomial.const(out_nvars, c)
+            shift = _SHIFT * (nvars - 1 - i)
+            buckets = {}
+            for k, c in items:
+                e = (k >> shift) & _LANE
+                bucket = buckets.get(e)
+                if bucket is None:
+                    buckets[e] = [(k, c)]
+                else:
+                    bucket.append((k, c))
+            acc = None
+            for e in sorted(buckets, reverse=True):
+                inner = horner(buckets[e], i + 1)
+                if acc is not None:
+                    # inner is a fresh value, so its map can take the product
+                    add_product_into(inner.terms, acc, power(i, top - e))
+                    inner = finish_terms(out_nvars, inner.terms)
+                acc, top = inner, e
+            return acc * power(i, top) if top else acc
+
+        if not self.terms:
+            return Polynomial.zero(out_nvars)
+        return horner(list(self.terms.items()), 0)
 
     def remap_variables(self, perm, negate=False):
         """Send variable i to +-variable perm[i-1]; perm is 1-based targets.
@@ -437,6 +471,35 @@ def add_into(terms, p, sign=1):
             terms[k] = c
         else:
             del terms[k]
+
+
+def add_product_into(terms, a, b, sign=1):
+    """Fold ``sign * a * b`` into the term map ``terms`` in place (sign is
+    +-1), the fused multiply-accumulate of the kernel.
+
+    The inner loop keeps the zero coefficients it makes; ``finish_terms``
+    drops them and checks the exponent cap once per accumulated map, not
+    once per product.
+    """
+    a, b = a.terms, b.terms
+    if len(a) > len(b):
+        a, b = b, a
+    get = terms.get
+    for ka, ca in a.items():
+        if sign < 0:
+            ca = -ca
+        for kb, cb in b.items():
+            k = ka + kb
+            terms[k] = get(k, 0) + ca * cb
+
+
+def finish_terms(nvars, terms):
+    """The polynomial of a term map built by ``add_product_into``: zeros
+    dropped, and ``OverflowError`` if a product passed the exponent cap."""
+    # factor lanes stay below 2**15: a lane past the cap sets only its guard bit
+    if reduce(or_, terms, 0) & _guard_mask(nvars):
+        raise OverflowError("product exponent above %d" % _MAX_EXPONENT)
+    return Polynomial(nvars, {k: c for k, c in terms.items() if c})
 
 
 def is_x_nonnegative(p):

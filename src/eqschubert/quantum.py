@@ -55,6 +55,8 @@ from .polyring import (
     RationalExpression,
     _key_degree,
     add_into,
+    add_product_into,
+    finish_terms,
     is_x_nonnegative,
 )
 
@@ -363,14 +365,20 @@ class EQTable:
                         yield u.parts, v.parts, w, d, c
 
     def circ(self, elem, t):
-        """Multiply a module element by a basis class."""
-        terms = {}
+        """Multiply a module element by a basis class.  The products of each
+        target (w, d) fold into one term map."""
+        sums = {}
         for (parts, e), c in elem.terms.items():
             z = self._classes[self._index[parts]]
             for (w, d), c2 in self.element(z, t).terms.items():
-                key = (w, d + e)
-                terms[key] = terms[key] + c * c2 if key in terms else c * c2
-        return QModuleElement(self.ctx, terms)
+                acc = sums.get((w, d + e))
+                if acc is None:
+                    acc = sums[(w, d + e)] = {}
+                add_product_into(acc, c, c2)
+        r = self.ctx.r
+        return QModuleElement(
+            self.ctx, {key: finish_terms(r, acc) for key, acc in sums.items()}
+        )
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,10 @@ from click.testing import CliRunner
 
 import eqschubert.cache as cache_mod
 import eqschubert.cli as cli_mod
+import eqschubert.equivariant as equivariant_mod
 import eqschubert.quantum as quantum_mod
 import eqschubert.render as render_mod
+from eqschubert import enumerate_classes, point_of
 from eqschubert.cli import cli
 from eqschubert.errors import ExpansionError, NonPolynomialError, TableSolveError
 from eqschubert.render import poly_from_json
@@ -88,6 +90,17 @@ def test_json_output_bytes_match_seed(args, digest):
     result = run(args[0], "--k", "2", "--n", "4", *args[1:])
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+def test_verify_gr25_json_matches_seed():
+    # Gr(2,5) has 10 classes, so its 1,000 triples check associativity
+    # exhaustively
+    result = run("verify", "--k", "2", "--n", "5", "--format", "json")
+    assert result.exit_code == 0
+    assert (
+        hashlib.sha256(result.stdout_bytes).hexdigest()
+        == "63b0b7c8adbe85e43b5e909b70166ed7735066636b61ee50b236849d2fce5661"
+    )
 
 
 def test_warm_csv_renders_the_cached_payload(tmp_path, monkeypatch):
@@ -379,6 +392,28 @@ def test_corrupted_block_rows_exit_3(monkeypatch, rows_only, reason):
         quantum_mod.eq_table.cache_clear()
     assert result.exit_code == 3
     assert result.stderr.startswith("internal error: ") and reason in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
+def test_corrupted_own_point_restriction_exits_3(gr24, monkeypatch):
+    # The engine's table is walked first, so only elr_table reads the
+    # corrupted entry: sigma((1))|(1) doubled is no longer the weight product.
+    classes = enumerate_classes(gr24)
+    table = quantum_mod.eq_table(gr24)
+    for u in classes:
+        for v in classes:
+            table.element(u, v)
+    entries = equivariant_mod.restriction_table(gr24, "schubert").entries
+    key = (classes[1].parts, point_of(classes[1]).subset)
+    monkeypatch.setitem(entries, key, entries[key] + entries[key])
+    equivariant_mod.elr_table.cache_clear()
+    try:
+        result = run("verify", "--k", "2", "--n", "4", "--suite", "specialization")
+    finally:
+        equivariant_mod.elr_table.cache_clear()
+    assert result.exit_code == 3
+    assert result.stderr.startswith("internal error: ") and "own point" in result.stderr
     assert result.stderr.count("\n") == 1
     assert result.stdout == ""
 

@@ -18,6 +18,7 @@ from eqschubert import (
     tangent_weights,
 )
 from eqschubert.equivariant import (
+    _own_weights,
     _restrict_main,
     b_difference,
     elr_table,
@@ -95,6 +96,20 @@ def test_restriction_at_own_point_is_normal_weight_product(gr12, gr24):
         for w in tangent_weights(pt):
             product = product * w
         assert restrict_schubert(top, pt) == product
+
+
+def test_own_point_restriction_is_the_weight_product(gr24, gr25, gr36):
+    # elr_table divides by these forms one at a time
+    for ctx in (gr24, gr25, gr36):
+        for p in enumerate_classes(ctx):
+            pt = point_of(p)
+            forms = _own_weights(ctx, pt.subset)
+            assert len(forms) == p.size
+            product = Polynomial.const(ctx.r, 1)
+            for f in forms:
+                assert f.degree() == 1
+                product = product * f
+            assert restrict_schubert(p, pt) == product
 
 
 def test_known_restriction_values(gr24):

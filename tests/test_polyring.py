@@ -21,6 +21,9 @@ from eqschubert.polyring import (
     _key_degree,
     _pack,
     _unpack,
+    add_into,
+    add_product_into,
+    finish_terms,
 )
 
 NVARS = 3
@@ -111,6 +114,29 @@ def test_products_stay_below_the_guard_bit():
     top = x1 ** (2**15 - 1)
     assert top.divide_exact(x1) == x1 ** (2**15 - 2)
     assert (x1 ** 2**14 * x1 ** (2**14 - 1)) == top
+
+
+def test_fused_products_stay_below_the_guard_bit():
+    half = Polynomial.variable(1, 1) ** 2**14
+    terms = {}
+    add_product_into(terms, half, half)
+    with pytest.raises(OverflowError):
+        finish_terms(1, terms)
+    # a product that reaches the cap exactly is a polynomial
+    terms = {}
+    add_product_into(terms, half, Polynomial.variable(1, 1) ** (2**14 - 1), -1)
+    assert finish_terms(1, terms) == -Polynomial.variable(1, 1) ** (2**15 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys(), polys(), st.sampled_from([1, -1]))
+@example(x(1) + x(2), x(1) - x(2), x(1) + x(2), -1)
+def test_add_product_into_matches_add_into_of_the_product(start, a, b, sign):
+    fused = dict(start.terms)
+    add_product_into(fused, a, b, sign)
+    plain = dict(start.terms)
+    add_into(plain, a * b, sign)
+    assert finish_terms(NVARS, fused) == Polynomial(NVARS, plain)
 
 
 def linear_forms(nvars=NVARS):
@@ -232,6 +258,71 @@ def _old_key_degree(key):
 def test_canonical_terms_keep_the_graded_lex_order(p):
     keys = sorted(p.terms, key=lambda k: (-_old_key_degree(k), -k))
     assert p.canonical_terms() == [(_unpack(k, NVARS), p.terms[k]) for k in keys]
+
+
+def _power_product_substitute(p, images, out_nvars):
+    """Substitution as a sum of power products, one per term: the form the
+    Horner substitution replaced, kept as its reference."""
+    powers = {}
+
+    def power(i, e):
+        q = powers.get((i, e))
+        if q is None:
+            q = images[i] ** e
+            powers[(i, e)] = q
+        return q
+
+    acc = Polynomial.zero(out_nvars)
+    for key, c in p.terms.items():
+        exps = _unpack(key, p.nvars)
+        term = Polynomial.const(out_nvars, c)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * power(i, e)
+        acc = acc + term
+    return acc
+
+
+def images(nvars=2):
+    # zero, constant, linear and non-linear images alike
+    return st.lists(
+        st.one_of(
+            st.just(Polynomial.zero(nvars)),
+            st.integers(-3, 3).map(lambda c: Polynomial.const(nvars, c)),
+            polys(nvars=nvars, max_terms=3, max_exp=2, max_coeff=4),
+        ),
+        min_size=NVARS,
+        max_size=NVARS,
+    )
+
+
+def y(i):
+    return Polynomial.variable(2, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(max_terms=8), images())
+@example(Polynomial.zero(NVARS), [y(1), y(2), y(1) + y(2)])
+@example(Polynomial.const(NVARS, -5), [y(1), Polynomial.zero(2), y(2) ** 2])
+# a zero image, as express_in_T_differences maps the last T-variable
+@example(
+    x(1) ** 3 * x(3) + 2 * x(2) * x(3) ** 2 - x(1) + 4,
+    [y(1) - y(2), y(2), Polynomial.zero(2)],
+)
+# non-linear images, with terms that share and skip exponents of x1
+@example(
+    x(1) ** 3 + x(1) ** 3 * x(2) - 3 * x(1) * x(3) ** 2 + x(2) ** 2 + 7,
+    [y(1) ** 2 - y(2), 3 * y(1) * y(2) + 1, Polynomial.const(2, -2)],
+)
+def test_horner_substitution_matches_power_products(p, imgs):
+    assert p.substitute(imgs, 2) == _power_product_substitute(p, imgs, 2)
+
+
+def test_substitute_checks_image_dimensions():
+    with pytest.raises(DimensionMismatchError):
+        x(1).substitute([y(1), y(2)], 2)
+    with pytest.raises(DimensionMismatchError):
+        x(1).substitute([y(1), y(2), x(1)], 2)
 
 
 def test_to_T_examples():

@@ -1,3 +1,5 @@
+import pytest
+
 from eqschubert import (
     Polynomial,
     QModuleElement,
@@ -15,6 +17,7 @@ from eqschubert import (
     verify_positivity,
 )
 from eqschubert.grass import default_d_max
+from eqschubert.quantum import EQTable
 
 from conftest import part
 
@@ -71,6 +74,15 @@ def test_circ_on_basis_classes(gr24):
             assert table.circ(QModuleElement.basis(u, d=1), v) == QModuleElement(
                 gr24, raised
             )
+
+
+def test_circ_products_stay_below_the_guard_bit(gr12, monkeypatch):
+    half = x(gr12, 1) ** 2**14
+    point = part(gr12, 1)
+    elem = QModuleElement(gr12, {(point.parts, 0): half})
+    monkeypatch.setattr(EQTable, "element", lambda self, u, v: elem)
+    with pytest.raises(OverflowError):
+        EQTable(gr12).circ(elem, point)
 
 
 def test_multiply_unit(gr24):
