@@ -522,12 +522,10 @@ def to_T_variables(p, m):
     return p.substitute(images, m)
 
 
-def express_in_T_differences(p):
-    """Inverse of :func:`to_T_variables` on its image.
-
-    Returns the unique preimage when ``p`` lies in the subring generated by
-    the consecutive differences T_j - T_{j+1}, and None otherwise.
-    """
+def _from_T_variables(p):
+    """Substitute T_j -> x_j + ... + x_{m-1} and T_m -> 0, the map that
+    inverts :func:`to_T_variables` on its image, without checking that ``p``
+    lies in that image."""
     m = p.nvars
     if m < 1:
         raise DimensionMismatchError("need at least one variable")
@@ -536,8 +534,17 @@ def express_in_T_differences(p):
     for j in range(1, m):
         images.append(Polynomial.linear(r, [1 if j <= i + 1 else 0 for i in range(r)]))
     images.append(Polynomial.zero(r))
-    candidate = p.substitute(images, r)
-    if to_T_variables(candidate, m) == p:
+    return p.substitute(images, r)
+
+
+def express_in_T_differences(p):
+    """Inverse of :func:`to_T_variables` on its image.
+
+    Returns the unique preimage when ``p`` lies in the subring generated by
+    the consecutive differences T_j - T_{j+1}, and None otherwise.
+    """
+    candidate = _from_T_variables(p)
+    if to_T_variables(candidate, p.nvars) == p:
         return candidate
     return None
 

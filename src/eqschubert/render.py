@@ -2,8 +2,11 @@
 
 Monomials always print in graded-lex descending order and coefficients
 serialize as decimal strings, so every export is byte-stable for a fixed
-input and code version. ``canonical_json`` is the one JSON encoding of every
-export: sorted keys, no whitespace.
+input and code version. The JSON form of every export is canonical: sorted
+keys, no whitespace. ``canonical_json`` encodes the envelopes and reports;
+the rows and polynomial terms of the JSON exports come from the key-fragment
+encoder (``_term_encoder``), which writes the same bytes straight from the
+packed monomial keys. A Tier-1 test pins the two byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import io
 import json
 
 from .grass import Partition, default_d_max, enumerate_classes
-from .polyring import Polynomial
+from .polyring import Polynomial, _lanes
 
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -53,6 +56,50 @@ def poly_from_json(obj, nvars):
     return Polynomial.from_exponents(nvars, ((tuple(t["e"]), int(t["c"])) for t in obj))
 
 
+def _term_encoder(nvars):
+    """``encode(p)``: the text of ``canonical_json(poly_json(p))`` for any
+    polynomial ``p`` over ``nvars`` variables, built from its packed keys.
+
+    Each distinct key's ``","e":[...]}`` fragment is built once per encoder,
+    with the key's degree cached beside it. Packed keys compare as exponent
+    vectors, so when all terms share one degree the descending key order is
+    the graded-lex order of ``canonical_terms``; otherwise the terms are
+    sorted by (degree, key), which is that order too.
+    """
+    unpack, size = _lanes(nvars), 2 * nvars
+    fragments, degrees = {}, {}
+
+    def encode(p):
+        terms = p.terms
+        if not terms:
+            return "[]"
+        for k in [k for k in terms if k not in fragments]:
+            exps = unpack(k.to_bytes(size, "big"))
+            fragments[k] = '","e":[%s]}' % ",".join(map(str, exps))
+            degrees[k] = sum(exps)
+        keys = sorted(terms, reverse=True)
+        if len(set(map(degrees.__getitem__, keys))) > 1:
+            keys.sort(key=lambda k: (degrees[k], k), reverse=True)
+        return '[{"c":"' + ',{"c":"'.join([str(terms[k]) + fragments[k] for k in keys]) + "]"
+
+    return encode
+
+
+def _join_entries(envelope, rows):
+    """The canonical text of ``envelope`` with the encoded ``rows`` as its
+    ``entries`` list, plus a newline.
+
+    The envelope's other values hold no empty list. Its two halves go onto
+    the first and last row strings, so the one join is the only copy of the
+    payload beyond its rows.
+    """
+    head, tail = canonical_json(dict(envelope, entries=[])).split("[]")
+    rows = rows or [""]
+    rows[0] = head + "[" + rows[0]
+    rows[-1] += "]" + tail + "\n"
+    return ",".join(rows)
+
+
 def qelem_text(elem, symbol="x"):
     """Render a module element like ``s[2] + s[1,1] + (x2)*s[1] + q*s[]``."""
     items = elem.canonical_items()
@@ -73,11 +120,10 @@ def qelem_text(elem, symbol="x"):
 
 def qelem_json(elem):
     """Canonical JSON list of the ``{"w", "d", "poly"}`` terms of an element."""
-    return canonical_json(
-        [
-            {"w": list(w), "d": d, "poly": poly_json(c)}
-            for (w, d), c in elem.canonical_items()
-        ]
+    encode = _term_encoder(elem.ctx.r)
+    return "[%s]" % ",".join(
+        '{"d":%d,"poly":%s,"w":%s}' % (d, encode(c), canonical_json(list(w)))
+        for (w, d), c in elem.canonical_items()
     )
 
 
@@ -85,37 +131,32 @@ def table_entries(ctx, d_max=None):
     """Canonical JSON export rows for the full product table, one string per row.
 
     One row per nonzero coefficient, pairs listed once with u <= v in the
-    class order, sorted by (u, v, d, w). Each row is encoded as it is built,
-    so no dict outlives its row.
+    class order, sorted by (u, v, d, w). Each row is one format of its
+    cached partition arrays and its terms as ``_term_encoder`` writes them.
+    ``EQTable._store`` makes every table coefficient homogeneous, so the
+    terms always take the encoder's one-degree path: sorted by packed key,
+    which is graded-lex order within one degree.
     """
     from .quantum import eq_table
 
     if d_max is None:
         d_max = default_d_max(ctx)
+    encode = _term_encoder(ctx.r)
+    arrays = {p.parts: canonical_json(list(p.parts)) for p in enumerate_classes(ctx)}
     return [
-        canonical_json(
-            {"u": list(u), "v": list(v), "w": list(w), "d": d, "poly": poly_json(c)}
-        )
+        '{"d":%d,"poly":%s,"u":%s,"v":%s,"w":%s}'
+        % (d, encode(c), arrays[u], arrays[v], arrays[w])
         for u, v, w, d, c in eq_table(ctx).rows(d_max)
     ]
 
 
 def table_json(ctx, d_max=None):
-    """The canonical table payload, the one source of every table export.
-
-    The rows of ``table_entries`` are joined into the place of the empty
-    entries list in the encoded envelope, whose other values are integers.
-    The envelope's two halves go onto the first and last row strings, so
-    the one join is the only copy of the payload beyond its rows.
-    """
+    """The canonical table payload, the one source of every table export:
+    the rows of ``table_entries`` joined into the encoded envelope."""
     if d_max is None:
         d_max = default_d_max(ctx)
-    envelope = {"k": ctx.k, "n": ctx.n, "d_max": d_max, "variables": ctx.r, "entries": []}
-    head, tail = canonical_json(envelope).split("[]")
-    rows = table_entries(ctx, d_max) or [""]
-    rows[0] = head + "[" + rows[0]
-    rows[-1] += "]" + tail + "\n"
-    return ",".join(rows)
+    envelope = {"k": ctx.k, "n": ctx.n, "d_max": d_max, "variables": ctx.r}
+    return _join_entries(envelope, table_entries(ctx, d_max))
 
 
 def table_csv(payload):
@@ -141,17 +182,15 @@ def restriction_table_json(ctx, family="schubert"):
     from .equivariant import fixed_points, restriction_table
 
     table = restriction_table(ctx, family)
+    encode = _term_encoder(ctx.r)
+    points = [(pt, canonical_json(list(pt.subset))) for pt in fixed_points(ctx)]
     rows = [
-        {
-            "class": list(p.parts),
-            "point": list(pt.subset),
-            "poly": poly_json(table.restriction(p, pt)),
-        }
+        '{"class":%s,"point":%s,"poly":%s}'
+        % (canonical_json(list(p.parts)), text, encode(table.restriction(p, pt)))
         for p in enumerate_classes(ctx)
-        for pt in fixed_points(ctx)
+        for pt, text in points
     ]
-    payload = {"k": ctx.k, "n": ctx.n, "family": family, "entries": rows}
-    return canonical_json(payload) + "\n"
+    return _join_entries({"k": ctx.k, "n": ctx.n, "family": family}, rows)
 
 
 def partition_argument(ctx, text):

@@ -277,3 +277,24 @@ def test_other_box_shapes():
         assert verify_positivity(ctx)["passed"]
         assert verify_specialization(ctx)["passed"]
         assert verify_algebra(ctx)["passed"]
+
+
+def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
+    # the third coefficient's image gains T_1, which lies outside the
+    # subring of the differences T_j - T_{j+1}, so its way back misses it
+    import eqschubert.suites as suites_mod
+    from eqschubert.polyring import to_T_variables
+
+    calls = []
+
+    def planted(c, m):
+        calls.append(c)
+        image = to_T_variables(c, m)
+        return image + Polynomial.variable(m, 1) if len(calls) == 3 else image
+
+    monkeypatch.setattr(suites_mod, "to_T_variables", planted)
+    report = suites_mod.verify_tbasis(gr24)
+    u, v, w, d, _ = list(eq_table(gr24).rows(default_d_max(gr24)))[2]
+    assert not report["passed"]
+    assert report["checked"] == len(calls)
+    assert report["violations"] == [{"u": list(u), "v": list(v), "w": list(w), "d": d}]

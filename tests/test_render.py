@@ -1,13 +1,20 @@
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from eqschubert import GrassContext, Polynomial, multiply
+import eqschubert.quantum as quantum_mod
+
+from eqschubert import GrassContext, Polynomial, QModuleElement, enumerate_classes, multiply
 from eqschubert.render import (
+    canonical_json,
     partition_argument,
     poly_from_json,
     poly_json,
     poly_text,
+    qelem_json,
     qelem_text,
     table_entries,
     table_json,
@@ -54,7 +61,7 @@ def test_partition_argument(gr24):
         partition_argument(gr24, "[true]")
 
 
-@pytest.mark.parametrize("k, n", [(1, 2), (2, 4)])
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 4), (2, 5)])
 def test_table_json_joins_canonical_rows(k, n):
     ctx = GrassContext(k, n)
     rows = table_entries(ctx)
@@ -63,3 +70,45 @@ def test_table_json_joins_canonical_rows(k, n):
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     assert encode(json.loads(payload)) + "\n" == payload
     assert [encode(row) for row in json.loads(payload)["entries"]] == rows
+
+
+# one context per number of variables, 1 to 6
+ENCODER_CONTEXTS = [GrassContext(k, n) for k, n in ((1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7))]
+
+
+@st.composite
+def table_rows(draw):
+    """A context and rows (u, v, w, d, poly) over its classes and variables.
+
+    Polynomials are homogeneous or not, may be zero, and take negative
+    coefficients and coefficients wider than 64 bits."""
+    ctx = draw(st.sampled_from(ENCODER_CONTEXTS))
+    classes = st.sampled_from([p.parts for p in enumerate_classes(ctx)])
+    coefficient = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+    term = st.tuples(st.lists(st.integers(0, 3), min_size=ctx.r, max_size=ctx.r), coefficient)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        items = draw(st.lists(term, max_size=6))
+        if items and draw(st.booleans()):
+            items = [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
+        poly = Polynomial.from_exponents(ctx.r, ((tuple(e), c) for e, c in items))
+        u, v, w = draw(classes), draw(classes), draw(classes)
+        rows.append((u, v, w, draw(st.integers(0, 3)), poly))
+    return ctx, rows
+
+
+@given(table_rows())
+def test_key_fragment_encoder_matches_canonical_json(case):
+    ctx, rows = case
+    expected = [
+        canonical_json({"u": list(u), "v": list(v), "w": list(w), "d": d, "poly": poly_json(c)})
+        for u, v, w, d, c in rows
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        table = SimpleNamespace(rows=lambda d_max: iter(rows))
+        mp.setattr(quantum_mod, "eq_table", lambda ctx: table)
+        assert table_entries(ctx, 0) == expected
+    elem = QModuleElement(ctx, {(w, d): c for u, v, w, d, c in rows})
+    assert qelem_json(elem) == canonical_json(
+        [{"w": list(w), "d": d, "poly": poly_json(c)} for (w, d), c in elem.canonical_items()]
+    )
