@@ -1,99 +1,76 @@
-"""Exact Schubert calculus on Gr(k,n): classical, equivariant, quantum."""
+"""Exact Schubert calculus on Gr(k,n): classical, equivariant, quantum.
 
-from .equivariant import (
-    FixedPoint,
-    elr,
-    elr_table,
-    fixed_points,
-    integrate,
-    pairing,
-    partition_of,
-    point_of,
-    restrict_schubert,
-    restriction_table,
-    tangent_weights,
-)
-from .errors import (
-    CacheError,
-    ContextError,
-    DimensionMismatchError,
-    ExpansionError,
-    NonPolynomialError,
-    TableSolveError,
-)
-from .grass import (
-    GrassContext,
-    Partition,
-    add_box_shapes,
-    default_d_max,
-    enumerate_classes,
-    quantum_chevalley_shape,
-    remove_rim_hooks,
-    to_grassmannian_permutation,
-)
-from .oracles import elr_factorial_schur, lr_tableau, quantum_lr_rimhook
-from .polyring import (
-    Polynomial,
-    RationalExpression,
-    express_in_T_differences,
-    is_x_nonnegative,
-    to_T_variables,
-)
-from .quantum import (
-    QModuleElement,
-    eq_chevalley,
-    eq_table,
-    eqlr,
-    multiply,
-    specialize_q0,
-    specialize_x0,
-    verify_algebra,
-    verify_positivity,
-)
-from .version import __version__
+Public names and submodules are imported on first access (PEP 562), so a
+process that only reads the table cache never loads the engine.
+"""
 
-__all__ = [
-    "CacheError",
-    "ContextError",
-    "DimensionMismatchError",
-    "ExpansionError",
-    "FixedPoint",
-    "GrassContext",
-    "NonPolynomialError",
-    "Partition",
-    "Polynomial",
-    "QModuleElement",
-    "RationalExpression",
-    "TableSolveError",
-    "add_box_shapes",
-    "default_d_max",
-    "elr",
-    "elr_factorial_schur",
-    "elr_table",
-    "enumerate_classes",
-    "eq_chevalley",
-    "eq_table",
-    "eqlr",
-    "express_in_T_differences",
-    "fixed_points",
-    "integrate",
-    "is_x_nonnegative",
-    "lr_tableau",
-    "multiply",
-    "pairing",
-    "partition_of",
-    "point_of",
-    "quantum_chevalley_shape",
-    "quantum_lr_rimhook",
-    "remove_rim_hooks",
-    "restrict_schubert",
-    "restriction_table",
-    "specialize_q0",
-    "specialize_x0",
-    "tangent_weights",
-    "to_T_variables",
-    "to_grassmannian_permutation",
-    "verify_algebra",
-    "verify_positivity",
-    "__version__",
-]
+from importlib import import_module
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "CacheError": "errors",
+    "ContextError": "errors",
+    "DimensionMismatchError": "errors",
+    "ExpansionError": "errors",
+    "FixedPoint": "equivariant",
+    "GrassContext": "grass",
+    "NonPolynomialError": "errors",
+    "Partition": "grass",
+    "Polynomial": "polyring",
+    "QModuleElement": "quantum",
+    "RationalExpression": "polyring",
+    "TableSolveError": "errors",
+    "add_box_shapes": "grass",
+    "default_d_max": "grass",
+    "elr": "equivariant",
+    "elr_factorial_schur": "oracles",
+    "elr_table": "equivariant",
+    "enumerate_classes": "grass",
+    "eq_chevalley": "quantum",
+    "eq_table": "quantum",
+    "eqlr": "quantum",
+    "express_in_T_differences": "polyring",
+    "fixed_points": "equivariant",
+    "integrate": "equivariant",
+    "is_x_nonnegative": "polyring",
+    "lr_tableau": "oracles",
+    "multiply": "quantum",
+    "pairing": "equivariant",
+    "partition_of": "equivariant",
+    "point_of": "equivariant",
+    "quantum_chevalley_shape": "grass",
+    "quantum_lr_rimhook": "oracles",
+    "remove_rim_hooks": "grass",
+    "restrict_schubert": "equivariant",
+    "restriction_table": "equivariant",
+    "specialize_q0": "quantum",
+    "specialize_x0": "quantum",
+    "tangent_weights": "equivariant",
+    "to_T_variables": "polyring",
+    "to_grassmannian_permutation": "grass",
+    "verify_algebra": "quantum",
+    "verify_positivity": "quantum",
+    "__version__": "version",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(import_module("." + _EXPORTS[name], __name__), name)
+    else:
+        try:
+            value = import_module("." + name, __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != "%s.%s" % (__name__, name):
+                raise
+            raise AttributeError(
+                "module %r has no attribute %r" % (__name__, name)
+            ) from None
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,14 +11,15 @@ UTF-8 JSON object with fields
 
 A file whose checksum or JSON structure is broken raises CacheError; a file
 whose versions or key disagree is stale and is simply ignored, never
-migrated.  Writes go to a temporary file and are renamed into place.
+migrated.  Writes go to a temporary file and are renamed into place; a
+failed write removes the temporary file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import hashlib
-import io
 import json
 import os
 import zlib
@@ -44,14 +45,19 @@ def store(cache_dir, k, n, d_max, payload):
         "payload": payload,
     }
     raw = json.dumps(envelope, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as zf:
-        zf.write(raw)
     path = cache_path(cache_dir, k, n, d_max)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, path)
+    try:
+        # filename="" keeps the temporary file's name out of the gzip header
+        with open(tmp, "wb") as fh, gzip.GzipFile(
+            filename="", mode="wb", fileobj=fh, mtime=0
+        ) as zf:
+            zf.write(raw)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return path
 
 

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal or
 cache error.
+
+The engine and the renderers are imported inside the commands that use them,
+so a warm cache read loads neither.
 """
 
 from __future__ import annotations
@@ -23,18 +26,6 @@ from .errors import (
     TableSolveError,
 )
 from .grass import GrassContext, default_d_max
-from .oracles import build_fixtures
-from .quantum import multiply
-from .render import (
-    canonical_json,
-    partition_argument,
-    qelem_json,
-    qelem_text,
-    restriction_table_json,
-    table_csv,
-    table_json,
-)
-from .suites import SUITES
 
 DEFAULT_FIXTURE_PATH = os.path.join("fixtures", "oracle_fixtures.json")
 EMIT_SLICE = 1 << 20
@@ -117,6 +108,8 @@ def table(k, n, d_max, fmt, out, cache_dir, no_cache):
         except CacheError as exc:
             _fail("cache error: %s" % exc)
     if payload is None:
+        from .render import table_json
+
         payload = table_json(ctx, d_max)
         if use_cache:
             try:
@@ -124,9 +117,11 @@ def table(k, n, d_max, fmt, out, cache_dir, no_cache):
             except OSError as exc:
                 _fail("cache error: %s" % exc)
     if fmt == "csv":
+        from .render import CSV_ERRORS, table_csv
+
         try:
             payload = table_csv(payload)
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        except CSV_ERRORS as exc:
             _fail("cache error: %s" % exc)
     _emit(payload, out)
 
@@ -139,6 +134,9 @@ def table(k, n, d_max, fmt, out, cache_dir, no_cache):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def multiply_cmd(k, n, u_text, v_text, fmt):
     """Print the product of two basis classes."""
+    from .quantum import multiply
+    from .render import partition_argument, qelem_json, qelem_text
+
     ctx = _context(k, n)
     try:
         u = partition_argument(ctx, u_text)
@@ -156,7 +154,7 @@ def multiply_cmd(k, n, u_text, v_text, fmt):
     "--suite",
     "suite_names",
     multiple=True,
-    help="Suites to run; defaults to all. Known: %s" % ", ".join(sorted(SUITES)),
+    help="Suites to run; defaults to all.",
 )
 @click.option("--d-max", type=int, default=None)
 @click.option(
@@ -165,6 +163,9 @@ def multiply_cmd(k, n, u_text, v_text, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(k, n, suite_names, d_max, workers, fmt):
     """Run verification suites; exit 0 only if every check passes."""
+    from .render import canonical_json
+    from .suites import SUITES
+
     ctx = _context(k, n)
     if d_max is not None and d_max < 0:
         raise click.UsageError("--d-max must be nonnegative")
@@ -204,6 +205,8 @@ def verify(k, n, suite_names, d_max, workers, fmt):
 @click.option("--out", default="-")
 def restrictions(k, n, family, out):
     """Export the fixed-point restriction table as JSON."""
+    from .render import restriction_table_json
+
     ctx = _context(k, n)
     _emit(restriction_table_json(ctx, family), out)
 
@@ -213,6 +216,8 @@ def restrictions(k, n, family, out):
 @click.option("--path", default=DEFAULT_FIXTURE_PATH, show_default=True)
 def fixtures(regen, path):
     """Check (or with --regen, rewrite) the oracle-stamped fixture file."""
+    from .oracles import build_fixtures
+
     fresh = json.dumps(build_fixtures(), sort_keys=True, indent=1) + "\n"
     if regen:
         try:

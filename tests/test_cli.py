@@ -13,10 +13,11 @@ import eqschubert.cli as cli_mod
 import eqschubert.equivariant as equivariant_mod
 import eqschubert.quantum as quantum_mod
 import eqschubert.render as render_mod
-from eqschubert import enumerate_classes, point_of
+import eqschubert.suites as suites_mod
+from eqschubert import GrassContext, enumerate_classes, point_of
 from eqschubert.cli import cli
 from eqschubert.errors import ExpansionError, NonPolynomialError, TableSolveError
-from eqschubert.render import poly_from_json
+from eqschubert.render import canonical_json, poly_from_json, table_json
 
 # sha256 of exports recorded in bench/expected.json; export bytes must not change.
 # Gr(2,5) and Gr(3,6) run q-degree >= 1 blocks through the rational sweep.
@@ -112,7 +113,7 @@ def test_warm_csv_renders_the_cached_payload(tmp_path, monkeypatch):
     def recompute(*args, **kwargs):
         raise AssertionError("a warm CSV export must not rebuild the table")
 
-    monkeypatch.setattr(cli_mod, "table_json", recompute)
+    monkeypatch.setattr(render_mod, "table_json", recompute)
     monkeypatch.setattr(render_mod, "table_entries", recompute)
     warm = run(*args)
     assert warm.exit_code == 0
@@ -216,6 +217,60 @@ def test_table_csv_of_a_cached_non_table_exits_3(tmp_path, payload):
     assert run(*args).stdout == payload
 
 
+def _malformed_gr12_payloads():
+    """Every proper prefix of the Gr(1,2) payload, then whole payloads that
+    are no table: trailing garbage, no ``variables``, ``entries`` that is
+    not a list, and rows that are not objects."""
+    body = table_json(GrassContext(1, 2)).rstrip("\n")
+    table = json.loads(body)
+    variants = [
+        body + "x",
+        body + "{}",
+        {key: value for key, value in table.items() if key != "variables"},
+        dict(table, entries={}),
+        dict(table, entries="rows"),
+        dict(table, entries=[1]),
+        dict(table, entries=table["entries"] + [[]]),
+    ]
+    return [body[:i] for i in range(len(body))] + [
+        v if isinstance(v, str) else canonical_json(v) for v in variants
+    ]
+
+
+def test_table_csv_of_a_malformed_cached_payload_exits_3(tmp_path):
+    args = ("table", "--k", "1", "--n", "2", "--cache-dir", str(tmp_path), "--format", "csv")
+    for payload in _malformed_gr12_payloads():
+        cache_mod.store(str(tmp_path), 1, 2, 1, payload)
+        result = run(*args)
+        assert result.exit_code == 3, payload
+        assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
+
+def test_cache_file_bytes_match_seed(tmp_path):
+    assert run("table", "--k", "2", "--n", "4", "--cache-dir", str(tmp_path)).exit_code == 0
+    (path,) = tmp_path.iterdir()
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "61d49795d14cd50c13a0376573d336a55f7d0e73a18368d4fff4e97201df6a67"
+    )
+
+
+@pytest.mark.parametrize(
+    "owner, attr", [(os, "replace"), (gzip.GzipFile, "write")], ids=["rename", "write"]
+)
+def test_failed_cache_store_exits_3_and_leaves_no_tmp(tmp_path, monkeypatch, owner, attr):
+    def refuse(*args):
+        raise OSError("refused")
+
+    monkeypatch.setattr(owner, attr, refuse)
+    result = run("table", "--k", "1", "--n", "2", "--cache-dir", str(tmp_path))
+    assert result.exit_code == 3
+    assert result.stderr == "cache error: refused\n"
+    assert result.stdout == ""
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_table_ignores_stale_cache(tmp_path):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
@@ -295,12 +350,10 @@ def test_verify_workers_flag():
 
 
 def test_verify_failure_exits_1(monkeypatch):
-    import eqschubert.cli as cli_mod
-
     def failing(ctx, d_max):
         return {"suite": "duality", "passed": False, "violations": [{"u": [], "v": []}]}
 
-    monkeypatch.setitem(cli_mod.SUITES, "duality", failing)
+    monkeypatch.setitem(suites_mod.SUITES, "duality", failing)
     result = run("verify", "--k", "2", "--n", "4", "--suite", "duality")
     assert result.exit_code == 1
     assert "FAIL" in result.output
@@ -325,21 +378,21 @@ INTERNAL_FAILURES = [
     ),
     pytest.param(
         ("multiply", "--k", "2", "--n", "4", "--u", "[1]", "--v", "[1]"),
-        cli_mod,
+        quantum_mod,
         "multiply",
         NonPolynomialError,
         id="multiply",
     ),
     pytest.param(
         ("verify", "--k", "2", "--n", "4", "--suite", "duality"),
-        cli_mod.SUITES,
+        suites_mod.SUITES,
         "duality",
         ExpansionError,
         id="verify",
     ),
     pytest.param(
         ("restrictions", "--k", "2", "--n", "4"),
-        cli_mod,
+        render_mod,
         "restriction_table_json",
         NonPolynomialError,
         id="restrictions",

@@ -1,14 +1,17 @@
+import csv
+import io
 import json
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqschubert.quantum as quantum_mod
 
 from eqschubert import GrassContext, Polynomial, QModuleElement, enumerate_classes, multiply
 from eqschubert.render import (
+    CSV_ERRORS,
     canonical_json,
     partition_argument,
     poly_from_json,
@@ -16,6 +19,7 @@ from eqschubert.render import (
     poly_text,
     qelem_json,
     qelem_text,
+    table_csv,
     table_entries,
     table_json,
 )
@@ -112,3 +116,73 @@ def test_key_fragment_encoder_matches_canonical_json(case):
     assert qelem_json(elem) == canonical_json(
         [{"w": list(w), "d": d, "poly": poly_json(c)} for (w, d), c in elem.canonical_items()]
     )
+
+
+def reference_table_csv(payload):
+    """``table_csv`` as it was before it read the payload row by row: the
+    whole payload parsed with ``json.loads``."""
+    table = json.loads(payload)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["u", "v", "w", "d", "poly"])
+    for row in table["entries"]:
+        writer.writerow(
+            [
+                canonical_json(row["u"]),
+                canonical_json(row["v"]),
+                canonical_json(row["w"]),
+                row["d"],
+                poly_text(poly_from_json(row["poly"], table["variables"])),
+            ]
+        )
+    return buf.getvalue()
+
+
+@st.composite
+def table_payloads(draw):
+    """Table payload text as any JSON writer might lay it out.
+
+    Members and row keys come in any order, with JSON whitespace around
+    every token; terms are unsorted, repeated, or have zero coefficients.
+    Some payloads repeat ``entries`` or ``variables``, the earlier value
+    (possibly one that is no table at all) being overridden by the later.
+    """
+    nvars = draw(st.integers(0, 3))
+    exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)
+    term = st.fixed_dictionaries({"c": st.integers(-3, 3).map(str), "e": exps})
+    part = st.lists(st.integers(0, 3), max_size=3)
+    row = st.fixed_dictionaries(
+        {"d": st.integers(0, 2), "poly": st.lists(term, max_size=4), "u": part, "v": part, "w": part}
+    )
+    rows = [dict(draw(st.permutations(list(r.items())))) for r in draw(st.lists(row, max_size=4))]
+    members = [("entries", rows), ("variables", nvars), ("d_max", 1), ("k", 1), ("n", 2)]
+    members = draw(st.permutations(members))
+    overridden = st.one_of(st.lists(row, max_size=2), st.just([1, {"poly": 5}]), st.just(-1))
+    members = draw(st.lists(st.tuples(st.sampled_from(["entries", "variables"]), overridden), max_size=2)) + members
+    space = st.text(alphabet=" \t\n\r", max_size=2)
+    separators = (draw(space) + "," + draw(space), draw(space) + ":" + draw(space))
+    dump = json.JSONEncoder(separators=separators).encode
+    body = separators[0].join(dump(key) + separators[1] + dump(value) for key, value in members)
+    return draw(space) + "{" + draw(space) + body + draw(space) + "}" + draw(space)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_payloads())
+def test_table_csv_matches_the_whole_payload_parse(payload):
+    assert table_csv(payload) == reference_table_csv(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"entries":[{"d":0,"poly":[{"c":"1","e":[0,0]}],"u":[],"v":[],"w":[]}],"variables":1}',
+        '{"entries":[{"d":0,"poly":[],"u":[],"v":[],"w":[]}],"variables":-1}',
+        '{"entries":[{"d":0,"poly":[],"u":[],"v":[],"w":[]}],"variables":"1"}',
+        '{"entries":[{"d":0,"poly":[]}],"variables":1}',
+        '{"entries":{},"variables":1}',
+    ],
+    ids=["variables-mismatch", "negative-variables", "string-variables", "missing-u", "entries-dict"],
+)
+def test_table_csv_rejects_what_no_table_has(payload):
+    with pytest.raises(CSV_ERRORS):
+        table_csv(payload)
