@@ -157,11 +157,8 @@ def multiply_cmd(k, n, u_text, v_text, fmt):
     help="Suites to run; defaults to all.",
 )
 @click.option("--d-max", type=int, default=None)
-@click.option(
-    "--workers", type=int, default=1, help="Accepted for compatibility and has no effect."
-)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def verify(k, n, suite_names, d_max, workers, fmt):
+def verify(k, n, suite_names, d_max, fmt):
     """Run verification suites; exit 0 only if every check passes."""
     from .render import canonical_json
     from .suites import SUITES

@@ -4,7 +4,8 @@ Conventions, pinned once and verified by the test suite through the unit,
 GKM, duality, and positivity checks:
 
 * Fixed points are k-subsets of {1..n}.  The partition ``a`` corresponds to
-  the subset {a_{k+1-i} + i : i = 1..k} (its staircase).
+  the subset {a_{k+1-i} + i : i = 1..k} (its staircase), the first k values
+  of its Grassmannian permutation in ``grass``.
 * ``b_j = x_1 + ... + x_{j-1}`` (so b_1 = 0); every torus weight in sight is
   a difference of b's.
 * The restriction of the class of ``a`` to the fixed point of ``m`` is the
@@ -25,7 +26,12 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import NonPolynomialError
-from .grass import Partition, enumerate_classes
+from .grass import (
+    Partition,
+    enumerate_classes,
+    partition_from_permutation,
+    to_grassmannian_permutation,
+)
 from .polyring import Polynomial, RationalExpression, add_product_into, finish_terms
 
 
@@ -49,18 +55,14 @@ class FixedPoint:
 
 
 def point_of(p):
-    """The fixed point attached to a partition (staircase dictionary)."""
-    k = p.ctx.k
-    padded = p.padded()
-    return FixedPoint(tuple(padded[k - i] + i for i in range(1, k + 1)), p.ctx)
+    """The fixed point attached to a partition (staircase dictionary): the
+    first k values of its Grassmannian permutation."""
+    return FixedPoint(to_grassmannian_permutation(p)[: p.ctx.k], p.ctx)
 
 
 def partition_of(point):
     """Inverse staircase dictionary."""
-    k = point.ctx.k
-    subset = point.subset
-    parts = tuple(subset[k - i] - (k + 1 - i) for i in range(1, k + 1))
-    return Partition(parts, point.ctx)
+    return partition_from_permutation(point.ctx, point.subset)
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +87,12 @@ def b_difference(ctx, a, b):
     return forms[a - 1] - forms[b - 1]
 
 
+def _tangent_pairs(ctx, subset):
+    """The pairs (a, b), a in ``subset`` and b outside it, in the order of
+    the tangent weights b_a - b_b."""
+    return [(a, b) for a in subset for b in range(1, ctx.n + 1) if b not in subset]
+
+
 def tangent_weights(point):
     """The k(n-k) weights of the tangent space at ``point``.
 
@@ -92,28 +100,15 @@ def tangent_weights(point):
     class restricted to the top fixed point is exactly the product of the
     weights there, which fixes the sign convention.
     """
-    ctx = point.ctx
-    inside = point.subset
-    outside = [j for j in range(1, ctx.n + 1) if j not in set(inside)]
-    return [b_difference(ctx, a, b) for a in inside for b in outside]
+    return [b_difference(point.ctx, a, b) for a, b in _tangent_pairs(point.ctx, point.subset)]
 
 
 @lru_cache(maxsize=None)
 def _euler_factors(point):
     """Tangent weights split into (positive primitive forms, overall sign)."""
-    ctx = point.ctx
-    inside = point.subset
-    outside = [j for j in range(1, ctx.n + 1) if j not in set(inside)]
-    sign = 1
-    forms = []
-    for a in inside:
-        for b in outside:
-            if a > b:
-                forms.append(b_difference(ctx, a, b))
-            else:
-                forms.append(b_difference(ctx, b, a))
-                sign = -sign
-    return tuple(forms), sign
+    pairs = _tangent_pairs(point.ctx, point.subset)
+    forms = tuple(b_difference(point.ctx, max(a, b), min(a, b)) for a, b in pairs)
+    return forms, -1 if sum(a < b for a, b in pairs) & 1 else 1
 
 
 @lru_cache(maxsize=None)
@@ -164,15 +159,13 @@ def _w0_substitution(ctx, p):
 
 @lru_cache(maxsize=None)
 def _restrict_cached(ctx, parts, subset, family):
+    mu = partition_from_permutation(ctx, subset)
     if family == "schubert":
-        # zero unless parts fits in the partition of the point, whose j-th
-        # part is subset[k-1-j] - (k-j)
-        k = ctx.k
-        if any(a > subset[k - 1 - j] - (k - j) for j, a in enumerate(parts)):
+        # zero unless parts fits in the partition of the point
+        if any(a > b for a, b in zip(parts, mu.padded())):
             return Polynomial.zero(ctx.r)
         return _restrict_main(ctx, parts, subset)
-    mu_dual = partition_of(FixedPoint(subset, ctx)).dual()
-    value = _restrict_cached(ctx, parts, point_of(mu_dual).subset, "schubert")
+    value = _restrict_cached(ctx, parts, point_of(mu.dual()).subset, "schubert")
     return _w0_substitution(ctx, value)
 
 
@@ -265,11 +258,9 @@ def elr(u, v, w):
 
 
 def _own_weights(ctx, subset):
-    """The weights b_a - b_b, a in the subset and b < a outside it, whose
+    """The tangent weights b_a - b_b with b < a, the positive ones: their
     product is the restriction of the point's class to the point itself."""
-    return [
-        b_difference(ctx, a, b) for a in subset for b in range(1, a) if b not in subset
-    ]
+    return [b_difference(ctx, a, b) for a, b in _tangent_pairs(ctx, subset) if a > b]
 
 
 @lru_cache(maxsize=None)

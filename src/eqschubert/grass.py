@@ -148,7 +148,11 @@ def to_grassmannian_permutation(p):
 
 
 def partition_from_permutation(ctx, perm):
-    """Inverse of :func:`to_grassmannian_permutation`."""
+    """Inverse of :func:`to_grassmannian_permutation`.
+
+    Only the first k values are read, so a fixed-point subset maps to its
+    partition too.
+    """
     k = ctx.k
     parts = tuple(perm[k - i] - (k + 1 - i) for i in range(1, k + 1))
     return Partition(parts, ctx)

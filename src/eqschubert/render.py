@@ -6,7 +6,9 @@ input and code version. The JSON form of every export is canonical: sorted
 keys, no whitespace. ``canonical_json`` encodes the envelopes and reports;
 the rows and polynomial terms of the JSON exports come from the key-fragment
 encoder (``_term_encoder``), which writes the same bytes straight from the
-packed monomial keys. A Tier-1 test pins the two byte for byte.
+packed monomial keys. A Tier-1 test pins the two byte for byte. The CSV
+export reads only that canonical table JSON back; any other payload is an
+error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 
 from .errors import DimensionMismatchError
 from .grass import Partition, default_d_max, enumerate_classes
@@ -162,117 +163,65 @@ def table_json(ctx, d_max=None):
 
 
 _decode = json.JSONDecoder().raw_decode
-_space = re.compile(r"[ \t\n\r]*").match
-# every error ``table_csv`` raises on a malformed payload
+# every error ``table_csv`` raises on a payload that is not canonical table JSON
 CSV_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
-
-
-def _after(s, i, chars):
-    """The index past the JSON whitespace at ``s[i]`` and the one character
-    of ``chars`` that must follow it, and that character."""
-    i = _space(s, i).end()
-    c = s[i : i + 1]
-    if not c or c not in chars:
-        raise ValueError("expected one of %r at character %d" % (chars, i))
-    return i + 1, c
-
-
-def _walk(s, i, brackets, visit):
-    """Walk the JSON array or object (``brackets`` is ``"[]"`` or ``"{}"``)
-    at ``s[i]``. ``visit(j)`` reads the item or member that starts at
-    ``s[j]`` and returns the index past it. Returns the index past the
-    closing bracket."""
-    i, _ = _after(s, i, brackets[0])
-    j = _space(s, i).end()
-    if s[j : j + 1] == brackets[1]:
-        return j + 1
-    while True:
-        i, c = _after(s, visit(_space(s, i).end()), "," + brackets[1])
-        if c == brackets[1]:
-            return i
-
-
-class _CsvRows:
-    """The CSV text of one ``entries`` array, written as its rows are read.
-
-    A canonical payload puts ``variables`` after ``entries``, so a row's
-    polynomial is built over ``nvars``, the length of the first exponent
-    vector met; ``Polynomial.from_exponents`` checks every later vector
-    against it, and ``table_csv`` checks it against ``variables``.
-    The first failing row is kept in ``error``, not raised: a later
-    ``entries`` member would replace this one.
-    """
-
-    def __init__(self, payload):
-        self.payload = payload
-        self.buf = io.StringIO()
-        self.writer = csv.writer(self.buf, lineterminator="\n")
-        self.writer.writerow(["u", "v", "w", "d", "poly"])
-        self.rows = 0
-        self.nvars = None
-        self.error = None
-
-    def read(self, i):
-        """Decode the row at ``payload[i]``, write its line, and return the
-        index past it."""
-        row, i = _decode(self.payload, i)
-        self.rows += 1
-        if self.error is not None:
-            return i
-        try:
-            fields = [
-                canonical_json(row["u"]),
-                canonical_json(row["v"]),
-                canonical_json(row["w"]),
-                row["d"],
-            ]
-            poly = row["poly"]
-            if self.nvars is None and poly:
-                self.nvars = len(poly[0]["e"])
-            fields.append(poly_text(poly_from_json(poly, self.nvars or 0)))
-            self.writer.writerow(fields)
-        except CSV_ERRORS as exc:
-            self.error = exc
-        return i
+_ENTRIES = '"entries":['
 
 
 def table_csv(payload):
     """CSV rendering of the entries of a canonical table payload string.
 
-    The payload is read as ``json.loads`` reads it: members in any order,
-    the last of a repeated key winning, whitespace wherever JSON allows it.
-    But the ``entries`` rows are decoded one at a time, each written as its
-    CSV line before the next is read, so the parsed table is never built.
-    A malformed payload raises one of ``CSV_ERRORS``.
+    Only what ``table_json`` writes is read, the mirror of ``_join_entries``:
+    the rows after ``"entries":[`` are decoded one at a time, each written as
+    its CSV line before the next is read, so the parsed table is never built.
+    The rest, the shell, must be the canonical text of an envelope with
+    exactly the keys ``d_max``, ``entries`` (empty), ``k``, ``n`` and
+    ``variables``, each count a nonnegative int, plus a newline; that also
+    proves the ``entries`` found is the top-level member. ``variables`` comes
+    after the rows, so each polynomial is built over the length of the first
+    exponent vector, which ``Polynomial.from_exponents`` checks every later
+    vector against and which must equal ``variables``. Anything else raises
+    one of ``CSV_ERRORS``.
     """
-    members = {}
-
-    def member(i):
-        if payload[i : i + 1] != '"':
-            raise ValueError("expected a member name at character %d" % i)
-        key, i = _decode(payload, i)
-        i = _space(payload, _after(payload, i, ":")[0]).end()
-        if key == "entries" and payload[i : i + 1] == "[":
-            members[key] = _CsvRows(payload)
-            return _walk(payload, i, "[]", members[key].read)
-        members[key], i = _decode(payload, i)
-        return i
-
-    end = _walk(payload, 0, "{}", member)
-    if _space(payload, end).end() != len(payload):
-        raise ValueError("extra data at character %d" % end)
-    entries = members["entries"]
-    if not isinstance(entries, _CsvRows):
-        raise ValueError("entries is not a list")
-    if entries.rows:
-        if entries.error is not None:
-            raise entries.error
-        nvars = members["variables"]
-        if type(nvars) is not int or nvars < 0:
-            raise ValueError("variables is not a nonnegative integer: %r" % (nvars,))
-        if entries.nvars not in (None, nvars):
-            raise DimensionMismatchError("exponent vector has wrong length")
-    return entries.buf.getvalue()
+    body = payload.find(_ENTRIES)
+    if body < 0:
+        raise ValueError("no entries list")
+    body += len(_ENTRIES)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["u", "v", "w", "d", "poly"])
+    nvars = None
+    i = body
+    more = payload[i : i + 1] != "]"
+    while more:
+        row, i = _decode(payload, i)
+        poly = row["poly"]
+        if nvars is None and poly:
+            nvars = len(poly[0]["e"])
+        writer.writerow(
+            [
+                canonical_json(row["u"]),
+                canonical_json(row["v"]),
+                canonical_json(row["w"]),
+                row["d"],
+                poly_text(poly_from_json(poly, nvars or 0)),
+            ]
+        )
+        more = payload[i : i + 1] == ","
+        i += more
+    shell = payload[:body] + payload[i:]
+    envelope = json.loads(shell)
+    if (
+        type(envelope) is not dict
+        or sorted(envelope) != ["d_max", "entries", "k", "n", "variables"]
+        or envelope["entries"] != []
+        or not all(type(v) is int and v >= 0 for key, v in envelope.items() if key != "entries")
+        or canonical_json(envelope) + "\n" != shell
+    ):
+        raise ValueError("not canonical table JSON")
+    if nvars not in (None, envelope["variables"]):
+        raise DimensionMismatchError("exponent vector has wrong length")
+    return buf.getvalue()
 
 
 def restriction_table_json(ctx, family="schubert"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .equivariant import elr_table, gkm_violations, pairing
 from .grass import default_d_max, enumerate_classes
 from .oracles import quantum_lr_rimhook
-from .polyring import Polynomial, _from_T_variables, is_x_nonnegative, to_T_variables
+from .polyring import Polynomial, _from_T_variables, to_T_variables
 from .quantum import eq_table, verify_algebra, verify_positivity
 
 
@@ -57,10 +57,8 @@ def verify_tbasis(ctx, d_max=None):
     Each coefficient ``c`` maps to its ``image`` in the T-variables and back.
     When the way back returns ``c``, the image's own round trip holds as
     well (``to_T_variables(c) == image``), so two substitutions per
-    coefficient give the verdict of :func:`express_in_T_differences`.
-    Also checks that nonnegativity in the difference generators agrees with
-    nonnegativity of the original coefficient, which is the content of the
-    corollary this suite is named for.
+    coefficient give the verdict of :func:`express_in_T_differences`. A row
+    whose way back does not return ``c`` is a violation.
     """
     if d_max is None:
         d_max = default_d_max(ctx)
@@ -70,7 +68,7 @@ def verify_tbasis(ctx, d_max=None):
         checked += 1
         image = to_T_variables(c, ctx.n)
         back = _from_T_variables(image)
-        if back != c or is_x_nonnegative(back) != is_x_nonnegative(c):
+        if back != c:
             violations.append({"u": list(u), "v": list(v), "w": list(w), "d": d})
     return {
         "suite": "tbasis",

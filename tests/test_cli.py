@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -201,8 +202,10 @@ def test_table_out_into_missing_directory_exits_3(tmp_path, existing):
     "payload",
     [
         '["not a table"]',
-        '{"entries":[{"d":0,"poly":[{"c":"1","e":[-1]}],"u":[],"v":[],"w":[]}],"variables":1}',
-        '{"entries":[{"d":0,"poly":[{"c":"1","e":[40000]}],"u":[],"v":[],"w":[]}],"variables":1}',
+        '{"d_max":2,"entries":[{"d":0,"poly":[{"c":"1","e":[-1]}],"u":[],"v":[],"w":[]}],'
+        '"k":2,"n":4,"variables":1}\n',
+        '{"d_max":2,"entries":[{"d":0,"poly":[{"c":"1","e":[40000]}],"u":[],"v":[],"w":[]}],'
+        '"k":2,"n":4,"variables":1}\n',
         "[" * 100000 + "]" * 100000,
     ],
     ids=["non-table", "negative-exponent", "exponent-past-cap", "deep-nesting"],
@@ -218,23 +221,35 @@ def test_table_csv_of_a_cached_non_table_exits_3(tmp_path, payload):
 
 
 def _malformed_gr12_payloads():
-    """Every proper prefix of the Gr(1,2) payload, then whole payloads that
-    are no table: trailing garbage, no ``variables``, ``entries`` that is
-    not a list, and rows that are not objects."""
-    body = table_json(GrassContext(1, 2)).rstrip("\n")
+    """Every proper prefix of the Gr(1,2) payload; whole payloads that are
+    no table: trailing garbage, no ``variables``, ``entries`` that is not a
+    list, and rows that are not objects; and the table re-laid out as JSON
+    that is not canonical: a space after a comma, ``variables`` first, a
+    repeated ``variables``, no final newline, and ``d_max`` as a string."""
+    payload = table_json(GrassContext(1, 2))
+    body = payload.rstrip("\n")
     table = json.loads(body)
     variants = [
-        body + "x",
-        body + "{}",
+        payload + "x",
+        payload + "{}",
         {key: value for key, value in table.items() if key != "variables"},
         dict(table, entries={}),
         dict(table, entries="rows"),
         dict(table, entries=[1]),
         dict(table, entries=table["entries"] + [[]]),
     ]
-    return [body[:i] for i in range(len(body))] + [
-        v if isinstance(v, str) else canonical_json(v) for v in variants
+    relaid = [
+        payload.replace(",", ", ", 1),
+        json.dumps({"variables": table["variables"], **table}, separators=(",", ":")) + "\n",
+        body[:-1] + ',"variables":%d}\n' % table["variables"],
+        body,
+        payload.replace('"d_max":1', '"d_max":"1"'),
     ]
+    return (
+        [body[:i] for i in range(len(body))]
+        + [v if isinstance(v, str) else canonical_json(v) + "\n" for v in variants]
+        + relaid
+    )
 
 
 def test_table_csv_of_a_malformed_cached_payload_exits_3(tmp_path):
@@ -297,6 +312,27 @@ def test_usage_errors_exit_2():
     ).exit_code == 2
 
 
+def _readme_synopsis():
+    """The options of each command in the README ``CLI`` code block."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    options = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[0] == "eqschubert":
+            command = options[words[1]] = set()
+        command.update(re.findall(r"--[a-z-]+", line))
+    return options
+
+
+def test_readme_synopsis_lists_each_command_option():
+    synopsis = _readme_synopsis()
+    assert sorted(synopsis) == sorted(cli.commands)
+    for name, command in cli.commands.items():
+        assert synopsis[name] == {opt for param in command.params for opt in param.opts}, name
+
+
 def test_multiply_text_rendering():
     result = run("multiply", "--k", "2", "--n", "4", "--u", "[1]", "--v", "[1]")
     assert result.exit_code == 0
@@ -343,10 +379,8 @@ def test_verify_all_suites_p1_json():
 
 
 def test_verify_workers_flag():
-    args = ("verify", "--k", "2", "--n", "4", "--suite", "duality", "--suite", "gkm")
-    result = run(*args, "--workers", "2")
-    assert result.exit_code == 0
-    assert result.output == run(*args).output
+    result = run("verify", "--k", "2", "--n", "4", "--suite", "duality", "--workers", "2")
+    assert result.exit_code == 2
 
 
 def test_verify_failure_exits_1(monkeypatch):

@@ -13,7 +13,7 @@ from eqschubert import (
     remove_rim_hooks,
     to_grassmannian_permutation,
 )
-from eqschubert.equivariant import c1_curve_integral
+from eqschubert.equivariant import c1_curve_integral, partition_of, point_of
 from eqschubert.grass import partition_from_permutation
 from eqschubert.quantum import EQTable
 
@@ -82,6 +82,7 @@ def test_permutation_examples(gr24, gr12):
 def test_permutation_against_descent_enumeration():
     # Independent oracle: enumerate every permutation with at most one
     # descent, at position k, and match it to a partition via its code.
+    # The fixed-point dictionary of the engine is the first k values.
     for k, n in CONTEXTS:
         ctx = GrassContext(k, n)
         one_descent = []
@@ -98,6 +99,7 @@ def test_permutation_against_descent_enumeration():
             w = to_grassmannian_permutation(p)
             assert w == by_code[p.padded()]
             assert partition_from_permutation(ctx, w) == p
+            assert point_of(p).subset == w[:k] and partition_of(point_of(p)) == p
 
 
 def test_add_box_shapes(gr24, gr36):

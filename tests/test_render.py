@@ -145,7 +145,8 @@ def table_payloads(draw):
     Members and row keys come in any order, with JSON whitespace around
     every token; terms are unsorted, repeated, or have zero coefficients.
     Some payloads repeat ``entries`` or ``variables``, the earlier value
-    (possibly one that is no table at all) being overridden by the later.
+    (possibly one that is no table at all) being overridden by the later,
+    so ``json.loads`` reads every payload as a table.
     """
     nvars = draw(st.integers(0, 3))
     exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)
@@ -168,20 +169,46 @@ def table_payloads(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(table_payloads())
+def test_table_csv_renders_a_layout_as_the_whole_payload_parse_or_rejects_it(payload):
+    try:
+        rendered = table_csv(payload)
+    except CSV_ERRORS:
+        return
+    assert rendered == reference_table_csv(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_payloads())
 def test_table_csv_matches_the_whole_payload_parse(payload):
-    assert table_csv(payload) == reference_table_csv(payload)
+    # every payload the strategy draws parses to a table; its canonical
+    # re-encoding is the one layout table_csv reads
+    canonical = canonical_json(json.loads(payload)) + "\n"
+    assert table_csv(canonical) == reference_table_csv(canonical)
+
+
+def gr12_payload(rows, variables="1"):
+    """A canonical Gr(1,2) envelope around the row text ``rows``."""
+    return '{"d_max":1,"entries":[%s],"k":1,"n":2,"variables":%s}\n' % (rows, variables)
 
 
 @pytest.mark.parametrize(
     "payload",
     [
-        '{"entries":[{"d":0,"poly":[{"c":"1","e":[0,0]}],"u":[],"v":[],"w":[]}],"variables":1}',
-        '{"entries":[{"d":0,"poly":[],"u":[],"v":[],"w":[]}],"variables":-1}',
-        '{"entries":[{"d":0,"poly":[],"u":[],"v":[],"w":[]}],"variables":"1"}',
-        '{"entries":[{"d":0,"poly":[]}],"variables":1}',
-        '{"entries":{},"variables":1}',
+        gr12_payload('{"d":0,"poly":[{"c":"1","e":[0,0]}],"u":[],"v":[],"w":[]}'),
+        gr12_payload('{"d":0,"poly":[],"u":[],"v":[],"w":[]}', "-1"),
+        gr12_payload('{"d":0,"poly":[],"u":[],"v":[],"w":[]}', '"1"'),
+        gr12_payload('{"d":0,"poly":[]}'),
+        '{"d_max":1,"entries":{},"k":1,"n":2,"variables":1}\n',
+        gr12_payload('{"d":0,"poly":[],"u":[],"v":[],"w":[]},'),
     ],
-    ids=["variables-mismatch", "negative-variables", "string-variables", "missing-u", "entries-dict"],
+    ids=[
+        "variables-mismatch",
+        "negative-variables",
+        "string-variables",
+        "missing-u",
+        "entries-dict",
+        "trailing-comma",
+    ],
 )
 def test_table_csv_rejects_what_no_table_has(payload):
     with pytest.raises(CSV_ERRORS):
