@@ -120,7 +120,7 @@ def table(k, n, d_max, fmt, out, cache_dir, no_cache):
         from .render import CSV_ERRORS, table_csv
 
         try:
-            payload = table_csv(payload)
+            payload = table_csv(payload, k, n, d_max)
         except CSV_ERRORS as exc:
             _fail("cache error: %s" % exc)
     _emit(payload, out)

@@ -51,12 +51,11 @@ from .grass import (
     quantum_chevalley_shape,
 )
 from .polyring import (
+    PackedProducts,
     Polynomial,
     RationalExpression,
     _key_degree,
     add_into,
-    add_product_into,
-    finish_terms,
     is_x_nonnegative,
 )
 
@@ -130,6 +129,7 @@ class EQTable:
         self._blocks_running = set()
         self._zero = Polynomial.zero(ctx.r)
         self._one = Polynomial.const(ctx.r, 1)
+        self._packed = PackedProducts(ctx.r)
 
     # -- the divisor product --------------------------------------------------
 
@@ -365,19 +365,25 @@ class EQTable:
                         yield u.parts, v.parts, w, d, c
 
     def circ(self, elem, t):
-        """Multiply a module element by a basis class.  The products of each
-        target (w, d) fold into one term map."""
-        sums = {}
+        """Multiply a module element by a basis class.
+
+        The products of each target (w, d) are summed by the table's packed
+        kernel, ``polyring.PackedProducts``: one big-int multiply per pair
+        of monomial groups, and one decode per target.  The kernel keeps the
+        encoding of every operand it meets, so the memo entries that later
+        calls meet again are not encoded again.
+        """
+        targets = {}
         for (parts, e), c in elem.terms.items():
             z = self._classes[self._index[parts]]
             for (w, d), c2 in self.element(z, t).terms.items():
-                acc = sums.get((w, d + e))
-                if acc is None:
-                    acc = sums[(w, d + e)] = {}
-                add_product_into(acc, c, c2)
-        r = self.ctx.r
+                pairs = targets.get((w, d + e))
+                if pairs is None:
+                    pairs = targets[(w, d + e)] = []
+                pairs.append((c, c2, 1))
+        packed = self._packed
         return QModuleElement(
-            self.ctx, {key: finish_terms(r, acc) for key, acc in sums.items()}
+            self.ctx, {key: packed.sum_products(pairs) for key, pairs in targets.items()}
         )
 
 
@@ -466,12 +472,14 @@ def verify_algebra(ctx):
     """Unit, commutativity and associativity of the product.
 
     Commutativity is checked by recomputing every product with the mirrored
-    recursion.  Associativity is exhaustive up to ``MAX_TRIPLES`` triples;
+    recursion, on a table of its own that is dropped before the
+    associativity check, so the memory of its memo serves the encodings of
+    ``circ``.  Associativity is exhaustive up to ``MAX_TRIPLES`` triples;
     beyond that ``SAMPLE_SIZE`` triples are drawn with seed ``SAMPLE_SEED``.
     """
     classes = enumerate_classes(ctx)
     table = eq_table(ctx)
-    mirrored = eq_table(ctx, mirrored=True)
+    mirrored = EQTable(ctx, mirrored=True)
     failures = []
     unit_checked = 0
     empty = Partition((), ctx)
@@ -487,6 +495,7 @@ def verify_algebra(ctx):
                 failures.append(
                     {"law": "commutativity", "u": list(u.parts), "v": list(v.parts)}
                 )
+    del mirrored
     total = len(classes) ** 3
     if total <= MAX_TRIPLES:
         triples = [(u, v, w) for u in classes for v in classes for w in classes]

@@ -168,8 +168,9 @@ CSV_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
 _ENTRIES = '"entries":['
 
 
-def table_csv(payload):
-    """CSV rendering of the entries of a canonical table payload string.
+def table_csv(payload, k, n, d_max):
+    """CSV rendering of the entries of the canonical table payload string of
+    Gr(k,n) to q-degree ``d_max``.
 
     Only what ``table_json`` writes is read, the mirror of ``_join_entries``:
     the rows after ``"entries":[`` are decoded one at a time, each written as
@@ -180,8 +181,9 @@ def table_csv(payload):
     proves the ``entries`` found is the top-level member. ``variables`` comes
     after the rows, so each polynomial is built over the length of the first
     exponent vector, which ``Polynomial.from_exponents`` checks every later
-    vector against and which must equal ``variables``. Anything else raises
-    one of ``CSV_ERRORS``.
+    vector against and which must equal ``variables``. The envelope's ``k``,
+    ``n`` and ``d_max`` must be the ones asked for. Anything else raises one
+    of ``CSV_ERRORS``.
     """
     body = payload.find(_ENTRIES)
     if body < 0:
@@ -219,6 +221,11 @@ def table_csv(payload):
         or canonical_json(envelope) + "\n" != shell
     ):
         raise ValueError("not canonical table JSON")
+    if (envelope["k"], envelope["n"], envelope["d_max"]) != (k, n, d_max):
+        raise ValueError(
+            "payload is the table of Gr(%d,%d) to d_max %d, not of Gr(%d,%d) to d_max %d"
+            % (envelope["k"], envelope["n"], envelope["d_max"], k, n, d_max)
+        )
     if nvars not in (None, envelope["variables"]):
         raise DimensionMismatchError("exponent vector has wrong length")
     return buf.getvalue()

@@ -28,3 +28,31 @@ def test_traced_names_resolve_in_the_package():
         cls = getattr(importlib.import_module("eqschubert." + module), cls_name)
         for attr in attrs:
             assert callable(vars(cls).get(attr)), (span, attr)
+
+
+def test_verify_suites_call_the_traced_sites(gr24, monkeypatch):
+    # the tracer counts quantum.circ.calls and the equivariant.elr_table
+    # span at these names, so the suites must reach their work through them
+    import eqschubert.equivariant as equivariant_mod
+    import eqschubert.quantum as quantum_mod
+    import eqschubert.suites as suites_mod
+
+    calls = {"circ": 0, "elr_table": 0}
+    circ, elr_table = quantum_mod.EQTable.circ, equivariant_mod.elr_table
+
+    def counted_circ(self, elem, t):
+        calls["circ"] += 1
+        return circ(self, elem, t)
+
+    def counted_elr_table(ctx):
+        calls["elr_table"] += 1
+        return elr_table(ctx)
+
+    monkeypatch.setattr(quantum_mod.EQTable, "circ", counted_circ)
+    # every binding site, as the tracer rebinds them
+    for mod in (equivariant_mod, suites_mod):
+        monkeypatch.setattr(mod, "elr_table", counted_elr_table)
+    assert quantum_mod.verify_algebra(gr24)["passed"]
+    assert calls["circ"] == 2 * 6**3
+    assert suites_mod.verify_specialization(gr24)["passed"]
+    assert calls["elr_table"] == 1

@@ -220,6 +220,23 @@ def test_table_csv_of_a_cached_non_table_exits_3(tmp_path, payload):
     assert run(*args).stdout == payload
 
 
+@pytest.mark.parametrize(
+    "key", [(2, 4, 2), (1, 3, 1), (1, 2, 0)], ids=["k-and-n", "n", "d_max"]
+)
+def test_table_csv_of_a_payload_cached_under_another_key_exits_3(tmp_path, key):
+    payload = table_json(GrassContext(1, 2))
+    cache_mod.store(str(tmp_path), *key, payload)
+    k, n, d_max = key
+    args = ("table", "--k", str(k), "--n", str(n), "--d-max", str(d_max))
+    args += ("--cache-dir", str(tmp_path))
+    result = run(*args, "--format", "csv")
+    assert result.exit_code == 3
+    assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
+    assert result.stdout == ""
+    # JSON keeps its contract: a checksum-valid payload is emitted as is
+    assert run(*args).stdout == payload
+
+
 def _malformed_gr12_payloads():
     """Every proper prefix of the Gr(1,2) payload; whole payloads that are
     no table: trailing garbage, no ``variables``, ``entries`` that is not a

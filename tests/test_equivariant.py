@@ -17,6 +17,8 @@ from eqschubert import (
     restriction_table,
     tangent_weights,
 )
+import eqschubert.equivariant as equivariant_mod
+import eqschubert.quantum as quantum_mod
 from eqschubert.equivariant import (
     _own_weights,
     _restrict_main,
@@ -24,6 +26,8 @@ from eqschubert.equivariant import (
     elr_table,
     gkm_violations,
 )
+from eqschubert.polyring import add_product_into, finish_terms
+from eqschubert.suites import verify_specialization
 
 from conftest import part
 
@@ -226,6 +230,64 @@ def test_elr_table_matches_atiyah_bott_per_triple(gr12, gr24, gr25):
                     if not value.is_zero:
                         expected[(u.parts, v.parts, w.parts)] = value
         assert elr_table(ctx) == expected
+
+
+def plain_elr_table(ctx):
+    """``elr_table`` on the fused kernel: each numerator folded into one
+    term map, the reference for the packed kernel."""
+    classes = enumerate_classes(ctx)
+    points = [pt.subset for pt in fixed_points(ctx)]
+    sigma = restriction_table(ctx, "schubert").entries
+    out = {}
+    for i, u in enumerate(classes):
+        for v in classes[i:]:
+            found = []
+            for w, pt in zip(classes, points):
+                if w.size > u.size + v.size:
+                    break
+                a, b = sigma[(u.parts, pt)], sigma[(v.parts, pt)]
+                if a.is_zero or b.is_zero:
+                    continue
+                rest = {}
+                add_product_into(rest, a, b)
+                for y, c in found:
+                    add_product_into(rest, c, sigma[(y, pt)], -1)
+                c = finish_terms(ctx.r, rest)
+                if not c.is_zero:
+                    c = c.divide_exact(sigma[(w.parts, pt)])
+                    found.append((w.parts, c))
+                    out[(u.parts, v.parts, w.parts)] = c
+    return out
+
+
+def test_elr_table_matches_the_plain_triangular_expansion(gr12, gr24, gr25, gr36):
+    for ctx in (gr12, gr24, gr25, gr36):
+        assert elr_table(ctx) == plain_elr_table(ctx)
+
+
+def test_a_corrupted_restriction_fails_the_specialization(gr25, monkeypatch):
+    # The engine's table is walked first, so only elr_table reads the
+    # corrupted entry.  Adding the top class's own restriction keeps every
+    # division exact, so the top coefficients come out wrong, not inexact.
+    classes = enumerate_classes(gr25)
+    table = quantum_mod.eq_table(gr25)
+    for u in classes:
+        for v in classes:
+            table.element(u, v)
+    top = classes[-1]
+    pt = point_of(top).subset
+    entries = restriction_table(gr25, "schubert").entries
+    key = (part(gr25, 3, 1).parts, pt)
+    assert pt != point_of(part(gr25, 3, 1)).subset and not entries[key].is_zero
+    monkeypatch.setitem(entries, key, entries[key] + entries[(top.parts, pt)])
+    equivariant_mod.elr_table.cache_clear()
+    try:
+        report = verify_specialization(gr25)
+    finally:
+        equivariant_mod.elr_table.cache_clear()
+    assert not report["passed"]
+    assert {v["kind"] for v in report["violations"]} == {"equivariant"}
+    assert all(v["w"] == list(top.parts) for v in report["violations"])
 
 
 def test_edge_weights_are_b_differences(gr24):

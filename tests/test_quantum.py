@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from eqschubert import (
+    Partition,
     Polynomial,
     QModuleElement,
     elr,
@@ -17,6 +20,7 @@ from eqschubert import (
     verify_positivity,
 )
 from eqschubert.grass import default_d_max
+from eqschubert.polyring import add_product_into, finish_terms
 from eqschubert.quantum import EQTable
 
 from conftest import part
@@ -83,6 +87,48 @@ def test_circ_products_stay_below_the_guard_bit(gr12, monkeypatch):
     monkeypatch.setattr(EQTable, "element", lambda self, u, v: elem)
     with pytest.raises(OverflowError):
         EQTable(gr12).circ(elem, point)
+
+
+def plain_circ(table, elem, t):
+    """``EQTable.circ`` on the fused kernel: every product of a target
+    folded into one term map, the reference for the packed kernel."""
+    sums = {}
+    for (parts, e), c in elem.terms.items():
+        for (w, d), c2 in table.element(Partition(parts, table.ctx), t).terms.items():
+            add_product_into(sums.setdefault((w, d + e), {}), c, c2)
+    r = table.ctx.r
+    return QModuleElement(table.ctx, {key: finish_terms(r, acc) for key, acc in sums.items()})
+
+
+def test_packed_circ_matches_the_plain_fold(gr25):
+    table = eq_table(gr25)
+    classes = enumerate_classes(gr25)
+    for u in classes:
+        for v in classes:
+            elem = table.element(u, v)
+            for t in classes:
+                assert table.circ(elem, t) == plain_circ(table, elem, t)
+
+
+def test_a_raised_non_special_coefficient_breaks_associativity(gr25, monkeypatch):
+    table = eq_table(gr25)
+    classes = enumerate_classes(gr25)
+    for u in classes:
+        for v in classes:
+            table.element(u, v)
+    # neither factor a special class sigma_i, a one-row partition
+    non_special = sorted(
+        key
+        for key, value in table._coeff.items()
+        if not value.is_zero and min(len(classes[i].parts) for i in key[:2]) > 1
+    )
+    for key in random.Random(1).sample(non_special, 2):
+        with monkeypatch.context() as patch:
+            patch.setitem(table._coeff, key, table._coeff[key] + 1)
+            report = verify_algebra(gr25)
+        assert not report["passed"]
+        assert any(v["law"] == "associativity" for v in report["violations"]), key
+    assert verify_algebra(gr25)["passed"]
 
 
 def test_multiply_unit(gr24):

@@ -171,7 +171,7 @@ def table_payloads(draw):
 @given(table_payloads())
 def test_table_csv_renders_a_layout_as_the_whole_payload_parse_or_rejects_it(payload):
     try:
-        rendered = table_csv(payload)
+        rendered = table_csv(payload, 1, 2, 1)
     except CSV_ERRORS:
         return
     assert rendered == reference_table_csv(payload)
@@ -183,7 +183,7 @@ def test_table_csv_matches_the_whole_payload_parse(payload):
     # every payload the strategy draws parses to a table; its canonical
     # re-encoding is the one layout table_csv reads
     canonical = canonical_json(json.loads(payload)) + "\n"
-    assert table_csv(canonical) == reference_table_csv(canonical)
+    assert table_csv(canonical, 1, 2, 1) == reference_table_csv(canonical)
 
 
 def gr12_payload(rows, variables="1"):
@@ -212,4 +212,12 @@ def gr12_payload(rows, variables="1"):
 )
 def test_table_csv_rejects_what_no_table_has(payload):
     with pytest.raises(CSV_ERRORS):
-        table_csv(payload)
+        table_csv(payload, 1, 2, 1)
+
+
+@pytest.mark.parametrize("key", [(2, 4, 2), (1, 3, 1), (1, 2, 0)])
+def test_table_csv_rejects_a_payload_of_another_table(key):
+    payload = gr12_payload('{"d":0,"poly":[{"c":"1","e":[0]}],"u":[],"v":[],"w":[]}')
+    assert table_csv(payload, 1, 2, 1).startswith("u,v,w,d,poly\n")
+    with pytest.raises(ValueError, match="not of Gr"):
+        table_csv(payload, *key)
