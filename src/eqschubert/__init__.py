@@ -48,8 +48,8 @@ _EXPORTS = {
     "tangent_weights": "equivariant",
     "to_T_variables": "polyring",
     "to_grassmannian_permutation": "grass",
-    "verify_algebra": "quantum",
-    "verify_positivity": "quantum",
+    "verify_algebra": "suites",
+    "verify_positivity": "suites",
     "__version__": "version",
 }
 

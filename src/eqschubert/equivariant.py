@@ -27,7 +27,6 @@ from itertools import combinations
 
 from .errors import NonPolynomialError
 from .grass import (
-    Partition,
     enumerate_classes,
     partition_from_permutation,
     to_grassmannian_permutation,
@@ -329,24 +328,6 @@ def elr_table(ctx):
             for _, c in found:
                 packed.forget(c)
     return out
-
-
-def c1_curve_integral(ctx):
-    """Degree of q computed honestly: the first Chern class of the tangent
-    bundle integrated over the one-dimensional basis class."""
-    width = ctx.width
-    curve = Partition((width,) * (ctx.k - 1) + (width - 1,), ctx)
-    sigma = restriction_table(ctx, "schubert")
-    values = {}
-    for pt in fixed_points(ctx):
-        c1 = Polynomial.zero(ctx.r)
-        for wgt in tangent_weights(pt):
-            c1 = c1 + wgt
-        values[pt] = c1 * sigma.restriction(curve, pt)
-    result = integrate(ctx, values)
-    if not result.is_homogeneous_of_degree(0):
-        raise NonPolynomialError("curve integral is not a constant")
-    return result.constant_term()
 
 
 # -- GKM consistency ----------------------------------------------------------

@@ -38,7 +38,6 @@ off by inverting those two maps.  Only the public methods take partitions.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
 from .equivariant import elr
@@ -46,7 +45,6 @@ from .errors import TableSolveError
 from .grass import (
     Partition,
     add_box_shapes,
-    default_d_max,
     enumerate_classes,
     quantum_chevalley_shape,
 )
@@ -56,7 +54,6 @@ from .polyring import (
     RationalExpression,
     _key_degree,
     add_into,
-    is_x_nonnegative,
 )
 
 
@@ -388,8 +385,8 @@ class EQTable:
 
 
 @lru_cache(maxsize=None)
-def eq_table(ctx, mirrored=False):
-    return EQTable(ctx, mirrored)
+def eq_table(ctx):
+    return EQTable(ctx)
 
 
 def eq_chevalley(p):
@@ -421,108 +418,3 @@ def specialize_x0(elem):
         if value:
             out[(Partition(w, elem.ctx), d)] = value
     return out
-
-
-# -- verification reports ---------------------------------------------------------
-
-
-def verify_positivity(ctx, d_max=None, coefficient_fn=None):
-    """Check nonnegativity of every structure constant up to d_max."""
-    if d_max is None:
-        d_max = default_d_max(ctx)
-    if coefficient_fn is None:
-        coefficient_fn = eq_table(ctx).coefficient
-    classes = enumerate_classes(ctx)
-    checked = 0
-    violations = []
-    for i, u in enumerate(classes):
-        for v in classes[i:]:
-            for w in classes:
-                # the grading leaves no term past q^((|u|+|v|) // n)
-                for d in range(min(d_max, (u.size + v.size) // ctx.n) + 1):
-                    if u.size + v.size - w.size - d * ctx.n < 0:
-                        continue
-                    c = coefficient_fn(u, v, w, d)
-                    checked += 1
-                    if not is_x_nonnegative(c):
-                        violations.append(
-                            {
-                                "u": list(u.parts),
-                                "v": list(v.parts),
-                                "w": list(w.parts),
-                                "d": d,
-                            }
-                        )
-    return {
-        "suite": "positivity",
-        "context": {"k": ctx.k, "n": ctx.n},
-        "d_max": d_max,
-        "checked": checked,
-        "violations": violations,
-        "passed": not violations,
-    }
-
-
-MAX_TRIPLES = 1000
-SAMPLE_SIZE = 500
-SAMPLE_SEED = 7
-
-
-def verify_algebra(ctx):
-    """Unit, commutativity and associativity of the product.
-
-    Commutativity is checked by recomputing every product with the mirrored
-    recursion, on a table of its own that is dropped before the
-    associativity check, so the memory of its memo serves the encodings of
-    ``circ``.  Associativity is exhaustive up to ``MAX_TRIPLES`` triples;
-    beyond that ``SAMPLE_SIZE`` triples are drawn with seed ``SAMPLE_SEED``.
-    """
-    classes = enumerate_classes(ctx)
-    table = eq_table(ctx)
-    mirrored = EQTable(ctx, mirrored=True)
-    failures = []
-    unit_checked = 0
-    empty = Partition((), ctx)
-    for v in classes:
-        unit_checked += 1
-        if table.element(empty, v) != QModuleElement.basis(v):
-            failures.append({"law": "unit", "v": list(v.parts)})
-    comm_checked = 0
-    for i, u in enumerate(classes):
-        for v in classes[i:]:
-            comm_checked += 1
-            if table.element(u, v) != mirrored.element(u, v):
-                failures.append(
-                    {"law": "commutativity", "u": list(u.parts), "v": list(v.parts)}
-                )
-    del mirrored
-    total = len(classes) ** 3
-    if total <= MAX_TRIPLES:
-        triples = [(u, v, w) for u in classes for v in classes for w in classes]
-    else:
-        rng = random.Random(SAMPLE_SEED)
-        triples = [
-            (rng.choice(classes), rng.choice(classes), rng.choice(classes))
-            for _ in range(SAMPLE_SIZE)
-        ]
-    for u, v, w in triples:
-        left = table.circ(table.element(u, v), w)
-        right = table.circ(table.element(v, w), u)
-        if left != right:
-            failures.append(
-                {
-                    "law": "associativity",
-                    "u": list(u.parts),
-                    "v": list(v.parts),
-                    "w": list(w.parts),
-                }
-            )
-    return {
-        "suite": "axioms",
-        "context": {"k": ctx.k, "n": ctx.n},
-        "unit_checked": unit_checked,
-        "commutativity_checked": comm_checked,
-        "associativity_checked": len(triples),
-        "violations": failures,
-        "passed": not failures,
-    }

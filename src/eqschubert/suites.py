@@ -1,38 +1,121 @@
 """Named verification suites shared by the CLI and the test suite.
 
-Each suite returns a JSON-friendly report with a ``passed`` flag and enough
-detail to locate any violation.  Violations never raise: a failing suite is a
-result, and the caller decides the exit status.
+Each suite returns a JSON-friendly report, built by ``_report``, with a
+``passed`` flag and enough detail to locate any violation.  Violations never
+raise: a failing suite is a result, and the caller decides the exit status.
 """
 
 from __future__ import annotations
 
+import random
+
 from .equivariant import elr_table, gkm_violations, pairing
-from .grass import default_d_max, enumerate_classes
+from .grass import Partition, default_d_max, enumerate_classes
 from .oracles import quantum_lr_rimhook
-from .polyring import Polynomial, _from_T_variables, to_T_variables
-from .quantum import eq_table, verify_algebra, verify_positivity
+from .polyring import Polynomial, _from_T_variables, is_x_nonnegative, to_T_variables
+from .quantum import EQTable, QModuleElement, eq_table
+
+MAX_TRIPLES = 1000
+SAMPLE_SIZE = 500
+SAMPLE_SEED = 7
+
+
+def _report(suite, ctx, violations, **counts):
+    """One suite's report: its name, context, violations and verdict, plus
+    the suite's own counts (``checked``, ``d_max``, ``*_checked``)."""
+    return dict(
+        suite=suite,
+        context={"k": ctx.k, "n": ctx.n},
+        violations=violations,
+        passed=not violations,
+        **counts,
+    )
+
+
+def _where(**classes):
+    """A violation's classes, each named by the list of its parts."""
+    return {key: list(p.parts) for key, p in classes.items()}
+
+
+def verify_positivity(ctx, d_max=None):
+    """Check nonnegativity of every structure constant up to d_max."""
+    if d_max is None:
+        d_max = default_d_max(ctx)
+    table = eq_table(ctx)
+    classes = enumerate_classes(ctx)
+    checked = 0
+    violations = []
+    for i, u in enumerate(classes):
+        for v in classes[i:]:
+            for w in classes:
+                # the grading leaves no term past q^((|u|+|v|) // n)
+                for d in range(min(d_max, (u.size + v.size) // ctx.n) + 1):
+                    if u.size + v.size - w.size - d * ctx.n < 0:
+                        continue
+                    checked += 1
+                    if not is_x_nonnegative(table.coefficient(u, v, w, d)):
+                        violations.append(dict(_where(u=u, v=v, w=w), d=d))
+    return _report("positivity", ctx, violations, d_max=d_max, checked=checked)
+
+
+def verify_algebra(ctx):
+    """Unit, commutativity and associativity of the product.
+
+    Commutativity is checked by recomputing every product with the mirrored
+    recursion, on a table of its own that is dropped before the
+    associativity check, so the memory of its memo serves the encodings of
+    ``circ``.  Associativity is exhaustive up to ``MAX_TRIPLES`` triples;
+    beyond that ``SAMPLE_SIZE`` triples are drawn with seed ``SAMPLE_SEED``.
+    """
+    classes = enumerate_classes(ctx)
+    table = eq_table(ctx)
+    mirrored = EQTable(ctx, mirrored=True)
+    failures = []
+    empty = Partition((), ctx)
+    for v in classes:
+        if table.element(empty, v) != QModuleElement.basis(v):
+            failures.append(dict(_where(v=v), law="unit"))
+    comm_checked = 0
+    for i, u in enumerate(classes):
+        for v in classes[i:]:
+            comm_checked += 1
+            if table.element(u, v) != mirrored.element(u, v):
+                failures.append(dict(_where(u=u, v=v), law="commutativity"))
+    del mirrored
+    if len(classes) ** 3 <= MAX_TRIPLES:
+        triples = [(u, v, w) for u in classes for v in classes for w in classes]
+    else:
+        rng = random.Random(SAMPLE_SEED)
+        triples = [
+            (rng.choice(classes), rng.choice(classes), rng.choice(classes))
+            for _ in range(SAMPLE_SIZE)
+        ]
+    for u, v, w in triples:
+        left = table.circ(table.element(u, v), w)
+        right = table.circ(table.element(v, w), u)
+        if left != right:
+            failures.append(dict(_where(u=u, v=v, w=w), law="associativity"))
+    return _report(
+        "axioms",
+        ctx,
+        failures,
+        unit_checked=len(classes),
+        commutativity_checked=comm_checked,
+        associativity_checked=len(triples),
+    )
 
 
 def verify_duality(ctx):
     """Pairing of every class with every opposite class is a Kronecker delta."""
     classes = enumerate_classes(ctx)
     one = Polynomial.const(ctx.r, 1)
-    checked = 0
     violations = []
     for u in classes:
         for v in classes:
             expected = one if u == v.dual() else Polynomial.zero(ctx.r)
-            checked += 1
             if pairing(u, v) != expected:
-                violations.append({"u": list(u.parts), "v": list(v.parts)})
-    return {
-        "suite": "duality",
-        "context": {"k": ctx.k, "n": ctx.n},
-        "checked": checked,
-        "violations": violations,
-        "passed": not violations,
-    }
+                violations.append(_where(u=u, v=v))
+    return _report("duality", ctx, violations, checked=len(classes) ** 2)
 
 
 def verify_gkm(ctx):
@@ -43,12 +126,7 @@ def verify_gkm(ctx):
             violations.append(
                 {"family": family, "class": list(parts), "points": [list(p1), list(p2)]}
             )
-    return {
-        "suite": "gkm",
-        "context": {"k": ctx.k, "n": ctx.n},
-        "violations": violations,
-        "passed": not violations,
-    }
+    return _report("gkm", ctx, violations)
 
 
 def verify_tbasis(ctx, d_max=None):
@@ -70,13 +148,7 @@ def verify_tbasis(ctx, d_max=None):
         back = _from_T_variables(image)
         if back != c:
             violations.append({"u": list(u), "v": list(v), "w": list(w), "d": d})
-    return {
-        "suite": "tbasis",
-        "context": {"k": ctx.k, "n": ctx.n},
-        "checked": checked,
-        "violations": violations,
-        "passed": not violations,
-    }
+    return _report("tbasis", ctx, violations, checked=checked)
 
 
 def verify_specialization(ctx):
@@ -100,34 +172,15 @@ def verify_specialization(ctx):
                     (u.parts, v.parts, w.parts), Polynomial.zero(ctx.r)
                 )
                 if elem.get(w, 0) != expected:
-                    violations.append(
-                        {
-                            "kind": "equivariant",
-                            "u": list(u.parts),
-                            "v": list(v.parts),
-                            "w": list(w.parts),
-                        }
-                    )
+                    violations.append(dict(_where(u=u, v=v, w=w), kind="equivariant"))
                 for d in range((u.size + v.size) // ctx.n + 1):
                     checked += 1
                     got = elem.get(w, d).constant_term()
                     if got != quantum_lr_rimhook(u, v, w, d):
                         violations.append(
-                            {
-                                "kind": "quantum",
-                                "u": list(u.parts),
-                                "v": list(v.parts),
-                                "w": list(w.parts),
-                                "d": d,
-                            }
+                            dict(_where(u=u, v=v, w=w), kind="quantum", d=d)
                         )
-    return {
-        "suite": "specialization",
-        "context": {"k": ctx.k, "n": ctx.n},
-        "checked": checked,
-        "violations": violations,
-        "passed": not violations,
-    }
+    return _report("specialization", ctx, violations, checked=checked)
 
 
 SUITES = {

@@ -52,7 +52,7 @@ def test_verify_suites_call_the_traced_sites(gr24, monkeypatch):
     # every binding site, as the tracer rebinds them
     for mod in (equivariant_mod, suites_mod):
         monkeypatch.setattr(mod, "elr_table", counted_elr_table)
-    assert quantum_mod.verify_algebra(gr24)["passed"]
+    assert suites_mod.verify_algebra(gr24)["passed"]
     assert calls["circ"] == 2 * 6**3
     assert suites_mod.verify_specialization(gr24)["passed"]
     assert calls["elr_table"] == 1

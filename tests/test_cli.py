@@ -376,6 +376,25 @@ def test_verify_single_suite_passes():
     assert "duality" in result.output and "pass" in result.output
 
 
+def test_verify_runs_a_repeated_suite_once(monkeypatch):
+    calls = []
+    gkm = suites_mod.SUITES["gkm"]
+
+    def counted(ctx, d_max):
+        calls.append(ctx)
+        return gkm(ctx, d_max)
+
+    monkeypatch.setitem(suites_mod.SUITES, "gkm", counted)
+    args = ("verify", "--k", "1", "--n", "2", "--suite", "gkm", "--suite", "duality")
+    text = run(*args, "--suite", "gkm")
+    assert text.exit_code == 0
+    assert [line.split()[0] for line in text.output.splitlines()] == ["duality", "gkm"]
+    assert text.output == run(*args).output
+    reports = json.loads(run(*args, "--suite", "gkm", "--format", "json").output)
+    assert [rep["suite"] for rep in reports] == ["duality", "gkm"]
+    assert len(calls) == 3
+
+
 def test_verify_positivity_ignores_a_d_max_past_the_grading():
     start = time.perf_counter()
     args = ("--k", "1", "--n", "2", "--suite", "positivity", "--d-max", "100000000")

@@ -7,13 +7,18 @@ from eqschubert import (
     ContextError,
     GrassContext,
     Partition,
+    Polynomial,
     add_box_shapes,
     enumerate_classes,
+    fixed_points,
+    integrate,
     quantum_chevalley_shape,
     remove_rim_hooks,
+    restriction_table,
+    tangent_weights,
     to_grassmannian_permutation,
 )
-from eqschubert.equivariant import c1_curve_integral, partition_of, point_of
+from eqschubert.equivariant import partition_of, point_of
 from eqschubert.grass import partition_from_permutation
 from eqschubert.quantum import EQTable
 
@@ -175,6 +180,23 @@ def test_remove_rim_hooks_drops_n_cells(gr36):
         for new, sign in remove_rim_hooks(shape, gr36):
             assert sum(shape) - sum(new) == 6
             assert sign in (-1, 1)
+
+
+def c1_curve_integral(ctx):
+    """Degree of q computed honestly: the first Chern class of the tangent
+    bundle integrated over the one-dimensional basis class."""
+    width = ctx.width
+    curve = Partition((width,) * (ctx.k - 1) + (width - 1,), ctx)
+    sigma = restriction_table(ctx, "schubert")
+    values = {}
+    for pt in fixed_points(ctx):
+        c1 = Polynomial.zero(ctx.r)
+        for wgt in tangent_weights(pt):
+            c1 = c1 + wgt
+        values[pt] = c1 * sigma.restriction(curve, pt)
+    result = integrate(ctx, values)
+    assert result.is_homogeneous_of_degree(0)
+    return result.constant_term()
 
 
 def test_q_degree_formula_and_oracle():

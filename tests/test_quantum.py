@@ -248,16 +248,18 @@ def test_verify_positivity_reports(gr24):
     assert report["checked"] > 0
 
 
-def test_verify_positivity_detects_injected_violation(gr24):
+def test_verify_positivity_detects_injected_violation(gr24, monkeypatch):
     table = eq_table(gr24)
+    coefficient = table.coefficient
 
     def corrupted(u, v, w, d):
-        value = table.coefficient(u, v, w, d)
+        value = coefficient(u, v, w, d)
         if (u.parts, v.parts, w.parts, d) == ((1,), (1,), (1,), 0):
             return -value
         return value
 
-    report = verify_positivity(gr24, coefficient_fn=corrupted)
+    monkeypatch.setattr(table, "coefficient", corrupted)
+    report = verify_positivity(gr24)
     assert not report["passed"]
     assert report["violations"] == [{"u": [1], "v": [1], "w": [1], "d": 0}]
 
