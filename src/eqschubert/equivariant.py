@@ -6,8 +6,14 @@ GKM, duality, and positivity checks:
 * Fixed points are k-subsets of {1..n}.  The partition ``a`` corresponds to
   the subset {a_{k+1-i} + i : i = 1..k} (its staircase), the first k values
   of its Grassmannian permutation in ``grass``.
-* ``b_j = x_1 + ... + x_{j-1}`` (so b_1 = 0); every torus weight in sight is
-  a difference of b's.
+* Every torus weight in sight is a difference of the b's, with
+  ``b_j = x_1 + ... + x_{j-1}`` in the simple roots x (so b_1 = 0).  This
+  module computes in the torus characters themselves, the engine
+  coordinates ``y_j = b_{j+1}`` (j = 1..n-1), where every tangent weight
+  has at most two terms; ``_b_forms`` is the one place that choice is made.
+  ``restrict_schubert``, ``restriction_table``, ``tangent_weights``,
+  ``integrate``, ``elr_table`` and ``gkm_violations`` work in y.  ``elr``
+  and ``pairing`` return x, converted by ``polyring.y_to_x``.
 * The restriction of the class of ``a`` to the fixed point of ``m`` is the
   factorial Schur polynomial of shape ``a`` evaluated at the staircase b's of
   ``m`` with shift sequence b, computed here in bialternant (determinant
@@ -16,7 +22,8 @@ GKM, duality, and positivity checks:
 * The tangent weights at the subset S are { b_a - b_b : a in S, b not in S };
   pushing forward to a point divides by their product.
 * The opposite family is the first one composed with the substitution
-  x_j -> -x_{n-j} and the complementary relabeling of fixed points.
+  x_j -> -x_{n-j}, which is y_j -> y_{n-1-j} - y_{n-1} (y_0 = 0), and the
+  complementary relabeling of fixed points.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .polyring import (
     RationalExpression,
     add_product_into,
     finish_terms,
+    y_to_x,
 )
 
 
@@ -78,16 +86,14 @@ def fixed_points(ctx):
 
 @lru_cache(maxsize=None)
 def _b_forms(ctx):
-    """b_j = x_1 + ... + x_{j-1} for j = 1..n, as polynomials over r vars."""
+    """b_1 = 0 and b_{j+1} = y_j for j = 1..n-1, the engine coordinates, as
+    polynomials over r vars."""
     r = ctx.r
-    out = [Polynomial.zero(r)]
-    for j in range(1, ctx.n):
-        out.append(out[-1] + Polynomial.variable(r, j))
-    return tuple(out)
+    return (Polynomial.zero(r),) + tuple(Polynomial.variable(r, j) for j in range(1, ctx.n))
 
 
 def b_difference(ctx, a, b):
-    """b_a - b_b."""
+    """b_a - b_b, in the engine coordinates y."""
     forms = _b_forms(ctx)
     return forms[a - 1] - forms[b - 1]
 
@@ -99,7 +105,7 @@ def _tangent_pairs(ctx, subset):
 
 
 def tangent_weights(point):
-    """The k(n-k) weights of the tangent space at ``point``.
+    """The k(n-k) weights of the tangent space at ``point``, in y.
 
     The weight attached to (a in S, b outside S) is b_a - b_b; the point
     class restricted to the top fixed point is exactly the product of the
@@ -110,7 +116,7 @@ def tangent_weights(point):
 
 @lru_cache(maxsize=None)
 def _euler_factors(point):
-    """Tangent weights split into (positive primitive forms, overall sign)."""
+    """Tangent weights split into (forms b_a - b_b with a > b, overall sign)."""
     pairs = _tangent_pairs(point.ctx, point.subset)
     forms = tuple(b_difference(point.ctx, max(a, b), min(a, b)) for a, b in pairs)
     return forms, -1 if sum(a < b for a, b in pairs) & 1 else 1
@@ -156,10 +162,16 @@ def _restrict_main(ctx, parts, subset):
     return det * sign
 
 
+@lru_cache(maxsize=None)
+def _w0_images(ctx):
+    """The images y_{n-1-j} - y_{n-1} of y_1 .. y_{n-1} under x_j -> -x_{n-j}."""
+    forms = _b_forms(ctx)
+    return tuple(forms[ctx.n - 1 - j] - forms[ctx.n - 1] for j in range(1, ctx.n))
+
+
 def _w0_substitution(ctx, p):
-    """The involution x_j -> -x_{n-j} on coefficients."""
-    r = ctx.r
-    return p.remap_variables(tuple(r - j for j in range(r)), negate=True)
+    """The involution x_j -> -x_{n-j} on coefficients in y."""
+    return p.substitute(_w0_images(ctx), ctx.r)
 
 
 @lru_cache(maxsize=None)
@@ -175,14 +187,14 @@ def _restrict_cached(ctx, parts, subset, family):
 
 
 def restrict_schubert(p, point, family="schubert"):
-    """Restriction of a basis class (or its opposite) to a fixed point."""
+    """Restriction of a basis class (or its opposite) to a fixed point, in y."""
     if family not in ("schubert", "opposite"):
         raise ValueError("family must be 'schubert' or 'opposite'")
     return _restrict_cached(p.ctx, p.parts, point.subset, family)
 
 
 class RestrictionTable:
-    """All restrictions of one family over one context."""
+    """All restrictions of one family over one context, in y."""
 
     def __init__(self, ctx, family):
         self.ctx = ctx
@@ -208,10 +220,10 @@ def restriction_table(ctx, family="schubert"):
 def integrate(ctx, values):
     """Equivariant push-forward to a point of a class given by restrictions.
 
-    ``values`` maps every fixed point to a polynomial.  The result is the
-    Atiyah-Bott sum of values over tangent Euler classes, accumulated
-    pairwise in the canonical fixed-point order; it must clear to a
-    polynomial or the input table was inconsistent.
+    ``values`` maps every fixed point to a polynomial in y, and the result
+    is in y.  It is the Atiyah-Bott sum of values over tangent Euler
+    classes, accumulated pairwise in the canonical fixed-point order; it
+    must clear to a polynomial or the input table was inconsistent.
     """
     acc = RationalExpression(Polynomial.zero(ctx.r))
     for point in fixed_points(ctx):
@@ -224,7 +236,7 @@ def integrate(ctx, values):
 
 
 def pairing(u, v):
-    """Push-forward of (class of u) * (opposite class of v)."""
+    """Push-forward of (class of u) * (opposite class of v), in x."""
     ctx = u.ctx
     sigma = restriction_table(ctx, "schubert")
     tilde = restriction_table(ctx, "opposite")
@@ -232,15 +244,15 @@ def pairing(u, v):
         pt: sigma.restriction(u, pt) * tilde.restriction(v, pt)
         for pt in fixed_points(ctx)
     }
-    return integrate(ctx, values)
+    return y_to_x(integrate(ctx, values))
 
 
 def elr(u, v, w):
     """Equivariant structure constant of sigma(u)*sigma(v) on sigma(w).
 
     Integrates sigma(u) sigma(v) sigma~(w dual) over the fixed locus; the
-    result is homogeneous of degree |u|+|v|-|w| and vanishes when that
-    degree is negative.
+    result, in x, is homogeneous of degree |u|+|v|-|w| and vanishes when
+    that degree is negative.
     """
     ctx = u.ctx
     if u.size + v.size < w.size:
@@ -259,7 +271,7 @@ def elr(u, v, w):
             values[pt] = b
             continue
         values[pt] = a * b * tilde.restriction(wd, pt)
-    return integrate(ctx, values)
+    return y_to_x(integrate(ctx, values))
 
 
 def _own_weights(ctx, subset):
@@ -270,7 +282,7 @@ def _own_weights(ctx, subset):
 
 @lru_cache(maxsize=None)
 def elr_table(ctx):
-    """All nonzero ELR coefficients keyed by (u.parts, v.parts, w.parts).
+    """All nonzero ELR coefficients keyed by (u.parts, v.parts, w.parts), in y.
 
     Keys are canonical: u <= v in the class order.  Restrictions are upper
     triangular (sigma(x)|w = 0 unless x is contained in w; sigma(w)|w != 0),
@@ -348,7 +360,8 @@ def gkm_edges(ctx):
 
 
 def gkm_violations(ctx, family="schubert"):
-    """Edges where a restriction difference is not divisible by the weight."""
+    """Edges where a restriction difference is not divisible by the weight,
+    both in y."""
     table = restriction_table(ctx, family)
     bad = []
     for p in enumerate_classes(ctx):

@@ -169,14 +169,22 @@ def _ssyt(shape, max_entry):
     yield from fill(0, 0)
 
 
+@lru_cache(maxsize=None)
+def _b_forms_x(ctx):
+    """b_j = x_1 + ... + x_{j-1} for j = 1..n, in the simple roots x: the
+    oracle builds its own, so it shares no coordinates with the engine."""
+    r = ctx.r
+    out = [Polynomial.zero(r)]
+    for j in range(1, ctx.n):
+        out.append(out[-1] + Polynomial.variable(r, j))
+    return tuple(out)
+
+
 def _b_extended(ctx, j):
     """Shift parameters; indices past n repeat b_n, which never affects
     in-box structure constants (wide basis elements vanish at every box
     evaluation point regardless of the extension)."""
-    from .equivariant import _b_forms
-
-    forms = _b_forms(ctx)
-    return forms[min(j, ctx.n) - 1]
+    return _b_forms_x(ctx)[min(j, ctx.n) - 1]
 
 
 @lru_cache(maxsize=None)

@@ -26,10 +26,17 @@ partial sum; ``finish_terms`` turns the map into a polynomial once.
 step multiplies by one power of an image instead of building a power
 product per term.
 
+``y_to_x`` and its inverse ``x_to_y`` change between the torus-character
+coordinates y_j = x_1 + ... + x_j, in which the engine computes, and the
+simple roots x.  Each is a chain of one-variable shears v_j -> v_j +- v_{j-1}
+on packed keys: a term whose lane j holds b expands by a precomputed row of
+key offsets and binomials, and the terms a shear merges are merged before
+the next one runs.
+
 ``PackedProducts`` sums many products at once by Kronecker substitution in
 one variable (Harvey, "Faster polynomial multiplication via multipoint
 Kronecker substitution", JSC 2009), exactly.  One lane, the digit lane
-x_j with j = nvars // 2 + 1, is moved onto the lane above it, its partner:
+of the last variable x_nvars, is moved onto the lane above it, its partner:
 a term's group key is its key with the digit lane's exponent e cleared and
 added to the partner lane, and the group's terms are packed into one int
 whose base-2**s digit e is the term's coefficient.  Group keys add as keys
@@ -67,7 +74,7 @@ import struct
 import sys
 from functools import lru_cache, reduce
 from itertools import chain
-from math import gcd
+from math import comb, gcd
 from operator import or_
 
 from .errors import DimensionMismatchError, NonPolynomialError
@@ -103,8 +110,7 @@ def _guard_mask(nvars):
 
 
 def _key_degree(key):
-    nvars = (key.bit_length() + _SHIFT - 1) // _SHIFT
-    return sum(_lanes(nvars)(key.to_bytes(2 * nvars, "big")))
+    return sum(_unpack(key, (key.bit_length() + _SHIFT - 1) // _SHIFT))
 
 
 class Polynomial:
@@ -351,24 +357,6 @@ class Polynomial:
             return Polynomial.zero(out_nvars)
         return horner(list(self.terms.items()), 0)
 
-    def remap_variables(self, perm, negate=False):
-        """Send variable i to +-variable perm[i-1]; perm is 1-based targets.
-
-        With ``negate`` every variable maps to minus its target, so each
-        monomial picks up (-1)**degree.
-        """
-        out = {}
-        for key, c in self.terms.items():
-            exps = _unpack(key, self.nvars)
-            new = [0] * self.nvars
-            for i, e in enumerate(exps):
-                new[perm[i] - 1] = e
-            if negate and (sum(exps) & 1):
-                c = -c
-            k = _pack(new)
-            out[k] = out.get(k, 0) + c
-        return Polynomial(self.nvars, {k: c for k, c in out.items() if c})
-
     def divide_exact(self, divisor):
         """Exact quotient self / divisor over Z, or None when not divisible."""
         if isinstance(divisor, int):
@@ -556,10 +544,13 @@ class PackedProducts:
 
     def __init__(self, nvars):
         self.nvars = nvars
-        # the digit lane is x_j with j = nvars // 2 + 1, the middle variable,
-        # whose exponents spread widest in the engine's b-coordinates; its
-        # partner x_{j-1} is a phantom lane above the key when nvars == 1
-        self._digit = _SHIFT * (nvars - 1 - nvars // 2)
+        # the digit lane is the last variable's, the lowest lane: on the 500
+        # seed-7 associativity triples of Gr(3,6), in the engine coordinates
+        # y, their circ products took 634,148 group products, against
+        # 742,085, 805,080, 752,206 and 1,109,836 with the digit lane on
+        # y_4 .. y_1.  Its partner is a phantom lane above the key when
+        # nvars == 1
+        self._digit = 0
         self._partner = self._digit + _SHIFT
         # a group key is its term's key plus e * _step: the digit lane's
         # exponent e moved onto the partner lane
@@ -703,6 +694,84 @@ def is_x_nonnegative(p):
     return all(c > 0 for c in p.terms.values()) if p.terms else True
 
 
+# -- torus-character coordinates ---------------------------------------------
+
+
+class _ShearRows(dict):
+    """b -> the expansion of (v_j + sign * v_{j-1})**b as (key offset,
+    coefficient) pairs ``(i * step, sign**i * C(b, i))`` for i = 0..b, where
+    ``step`` moves one unit of exponent from lane j onto lane j-1; built on
+    first use, so a conversion computes no binomial per term."""
+
+    def __init__(self, step, sign):
+        super().__init__()
+        self.step, self.sign = step, sign
+
+    def __missing__(self, b):
+        row = self[b] = [(i * self.step, self.sign**i * comb(b, i)) for i in range(b + 1)]
+        return row
+
+
+@lru_cache(maxsize=None)
+def _shear_chain(nvars, sign):
+    """(lane shift of v_j, its rows) of the shears v_j -> v_j + sign * v_{j-1},
+    j = nvars down to 2 for sign +1 and 2 up to nvars for sign -1."""
+    js = range(nvars, 1, -1) if sign > 0 else range(2, nvars + 1)
+    out = []
+    for j in js:
+        shift = _SHIFT * (nvars - j)
+        out.append((shift, _ShearRows((1 << (shift + _SHIFT)) - (1 << shift), sign)))
+    return tuple(out)
+
+
+def _shear(p, sign):
+    """The chain of one-variable shears of ``_shear_chain`` applied to ``p``.
+
+    Each shear expands every term by the row of its lane-j exponent into a
+    fresh term map, so the terms the shear merges are merged before the
+    next one.  The exponent cap is checked once per shear's result, as
+    ``finish_terms`` does: a shear from lanes below 2**15 sums two of them
+    into lane j-1, which stays below 2**16, so a lane past the cap sets only
+    its guard bit and no later shear runs on it.
+    """
+    nvars = p.nvars
+    guard = _guard_mask(nvars)
+    terms = p.terms
+    for shift, rows in _shear_chain(nvars, sign):
+        out = {}
+        get = out.get
+        for k, c in terms.items():
+            if not c:
+                continue
+            b = (k >> shift) & _LANE
+            if b:
+                for offset, m in rows[b]:
+                    nk = k + offset
+                    out[nk] = get(nk, 0) + c * m
+            else:
+                out[k] = get(k, 0) + c
+        if reduce(or_, out, 0) & guard:
+            raise OverflowError("converted exponent above %d" % _MAX_EXPONENT)
+        terms = out
+    return Polynomial(nvars, {k: c for k, c in terms.items() if c})
+
+
+def y_to_x(p):
+    """Substitute y_j -> x_1 + ... + x_j: from the torus-character
+    coordinates the engine computes in to the simple roots x.
+
+    The shears v_j -> v_j + v_{j-1}, taken for j = nvars down to 2, compose
+    to this substitution.  ``OverflowError`` if an exponent passes the cap.
+    """
+    return _shear(p, 1)
+
+
+def x_to_y(p):
+    """Substitute x_j -> y_j - y_{j-1} (y_0 = 0), the inverse of
+    :func:`y_to_x`: the shears v_j -> v_j - v_{j-1} for j = 2 up to nvars."""
+    return _shear(p, -1)
+
+
 # -- change of generators ---------------------------------------------------
 
 
@@ -825,9 +894,10 @@ class RationalExpression:
         s = self.scale * other.scale // gcd(self.scale, other.scale)
         num_a = self.numerator * (s // self.scale)
         num_b = other.numerator * (s // other.scale)
-        # The map's order is the order of later trial divisions, which sets
-        # their cost: on the Gr(2,5)..Gr(3,7) tables the argument's factors
-        # first took about 10% fewer divide_exact steps than self's first.
+        # The map's order is the order of later trial divisions.  On the
+        # Gr(2,5)..Gr(3,7) tables, in the engine coordinates y, the
+        # argument's factors first and self's first both take 30,667
+        # divide_exact steps.
         union = dict(other.factors)
         for f, m in self.factors.items():
             union[f] = max(m, union.get(f, 0))

@@ -34,6 +34,11 @@ The recursion runs on class positions in ``enumerate_classes`` order over
 one graph per context, built by ``EQTable``: the add-box edges a -> a+ and
 the q-edge a -> a-hat, with the inverses w -> w- and w -> qparent(w) read
 off by inverting those two maps.  Only the public methods take partitions.
+
+``EQTable`` computes in the engine coordinates y of ``equivariant``, the
+torus characters, where its memo is far sparser than in the simple roots x
+(on Gr(3,7), 93,204 terms against 454,865).  ``eqlr``, ``multiply`` and
+``eq_chevalley`` return x, converted by ``polyring.y_to_x``.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ from .polyring import (
     RationalExpression,
     _key_degree,
     add_into,
+    x_to_y,
+    y_to_x,
 )
 
 
@@ -96,7 +103,7 @@ class QModuleElement:
 
 
 class EQTable:
-    """Memoized table of all structure constants for one context.
+    """Memoized table of all structure constants for one context, in y.
 
     ``mirrored`` flips which factor the difference relation reduces; the
     mirrored table must coincide with the plain one, which is how
@@ -131,13 +138,16 @@ class EQTable:
     # -- the divisor product --------------------------------------------------
 
     def chevalley_terms(self, a):
-        """sigma(1) * sigma(a) as a term map (parts, d) -> coefficient."""
+        """sigma(1) * sigma(a) as a term map (parts, d) -> coefficient.
+
+        The diagonal comes from ``elr``, in x, and is mapped back to y.
+        """
         cached = self._chev.get(a.parts)
         if cached is not None:
             return cached
         classes, i = self._classes, self._index[a.parts]
         terms = {(classes[j].parts, 0): self._one for j in self._up[i]}
-        diag = elr(classes[1], a, a)
+        diag = x_to_y(elr(classes[1], a, a))
         if not (diag.is_zero or diag.is_homogeneous_of_degree(1)):
             raise TableSolveError("divisor diagonal for %r is not linear" % (a.parts,))
         if not diag.is_zero:
@@ -389,19 +399,24 @@ def eq_table(ctx):
     return EQTable(ctx)
 
 
+def _in_x(ctx, terms):
+    """The module element of a term map in y, its coefficients mapped to x."""
+    return QModuleElement(ctx, {key: y_to_x(c) for key, c in terms.items()})
+
+
 def eq_chevalley(p):
-    """The divisor product sigma(1) * sigma(p)."""
-    return QModuleElement(p.ctx, eq_table(p.ctx).chevalley_terms(p))
+    """The divisor product sigma(1) * sigma(p), in x."""
+    return _in_x(p.ctx, eq_table(p.ctx).chevalley_terms(p))
 
 
 def multiply(u, v):
-    """The equivariant quantum product of two basis classes."""
-    return eq_table(u.ctx).element(u, v)
+    """The equivariant quantum product of two basis classes, in x."""
+    return _in_x(u.ctx, eq_table(u.ctx).element(u, v).terms)
 
 
 def eqlr(u, v, w, d):
-    """Single structure constant; zero whenever the grading is negative."""
-    return eq_table(u.ctx).coefficient(u, v, w, d)
+    """Single structure constant, in x; zero whenever the grading is negative."""
+    return y_to_x(eq_table(u.ctx).coefficient(u, v, w, d))
 
 
 def specialize_q0(elem):

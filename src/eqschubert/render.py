@@ -9,6 +9,12 @@ encoder (``_term_encoder``), which writes the same bytes straight from the
 packed monomial keys. A Tier-1 test pins the two byte for byte. The CSV
 export reads only that canonical table JSON back; any other payload is an
 error.
+
+Every export is in the simple roots x. The table and restriction exports
+read the engine's tables, which are in the torus-character coordinates y,
+and convert each polynomial with ``polyring.y_to_x`` just before encoding
+it; the module elements that ``qelem_text`` and ``qelem_json`` render come
+from ``quantum.multiply``, already in x, and are rendered as given.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import json
 
 from .errors import DimensionMismatchError
 from .grass import Partition, default_d_max, enumerate_classes
-from .polyring import Polynomial, _lanes
+from .polyring import Polynomial, _lanes, y_to_x
 
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -135,10 +141,12 @@ def table_entries(ctx, d_max=None):
 
     One row per nonzero coefficient, pairs listed once with u <= v in the
     class order, sorted by (u, v, d, w). Each row is one format of its
-    cached partition arrays and its terms as ``_term_encoder`` writes them.
-    ``EQTable._store`` makes every table coefficient homogeneous, so the
-    terms always take the encoder's one-degree path: sorted by packed key,
-    which is graded-lex order within one degree.
+    cached partition arrays and its terms in x as ``_term_encoder`` writes
+    them: each coefficient is converted from y just before it is encoded,
+    so no x copy of the table is kept. ``EQTable._store`` makes every table
+    coefficient homogeneous, and the conversion keeps it so, so the terms
+    always take the encoder's one-degree path: sorted by packed key, which
+    is graded-lex order within one degree.
     """
     from .quantum import eq_table
 
@@ -148,7 +156,7 @@ def table_entries(ctx, d_max=None):
     arrays = {p.parts: canonical_json(list(p.parts)) for p in enumerate_classes(ctx)}
     return [
         '{"d":%d,"poly":%s,"u":%s,"v":%s,"w":%s}'
-        % (d, encode(c), arrays[u], arrays[v], arrays[w])
+        % (d, encode(y_to_x(c)), arrays[u], arrays[v], arrays[w])
         for u, v, w, d, c in eq_table(ctx).rows(d_max)
     ]
 
@@ -232,6 +240,7 @@ def table_csv(payload, k, n, d_max):
 
 
 def restriction_table_json(ctx, family="schubert"):
+    """The canonical restriction export of one family, in x."""
     from .equivariant import fixed_points, restriction_table
 
     table = restriction_table(ctx, family)
@@ -239,7 +248,7 @@ def restriction_table_json(ctx, family="schubert"):
     points = [(pt, canonical_json(list(pt.subset))) for pt in fixed_points(ctx)]
     rows = [
         '{"class":%s,"point":%s,"poly":%s}'
-        % (canonical_json(list(p.parts)), text, encode(table.restriction(p, pt)))
+        % (canonical_json(list(p.parts)), text, encode(y_to_x(table.restriction(p, pt))))
         for p in enumerate_classes(ctx)
         for pt, text in points
     ]

@@ -12,7 +12,7 @@ import random
 from .equivariant import elr_table, gkm_violations, pairing
 from .grass import Partition, default_d_max, enumerate_classes
 from .oracles import quantum_lr_rimhook
-from .polyring import Polynomial, _from_T_variables, is_x_nonnegative, to_T_variables
+from .polyring import Polynomial, is_x_nonnegative, to_T_variables, y_to_x
 from .quantum import EQTable, QModuleElement, eq_table
 
 MAX_TRIPLES = 1000
@@ -38,7 +38,7 @@ def _where(**classes):
 
 
 def verify_positivity(ctx, d_max=None):
-    """Check nonnegativity of every structure constant up to d_max."""
+    """Check nonnegativity in x of every structure constant up to d_max."""
     if d_max is None:
         d_max = default_d_max(ctx)
     table = eq_table(ctx)
@@ -53,7 +53,7 @@ def verify_positivity(ctx, d_max=None):
                     if u.size + v.size - w.size - d * ctx.n < 0:
                         continue
                     checked += 1
-                    if not is_x_nonnegative(table.coefficient(u, v, w, d)):
+                    if not is_x_nonnegative(y_to_x(table.coefficient(u, v, w, d))):
                         violations.append(dict(_where(u=u, v=v, w=w), d=d))
     return _report("positivity", ctx, violations, d_max=d_max, checked=checked)
 
@@ -130,23 +130,24 @@ def verify_gkm(ctx):
 
 
 def verify_tbasis(ctx, d_max=None):
-    """Round-trip every coefficient through the T-variable presentation.
+    """Check every exported coefficient against the engine in the T-variables.
 
-    Each coefficient ``c`` maps to its ``image`` in the T-variables and back.
-    When the way back returns ``c``, the image's own round trip holds as
-    well (``to_T_variables(c) == image``), so two substitutions per
-    coefficient give the verdict of :func:`express_in_T_differences`. A row
-    whose way back does not return ``c`` is a violation.
+    The engine's coordinates are the T presentation: ``y_j = T_1 - T_{j+1}``,
+    as ``x_j = T_j - T_{j+1}``.  So each table row ``c``, in y, converted to
+    x as the exports convert it, must map by :func:`to_T_variables` to ``c``
+    with each y_j replaced by T_1 - T_{j+1}.  That binds the exported x
+    coefficient, the engine's entry and the conversion; a row where the two
+    images differ is a violation.
     """
     if d_max is None:
         d_max = default_d_max(ctx)
+    m = ctx.n
+    weights = [Polynomial.variable(m, 1) - Polynomial.variable(m, j + 1) for j in range(1, m)]
     checked = 0
     violations = []
     for u, v, w, d, c in eq_table(ctx).rows(d_max):
         checked += 1
-        image = to_T_variables(c, ctx.n)
-        back = _from_T_variables(image)
-        if back != c:
+        if to_T_variables(y_to_x(c), m) != c.substitute(weights, m):
             violations.append({"u": list(u), "v": list(v), "w": list(w), "d": d})
     return _report("tbasis", ctx, violations, checked=checked)
 

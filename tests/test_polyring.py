@@ -17,6 +17,8 @@ from eqschubert import (
 )
 from eqschubert.polyring import (
     PackedProducts,
+    x_to_y,
+    y_to_x,
     _divide_heap,
     _divide_linear,
     _key_degree,
@@ -170,7 +172,7 @@ def test_packed_sums_match_the_fused_kernel(case, repeats):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_digits_widen_one_past_the_half_range(nvars, sign):
     # x is the digit lane's variable; two products meet on its one digit
-    x = Polynomial.variable(nvars, nvars // 2 + 1)
+    x = Polynomial.variable(nvars, nvars)
     one = Polynomial.const(nvars, 1)
     packed = PackedProducts(nvars)
     for bits in (32, 64):
@@ -431,6 +433,53 @@ def test_to_T_is_ring_homomorphism(a, b):
 @given(polys())
 def test_express_round_trip(p):
     assert express_in_T_differences(to_T_variables(p, NVARS + 1)) == p
+
+
+def partial_sums(nvars):
+    """x_1 + ... + x_j for j = 1..nvars: the images of the y_j."""
+    return [Polynomial.linear(nvars, [1] * j + [0] * (nvars - j)) for j in range(1, nvars + 1)]
+
+
+@st.composite
+def polys_over_any_nvars(draw):
+    nvars = draw(st.sampled_from([1, 2, 3, 5, 6]))
+    return draw(polys(nvars=nvars, max_terms=6, max_exp=4, max_coeff=2**70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_over_any_nvars())
+@example(Polynomial.zero(3))
+@example(Polynomial.const(3, -4))
+def test_y_to_x_is_the_partial_sum_substitution(p):
+    assert y_to_x(p) == p.substitute(partial_sums(p.nvars), p.nvars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_over_any_nvars())
+def test_coordinate_changes_are_inverse(p):
+    assert x_to_y(y_to_x(p)) == p
+    assert y_to_x(x_to_y(p)) == p
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 5])
+def test_coordinate_changes_stay_below_the_guard_bit(nvars):
+    top = 2**15 - 1
+
+    def monomial(a, b):
+        return Polynomial.from_exponents(nvars, [((a, b) + (0,) * (nvars - 2), 1)])
+
+    x1, x2 = Polynomial.variable(nvars, 1), Polynomial.variable(nvars, 2)
+    # a result that reaches the cap exactly is a polynomial: y_1**(top-1) * y_2
+    # maps to x_1**(top-1) * (x_1 + x_2), and back
+    assert y_to_x(monomial(top - 1, 1)) == x1 ** (top - 1) * (x1 + x2)
+    assert x_to_y(x1 ** (top - 1) * (x1 + x2)) == monomial(top - 1, 1)
+    # y_1**a * y_2**b maps to x_1**a * (x_1 + x_2)**b, and x_1**a * x_2**b
+    # to y_1**a * (y_2 - y_1)**b: both hold a first lane of a + b
+    for a, b in ((top, 1), (top - 2, 3)):
+        with pytest.raises(OverflowError):
+            y_to_x(monomial(a, b))
+        with pytest.raises(OverflowError):
+            x_to_y(monomial(a, b))
 
 
 def test_rational_examples():

@@ -164,9 +164,11 @@ def test_point_class_square(gr24):
     top = part(gr24, 2, 2)
     from eqschubert import restrict_schubert
     from eqschubert.equivariant import point_of
+    from eqschubert.polyring import y_to_x
 
+    # the restriction is in y, the product in x
     euler = restrict_schubert(top, point_of(top))
-    assert specialize_q0(elem) == {top: euler}
+    assert specialize_q0(elem) == {top: y_to_x(euler)}
 
 
 def test_eqlr_point_class_gw_count(gr24):
@@ -328,8 +330,8 @@ def test_other_box_shapes():
 
 
 def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
-    # the third coefficient's image gains T_1, which lies outside the
-    # subring of the differences T_j - T_{j+1}, so its way back misses it
+    # the third row's T image gains T_1, so it no longer equals the
+    # engine's entry with each y_j replaced by T_1 - T_{j+1}
     import eqschubert.suites as suites_mod
     from eqschubert.polyring import to_T_variables
 
@@ -345,4 +347,25 @@ def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
     u, v, w, d, _ = list(eq_table(gr24).rows(default_d_max(gr24)))[2]
     assert not report["passed"]
     assert report["checked"] == len(calls)
+    assert report["violations"] == [{"u": list(u), "v": list(v), "w": list(w), "d": d}]
+
+
+def test_tbasis_fails_a_row_left_in_engine_coordinates(gr24, monkeypatch):
+    # the one corruption a y -> x boundary invites: a row exported as its y
+    # entry, unconverted; the first row whose x and y forms differ is left so
+    import eqschubert.suites as suites_mod
+    from eqschubert.polyring import y_to_x
+
+    rows = list(eq_table(gr24).rows(default_d_max(gr24)))
+    index = next(i for i, row in enumerate(rows) if y_to_x(row[4]) != row[4])
+    calls = []
+
+    def corrupted(c):
+        calls.append(c)
+        return c if len(calls) == index + 1 else y_to_x(c)
+
+    monkeypatch.setattr(suites_mod, "y_to_x", corrupted)
+    report = suites_mod.verify_tbasis(gr24)
+    u, v, w, d, _ = rows[index]
+    assert report["checked"] == len(calls) == len(rows)
     assert report["violations"] == [{"u": list(u), "v": list(v), "w": list(w), "d": d}]
