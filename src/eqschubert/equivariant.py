@@ -39,7 +39,6 @@ from .grass import (
     to_grassmannian_permutation,
 )
 from .polyring import (
-    PackedProducts,
     Polynomial,
     RationalExpression,
     add_product_into,
@@ -289,13 +288,11 @@ def elr_table(ctx):
     so walking the fixed points in class order gives each coefficient of
     sigma(u) sigma(v) by one exact division:
     c_w = (sigma(u)|w sigma(v)|w - sum of c_x sigma(x)|w over x found) / sigma(w)|w.
-    The numerator is summed by a packed kernel local to the call,
-    ``polyring.PackedProducts``, which keeps the encodings of the
-    restrictions for the whole call and those of the c_x for their pair; it
-    is freed when the call returns.  The divisor sigma(w)|w is the product
-    of the linear forms ``_own_weights`` of w's point, checked against the
-    restriction table once per class, so the division runs form by form,
-    each on the heap-free linear path.
+    The numerator folds into one term map by ``polyring.add_product_into``
+    and becomes a polynomial once, by ``finish_terms``.  The divisor
+    sigma(w)|w is the product of the linear forms ``_own_weights`` of w's
+    point, checked against the restriction table once per class, so the
+    division runs form by form, each on the heap-free linear path.
     """
     classes = enumerate_classes(ctx)
     points = [pt.subset for pt in fixed_points(ctx)]
@@ -311,7 +308,6 @@ def elr_table(ctx):
                 "restriction of %r at its own point is not its weight product"
                 % (w.parts,)
             )
-    packed = PackedProducts(ctx.r)
     out = {}
     for i, u in enumerate(classes):
         for v in classes[i:]:
@@ -323,9 +319,11 @@ def elr_table(ctx):
                 a, b = sigma[(u.parts, pt)], sigma[(v.parts, pt)]
                 if a.is_zero or b.is_zero:
                     continue
-                pairs = [(a, b, 1)]
-                pairs.extend((c, sigma[(x, pt)], -1) for x, c in found)
-                c = packed.sum_products(pairs)
+                terms = {}
+                add_product_into(terms, a, b)
+                for x, c in found:
+                    add_product_into(terms, c, sigma[(x, pt)], -1)
+                c = finish_terms(ctx.r, terms)
                 if c.is_zero:
                     continue
                 key = (u.parts, v.parts, w.parts)
@@ -337,8 +335,6 @@ def elr_table(ctx):
                         )
                 found.append((w.parts, c))
                 out[key] = c
-            for _, c in found:
-                packed.forget(c)
     return out
 
 

@@ -21,7 +21,9 @@ path and the reference the tests hold the other two against.
 
 Sums of products fold into one term map with ``add_product_into``, a fused
 multiply-accumulate that builds no polynomial per product and copies no
-partial sum; ``finish_terms`` turns the map into a polynomial once.
+partial sum; ``finish_terms`` turns the map into a polynomial once.  It is
+the package's one multiply-accumulate kernel: the restriction minors,
+``EQTable.circ`` and ``elr_table`` sum their products on it.
 ``substitute`` evaluates by multivariate Horner on the same kernel, so each
 step multiplies by one power of an image instead of building a power
 product per term.
@@ -33,34 +35,6 @@ on packed keys: a term whose lane j holds b expands by a precomputed row of
 key offsets and binomials, and the terms a shear merges are merged before
 the next one runs.
 
-``PackedProducts`` sums many products at once by Kronecker substitution in
-one variable (Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", JSC 2009), exactly.  One lane, the digit lane
-of the last variable x_nvars, is moved onto the lane above it, its partner:
-a term's group key is its key with the digit lane's exponent e cleared and
-added to the partner lane, and the group's terms are packed into one int
-whose base-2**s digit e is the term's coefficient.  Group keys add as keys
-do, so the product of two groups is one big-int multiply, stored under the
-sum of their keys; a group whose partner lane holds t has the digits 0..t,
-the digit e standing for the key ``g - e * ((1 << partner) - (1 << digit))``.
-Each target's groups are decoded together once: offset by half the digit
-range and each digit's top bit flipped back, they read as signed digits
-from one byte string.  Three conditions make the digits the exact
-coefficients, and each is checked, never assumed:
-
-* lane width: the partner lane of a product's group key, the sum of the
-  operands' largest partner-lane values, stays below the lane's 2**16;
-* digit width: 2**(s-1) exceeds the sum over the target's products a*b of
-  ||a||_1 * ||b||_1, so no digit leaves (-2**(s-1), 2**(s-1));
-* group-key fields cannot carry: every other lane of a product's group key
-  is a lane of the product's key, below 2**16 as a sum of two lanes below
-  2**15, and its guard bit is set exactly when that exponent passes the cap.
-
-The two lane checks are made per product on the operands' largest
-exponents; a product past the lane or the cap is past the exponent cap and
-raises ``OverflowError``, as ``finish_terms`` does.  A target that fails the
-digit check doubles s, drops every cached encoding and is summed again.
-
 Rational expressions keep the denominator factored as a multiset of primitive
 linear forms (a map from form to multiplicity) times a positive integer
 scalar.  Localization sums then cancel denominators factor by factor; nothing
@@ -71,9 +45,7 @@ from __future__ import annotations
 
 import heapq
 import struct
-import sys
 from functools import lru_cache, reduce
-from itertools import chain
 from math import comb, gcd
 from operator import or_
 
@@ -518,175 +490,6 @@ def finish_terms(nvars, terms):
     if reduce(or_, terms, 0) & _guard_mask(nvars):
         raise OverflowError("product exponent above %d" % _MAX_EXPONENT)
     return Polynomial(nvars, {k: c for k, c in terms.items() if c})
-
-
-# -- packed sums of products --------------------------------------------------
-
-# encodings a PackedProducts keeps before it drops them all and starts over
-_PACKED_CACHE_CAP = 1 << 14
-# byte width -> memoryview format of the signed digits it reads in one cast,
-# where the machine is little-endian as the joined digit bytes are
-_NATIVE_DIGITS = (
-    {struct.calcsize(f): f for f in ("i", "q")} if sys.byteorder == "little" else {}
-)
-
-
-class PackedProducts:
-    """Sums of products of polynomials over ``nvars`` variables, one big-int
-    multiply per pair of groups (the layout is in the module docstring).
-
-    The kernel keeps the encoding of every operand it meets, keyed by the
-    operand's identity and holding the operand so that identity stays
-    unique; at ``_PACKED_CACHE_CAP`` encodings it drops them all.  The
-    digits start 32 bits wide and only widen: a sum whose bound fails
-    doubles them, drops every encoding and is summed again.
-    """
-
-    def __init__(self, nvars):
-        self.nvars = nvars
-        # the digit lane is the last variable's, the lowest lane: on the 500
-        # seed-7 associativity triples of Gr(3,6), in the engine coordinates
-        # y, their circ products took 634,148 group products, against
-        # 742,085, 805,080, 752,206 and 1,109,836 with the digit lane on
-        # y_4 .. y_1.  Its partner is a phantom lane above the key when
-        # nvars == 1
-        self._digit = 0
-        self._partner = self._digit + _SHIFT
-        # a group key is its term's key plus e * _step: the digit lane's
-        # exponent e moved onto the partner lane
-        self._step = (1 << self._partner) - (1 << self._digit)
-        # two summed checks: a lane past the cap sets its guard bit, a
-        # partner-lane sum past the lane sets a bit above it
-        self._limit = _guard_mask(nvars) | -(1 << (_SHIFT * (nvars + 1)))
-        self._group_keys = {}
-        self._set_digit_bits(32)
-
-    def _set_digit_bits(self, bits):
-        self.digit_bits = bits
-        self._half = 1 << (bits - 1)
-        self._biases = _Biases(bits)
-        self._cache = {}
-
-    def sum_products(self, pairs):
-        """The sum of sign * a * b over the ``(a, b, sign)`` in ``pairs``,
-        sign +-1, as a polynomial with its zeros dropped.
-
-        ``OverflowError`` if a product passes the exponent cap, as
-        ``finish_terms`` raises it.
-        """
-        while True:
-            value = self._sum(pairs)
-            if value is not None:
-                return value
-
-    def forget(self, p):
-        """Drop the encoding of ``p``, an operand no later call passes."""
-        self._cache.pop(id(p), None)
-
-    def _encoding(self, p):
-        """(keys, digits, norm, check, p) of ``p`` in the current digit
-        width, cached: ``keys`` are the group keys and ``digits`` the packed
-        digits of each group, ``norm`` is the sum of the absolute
-        coefficients, and ``check`` packs the largest exponent of every lane
-        under the largest partner-lane sum of a group key."""
-        cache = self._cache
-        if len(cache) >= _PACKED_CACHE_CAP:
-            cache.clear()
-            self._group_keys.clear()
-        bits, digit, step = self.digit_bits, self._digit, self._step
-        groups = {}
-        get = groups.get
-        for k, c in p.terms.items():
-            e = (k >> digit) & _LANE
-            g = k + e * step
-            groups[g] = get(g, 0) + (c << bits * e)
-        unpack, size = _lanes(self.nvars), 2 * self.nvars
-        peaks = _pack(map(max, zip(*(unpack(k.to_bytes(size, "big")) for k in p.terms))))
-        top = max(((g >> self._partner) & _LANE for g in groups), default=0)
-        # few group keys recur across many encodings: keep one int of each
-        shared = self._group_keys
-        enc = cache[id(p)] = (
-            tuple([shared.setdefault(g, g) for g in groups]),
-            tuple(groups.values()),
-            sum(map(abs, p.terms.values())),
-            (top << _SHIFT * self.nvars) | peaks,
-            p,
-        )
-        return enc
-
-    def _sum(self, pairs):
-        """One target, or None when its bound widened the digits."""
-        acc = {}
-        get = acc.get
-        bound = 0
-        cache, encoding, limit = self._cache, self._encoding, self._limit
-        for a, b, sign in pairs:
-            ea = cache.get(id(a)) or encoding(a)
-            eb = cache.get(id(b)) or encoding(b)
-            # a partner-lane sum past 2**16 - 1 needs a lane past the cap
-            if (ea[3] + eb[3]) & limit:
-                raise OverflowError("product exponent above %d" % _MAX_EXPONENT)
-            bound += ea[2] * eb[2]
-            if len(ea[0]) > len(eb[0]):
-                ea, eb = eb, ea
-            keys, digits = eb[0], eb[1]
-            for ka, pa in zip(ea[0], ea[1]):
-                if sign < 0:
-                    pa = -pa
-                for kb, pb in zip(keys, digits):
-                    k = ka + kb
-                    acc[k] = get(k, 0) + pa * pb
-        if bound >= self._half:
-            self._set_digit_bits(2 * self.digit_bits)
-            return None
-        return self._decode(acc)
-
-    def _decode(self, acc):
-        """The polynomial of a target's group sums.
-
-        A group whose partner lane holds t has the digits 0..t.  Adding
-        half the digit range to every digit makes each one nonnegative, and
-        flipping every digit's top bit back (xor with the same constant)
-        leaves each digit's bits as its own two's complement, so the groups
-        joined into one byte string read as signed digits in one cast.
-        """
-        partner, step, width = self._partner, self._step, self.digit_bits // 8
-        biases = self._biases
-        raw = b"".join(
-            [
-                ((value + bias) ^ bias).to_bytes((t + 1) * width, "little")
-                for g, value in acc.items()
-                for t in ((g >> partner) & _LANE,)
-                for bias in (biases[t],)
-            ]
-        )
-        keys = chain.from_iterable(
-            [range(g, g - (((g >> partner) & _LANE) + 1) * step, -step) for g in acc]
-        )
-        if width in _NATIVE_DIGITS:
-            digits = memoryview(raw).cast(_NATIVE_DIGITS[width])
-        else:
-            digits = [
-                int.from_bytes(raw[i : i + width], "little", signed=True)
-                for i in range(0, len(raw), width)
-            ]
-        terms = dict(zip(keys, digits))
-        if 0 in terms.values():
-            terms = {k: c for k, c in terms.items() if c}
-        return Polynomial(self.nvars, terms)
-
-
-class _Biases(dict):
-    """t -> half the digit range in each of the digits 0..t, built on first use."""
-
-    def __init__(self, bits):
-        super().__init__()
-        self.bits = bits
-
-    def __missing__(self, t):
-        half = 1 << (self.bits - 1)
-        value = self[t] = half * ((1 << self.bits * (t + 1)) - 1) // ((1 << self.bits) - 1)
-        return value
 
 
 def is_x_nonnegative(p):

@@ -54,11 +54,12 @@ from .grass import (
     quantum_chevalley_shape,
 )
 from .polyring import (
-    PackedProducts,
     Polynomial,
     RationalExpression,
     _key_degree,
     add_into,
+    add_product_into,
+    finish_terms,
     x_to_y,
     y_to_x,
 )
@@ -133,7 +134,6 @@ class EQTable:
         self._blocks_running = set()
         self._zero = Polynomial.zero(ctx.r)
         self._one = Polynomial.const(ctx.r, 1)
-        self._packed = PackedProducts(ctx.r)
 
     # -- the divisor product --------------------------------------------------
 
@@ -374,23 +374,21 @@ class EQTable:
     def circ(self, elem, t):
         """Multiply a module element by a basis class.
 
-        The products of each target (w, d) are summed by the table's packed
-        kernel, ``polyring.PackedProducts``: one big-int multiply per pair
-        of monomial groups, and one decode per target.  The kernel keeps the
-        encoding of every operand it meets, so the memo entries that later
-        calls meet again are not encoded again.
+        The products of each target (w, d) fold into one term map by
+        ``polyring.add_product_into``, and each map becomes a polynomial
+        once, by ``finish_terms``.
         """
-        targets = {}
+        sums = {}
         for (parts, e), c in elem.terms.items():
             z = self._classes[self._index[parts]]
             for (w, d), c2 in self.element(z, t).terms.items():
-                pairs = targets.get((w, d + e))
-                if pairs is None:
-                    pairs = targets[(w, d + e)] = []
-                pairs.append((c, c2, 1))
-        packed = self._packed
+                acc = sums.get((w, d + e))
+                if acc is None:
+                    acc = sums[(w, d + e)] = {}
+                add_product_into(acc, c, c2)
+        r = self.ctx.r
         return QModuleElement(
-            self.ctx, {key: packed.sum_products(pairs) for key, pairs in targets.items()}
+            self.ctx, {key: finish_terms(r, acc) for key, acc in sums.items()}
         )
 
 

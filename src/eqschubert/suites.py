@@ -63,8 +63,7 @@ def verify_algebra(ctx):
 
     Commutativity is checked by recomputing every product with the mirrored
     recursion, on a table of its own that is dropped before the
-    associativity check, so the memory of its memo serves the encodings of
-    ``circ``.  Associativity is exhaustive up to ``MAX_TRIPLES`` triples;
+    associativity check.  Associativity is exhaustive up to ``MAX_TRIPLES`` triples;
     beyond that ``SAMPLE_SIZE`` triples are drawn with seed ``SAMPLE_SEED``.
     """
     classes = enumerate_classes(ctx)

@@ -150,11 +150,21 @@ def test_gkm_consistency():
 
 
 def test_T_variable_corollary():
+    # the engine's coordinates are the T presentation, y_j = T_1 - T_{j+1},
+    # so each exported x coefficient must map by to_T_variables to the
+    # engine's own y entry with y_j replaced by T_1 - T_{j+1}
     total = 0
     for ctx in CONTEXTS:
+        m = ctx.n
+        weights = [Polynomial.variable(m, 1) - Polynomial.variable(m, j + 1) for j in range(1, m)]
+        table = eq_table(ctx)
         for u, v in _all_pairs(ctx):
-            for (w, d), c in multiply(u, v).terms.items():
-                image = to_T_variables(c, ctx.n)
+            engine = table.element(u, v).terms
+            exported = multiply(u, v).terms
+            assert exported.keys() == engine.keys()
+            for (w, d), c in exported.items():
+                image = to_T_variables(c, m)
+                assert image == engine[(w, d)].substitute(weights, m)
                 back = express_in_T_differences(image)
                 assert back == c
                 assert is_x_nonnegative(back) == is_x_nonnegative(c)

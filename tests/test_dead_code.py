@@ -1,7 +1,7 @@
 """No dead imports or helpers in the package, found with ``ast`` alone."""
 
 import ast
-import re
+from collections import Counter
 from pathlib import Path
 
 import eqschubert
@@ -37,29 +37,37 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def _references(tree):
+    """How often code in ``tree`` refers to each name: loaded or stored
+    names, attribute names and names imported by ``from ... import``.
+    Docstrings and comments are not code, so a mention there counts for
+    nothing."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
 def test_every_top_level_definition_has_a_user():
     # a user is the public name map, a click command decorator, the
-    # interpreter (module hooks such as __getattr__), or any other line of
-    # the package that names the definition
-    lines = [
-        (path.name, number, line)
-        for path in MODULES
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-    ]
+    # interpreter (module hooks such as __getattr__), or code of the package
+    # outside the definition itself that refers to it by name
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    references = sum(map(_references, trees.values()), Counter())
     unused = []
-    for path in MODULES:
-        for node in ast.parse(path.read_text()).body:
+    for name, tree in trees.items():
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name in eqschubert._EXPORTS or _is_click_command(node):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            word = re.compile(r"\b%s\b" % re.escape(node.name))
-            if not any(
-                word.search(line)
-                for name, number, line in lines
-                if (name, number) != (path.name, node.lineno)
-            ):
-                unused.append("%s: %s" % (path.name, node.name))
+            if references[node.name] <= _references(node)[node.name]:
+                unused.append("%s: %s" % (name, node.name))
     assert unused == []

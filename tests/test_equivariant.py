@@ -236,8 +236,10 @@ def test_elr_table_matches_atiyah_bott_per_triple(gr12, gr24, gr25):
 
 
 def plain_elr_table(ctx):
-    """``elr_table`` on the fused kernel: each numerator folded into one
-    term map, the reference for the packed kernel."""
+    """``elr_table`` without its own-weight divisors: each numerator is
+    divided by the restriction sigma(w)|w as one polynomial, on the heap
+    path once it has two factors, where ``elr_table`` divides by the
+    linear forms ``_own_weights`` one by one."""
     classes = enumerate_classes(ctx)
     points = [pt.subset for pt in fixed_points(ctx)]
     sigma = restriction_table(ctx, "schubert").entries

@@ -16,7 +16,6 @@ from eqschubert import (
     to_T_variables,
 )
 from eqschubert.polyring import (
-    PackedProducts,
     x_to_y,
     y_to_x,
     _divide_heap,
@@ -129,80 +128,18 @@ def test_fused_products_stay_below_the_guard_bit():
     terms = {}
     add_product_into(terms, half, Polynomial.variable(1, 1) ** (2**14 - 1), -1)
     assert finish_terms(1, terms) == -Polynomial.variable(1, 1) ** (2**15 - 1)
-
-
-def fused_sum(nvars, pairs):
-    """The reference of ``PackedProducts``: every product folded into one
-    term map by ``add_product_into``, finished once."""
-    terms = {}
-    for a, b, sign in pairs:
-        add_product_into(terms, a, b, sign)
-    return finish_terms(nvars, terms)
-
-
-@st.composite
-def product_sums(draw):
-    """(nvars, pairs): up to four signed products of non-homogeneous
-    operands, coefficients up to 2**40 in size so that some targets pass
-    the 32-bit digits' bound."""
-    nvars = draw(st.sampled_from([1, 2, 3, 5]))
-    coeff = st.sampled_from([9, 2**40])
-    pair = st.tuples(
-        coeff.flatmap(lambda c: polys(nvars, max_terms=6, max_exp=4, max_coeff=c)),
-        polys(nvars, max_terms=6, max_exp=4),
-        st.sampled_from([1, -1]),
-    )
-    return nvars, draw(st.lists(pair, max_size=4))
-
-
-@settings(max_examples=200, deadline=None)
-@given(product_sums(), st.integers(0, 2))
-def test_packed_sums_match_the_fused_kernel(case, repeats):
-    nvars, pairs = case
-    packed = PackedProducts(nvars)
-    # the same operands again hit the cache, in whatever layout it holds
-    for _ in range(repeats + 1):
-        assert packed.sum_products(pairs) == fused_sum(nvars, pairs)
-    # later sums of the same operands start in the layout the first one left
-    for i in range(len(pairs)):
-        assert packed.sum_products(pairs[i:]) == fused_sum(nvars, pairs[i:])
-
-
-@pytest.mark.parametrize("nvars", [1, 2, 5])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_packed_digits_widen_one_past_the_half_range(nvars, sign):
-    # x is the digit lane's variable; two products meet on its one digit
-    x = Polynomial.variable(nvars, nvars)
-    one = Polynomial.const(nvars, 1)
-    packed = PackedProducts(nvars)
-    for bits in (32, 64):
-        half = 1 << (bits - 1)
-        for total in (half - 1, half):
-            c1 = total // 3
-            pairs = [(x * c1, one, sign), (Polynomial.const(nvars, total - c1), x, sign)]
-            assert packed.sum_products(pairs) == x * (sign * total)
-            # the target's bound is the sum itself: at half it must widen
-            assert packed.digit_bits == (bits if total < half else 2 * bits)
-
-
-@pytest.mark.parametrize("nvars", [1, 2, 5])
-def test_packed_products_stay_below_the_guard_bit(nvars):
-    for i in range(1, nvars + 1):
-        x = Polynomial.variable(nvars, i)
-        a, b = x ** 2**14, x ** (2**14 - 1)
-        # a product at the cap in one lane is a polynomial
-        assert PackedProducts(nvars).sum_products([(a, b, 1)]) == x ** (2**15 - 1)
-        assert PackedProducts(nvars).sum_products([(b, -a, -1)]) == x ** (2**15 - 1)
-        for pairs in ([(a, a, 1)], [(b, b, 1), (a, x ** (2**14 + 1), -1)]):
-            with pytest.raises(OverflowError):
-                fused_sum(nvars, pairs)
-            with pytest.raises(OverflowError):
-                PackedProducts(nvars).sum_products(pairs)
-    # every lane at the cap at once, the digit and partner lanes summing to
-    # 2**16 - 2 in a group key
-    every = [2**15 - 1] * nvars
-    top = Polynomial.from_exponents(nvars, [(tuple(every), 3)])
-    assert PackedProducts(nvars).sum_products([(top, Polynomial.const(nvars, -2), 1)]) == top * -2
+    # past the cap in any one lane, also when a later product of the sum
+    # passes it and an earlier one does not
+    for nvars in (1, 2, 5):
+        for i in range(1, nvars + 1):
+            x = Polynomial.variable(nvars, i)
+            a, b = x ** 2**14, x ** (2**14 - 1)
+            for pairs in ([(a, a, 1)], [(b, b, 1), (a, x ** (2**14 + 1), -1)]):
+                terms = {}
+                for p, q, sign in pairs:
+                    add_product_into(terms, p, q, sign)
+                with pytest.raises(OverflowError):
+                    finish_terms(nvars, terms)
 
 
 @settings(max_examples=150, deadline=None)
