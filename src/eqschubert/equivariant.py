@@ -22,8 +22,9 @@ GKM, duality, and positivity checks:
 * The tangent weights at the subset S are { b_a - b_b : a in S, b not in S };
   pushing forward to a point divides by their product.
 * The opposite family is the first one composed with the substitution
-  x_j -> -x_{n-j}, which is y_j -> y_{n-1-j} - y_{n-1} (y_0 = 0), and the
-  complementary relabeling of fixed points.
+  x_j -> -x_{n-j}, which is y_j -> y_{n-1-j} - y_{n-1} (y_0 = 0,
+  ``polyring.w0_involution``), and the complementary relabeling of fixed
+  points.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .polyring import (
     RationalExpression,
     add_product_into,
     finish_terms,
+    w0_involution,
     y_to_x,
 )
 
@@ -162,18 +164,6 @@ def _restrict_main(ctx, parts, subset):
 
 
 @lru_cache(maxsize=None)
-def _w0_images(ctx):
-    """The images y_{n-1-j} - y_{n-1} of y_1 .. y_{n-1} under x_j -> -x_{n-j}."""
-    forms = _b_forms(ctx)
-    return tuple(forms[ctx.n - 1 - j] - forms[ctx.n - 1] for j in range(1, ctx.n))
-
-
-def _w0_substitution(ctx, p):
-    """The involution x_j -> -x_{n-j} on coefficients in y."""
-    return p.substitute(_w0_images(ctx), ctx.r)
-
-
-@lru_cache(maxsize=None)
 def _restrict_cached(ctx, parts, subset, family):
     mu = partition_from_permutation(ctx, subset)
     if family == "schubert":
@@ -182,7 +172,7 @@ def _restrict_cached(ctx, parts, subset, family):
             return Polynomial.zero(ctx.r)
         return _restrict_main(ctx, parts, subset)
     value = _restrict_cached(ctx, parts, point_of(mu.dual()).subset, "schubert")
-    return _w0_substitution(ctx, value)
+    return w0_involution(value)
 
 
 def restrict_schubert(p, point, family="schubert"):

@@ -33,7 +33,10 @@ coordinates y_j = x_1 + ... + x_j, in which the engine computes, and the
 simple roots x.  Each is a chain of one-variable shears v_j -> v_j +- v_{j-1}
 on packed keys: a term whose lane j holds b expands by a precomputed row of
 key offsets and binomials, and the terms a shear merges are merged before
-the next one runs.
+the next one runs.  Two more conversions run on the same kernel:
+``to_T_variables`` (x_j -> T_j - T_{j+1}, shears v_j -> v_j - v_{j+1}) and
+the w0 involution ``w0_involution`` (y_j -> y_{n-1-j} - y_{n-1}: a lane
+reversal, then shears v_j -> v_j - v_{n-1}).
 
 Rational expressions keep the denominator factored as a multiset of primitive
 linear forms (a map from form to multiplicity) times a positive integer
@@ -501,9 +504,9 @@ def is_x_nonnegative(p):
 
 
 class _ShearRows(dict):
-    """b -> the expansion of (v_j + sign * v_{j-1})**b as (key offset,
-    coefficient) pairs ``(i * step, sign**i * C(b, i))`` for i = 0..b, where
-    ``step`` moves one unit of exponent from lane j onto lane j-1; built on
+    """b -> the expansion of (v_j + sign * v_i)**b as (key offset,
+    coefficient) pairs ``(e * step, sign**e * C(b, e))`` for e = 0..b, where
+    ``step`` moves one unit of exponent from lane j onto lane i; built on
     first use, so a conversion computes no binomial per term."""
 
     def __init__(self, step, sign):
@@ -511,36 +514,48 @@ class _ShearRows(dict):
         self.step, self.sign = step, sign
 
     def __missing__(self, b):
-        row = self[b] = [(i * self.step, self.sign**i * comb(b, i)) for i in range(b + 1)]
+        row = self[b] = [(e * self.step, self.sign**e * comb(b, e)) for e in range(b + 1)]
         return row
 
 
 @lru_cache(maxsize=None)
-def _shear_chain(nvars, sign):
-    """(lane shift of v_j, its rows) of the shears v_j -> v_j + sign * v_{j-1},
-    j = nvars down to 2 for sign +1 and 2 up to nvars for sign -1."""
-    js = range(nvars, 1, -1) if sign > 0 else range(2, nvars + 1)
+def _shear_chain(nvars, conversion):
+    """(lane shift of v_j, its rows) of each shear v_j -> v_j + sign * v_i
+    of ``conversion`` over ``nvars`` variables, in the order they run:
+
+    * ``"y_to_x"``: v_j -> v_j + v_{j-1}, j = nvars down to 2;
+    * ``"x_to_y"``: v_j -> v_j - v_{j-1}, j = 2 up to nvars;
+    * ``"to_T"``: v_j -> v_j - v_{j+1}, j = nvars-1 down to 1;
+    * ``"w0"``: v_j -> v_j - v_nvars, j = 1 up to nvars-1.
+    """
+    if conversion == "y_to_x":
+        moves, sign = [(j, j - 1) for j in range(nvars, 1, -1)], 1
+    elif conversion == "x_to_y":
+        moves, sign = [(j, j - 1) for j in range(2, nvars + 1)], -1
+    elif conversion == "to_T":
+        moves, sign = [(j, j + 1) for j in range(nvars - 1, 0, -1)], -1
+    else:
+        moves, sign = [(j, nvars) for j in range(1, nvars)], -1
     out = []
-    for j in js:
+    for j, i in moves:
         shift = _SHIFT * (nvars - j)
-        out.append((shift, _ShearRows((1 << (shift + _SHIFT)) - (1 << shift), sign)))
+        out.append((shift, _ShearRows((1 << (_SHIFT * (nvars - i))) - (1 << shift), sign)))
     return tuple(out)
 
 
-def _shear(p, sign):
-    """The chain of one-variable shears of ``_shear_chain`` applied to ``p``.
+def _shear(nvars, terms, conversion):
+    """The chain of one-variable shears ``_shear_chain(nvars, conversion)``
+    applied to the term map ``terms`` over ``nvars`` variables.
 
     Each shear expands every term by the row of its lane-j exponent into a
     fresh term map, so the terms the shear merges are merged before the
     next one.  The exponent cap is checked once per shear's result, as
     ``finish_terms`` does: a shear from lanes below 2**15 sums two of them
-    into lane j-1, which stays below 2**16, so a lane past the cap sets only
+    into lane i, which stays below 2**16, so a lane past the cap sets only
     its guard bit and no later shear runs on it.
     """
-    nvars = p.nvars
     guard = _guard_mask(nvars)
-    terms = p.terms
-    for shift, rows in _shear_chain(nvars, sign):
+    for shift, rows in _shear_chain(nvars, conversion):
         out = {}
         get = out.get
         for k, c in terms.items():
@@ -566,28 +581,55 @@ def y_to_x(p):
     The shears v_j -> v_j + v_{j-1}, taken for j = nvars down to 2, compose
     to this substitution.  ``OverflowError`` if an exponent passes the cap.
     """
-    return _shear(p, 1)
+    return _shear(p.nvars, p.terms, "y_to_x")
 
 
 def x_to_y(p):
     """Substitute x_j -> y_j - y_{j-1} (y_0 = 0), the inverse of
     :func:`y_to_x`: the shears v_j -> v_j - v_{j-1} for j = 2 up to nvars."""
-    return _shear(p, -1)
+    return _shear(p.nvars, p.terms, "x_to_y")
+
+
+@lru_cache(maxsize=None)
+def _packer(nvars):
+    """The packer of ``nvars`` lanes into a key's big-endian bytes."""
+    return struct.Struct(">%dH" % nvars).pack
+
+
+def w0_involution(p):
+    """Substitute y_j -> y_{r-j} - y_r for j < r and y_r -> -y_r, with
+    r = nvars: the involution x_j -> -x_{n-j} (n = r + 1) in y.
+
+    Lanes 1..r-1 are reversed and each term is negated by the parity of
+    its lane r, which substitutes y_j -> y_{r-j} and y_r -> -y_r; the
+    shears v_j -> v_j - v_r into the last lane, j = 1 up to r-1, finish the
+    substitution.  ``OverflowError`` if an exponent passes the cap.
+    """
+    r = p.nvars
+    unpack, pack, size = _lanes(r), _packer(r), 2 * r
+    terms = {}
+    for k, c in p.terms.items():
+        lanes = unpack(k.to_bytes(size, "big"))
+        last = lanes[-1]
+        terms[int.from_bytes(pack(*lanes[-2::-1], last), "big")] = -c if last & 1 else c
+    return _shear(r, terms, "w0")
 
 
 # -- change of generators ---------------------------------------------------
 
 
 def to_T_variables(p, m):
-    """Substitute x_j -> T_j - T_{j+1}, landing in m = nvars+1 variables."""
+    """Substitute x_j -> T_j - T_{j+1}, landing in m = nvars+1 variables.
+
+    Each key gains the empty lane T_m, and the shears v_j -> v_j - v_{j+1},
+    taken for j = m-1 down to 1, compose to the substitution.
+    ``OverflowError`` if an exponent passes the cap.
+    """
     if p.nvars != m - 1:
         raise DimensionMismatchError(
             "polynomial over %d variables cannot map to %d T-variables" % (p.nvars, m)
         )
-    images = [
-        Polynomial.variable(m, j) - Polynomial.variable(m, j + 1) for j in range(1, m)
-    ]
-    return p.substitute(images, m)
+    return _shear(m, {k << _SHIFT: c for k, c in p.terms.items()}, "to_T")
 
 
 def _from_T_variables(p):

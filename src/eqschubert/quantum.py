@@ -109,6 +109,8 @@ class EQTable:
     ``mirrored`` flips which factor the difference relation reduces; the
     mirrored table must coincide with the plain one, which is how
     commutativity is verified as a computation rather than a tautology.
+    Each table keeps its own products (``element``), so the mirrored one
+    recomputes every product it is asked for.
     """
 
     def __init__(self, ctx, mirrored=False):
@@ -129,6 +131,7 @@ class EQTable:
                 self._qparent[self._qshape[i]] = i
         self._chev = {}
         self._coeff = {}
+        self._elements = {}
         self._keys = {}
         self._gaps = {}
         self._blocks_running = set()
@@ -345,9 +348,22 @@ class EQTable:
 
     # -- assembled products --------------------------------------------------------
 
-    def element(self, u, v):
+    def element(self, u, v, keep=True):
         """The full product sigma(u) * sigma(v), its terms in export order:
-        by q-power, then the class order."""
+        by q-power, then the class order.
+
+        The table keeps one element per unordered pair of classes, so
+        ``element(u, v) is element(v, u)``.  With ``keep`` false a product
+        not kept yet is built and returned but not kept: a walk that asks
+        for each pair once holds no element.  Each product is built from
+        the public ``coefficient``, one call per target and q-power, so a
+        wrapper of ``coefficient`` sees every key a product needs.
+        """
+        iu, iv = self._index[u.parts], self._index[v.parts]
+        key = (iu, iv) if iu <= iv else (iv, iu)
+        elem = self._elements.get(key)
+        if elem is not None:
+            return elem
         n = self.ctx.n
         total = u.size + v.size
         terms = {}
@@ -358,16 +374,20 @@ class EQTable:
                 c = self.coefficient(u, v, w, dd)
                 if not c.is_zero:
                     terms[(w.parts, dd)] = c
-        return QModuleElement(self.ctx, terms)
+        elem = QModuleElement(self.ctx, terms)
+        if keep:
+            self._elements[key] = elem
+        return elem
 
     def rows(self, d_max):
         """Every nonzero (u, v, w, d, poly) with d <= d_max, partitions as
         parts tuples, in export order: pairs once with u <= v in the class
-        order, then by d, then w in the class order."""
+        order, then by d, then w in the class order.  It visits each pair
+        once, so it keeps no element it builds."""
         classes = self._classes
         for i, u in enumerate(classes):
             for v in classes[i:]:
-                for (w, d), c in self.element(u, v).terms.items():
+                for (w, d), c in self.element(u, v, keep=False).terms.items():
                     if d <= d_max:
                         yield u.parts, v.parts, w, d, c
 

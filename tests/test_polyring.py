@@ -16,12 +16,14 @@ from eqschubert import (
     to_T_variables,
 )
 from eqschubert.polyring import (
+    w0_involution,
     x_to_y,
     y_to_x,
     _divide_heap,
     _divide_linear,
     _key_degree,
     _pack,
+    _shear,
     _unpack,
     add_into,
     add_product_into,
@@ -417,6 +419,57 @@ def test_coordinate_changes_stay_below_the_guard_bit(nvars):
             y_to_x(monomial(a, b))
         with pytest.raises(OverflowError):
             x_to_y(monomial(a, b))
+
+
+polys_over_one_to_six = st.integers(1, 6).flatmap(
+    lambda nvars: polys(nvars=nvars, max_terms=6, max_exp=4, max_coeff=2**70)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_over_one_to_six)
+@example(Polynomial.zero(2))
+@example(Polynomial.const(1, -4))
+def test_to_T_variables_is_the_difference_substitution(p):
+    m = p.nvars + 1
+    T = [Polynomial.variable(m, j) for j in range(1, m + 1)]
+    assert to_T_variables(p, m) == p.substitute([T[j] - T[j + 1] for j in range(m - 1)], m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_over_one_to_six)
+def test_w0_involution_is_the_opposite_substitution(p):
+    r = p.nvars
+    ys = [Polynomial.zero(r)] + [Polynomial.variable(r, j) for j in range(1, r + 1)]
+    images = [ys[r - j] - ys[r] for j in range(1, r + 1)]
+    assert w0_involution(p) == p.substitute(images, r)
+    assert w0_involution(w0_involution(p)) == p
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 5])
+def test_T_and_w0_shears_stay_below_the_guard_bit(nvars):
+    top = 2**15 - 1
+
+    def monomial(m, a, b):
+        # v_1**a * v_m**b over m variables
+        return Polynomial.from_exponents(m, [((a,) + (0,) * (m - 2) + (b,), 1)])
+
+    # An x monomial near the cap expands into about 2**15 binomials of up to
+    # 2**15 bits, so the to_T chain is run on keys whose lane T_m, which no
+    # shear of the chain expands, is preset: v_{m-1} * v_m**b has the image
+    # (v_{m-1} - v_m) * v_m**b.
+    m = nvars + 1
+    tm, tm1 = Polynomial.variable(m, m), Polynomial.variable(m, m - 1)
+    lane = 1 << polyring._SHIFT
+    assert _shear(m, {lane + top - 1: 1}, "to_T") == (tm1 - tm) * tm ** (top - 1)
+    with pytest.raises(OverflowError):
+        _shear(m, {lane + top: 1}, "to_T")
+    # the w0 involution never expands lane r: y_1 * y_r**b maps to
+    # (y_{r-1} - y_r) * (-y_r)**b
+    yr, yr1 = Polynomial.variable(nvars, nvars), Polynomial.variable(nvars, nvars - 1)
+    assert w0_involution(monomial(nvars, 1, top - 1)) == (yr1 - yr) * (-yr) ** (top - 1)
+    with pytest.raises(OverflowError):
+        w0_involution(monomial(nvars, 1, top))
 
 
 def test_rational_examples():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -124,6 +125,9 @@ def test_a_raised_non_special_coefficient_breaks_associativity(gr25, monkeypatch
     for key in random.Random(1).sample(non_special, 2):
         with monkeypatch.context() as patch:
             patch.setitem(table._coeff, key, table._coeff[key] + 1)
+            # the warmed products are kept; a fresh memo rebuilds them
+            # from the corrupted coefficient
+            patch.setattr(table, "_elements", {})
             report = verify_algebra(gr25)
         assert not report["passed"]
         assert any(v["law"] == "associativity" for v in report["violations"]), key
@@ -279,6 +283,42 @@ def test_table_recomputation_is_identical(gr24):
     for u in enumerate_classes(gr24):
         for v in enumerate_classes(gr24):
             assert fresh.element(u, v) == table.element(u, v)
+
+
+def test_element_keeps_one_product_per_pair(gr25):
+    table = EQTable(gr25)
+    mirrored = EQTable(gr25, mirrored=True)
+    classes = enumerate_classes(gr25)
+    for i, u in enumerate(classes):
+        for v in classes[i:]:
+            elem = table.element(u, v)
+            assert table.element(v, u) is elem
+            # the mirrored table recomputes the product on its own
+            other = mirrored.element(u, v)
+            assert other == elem and other is not elem
+    assert len(table._elements) == len(classes) * (len(classes) + 1) // 2
+
+
+def test_rows_keep_no_element(gr25):
+    table = eq_table.__wrapped__(gr25)
+    assert list(table.rows(default_d_max(gr25)))
+    assert table._elements == {}
+
+
+def test_rows_ask_the_public_coefficient_for_every_key(gr24, monkeypatch):
+    # the per-layer trace classifies solves, steps and blocks from the
+    # public calls, so every exported key must pass through one
+    asked = Counter()
+    plain = EQTable.coefficient
+
+    def counted(self, u, v, w, d):
+        asked[(u.parts, v.parts, w.parts, d)] += 1
+        return plain(self, u, v, w, d)
+
+    monkeypatch.setattr(EQTable, "coefficient", counted)
+    rows = list(EQTable(gr24).rows(default_d_max(gr24)))
+    assert rows and set(asked.values()) == {1}
+    assert {(u, v, w, d) for u, v, w, d, _ in rows} <= set(asked)
 
 
 def test_warmed_rows_walk_builds_no_partition(gr36, monkeypatch):
