@@ -3,18 +3,22 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal or
 cache error.
 
-The engine and the renderers are imported inside the commands that use them,
-so a warm cache read loads neither.
+Users re-export tables from the cache far more often than they build them,
+and a warm re-export is mostly interpreter start and the imports of this
+module. So the module imports only what that path runs: ``json``, the cache
+module with its ``gzip`` and ``hashlib``, and the standard library's
+``argparse``, which needs neither ``inspect`` nor ``typing``. The engine and
+the renderers are imported inside the commands that use them, so a warm cache
+read loads neither.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
 import os
 import sys
-
-import click
 
 from .cache import load as cache_load
 from .cache import store as cache_store
@@ -31,16 +35,20 @@ DEFAULT_FIXTURE_PATH = os.path.join("fixtures", "oracle_fixtures.json")
 EMIT_SLICE = 1 << 20
 
 
+class _UsageError(Exception):
+    """A bad argument found after parsing, reported as a parse error: exit 2."""
+
+
 def _context(k, n):
     try:
         return GrassContext(k, n)
     except ContextError as exc:
-        raise click.UsageError(str(exc))
+        raise _UsageError(str(exc))
 
 
 def _fail(message):
     """Report an internal or cache error on one line and exit 3."""
-    click.echo(message, err=True)
+    print(message, file=sys.stderr)
     sys.exit(3)
 
 
@@ -51,7 +59,7 @@ def _emit(text, out):
     slices = range(0, len(text), EMIT_SLICE)
     if out == "-":
         for i in slices:
-            click.echo(text[i : i + EMIT_SLICE], nl=False)
+            sys.stdout.write(text[i : i + EMIT_SLICE])
         return
     tmp = out + ".tmp"
     try:
@@ -65,41 +73,13 @@ def _emit(text, out):
         _fail("cannot write %s: %s" % (out, exc))
 
 
-class _Group(click.Group):
-    """Reports a defect the engine detects as an internal error: exit 3."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (TableSolveError, NonPolynomialError, ExpansionError) as exc:
-            _fail("internal error: %s" % exc)
-
-
-@click.group(cls=_Group)
-def cli():
-    """Exact equivariant quantum Schubert calculus on Gr(k,n)."""
-
-
-@cli.command()
-@click.option("--k", required=True, type=int)
-@click.option("--n", required=True, type=int)
-@click.option("--d-max", type=int, default=None, help="Cap on exported q-powers.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--out", default="-", help="Output file, or - for stdout.")
-@click.option(
-    "--cache-dir",
-    envvar="EQSCHUBERT_CACHE_DIR",
-    default=None,
-    help="Directory for the table cache (env EQSCHUBERT_CACHE_DIR).",
-)
-@click.option("--no-cache", is_flag=True, default=False)
 def table(k, n, d_max, fmt, out, cache_dir, no_cache):
     """Compute and export the full structure-constant table."""
     ctx = _context(k, n)
     if d_max is None:
         d_max = default_d_max(ctx)
     if d_max < 0:
-        raise click.UsageError("--d-max must be nonnegative")
+        raise _UsageError("--d-max must be nonnegative")
     use_cache = cache_dir and not no_cache
     payload = None
     if use_cache:
@@ -126,12 +106,6 @@ def table(k, n, d_max, fmt, out, cache_dir, no_cache):
     _emit(payload, out)
 
 
-@cli.command("multiply")
-@click.option("--k", required=True, type=int)
-@click.option("--n", required=True, type=int)
-@click.option("--u", "u_text", required=True, help="Partition as a JSON array.")
-@click.option("--v", "v_text", required=True, help="Partition as a JSON array.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def multiply_cmd(k, n, u_text, v_text, fmt):
     """Print the product of two basis classes."""
     from .quantum import multiply
@@ -142,22 +116,11 @@ def multiply_cmd(k, n, u_text, v_text, fmt):
         u = partition_argument(ctx, u_text)
         v = partition_argument(ctx, v_text)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise _UsageError(str(exc))
     elem = multiply(u, v)
-    click.echo(qelem_text(elem) if fmt == "text" else qelem_json(elem))
+    print(qelem_text(elem) if fmt == "text" else qelem_json(elem))
 
 
-@cli.command()
-@click.option("--k", required=True, type=int)
-@click.option("--n", required=True, type=int)
-@click.option(
-    "--suite",
-    "suite_names",
-    multiple=True,
-    help="Suites to run; defaults to all.",
-)
-@click.option("--d-max", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(k, n, suite_names, d_max, fmt):
     """Run verification suites; exit 0 only if every check passes."""
     from .render import canonical_json
@@ -165,18 +128,18 @@ def verify(k, n, suite_names, d_max, fmt):
 
     ctx = _context(k, n)
     if d_max is not None and d_max < 0:
-        raise click.UsageError("--d-max must be nonnegative")
+        raise _UsageError("--d-max must be nonnegative")
     # a suite named twice runs once; the reports are sorted below anyway
-    names = list(dict.fromkeys(suite_names)) or sorted(SUITES)
+    names = list(dict.fromkeys(suite_names or ())) or sorted(SUITES)
     for name in names:
         if name not in SUITES:
-            raise click.UsageError(
+            raise _UsageError(
                 "unknown suite %r (known: %s)" % (name, ", ".join(sorted(SUITES)))
             )
     reports = [SUITES[name](ctx, d_max) for name in names]
     reports.sort(key=lambda rep: rep["suite"])
     if fmt == "json":
-        click.echo(canonical_json(reports))
+        print(canonical_json(reports))
     else:
         for rep in reports:
             status = "pass" if rep["passed"] else "FAIL"
@@ -185,22 +148,13 @@ def verify(k, n, suite_names, d_max, fmt):
                 for key in sorted(rep)
                 if key.endswith("checked") or key == "d_max"
             )
-            click.echo(
-                "%-14s %s%s" % (rep["suite"], status, " (%s)" % detail if detail else "")
-            )
+            print("%-14s %s%s" % (rep["suite"], status, " (%s)" % detail if detail else ""))
             for violation in rep["violations"]:
-                click.echo("  violation: %s" % json.dumps(violation, sort_keys=True))
+                print("  violation: %s" % json.dumps(violation, sort_keys=True))
     if not all(rep["passed"] for rep in reports):
         sys.exit(1)
 
 
-@cli.command()
-@click.option("--k", required=True, type=int)
-@click.option("--n", required=True, type=int)
-@click.option(
-    "--family", type=click.Choice(["schubert", "opposite"]), default="schubert"
-)
-@click.option("--out", default="-")
 def restrictions(k, n, family, out):
     """Export the fixed-point restriction table as JSON."""
     from .render import restriction_table_json
@@ -209,9 +163,6 @@ def restrictions(k, n, family, out):
     _emit(restriction_table_json(ctx, family), out)
 
 
-@cli.command()
-@click.option("--regen", is_flag=True, default=False, help="Rewrite the fixture file.")
-@click.option("--path", default=DEFAULT_FIXTURE_PATH, show_default=True)
 def fixtures(regen, path):
     """Check (or with --regen, rewrite) the oracle-stamped fixture file."""
     from .oracles import build_fixtures
@@ -223,7 +174,7 @@ def fixtures(regen, path):
         except OSError as exc:
             _fail("cannot write %s: %s" % (path, exc))
         _emit(fresh, path)
-        click.echo("wrote %s" % path)
+        print("wrote %s" % path)
         return
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -231,13 +182,91 @@ def fixtures(regen, path):
     except (OSError, UnicodeDecodeError) as exc:
         _fail("cannot read %s: %s" % (path, exc))
     if on_disk != fresh:
-        click.echo("fixture file %s is stale; rerun with --regen" % path, err=True)
+        print("fixture file %s is stale; rerun with --regen" % path, file=sys.stderr)
         sys.exit(1)
-    click.echo("fixtures match")
+    print("fixtures match")
 
 
-def main():
-    cli()
+# command name -> the function its parsed options are passed to, by keyword
+COMMANDS = {
+    "table": table,
+    "multiply": multiply_cmd,
+    "verify": verify,
+    "restrictions": restrictions,
+    "fixtures": fixtures,
+}
+
+
+def _parser():
+    """The top-level parser and, by command name, each command's parser.
+
+    No parser accepts an abbreviated option, and every parse error exits 2.
+    """
+    parser = argparse.ArgumentParser(
+        prog="eqschubert",
+        description="Exact equivariant quantum Schubert calculus on Gr(k,n).",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    subs = {
+        name: commands.add_parser(
+            name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False
+        )
+        for name, fn in COMMANDS.items()
+    }
+    for name in ("table", "multiply", "verify", "restrictions"):
+        subs[name].add_argument("--k", type=int, required=True)
+        subs[name].add_argument("--n", type=int, required=True)
+
+    add = subs["table"].add_argument
+    add("--d-max", type=int, metavar="D", help="Cap on exported q-powers.")
+    add("--format", dest="fmt", choices=("json", "csv"), default="json")
+    add("--out", default="-", metavar="FILE", help="Output file, or - for stdout.")
+    add(
+        "--cache-dir",
+        default=os.environ.get("EQSCHUBERT_CACHE_DIR"),
+        metavar="DIR",
+        help="Directory for the table cache (env EQSCHUBERT_CACHE_DIR).",
+    )
+    add("--no-cache", action="store_true")
+
+    add = subs["multiply"].add_argument
+    add("--u", dest="u_text", required=True, metavar="PARTITION", help="As a JSON array.")
+    add("--v", dest="v_text", required=True, metavar="PARTITION", help="As a JSON array.")
+    add("--format", dest="fmt", choices=("text", "json"), default="text")
+
+    add = subs["verify"].add_argument
+    add(
+        "--suite",
+        dest="suite_names",
+        action="append",
+        metavar="NAME",
+        help="Suite to run, repeatable; defaults to all.",
+    )
+    add("--d-max", type=int, metavar="D")
+    add("--format", dest="fmt", choices=("text", "json"), default="text")
+
+    add = subs["restrictions"].add_argument
+    add("--family", choices=("schubert", "opposite"), default="schubert")
+    add("--out", default="-", metavar="FILE")
+
+    add = subs["fixtures"].add_argument
+    add("--regen", action="store_true", help="Rewrite the fixture file.")
+    add("--path", default=DEFAULT_FIXTURE_PATH, help="(default: %(default)s)")
+    return parser, subs
+
+
+def main(argv=None):
+    """Run the command named in ``argv`` (default ``sys.argv[1:]``)."""
+    parser, subs = _parser()
+    options = vars(parser.parse_args(argv))
+    name = options.pop("command")
+    try:
+        COMMANDS[name](**options)
+    except _UsageError as exc:
+        subs[name].error(str(exc))
+    except (TableSolveError, NonPolynomialError, ExpansionError) as exc:
+        _fail("internal error: %s" % exc)
 
 
 if __name__ == "__main__":

@@ -29,12 +29,12 @@ GKM, duality, and positivity checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import NonPolynomialError
 from .grass import (
+    _frozen,
     enumerate_classes,
     partition_from_permutation,
     to_grassmannian_permutation,
@@ -49,20 +49,28 @@ from .polyring import (
 )
 
 
-@dataclass(frozen=True)
 class FixedPoint:
     """A torus-fixed point: a coordinate k-subset of {1..n}."""
 
-    subset: tuple
-    ctx: "GrassContext"
+    __slots__ = ("subset", "ctx")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        s = tuple(sorted(self.subset))
+    def __init__(self, subset, ctx):
+        s = tuple(sorted(subset))
         object.__setattr__(self, "subset", s)
-        if len(s) != self.ctx.k or len(set(s)) != self.ctx.k:
+        object.__setattr__(self, "ctx", ctx)
+        if len(s) != ctx.k or len(set(s)) != ctx.k:
             raise ValueError("subset %r is not a k-set" % (s,))
-        if s and (s[0] < 1 or s[-1] > self.ctx.n):
+        if s and (s[0] < 1 or s[-1] > ctx.n):
             raise ValueError("subset %r out of range" % (s,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.subset == other.subset and self.ctx == other.ctx
+
+    def __hash__(self):
+        return hash((self.subset, self.ctx))
 
     def __repr__(self):
         return "FixedPoint(%s)" % (list(self.subset),)

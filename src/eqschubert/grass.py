@@ -8,22 +8,38 @@ parts tuple with larger first parts earlier, so serialized tables are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ContextError
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes."""
+    raise AttributeError("cannot change %s.%s" % (type(self).__name__, name))
+
+
 class GrassContext:
     """The Grassmannian Gr(k,n) of k-planes in n-space."""
 
-    k: int
-    n: int
+    __slots__ = ("k", "n")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if not 0 < self.k < self.n:
-            raise ContextError("need 0 < k < n, got k=%r n=%r" % (self.k, self.n))
+    def __init__(self, k, n):
+        if not 0 < k < n:
+            raise ContextError("need 0 < k < n, got k=%r n=%r" % (k, n))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.k, self.n))
+
+    def __repr__(self):
+        return "GrassContext(k=%r, n=%r)" % (self.k, self.n)
 
     @property
     def r(self):
@@ -40,19 +56,19 @@ class GrassContext:
         return self.k * (self.n - self.k)
 
 
-@dataclass(frozen=True)
 class Partition:
     """A partition in the k x (n-k) box, with trailing zeros normalized away."""
 
-    parts: tuple
-    ctx: GrassContext
+    __slots__ = ("parts", "ctx")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts, ctx):
+        parts = tuple(parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         object.__setattr__(self, "parts", parts)
-        k, w = self.ctx.k, self.ctx.width
+        object.__setattr__(self, "ctx", ctx)
+        k, w = ctx.k, ctx.width
         if len(parts) > k:
             raise ValueError("partition %r has more than k=%d rows" % (parts, k))
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -83,6 +99,14 @@ class Partition:
 
     def contains(self, other):
         return all(a >= b for a, b in zip(self.padded(), other.padded()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts and self.ctx == other.ctx
+
+    def __hash__(self):
+        return hash((self.parts, self.ctx))
 
     def __repr__(self):
         return "Partition(%s; Gr(%d,%d))" % (list(self.parts), self.ctx.k, self.ctx.n)

@@ -22,12 +22,23 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import lru_cache
 
 from .errors import DimensionMismatchError
 from .grass import Partition, default_d_max, enumerate_classes
 from .polyring import Polynomial, _lanes, y_to_x
 
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@lru_cache(maxsize=1 << 16)
+def _monomial_text(exps, symbol):
+    """``x1^2*x2`` for the exponents ``(2, 1)``; the unit monomial is ``""``."""
+    return "*".join(
+        "%s%d%s" % (symbol, i + 1, "^%d" % e if e > 1 else "")
+        for i, e in enumerate(exps)
+        if e
+    )
 
 
 def poly_text(p, symbol="x"):
@@ -37,12 +48,7 @@ def poly_text(p, symbol="x"):
         return "0"
     chunks = []
     for exps, c in items:
-        factors = [
-            "%s%d%s" % (symbol, i + 1, "^%d" % e if e > 1 else "")
-            for i, e in enumerate(exps)
-            if e
-        ]
-        body = "*".join(factors)
+        body = _monomial_text(exps, symbol)
         mag = abs(c)
         if not body:
             text = str(mag)

@@ -1,6 +1,12 @@
+import contextlib
+import io
+import sys
+from types import SimpleNamespace
+
 import pytest
 
 from eqschubert import GrassContext, Partition
+from eqschubert.cli import main
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +31,40 @@ def gr36():
 
 def part(ctx, *parts):
     return Partition(tuple(parts), ctx)
+
+
+@contextlib.contextmanager
+def captured_output():
+    """Swap ``sys.stdout`` and ``sys.stderr`` for UTF-8 text streams and
+    yield the two byte buffers under them; the text is in the buffers once
+    the block ends."""
+    buffers = io.BytesIO(), io.BytesIO()
+    streams = [io.TextIOWrapper(buf, encoding="utf-8") for buf in buffers]
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = streams
+    try:
+        yield buffers
+    finally:
+        sys.stdout, sys.stderr = saved
+        for stream in streams:
+            stream.detach()
+
+
+def invoke(argv):
+    """Run the CLI in this process: ``exit_code``, the ``stdout`` and
+    ``stderr`` text, ``stdout_bytes``, and ``output``, the two texts
+    together."""
+    with captured_output() as (out, err):
+        try:
+            main(list(argv))
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = 0 if exc.code is None else exc.code
+    stdout, stderr = out.getvalue().decode("utf-8"), err.getvalue().decode("utf-8")
+    return SimpleNamespace(
+        exit_code=exit_code,
+        stdout=stdout,
+        stderr=stderr,
+        stdout_bytes=out.getvalue(),
+        output=stdout + stderr,
+    )

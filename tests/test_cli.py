@@ -7,7 +7,6 @@ import sys
 import time
 
 import pytest
-from click.testing import CliRunner
 
 import eqschubert.cache as cache_mod
 import eqschubert.cli as cli_mod
@@ -16,9 +15,10 @@ import eqschubert.quantum as quantum_mod
 import eqschubert.render as render_mod
 import eqschubert.suites as suites_mod
 from eqschubert import GrassContext, enumerate_classes, point_of
-from eqschubert.cli import cli
 from eqschubert.errors import ExpansionError, NonPolynomialError, TableSolveError
 from eqschubert.render import canonical_json, poly_from_json, table_json
+
+from conftest import captured_output, invoke
 
 # sha256 of exports recorded in bench/expected.json; export bytes must not change.
 # Gr(2,5) and Gr(3,6) run q-degree >= 1 blocks through the rational sweep.
@@ -55,8 +55,8 @@ OUTPUT_SHA256 = [
 ]
 
 
-def run(*args, **kwargs):
-    return CliRunner().invoke(cli, list(args), **kwargs)
+def run(*args):
+    return invoke(args)
 
 
 def test_table_smoke_p1():
@@ -329,6 +329,44 @@ def test_usage_errors_exit_2():
     ).exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["", *cli_mod.COMMANDS])
+def test_help_exits_0(command):
+    result = run(*command.split(), "--help")
+    assert result.exit_code == 0 and result.stderr == ""
+    assert result.stdout.startswith("usage: eqschubert " + command)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("tabel", "--k", "2", "--n", "4"),
+        ("table", "--n", "4"),
+        ("table", "--k", "2", "--n", "4", "--format", "xml"),
+        ("table", "--k", "x", "--n", "4"),
+        ("table", "--k", "1", "--n", "2", "--cache", "DIR"),
+    ],
+    ids=["no-command", "unknown-command", "missing-k", "bad-format", "non-integer-k",
+         "abbreviated-option"],
+)
+def test_parse_errors_exit_2_without_a_traceback(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    result = run(*args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith("usage: eqschubert") and "Traceback" not in result.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_cache_dir_defaults_to_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("EQSCHUBERT_CACHE_DIR", str(tmp_path))
+    args = ("table", "--k", "1", "--n", "2")
+    assert run(*args, "--no-cache").exit_code == 0 and os.listdir(tmp_path) == []
+    assert run(*args).exit_code == 0 and len(os.listdir(tmp_path)) == 1
+    other = tmp_path / "other"
+    assert run(*args, "--cache-dir", str(other)).exit_code == 0
+    assert len(os.listdir(other)) == 1 and len(os.listdir(tmp_path)) == 2
+
+
 def _readme_synopsis():
     """The options of each command in the README ``CLI`` code block."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -343,11 +381,25 @@ def _readme_synopsis():
     return options
 
 
+def _command_options():
+    """The options each command's parser declares, ``--help`` aside."""
+    _, parsers = cli_mod._parser()
+    return {
+        name: {
+            opt
+            for action in parser._actions
+            if action.dest != "help"
+            for opt in action.option_strings
+        }
+        for name, parser in parsers.items()
+    }
+
+
 def test_readme_synopsis_lists_each_command_option():
     synopsis = _readme_synopsis()
-    assert sorted(synopsis) == sorted(cli.commands)
-    for name, command in cli.commands.items():
-        assert synopsis[name] == {opt for param in command.params for opt in param.opts}, name
+    assert sorted(synopsis) == sorted(cli_mod.COMMANDS)
+    for name, options in _command_options().items():
+        assert synopsis[name] == options, name
 
 
 def test_multiply_text_rendering():
@@ -548,9 +600,9 @@ def test_emit_writes_slices_byte_for_byte(tmp_path):
     cli_mod._emit(text, str(out))
     assert out.read_bytes() == text.encode("utf-8")
     assert list(tmp_path.glob("*.tmp")) == []
-    with CliRunner().isolation() as (stdout, *_):
+    with captured_output() as (stdout, _):
         cli_mod._emit(text, "-")
-        written = stdout.getvalue()
+    written = stdout.getvalue()
     assert written == text.encode("utf-8")
 
 

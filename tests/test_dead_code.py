@@ -14,14 +14,6 @@ def _bound_name(alias):
     return alias.asname or alias.name.split(".")[0]
 
 
-def _is_click_command(node):
-    for deco in node.decorator_list:
-        func = deco.func if isinstance(deco, ast.Call) else deco
-        if isinstance(func, ast.Attribute) and func.attr in ("command", "group"):
-            return True
-    return False
-
-
 def test_every_import_is_used():
     unused = []
     for path in MODULES:
@@ -54,9 +46,9 @@ def _references(tree):
 
 
 def test_every_top_level_definition_has_a_user():
-    # a user is the public name map, a click command decorator, the
-    # interpreter (module hooks such as __getattr__), or code of the package
-    # outside the definition itself that refers to it by name
+    # a user is the public name map, the interpreter (module hooks such as
+    # __getattr__), or code of the package outside the definition itself
+    # that refers to it by name
     trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
     references = sum(map(_references, trees.values()), Counter())
     unused = []
@@ -64,7 +56,7 @@ def test_every_top_level_definition_has_a_user():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name in eqschubert._EXPORTS or _is_click_command(node):
+            if node.name in eqschubert._EXPORTS:
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue

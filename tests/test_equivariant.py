@@ -46,6 +46,19 @@ def test_fixed_point_dictionary(gr24):
         FixedPoint((1, 1), gr24)
 
 
+def test_fixed_point_is_a_value(gr24, gr25):
+    a, b = FixedPoint((3, 1), gr24), FixedPoint([1, 3], gr24)
+    assert a == b and hash(a) == hash(b) and a.subset == (1, 3)
+    assert a != FixedPoint((1, 3), gr25) and a != FixedPoint((1, 2), gr24)
+    assert a != (1, 3) and a != ((1, 3), gr24)
+    assert repr(a) == "FixedPoint([1, 3])"
+    with pytest.raises(AttributeError):
+        a.subset = (1, 2)
+    with pytest.raises(AttributeError):
+        a.ctx = gr25
+    assert a.subset == (1, 3) and a.ctx is gr24
+
+
 def test_tangent_weights_p1(gr12):
     w1 = tangent_weights(FixedPoint((1,), gr12))
     w2 = tangent_weights(FixedPoint((2,), gr12))

@@ -46,6 +46,29 @@ def test_partition_validation(gr24):
     assert Partition((2, 1, 0), gr24).parts == (2, 1)
 
 
+def test_value_classes_compare_hash_and_print_as_values():
+    gr24, gr25 = GrassContext(2, 4), GrassContext(2, 5)
+    assert GrassContext(2, 4) == gr24 and hash(GrassContext(2, 4)) == hash(gr24)
+    assert gr24 != gr25 and gr24 != (2, 4)
+    assert repr(gr24) == "GrassContext(k=2, n=4)"
+    with pytest.raises(ContextError):
+        GrassContext(-1, 2)
+    a, b = Partition((2, 1, 0), gr24), Partition((2, 1), gr24)
+    assert a == b and hash(a) == hash(b)
+    assert a.parts == (2, 1) and a.ctx is gr24
+    assert a != Partition((2, 1), gr25) and a != Partition((2,), gr24)
+    assert a != (2, 1) and a != ((2, 1), gr24)
+    assert len({a, b, Partition((2, 1), GrassContext(2, 4))}) == 1
+    assert repr(a) == "Partition([2, 1]; Gr(2,4))"
+    assert repr(Partition((), gr24)) == "Partition([]; Gr(2,4))"
+    for obj, attr, value in [(gr24, "k", 3), (a, "parts", (1,)), (a, "ctx", gr25)]:
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, value)
+    with pytest.raises(AttributeError):
+        gr24.other = 1
+    assert (gr24.k, gr24.n, a.parts) == (2, 4, (2, 1))
+
+
 def test_enumerate_counts_and_order(gr24, gr12, gr36):
     assert [p.parts for p in enumerate_classes(gr24)] == [
         (),

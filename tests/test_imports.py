@@ -1,4 +1,5 @@
-"""A warm cache read must not pay for importing the engine."""
+"""A warm cache read must not pay for importing the engine, and the CLI must
+not pay for libraries its start-up never uses."""
 
 import json
 import os
@@ -6,9 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
+import pytest
 
-from eqschubert.cli import cli
+from conftest import invoke
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -22,7 +23,7 @@ def engine_loaded():
 
 import eqschubert.cli
 after_import = engine_loaded()
-eqschubert.cli.cli.main(sys.argv[1:], standalone_mode=False)
+eqschubert.cli.main(sys.argv[1:])
 after_read = engine_loaded()
 
 import eqschubert
@@ -33,22 +34,48 @@ unbound = sorted(set(eqschubert.__all__) - set(names))
 print(json.dumps([after_import, after_read, suites, unbound]), file=sys.stderr)
 """ % (ENGINE,)
 
+# which of ``sys.argv[2:]`` importing the module ``sys.argv[1]`` loads
+NEWLY_LOADED = """
+import importlib, json, sys
+
+before = set(sys.modules)
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(set(sys.argv[2:]) & (set(sys.modules) - before))))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
 
 def test_warm_json_read_imports_no_engine_module(tmp_path):
     args = ["table", "--k", "1", "--n", "2", "--cache-dir", str(tmp_path)]
-    cold = CliRunner().invoke(cli, args)
+    cold = invoke(args)
     assert cold.exit_code == 0 and len(os.listdir(tmp_path)) == 1
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHECK, *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _python("-c", CHECK, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == cold.output
     after_import, after_read, suites, unbound = json.loads(proc.stderr.splitlines()[-1])
     assert after_import == [] and after_read == []
     assert suites == ["axioms", "duality", "gkm", "positivity", "specialization", "tbasis"]
     assert unbound == []
+
+
+@pytest.mark.parametrize(
+    "module, banned",
+    [
+        ("eqschubert.cli", ("click", "inspect", "dataclasses", "typing")),
+        ("eqschubert.quantum", ("inspect", "dataclasses")),
+        ("eqschubert.equivariant", ("inspect", "dataclasses")),
+        ("eqschubert.render", ("inspect", "dataclasses")),
+        ("eqschubert.suites", ("inspect", "dataclasses")),
+    ],
+)
+def test_import_loads_no_heavy_library(module, banned):
+    # a module the interpreter's own start-up already loaded costs nothing
+    proc = _python("-c", NEWLY_LOADED, module, *banned)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

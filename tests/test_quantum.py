@@ -329,13 +329,13 @@ def test_warmed_rows_walk_builds_no_partition(gr36, monkeypatch):
     for a in enumerate_classes(gr36):
         table.chevalley_terms(a)
     built = []
-    check = Partition.__post_init__
+    check = Partition.__init__
 
-    def counted(self):
-        built.append(self.parts)
-        check(self)
+    def counted(self, parts, ctx):
+        built.append(parts)
+        check(self, parts, ctx)
 
-    monkeypatch.setattr(Partition, "__post_init__", counted)
+    monkeypatch.setattr(Partition, "__init__", counted)
     rows = list(table.rows(default_d_max(gr36)))
     assert rows and built == []
 
