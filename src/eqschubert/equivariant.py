@@ -12,8 +12,9 @@ GKM, duality, and positivity checks:
   coordinates ``y_j = b_{j+1}`` (j = 1..n-1), where every tangent weight
   has at most two terms; ``_b_forms`` is the one place that choice is made.
   ``restrict_schubert``, ``restriction_table``, ``tangent_weights``,
-  ``integrate``, ``elr_table`` and ``gkm_violations`` work in y.  ``elr``
-  and ``pairing`` return x, converted by ``polyring.y_to_x``.
+  ``own_restriction``, ``integrate``, ``elr_table`` and ``gkm_violations``
+  work in y.  ``elr`` and ``pairing`` return x, converted by
+  ``polyring.y_to_x``.
 * The restriction of the class of ``a`` to the fixed point of ``m`` is the
   factorial Schur polynomial of shape ``a`` evaluated at the staircase b's of
   ``m`` with shift sequence b, computed here in bialternant (determinant
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 from .errors import NonPolynomialError
 from .grass import (
@@ -278,6 +280,13 @@ def _own_weights(ctx, subset):
 
 
 @lru_cache(maxsize=None)
+def own_restriction(p):
+    """sigma(p)|p in y, the product of the ``_own_weights`` of p's point."""
+    one = Polynomial.const(p.ctx.r, 1)
+    return prod(_own_weights(p.ctx, point_of(p).subset), start=one)
+
+
+@lru_cache(maxsize=None)
 def elr_table(ctx):
     """All nonzero ELR coefficients keyed by (u.parts, v.parts, w.parts), in y.
 
@@ -288,20 +297,17 @@ def elr_table(ctx):
     c_w = (sigma(u)|w sigma(v)|w - sum of c_x sigma(x)|w over x found) / sigma(w)|w.
     The numerator folds into one term map by ``polyring.add_product_into``
     and becomes a polynomial once, by ``finish_terms``.  The divisor
-    sigma(w)|w is the product of the linear forms ``_own_weights`` of w's
-    point, checked against the restriction table once per class, so the
-    division runs form by form, each on the heap-free linear path.
+    sigma(w)|w, checked against the restriction table once per class, is
+    ``own_restriction(w)``, the product of the linear forms ``_own_weights``
+    of w's point, so the division runs form by form on the linear path.
     """
     classes = enumerate_classes(ctx)
     points = [pt.subset for pt in fixed_points(ctx)]
     sigma = restriction_table(ctx, "schubert").entries
     weights = {}
     for w, pt in zip(classes, points):
-        forms = weights[w.parts] = _own_weights(ctx, pt)
-        product = Polynomial.const(ctx.r, 1)
-        for f in forms:
-            product = product * f
-        if product != sigma[(w.parts, pt)]:
+        weights[w.parts] = _own_weights(ctx, pt)
+        if own_restriction(w) != sigma[(w.parts, pt)]:
             raise NonPolynomialError(
                 "restriction of %r at its own point is not its weight product"
                 % (w.parts,)

@@ -710,9 +710,6 @@ class RationalExpression:
     def is_zero(self):
         return self.numerator.is_zero
 
-    def neg(self):
-        return _rational(-self.numerator, self.scale, self.factors)
-
     def __repr__(self):
         return "RationalExpression(%r, factors=%d, scale=%d)" % (
             self.numerator,

@@ -20,15 +20,19 @@ differs from both factors this solves one unknown by an exact division, with
 references that climb toward the full box or strictly drop (w, d).
 
 When the target equals a factor (w = o, say) the relation couples all the
-unknowns X_a = C[a,o,o,d] to each other, so those are solved as one block:
-sweeping a downward from the box expresses every X_a as an affine-rational
-function of the single symbol X_o, and the known unit row X_empty pins the
-symbol.  The rationals serve only to pin X_o: once it is known, the
-relation (c_o - c_a) X_a = sum X_a+ + known terms has exactly one solution,
-so the rows follow from it from the box downward, one exact division each,
-and the unit and divisor rows check the result.  Block solves only consult
-strictly smaller blocks, lower q-degrees and lower targets, so the whole
-table is well founded.
+unknowns X_a = C[a,o,o,d] to each other, so those are solved as one block.
+Its solutions are X_a = A_a + B_a X_o, and since the localized Chevalley
+rule (c_o - c_a) sigma(a)|o = sum of sigma(a+)|o (Knutson-Tao) solves its
+homogeneous part, B_a = sigma(a)|o / W with W = sigma(o)|o, the product of
+the positive tangent weights at o's point (``equivariant.own_restriction``).
+So from the box downward the rows a not inside o, which never see X_o, and
+the polynomials P_a = W X_a - sigma(a)|o X_o of the rows inside o (P_o = 0)
+each take one exact division, and the unit row pins
+X_o = W X_empty - P_empty.  The rows inside o then follow from the
+relation, one exact division each, and the unit and divisor rows check
+them, and with them W, against the localization diagonal.  Block solves
+only consult strictly smaller blocks, lower q-degrees and lower targets, so
+the whole table is well founded.
 
 The recursion runs on class positions in ``enumerate_classes`` order over
 one graph per context, built by ``EQTable``: the add-box edges a -> a+ and
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .equivariant import elr
+from .equivariant import elr, own_restriction
 from .errors import TableSolveError
 from .grass import (
     Partition,
@@ -55,7 +59,6 @@ from .grass import (
 )
 from .polyring import (
     Polynomial,
-    RationalExpression,
     _key_degree,
     add_into,
     add_product_into,
@@ -266,15 +269,9 @@ class EQTable:
         return value
 
     def _solve_block(self, it, d):
-        """Solve all C[a,t,t,d] at once.
-
-        Every X_a is expressed as A_a + B_a * X_t with factored-rational
-        A, B by sweeping a from the box downward; the unit row then pins
-        X_t.  The rows then follow from the relation itself, again from the
-        box downward, each by one exact division, and the unit and divisor
-        rows are left over as consistency checks.  It stores every row it
-        solves, so the memo keeps it from running twice.
-        """
+        """Solve all C[a,t,t,d] at once, pinned by W = sigma(t)|t (see the
+        module docstring), storing every row; the memo keeps it from
+        running twice."""
         key = (it, d)
         if key in self._blocks_running:
             raise TableSolveError("re-entered block %r" % (self._named(key),))
@@ -286,65 +283,62 @@ class EQTable:
 
     def _solve_block_inner(self, key):
         it, d = key
-        zero_r = RationalExpression(self._zero)
-        one_r = RationalExpression(self._one)
-        positions = range(len(self._classes) - 1, -1, -1)
-        affine = [None] * len(self._classes)
-        affine[it] = (zero_r, one_r)
-        tails = [None] * len(self._classes)
-        for ia in positions:
+        inside = {it}
+        for ia in range(it, -1, -1):
+            if ia in inside:
+                inside.update(self._down[ia])
+        weight = own_restriction(self._classes[it])
+        rows, known, pinned = {}, {}, {it: self._zero}
+        for ia in range(len(self._classes) - 1, -1, -1):
             if ia == it:
                 continue
             # No grading shortcut here: rows whose value is forced to zero
             # still carry their relation downward, and for d >= 1 the unit
             # row below them is the only thing that pins X_t.
-            sum_a, sum_b = zero_r, zero_r
+            acc, terms = {}, self._known_tail(ia, it, it, d)
             for up in self._up[ia]:
-                pa, pb = affine[up]
-                sum_a = sum_a.add(pa)
-                sum_b = sum_b.add(pb)
-            tail = tails[ia] = self._known_tail(ia, it, it, d)
-            sum_a = sum_a.add(RationalExpression(Polynomial(self.ctx.r, tail)))
-            inv = RationalExpression(self._one, (self._gap(it, ia),))
-            affine[ia] = (sum_a.mul(inv), sum_b.mul(inv))
-        anchor = self._one if d == 0 else self._zero
-        a0, b0 = affine[0]
-        residual = RationalExpression(anchor).add(a0.neg())
-        if b0.is_zero:
-            raise TableSolveError("singular block %r" % (self._named(key),))
-        num = residual.numerator * b0.scale
-        for f, m in b0.factors.items():
-            num = num * f**m
-        den = b0.numerator * residual.scale
-        for f, m in residual.factors.items():
-            den = den * f**m
-        x_t = num.divide_exact(den)
-        if x_t is None:
-            raise TableSolveError("inexact block solve %r" % (self._named(key),))
-        # X_t pinned, the relation has one solution: X_a = (sum X_a+ + tail_a)
-        # / (c_t - c_a), each an exact division, from the box downward.  The
-        # sweep's results hold no tail map, so the rows are summed into them.
-        rows = [None] * len(self._classes)
-        for ia in positions:
-            row = (min(ia, it), max(ia, it), it, d)
-            if ia == it:
-                value = x_t
-            else:
-                rhs = tails[ia]
-                for up in self._up[ia]:
-                    add_into(rhs, rows[up])
-                value = Polynomial(self.ctx.r, rhs).divide_exact(self._gap(it, ia))
-                if value is None:
-                    raise TableSolveError("inexact block row %r" % (self._named(row),))
-            if ia <= 1:
-                expected = anchor if ia == 0 else self._coefficient(1, it, it, d)
-                if value != expected:
-                    raise TableSolveError(
-                        "block %r disagrees with its anchor row" % (self._named(key),)
-                    )
-                rows[ia] = value
-            else:
-                rows[ia] = self._store(row, value, self._size[ia] - d * self.ctx.n)
+                if up not in inside:
+                    add_into(terms, rows[up])
+                elif self._down[up][-1] == ia:  # P_up has no reader below ia
+                    add_into(acc, pinned.pop(up))
+                else:
+                    add_into(acc, pinned[up])
+            if ia not in inside:
+                rows[ia] = self._block_row(key, ia, terms)
+                continue
+            known[ia] = terms
+            add_product_into(acc, weight, Polynomial(self.ctx.r, terms))
+            pinned[ia] = finish_terms(self.ctx.r, acc).divide_exact(self._gap(it, ia))
+            if pinned[ia] is None:
+                raise TableSolveError("inexact block solve %r" % (self._named(key),))
+        x_t = (weight if d == 0 else self._zero) - pinned[0]
+        rows[it] = self._store((it, it, it, d), x_t, self._size[it] - d * self.ctx.n)
+        for ia in sorted(inside - {it}, reverse=True):
+            terms = known[ia]
+            for up in self._up[ia]:
+                if up in inside:
+                    add_into(terms, rows[up])
+            rows[ia] = self._block_row(key, ia, terms)
+
+    def _block_row(self, key, ia, terms):
+        """X_a = (sum X_a+ + tail_a) / (c_t - c_a) in the block ``key``,
+        stored, or checked if a is the unit or the divisor."""
+        it, d = key
+        row = (min(ia, it), max(ia, it), it, d)
+        value = Polynomial(self.ctx.r, terms).divide_exact(self._gap(it, ia))
+        if value is None:
+            raise TableSolveError("inexact block row %r" % (self._named(row),))
+        if ia > 1:
+            return self._store(row, value, self._size[ia] - d * self.ctx.n)
+        if ia == 0:
+            expected = self._one if d == 0 else self._zero
+        else:
+            expected = self._coefficient(1, it, it, d)
+        if value != expected:
+            raise TableSolveError(
+                "block %r disagrees with its anchor row" % (self._named(key),)
+            )
+        return value
 
     # -- assembled products --------------------------------------------------------
 

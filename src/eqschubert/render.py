@@ -32,23 +32,23 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @lru_cache(maxsize=1 << 16)
-def _monomial_text(exps, symbol):
+def _monomial_text(exps):
     """``x1^2*x2`` for the exponents ``(2, 1)``; the unit monomial is ``""``."""
     return "*".join(
-        "%s%d%s" % (symbol, i + 1, "^%d" % e if e > 1 else "")
+        "x%d%s" % (i + 1, "^%d" % e if e > 1 else "")
         for i, e in enumerate(exps)
         if e
     )
 
 
-def poly_text(p, symbol="x"):
+def poly_text(p):
     """Human-readable polynomial, e.g. ``2*x1^2*x2 + x3 - 1``."""
     items = p.canonical_terms()
     if not items:
         return "0"
     chunks = []
     for exps, c in items:
-        body = _monomial_text(exps, symbol)
+        body = _monomial_text(exps)
         mag = abs(c)
         if not body:
             text = str(mag)
@@ -115,7 +115,7 @@ def _join_entries(envelope, rows):
     return ",".join(rows)
 
 
-def qelem_text(elem, symbol="x"):
+def qelem_text(elem):
     """Render a module element like ``s[2] + s[1,1] + (x2)*s[1] + q*s[]``."""
     items = elem.canonical_items()
     if not items:
@@ -127,7 +127,7 @@ def qelem_text(elem, symbol="x"):
         if c == 1:
             coeff = ""
         else:
-            coeff = "(%s)" % poly_text(c, symbol)
+            coeff = "(%s)" % poly_text(c)
         body = "*".join(x for x in (q, coeff, label) if x)
         pieces.append(body)
     return " + ".join(pieces)

@@ -3,7 +3,6 @@ import hashlib
 import json
 import os
 import re
-import sys
 import time
 
 import pytest
@@ -534,17 +533,24 @@ def test_internal_errors_exit_3(monkeypatch, args, owner, attr, error):
     assert result.stdout == ""
 
 
-def _corrupt_block_gaps(monkeypatch, rows_only):
-    """Double every gap a block reads, or with ``rows_only`` only the gaps
-    its back-substitution reads (the second read of a pair by a block)."""
+def _corrupt_block(monkeypatch, corruption):
+    """Corrupt what the block solves read.  ``rows`` doubles the second read
+    of each divisor c_t - c_a by a block of target t (in t's first block,
+    the back-substitution's read), ``relation`` doubles every such read, and
+    ``weight`` doubles the pin W = sigma(t)|t."""
+    if corruption == "weight":
+        own = quantum_mod.own_restriction
+        monkeypatch.setattr(quantum_mod, "own_restriction", lambda p: own(p) + own(p))
+        return
     gap = quantum_mod.EQTable._gap
     seen = set()
 
     def corrupted(self, iw, ia):
         value = gap(self, iw, ia)
-        if sys._getframe(1).f_code.co_name != "_solve_block_inner":
+        # while a block of target t runs, only it reads the divisors (t, a)
+        if all(t != iw for t, _ in self._blocks_running):
             return value
-        if rows_only and (iw, ia) not in seen:
+        if corruption == "rows" and (iw, ia) not in seen:
             seen.add((iw, ia))
             return value
         return value + value
@@ -553,14 +559,18 @@ def _corrupt_block_gaps(monkeypatch, rows_only):
 
 
 @pytest.mark.parametrize(
-    "rows_only, reason",
-    [(True, "inexact block row"), (False, "disagrees with its anchor row")],
-    ids=["rows", "relation"],
+    "corruption, reason",
+    [
+        ("rows", "inexact block row"),
+        ("relation", "inexact block row"),
+        ("weight", "disagrees with its anchor row"),
+    ],
+    ids=["rows", "relation", "weight"],
 )
-def test_corrupted_block_rows_exit_3(monkeypatch, rows_only, reason):
+def test_corrupted_block_rows_exit_3(monkeypatch, corruption, reason):
     # the corrupted table must not outlive the test in the shared memo
     quantum_mod.eq_table.cache_clear()
-    _corrupt_block_gaps(monkeypatch, rows_only)
+    _corrupt_block(monkeypatch, corruption)
     try:
         result = run("table", "--k", "2", "--n", "4", "--no-cache")
     finally:

@@ -1,8 +1,11 @@
+import ast
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import eqschubert.quantum as quantum_mod
 from eqschubert import (
     Partition,
     Polynomial,
@@ -20,7 +23,8 @@ from eqschubert import (
     verify_algebra,
     verify_positivity,
 )
-from eqschubert.grass import default_d_max
+from eqschubert.equivariant import own_restriction, point_of, restriction_table
+from eqschubert.grass import add_box_shapes, default_d_max
 from eqschubert.quantum import EQTable
 
 from conftest import part
@@ -66,6 +70,44 @@ def test_chevalley_d0_column_matches_localization(gr24, gr25):
             elem = eq_chevalley(v)
             for w in enumerate_classes(ctx):
                 assert elem.get(w, 0) == elr(divisor, v, w)
+
+
+def test_block_pin_is_the_localized_chevalley_rule(gr25, gr36):
+    # The block solve pins X_t with W = sigma(t)|t: B_a = sigma(a)|t / W
+    # solves the relation's homogeneous part because, in y and with c_z the
+    # engine's own diagonal, (c_t - c_v) sigma(v)|t = sum sigma(v+)|t.
+    violations = []
+    for ctx in (gr25, gr36):
+        table = eq_table(ctx)
+        classes = enumerate_classes(ctx)
+        sigma = restriction_table(ctx).entries
+        zero = Polynomial.zero(ctx.r)
+        diag = [table.chevalley_terms(p).get((p.parts, 0), zero) for p in classes]
+        for t, c_t in zip(classes, diag):
+            pt = point_of(t).subset
+            weight = own_restriction(t)
+            if sigma[(t.parts, pt)] != weight:
+                violations.append(("own point", t.parts))
+            if table.coefficient(t, t, t, 0) != weight:
+                violations.append(("C[t,t,t,0]", t.parts))
+            for v, c_v in zip(classes, diag):
+                ups = sum((sigma[(m.parts, pt)] for m in add_box_shapes(v)), zero)
+                if (c_t - c_v) * sigma[(v.parts, pt)] != ups:
+                    violations.append(("chevalley", t.parts, v.parts))
+    assert violations == []
+
+
+def test_quantum_uses_no_rational_expression():
+    tree = ast.parse(Path(quantum_mod.__file__).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert "RationalExpression" not in used
 
 
 def test_circ_on_basis_classes(gr24):

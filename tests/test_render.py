@@ -37,7 +37,6 @@ def test_poly_text():
     assert poly_text(Polynomial.const(3, -7)) == "-7"
     assert poly_text(x(1) ** 2 * x(2) * 2 + x(3) - 1) == "2*x1^2*x2 + x3 - 1"
     assert poly_text(-x(1) + x(2)) == "-x1 + x2"
-    assert poly_text(x(1), symbol="T") == "T1"
 
 
 def test_poly_text_graded_lex_order():
