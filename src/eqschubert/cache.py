@@ -86,11 +86,12 @@ def load(cache_dir, k, n, d_max):
         raise CacheError("unreadable cache file %s: %s" % (path, exc))
     if actual != digest:
         raise CacheError("checksum mismatch in cache file %s" % path)
+    # JSON true and 1.0 compare equal to 1, but only an int names a table
+    stamp = tuple(envelope.get(f) for f in ("cache_version", "k", "n", "d_max"))
     if (
-        envelope.get("cache_version") != CACHE_VERSION
-        or envelope.get("engine_version") != ENGINE_VERSION
-        or (envelope.get("k"), envelope.get("n"), envelope.get("d_max"))
-        != (k, n, d_max)
+        envelope.get("engine_version") != ENGINE_VERSION
+        or any(type(v) is not int for v in stamp)
+        or stamp != (CACHE_VERSION, k, n, d_max)
     ):
         return None
     return payload

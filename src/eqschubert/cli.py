@@ -262,11 +262,22 @@ def main(argv=None):
     options = vars(parser.parse_args(argv))
     name = options.pop("command")
     try:
-        COMMANDS[name](**options)
+        try:
+            COMMANDS[name](**options)
+        finally:
+            if sys.stdout is not None:  # None when fd 1 was closed at start-up
+                sys.stdout.flush()
     except _UsageError as exc:
         subs[name].error(str(exc))
     except (TableSolveError, NonPolynomialError, ExpansionError) as exc:
         _fail("internal error: %s" % exc)
+    except OSError as exc:
+        # Every command maps its own file and cache errors to exit 3, so this
+        # one came from writing stdout.  stdout goes to the null device, so
+        # the interpreter's own flush at exit has nothing left to fail on.
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _fail("cannot write <stdout>: %s" % exc)
 
 
 if __name__ == "__main__":

@@ -15,11 +15,11 @@ GKM, duality, and positivity checks:
   ``own_restriction``, ``integrate``, ``elr_table`` and ``gkm_violations``
   work in y.  ``elr`` and ``pairing`` return x, converted by
   ``polyring.y_to_x``.
-* The restriction of the class of ``a`` to the fixed point of ``m`` is the
-  factorial Schur polynomial of shape ``a`` evaluated at the staircase b's of
-  ``m`` with shift sequence b, computed here in bialternant (determinant
-  ratio) form.  It vanishes unless ``a`` is contained in ``m``, and at its
-  own fixed point equals the product of the normal weights there.
+* The restriction of the class of ``a`` to the fixed point S of ``m``
+  vanishes unless ``a`` is contained in ``m``; the nonzero ones come from one
+  walk down the Chevalley graph per point, seeded at S by the product of the
+  positive tangent weights (``own_restriction``).  The test suite pins every
+  value to the factorial Schur tableau formula in ``oracles``.
 * The tangent weights at the subset S are { b_a - b_b : a in S, b not in S };
   pushing forward to a point divides by their product.
 * The opposite family is the first one composed with the substitution
@@ -31,12 +31,12 @@ GKM, duality, and positivity checks:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import prod
 
 from .errors import NonPolynomialError
 from .grass import (
     _frozen,
+    add_box_shapes,
     enumerate_classes,
     partition_from_permutation,
     to_grassmannian_permutation,
@@ -134,62 +134,47 @@ def _euler_factors(point):
 
 
 @lru_cache(maxsize=None)
-def _ffpow(ctx, s, m):
-    """Falling product (b_s - b_1)(b_s - b_2)...(b_s - b_m)."""
-    if m == 0:
-        return Polynomial.const(ctx.r, 1)
-    return _ffpow(ctx, s, m - 1) * b_difference(ctx, s, m)
-
-
-def _restrict_main(ctx, parts, subset):
-    """Bialternant evaluation of the factorial Schur at a staircase point."""
-    k = ctx.k
-    padded = parts + (0,) * (k - len(parts))
-    rows = [padded[i] + k - 1 - i for i in range(k)]
-    matrix = [[_ffpow(ctx, s, m) for s in subset] for m in rows]
-    # Laplace expansion along the first row, the minors shared: minors[cols]
-    # is the determinant of the last len(cols) rows over the columns cols.
-    minors = {(c,): matrix[k - 1][c] for c in range(k)}
-    for size in range(2, k + 1):
-        row = matrix[k - size]
-        for cols in combinations(range(k), size):
-            terms = {}
-            for j, c in enumerate(cols):
-                rest = minors[cols[:j] + cols[j + 1 :]]
-                add_product_into(terms, row[c], rest, -1 if j & 1 else 1)
-            minors[cols] = finish_terms(ctx.r, terms)
-    det = minors[tuple(range(k))]
-    # Divide by the Vandermonde in the staircase values; subset is ascending,
-    # so each pair (c < d) contributes -(b_{s_d} - b_{s_c}).
-    sign = 1
-    for c in range(k):
-        for d in range(c + 1, k):
-            det = det.divide_exact(b_difference(ctx, subset[d], subset[c]))
-            if det is None:
-                raise NonPolynomialError(
-                    "inexact Vandermonde division at %r for %r" % (subset, parts)
-                )
-            sign = -sign
-    return det * sign
+def divisor_restriction(ctx, subset):
+    """c_S = sigma(1)|S = sum of b_{s_i} - b_i over the ascending subset S, in
+    y (Knutson-Tao); at the point of a it is the Chevalley diagonal c_a."""
+    terms = (b_difference(ctx, s, i) for i, s in enumerate(subset, 1))
+    return sum(terms, Polynomial.zero(ctx.r))
 
 
 @lru_cache(maxsize=None)
-def _restrict_cached(ctx, parts, subset, family):
-    mu = partition_from_permutation(ctx, subset)
-    if family == "schubert":
-        # zero unless parts fits in the partition of the point
-        if any(a > b for a, b in zip(parts, mu.padded())):
-            return Polynomial.zero(ctx.r)
-        return _restrict_main(ctx, parts, subset)
-    value = _restrict_cached(ctx, parts, point_of(mu.dual()).subset, "schubert")
-    return w0_involution(value)
+def _restrictions_at(ctx, subset):
+    """Every nonzero sigma(a)|S at the fixed point S of m, keyed by parts.
+
+    A walk down the Chevalley graph from sigma(m)|S = ``own_restriction(m)``:
+    restricting sigma(1) sigma(a) = sum of sigma(a+) + c_a sigma(a) to S
+    gives sigma(a)|S = (sum of sigma(a+)|S) / (c_S - c_a) for each a inside
+    m, one exact division.  The unit row (1) and divisor row (c_S) check it.
+    """
+    m = partition_from_permutation(ctx, subset)
+    c_s = divisor_restriction(ctx, subset)
+    values = {m.parts: own_restriction(m)}
+    for a in reversed(enumerate_classes(ctx)):
+        if a.parts in values or not m.contains(a):
+            continue
+        above = [values[up.parts] for up in add_box_shapes(a) if up.parts in values]
+        gap = c_s - divisor_restriction(ctx, point_of(a).subset)
+        values[a.parts] = sum(above, Polynomial.zero(ctx.r)).divide_exact(gap)
+        if values[a.parts] is None:
+            raise NonPolynomialError("inexact Chevalley step at %r for %r" % (subset, a.parts))
+    if values[()] != Polynomial.const(ctx.r, 1) or values.get((1,), c_s) != c_s:
+        raise NonPolynomialError("walk at %r fails its unit or divisor row" % (subset,))
+    return values
 
 
 def restrict_schubert(p, point, family="schubert"):
     """Restriction of a basis class (or its opposite) to a fixed point, in y."""
     if family not in ("schubert", "opposite"):
         raise ValueError("family must be 'schubert' or 'opposite'")
-    return _restrict_cached(p.ctx, p.parts, point.subset, family)
+    ctx, subset = p.ctx, point.subset
+    if family == "opposite":
+        subset = point_of(partition_from_permutation(ctx, subset).dual()).subset
+    value = _restrictions_at(ctx, subset).get(p.parts, Polynomial.zero(ctx.r))
+    return w0_involution(value) if family == "opposite" else value
 
 
 class RestrictionTable:

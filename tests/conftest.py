@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import eqschubert.equivariant as equivariant_mod
 from eqschubert import GrassContext, Partition
 from eqschubert.cli import main
 
@@ -27,6 +28,18 @@ def gr25():
 @pytest.fixture(scope="session")
 def gr36():
     return GrassContext(3, 6)
+
+
+@pytest.fixture
+def cold_restrictions():
+    """Restriction caches emptied before and after a test that plants an
+    error in the walk, so no corrupted value outlives it."""
+    caches = (equivariant_mod._restrictions_at, equivariant_mod.restriction_table)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
 
 
 def part(ctx, *parts):

@@ -1,8 +1,11 @@
+import contextlib
 import gzip
 import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -300,6 +303,29 @@ def test_failed_cache_store_exits_3_and_leaves_no_tmp(tmp_path, monkeypatch, own
     assert result.stderr == "cache error: refused\n"
     assert result.stdout == ""
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", True), ("n", 2.0), ("d_max", 1.0), ("cache_version", True)],
+    ids=["bool-k", "float-n", "float-d_max", "bool-cache_version"],
+)
+def test_a_cache_key_of_the_wrong_type_is_a_miss(tmp_path, field, value):
+    # JSON true and 1.0 compare equal to 1 in Python, but name no table
+    args = ("table", "--k", "1", "--n", "2", "--d-max", "1", "--cache-dir", str(tmp_path))
+    cold = run(*args, "--no-cache")
+    assert cold.exit_code == 0
+    cache_mod.store(str(tmp_path), 1, 2, 1, "not the table\n")
+    (path,) = tmp_path.iterdir()
+    blob = json.loads(gzip.decompress(path.read_bytes()))
+    blob[field] = value
+    path.write_bytes(gzip.compress(json.dumps(blob).encode()))
+    result = run(*args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == cold.stdout_bytes
+    blob = json.loads(gzip.decompress(path.read_bytes()))
+    assert blob[field] == value and type(blob[field]) is int
+    assert blob["payload"] == cold.stdout
 
 
 def test_table_ignores_stale_cache(tmp_path):
@@ -603,6 +629,18 @@ def test_corrupted_own_point_restriction_exits_3(gr24, monkeypatch):
     assert result.stdout == ""
 
 
+def test_a_doubled_restriction_seed_exits_3(cold_restrictions, monkeypatch):
+    # every restriction at a point is a multiple of the seed sigma(m)|m, so
+    # doubling it doubles the unit row, which the walk checks
+    own = equivariant_mod.own_restriction
+    monkeypatch.setattr(equivariant_mod, "own_restriction", lambda p: own(p) + own(p))
+    result = run("restrictions", "--k", "2", "--n", "4")
+    assert result.exit_code == 3
+    assert result.stderr.startswith("internal error: ") and "unit" in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
 def test_emit_writes_slices_byte_for_byte(tmp_path):
     size = cli_mod.EMIT_SLICE * 5 // 2
     text = ("[0,1]é\n" * size)[:size]
@@ -614,6 +652,54 @@ def test_emit_writes_slices_byte_for_byte(tmp_path):
         cli_mod._emit(text, "-")
     written = stdout.getvalue()
     assert written == text.encode("utf-8")
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+FIXTURE_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "oracle_fixtures.json")
+
+# one run of each command that writes to stdout
+STDOUT_COMMANDS = [
+    pytest.param(("table", "--k", "2", "--n", "4", "--no-cache"), id="table"),
+    pytest.param(("restrictions", "--k", "2", "--n", "4"), id="restrictions"),
+    pytest.param(("verify", "--k", "2", "--n", "4", "--suite", "gkm"), id="verify"),
+    pytest.param(
+        ("multiply", "--k", "2", "--n", "4", "--u", "[1]", "--v", "[1]"), id="multiply"
+    ),
+    pytest.param(("fixtures", "--path", FIXTURE_FILE), id="fixtures"),
+]
+
+
+@contextlib.contextmanager
+def _unwritable_stdout(kind):
+    """A file descriptor every write to fails on: ``/dev/full`` (ENOSPC),
+    or the write end of a pipe whose read end is closed (EPIPE)."""
+    if kind == "full":
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    try:
+        yield fd
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("kind", ["full", "closed-pipe"])
+@pytest.mark.parametrize("args", STDOUT_COMMANDS)
+def test_unwritable_stdout_exits_3_on_one_line(args, kind):
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    with _unwritable_stdout(kind) as fd:
+        child = subprocess.run(
+            [sys.executable, "-m", "eqschubert.cli", *args],
+            stdout=fd,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=300,
+        )
+    stderr = child.stderr.decode()
+    assert child.returncode == 3, stderr
+    assert stderr.startswith("cannot write <stdout>: ") and stderr.count("\n") == 1, stderr
 
 
 def test_restrictions_export(gr24):

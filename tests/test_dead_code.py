@@ -63,3 +63,41 @@ def test_every_top_level_definition_has_a_user():
             if references[node.name] <= _references(node)[node.name]:
                 unused.append("%s: %s" % (name, node.name))
     assert unused == []
+
+
+def _unused_private_methods(trees):
+    """``file: Class._method`` for each private method of a class in
+    ``trees`` (name to parsed module) that no code outside its own body
+    refers to by name."""
+    references = sum(map(_references, trees.values()), Counter())
+    unused = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+                    continue
+                if node.name.endswith("__"):
+                    continue
+                if references[node.name] <= _references(node)[node.name]:
+                    unused.append("%s: %s.%s" % (name, cls.name, node.name))
+    return unused
+
+
+def test_every_private_method_has_a_user():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    assert _unused_private_methods(trees) == []
+
+
+def test_a_private_method_called_only_by_itself_is_dead():
+    source = (
+        "class A:\n"
+        "    def _dead(self, n):\n"
+        "        return self._dead(n - 1) if n else 0\n"
+        "    def _live(self):\n"
+        "        return 1\n"
+        "    def __len__(self):\n"
+        "        return self._live()\n"
+    )
+    assert _unused_private_methods({"a.py": ast.parse(source)}) == ["a.py: A._dead"]

@@ -1,7 +1,10 @@
+from math import prod
+
 import pytest
 
 from eqschubert import (
     FixedPoint,
+    GrassContext,
     NonPolynomialError,
     Polynomial,
     elr,
@@ -21,11 +24,12 @@ import eqschubert.equivariant as equivariant_mod
 import eqschubert.quantum as quantum_mod
 from eqschubert.equivariant import (
     _own_weights,
-    _restrict_main,
     b_difference,
+    divisor_restriction,
     elr_table,
     gkm_violations,
 )
+from eqschubert.oracles import _b_forms_x, factorial_schur_zpoly
 from eqschubert.polyring import add_product_into, finish_terms, y_to_x
 from eqschubert.suites import verify_specialization
 
@@ -82,12 +86,10 @@ def test_unit_restricts_to_one(gr12, gr24, gr25):
 
 
 def test_restriction_support(gr24, gr25, gr36):
-    # the raw bialternant, not the containment shortcut in front of it
     for ctx in (gr24, gr25, gr36):
         for p in enumerate_classes(ctx):
             for pt in fixed_points(ctx):
-                value = _restrict_main(ctx, p.parts, pt.subset)
-                assert value == restrict_schubert(p, pt)
+                value = restrict_schubert(p, pt)
                 if not partition_of(pt).contains(p):
                     assert value.is_zero
                 else:
@@ -95,10 +97,45 @@ def test_restriction_support(gr24, gr25, gr36):
                     assert value.is_homogeneous_of_degree(p.size)
 
 
-def test_inexact_vandermonde_division_raises(gr24, monkeypatch):
+def test_restrictions_match_the_factorial_schur_oracle():
+    # sigma(a)|S is the factorial Schur polynomial of a, from its tableau
+    # formula in the oracles, at z = (b_s for s in S), in x
+    for k in (1, 2, 3):
+        for n in range(k + 1, 7):
+            ctx = GrassContext(k, n)
+            b = _b_forms_x(ctx)
+            one = Polynomial.const(ctx.r, 1)
+            for p in enumerate_classes(ctx):
+                zpoly = factorial_schur_zpoly(ctx, p.parts)
+                for pt in fixed_points(ctx):
+                    z = [b[s - 1] for s in pt.subset]
+                    expected = Polynomial.zero(ctx.r)
+                    for exps, coeff in zpoly.items():
+                        expected = expected + coeff * prod(map(pow, z, exps), start=one)
+                    assert y_to_x(restrict_schubert(p, pt)) == expected, (p, pt)
+
+
+def test_divisor_closed_form_is_the_chevalley_diagonal(gr25, gr36):
+    # c_S = sum of b_{s_i} - b_i against the Atiyah-Bott sum of
+    # sigma(1) sigma(a) on sigma(a)
+    for ctx in (gr25, gr36):
+        one_box = part(ctx, 1)
+        for a in enumerate_classes(ctx):
+            c_s = divisor_restriction(ctx, point_of(a).subset)
+            assert y_to_x(c_s) == elr(one_box, a, a)
+
+
+def test_inexact_chevalley_division_raises(gr24, cold_restrictions, monkeypatch):
     monkeypatch.setattr(Polynomial, "divide_exact", lambda self, divisor: None)
-    with pytest.raises(NonPolynomialError):
-        _restrict_main(gr24, (1,), (2, 4))
+    with pytest.raises(NonPolynomialError, match="inexact Chevalley step"):
+        restrict_schubert(part(gr24, 1), FixedPoint((2, 4), gr24))
+
+
+def test_a_doubled_seed_fails_the_unit_row(gr24, cold_restrictions, monkeypatch):
+    own = equivariant_mod.own_restriction
+    monkeypatch.setattr(equivariant_mod, "own_restriction", lambda p: own(p) + own(p))
+    with pytest.raises(NonPolynomialError, match="unit or divisor row"):
+        restrict_schubert(part(gr24, 1), FixedPoint((2, 4), gr24))
 
 
 def test_restriction_at_own_point_is_normal_weight_product(gr12, gr24):
