@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -44,6 +45,18 @@ def _context(k, n):
         return GrassContext(k, n)
     except ContextError as exc:
         raise _UsageError(str(exc))
+
+
+class _ClosedStdout:
+    """``sys.stdout`` while a command runs with fd 1 closed at start-up,
+    where the interpreter sets it to None: a write fails as a write to a
+    closed descriptor does, so it exits 3 like any other stdout failure."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self):
+        pass
 
 
 def _fail(message):
@@ -261,12 +274,14 @@ def main(argv=None):
     parser, subs = _parser()
     options = vars(parser.parse_args(argv))
     name = options.pop("command")
+    closed = sys.stdout is None  # fd 1 was closed at start-up
+    if closed:
+        sys.stdout = _ClosedStdout()
     try:
         try:
             COMMANDS[name](**options)
         finally:
-            if sys.stdout is not None:  # None when fd 1 was closed at start-up
-                sys.stdout.flush()
+            sys.stdout.flush()
     except _UsageError as exc:
         subs[name].error(str(exc))
     except (TableSolveError, NonPolynomialError, ExpansionError) as exc:
@@ -275,9 +290,13 @@ def main(argv=None):
         # Every command maps its own file and cache errors to exit 3, so this
         # one came from writing stdout.  stdout goes to the null device, so
         # the interpreter's own flush at exit has nothing left to fail on.
-        with contextlib.suppress(OSError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not closed:
+            with contextlib.suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _fail("cannot write <stdout>: %s" % exc)
+    finally:
+        if closed:
+            sys.stdout = None
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ coefficient, associativity of (divisor, sigma(a), sigma(o)) gives
 
 The diagonal coefficients c_z are pairwise distinct, so whenever the target
 differs from both factors this solves one unknown by an exact division, with
-references that climb toward the full box or strictly drop (w, d).
+references that climb toward the full box or strictly drop (w, d).  At
+d = 0 no step is needed unless both factors lie inside the target: since
+sigma(u)|w = 0 unless u is inside w, C[u,v,w,0] vanishes otherwise.
 
 When the target equals a factor (w = o, say) the relation couples all the
 unknowns X_a = C[a,o,o,d] to each other, so those are solved as one block.
@@ -112,8 +114,9 @@ class EQTable:
     ``mirrored`` flips which factor the difference relation reduces; the
     mirrored table must coincide with the plain one, which is how
     commutativity is verified as a computation rather than a tautology.
-    Each table keeps its own products (``element``), so the mirrored one
-    recomputes every product it is asked for.
+    Each table keeps its own products (``element``) and its own equal
+    values (``_store``), so the mirrored one recomputes every product and
+    every value it is asked for.
     """
 
     def __init__(self, ctx, mirrored=False):
@@ -132,8 +135,13 @@ class EQTable:
                 self._down[j].append(i)
             if self._qshape[i] is not None:
                 self._qparent[self._qshape[i]] = i
+        # _inside[w]: the positions of the classes contained in w
+        self._inside = []
+        for i in range(len(classes)):
+            self._inside.append({i}.union(*(self._inside[j] for j in self._down[i])))
         self._chev = {}
         self._coeff = {}
+        self._values = {}
         self._elements = {}
         self._keys = {}
         self._gaps = {}
@@ -177,6 +185,8 @@ class EQTable:
         degree = size[iu] + size[iv] - size[iw] - d * self.ctx.n
         if degree < 0:
             return self._zero
+        if d == 0 and not (iu in self._inside[iw] and iv in self._inside[iw]):
+            return self._zero  # sigma(u)|w = 0 unless u is inside w
         if iu > iv:
             iu, iv = iv, iu
         key = (iu, iv, iw, d)
@@ -206,7 +216,9 @@ class EQTable:
         One pass over the terms checks that every monomial has ``degree``
         and rebuilds the polynomial on the table's shared key objects
         (``_keys`` maps a key to its first-seen object and its degree), so
-        equal monomials in different entries are one int.  Every zero is
+        equal monomials in different entries are one int.  Equal values are
+        one polynomial too: ``_values`` maps each to its first-seen copy,
+        so an export converts each distinct value once.  Every zero is
         stored as the one ``_zero``.
         """
         if not value.terms:
@@ -224,7 +236,8 @@ class EQTable:
                     % (self._named(key), degree)
                 )
             terms[entry[0]] = c
-        value = self._coeff[key] = Polynomial(value.nvars, terms)
+        value = Polynomial(value.nvars, terms)
+        value = self._coeff[key] = self._values.setdefault(value, value)
         return value
 
     def _gap(self, iw, ia):
@@ -283,10 +296,7 @@ class EQTable:
 
     def _solve_block_inner(self, key):
         it, d = key
-        inside = {it}
-        for ia in range(it, -1, -1):
-            if ia in inside:
-                inside.update(self._down[ia])
+        inside = self._inside[it]
         weight = own_restriction(self._classes[it])
         rows, known, pinned = {}, {}, {it: self._zero}
         for ia in range(len(self._classes) - 1, -1, -1):

@@ -14,7 +14,10 @@ Every export is in the simple roots x. The table and restriction exports
 read the engine's tables, which are in the torus-character coordinates y,
 and convert each polynomial with ``polyring.y_to_x`` just before encoding
 it; the module elements that ``qelem_text`` and ``qelem_json`` render come
-from ``quantum.multiply``, already in x, and are rendered as given.
+from ``quantum.multiply``, already in x, and are rendered as given. The
+engine's table holds equal coefficients as one object, so the table export
+converts and encodes each distinct value once and keeps its text only
+until the last row that uses it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from functools import lru_cache
 
 from .errors import DimensionMismatchError
@@ -148,11 +152,12 @@ def table_entries(ctx, d_max=None):
     One row per nonzero coefficient, pairs listed once with u <= v in the
     class order, sorted by (u, v, d, w). Each row is one format of its
     cached partition arrays and its terms in x as ``_term_encoder`` writes
-    them: each coefficient is converted from y just before it is encoded,
-    so no x copy of the table is kept. ``EQTable._store`` makes every table
-    coefficient homogeneous, and the conversion keeps it so, so the terms
-    always take the encoder's one-degree path: sorted by packed key, which
-    is graded-lex order within one degree.
+    them. ``EQTable._store`` keeps equal coefficients as one object, and
+    makes each homogeneous. Each object is converted from y and encoded at
+    its first row; its text is kept only while later rows still use it, so
+    no x copy of the table is kept. The conversion keeps the degree, so the
+    terms always take the encoder's one-degree path: sorted by packed key,
+    which is graded-lex order within one degree.
     """
     from .quantum import eq_table
 
@@ -160,11 +165,21 @@ def table_entries(ctx, d_max=None):
         d_max = default_d_max(ctx)
     encode = _term_encoder(ctx.r)
     arrays = {p.parts: canonical_json(list(p.parts)) for p in enumerate_classes(ctx)}
-    return [
-        '{"d":%d,"poly":%s,"u":%s,"v":%s,"w":%s}'
-        % (d, encode(y_to_x(c)), arrays[u], arrays[v], arrays[w])
-        for u, v, w, d, c in eq_table(ctx).rows(d_max)
-    ]
+    rows = list(eq_table(ctx).rows(d_max))
+    uses = Counter(id(row[4]) for row in rows)  # rows left per value object
+    texts = {}
+    entries = []
+    for u, v, w, d, c in rows:
+        key = id(c)
+        text = texts.pop(key, None) or encode(y_to_x(c))
+        uses[key] -= 1
+        if uses[key]:
+            texts[key] = text
+        entries.append(
+            '{"d":%d,"poly":%s,"u":%s,"v":%s,"w":%s}'
+            % (d, text, arrays[u], arrays[v], arrays[w])
+        )
+    return entries
 
 
 def table_json(ctx, d_max=None):

@@ -23,7 +23,7 @@ from eqschubert.render import canonical_json, poly_from_json, table_json
 from conftest import captured_output, invoke
 
 # sha256 of exports recorded in bench/expected.json; export bytes must not change.
-# Gr(2,5) and Gr(3,6) run q-degree >= 1 blocks through the rational sweep.
+# Gr(2,5) and Gr(3,6) run q-degree >= 1 blocks through the exact block solve.
 SEED_SHA256 = {
     ("csv", 1, 2): "2717ef48948483894c3965031b8cd6bc656bf9c694cb73aa3d14b6fb259808f9",
     ("csv", 2, 4): "b307a738b56dd505eb22664ce01d0b482f445d929000353198db3817f9b6344d",
@@ -669,37 +669,60 @@ STDOUT_COMMANDS = [
 ]
 
 
+def _close_stdout():
+    os.close(1)
+
+
 @contextlib.contextmanager
 def _unwritable_stdout(kind):
-    """A file descriptor every write to fails on: ``/dev/full`` (ENOSPC),
-    or the write end of a pipe whose read end is closed (EPIPE)."""
+    """The ``subprocess`` arguments of a child stdout every write to fails
+    on: ``/dev/full`` (ENOSPC), the write end of a pipe whose read end is
+    closed (EPIPE), or fd 1 closed before the child starts, as ``>&-``
+    does, so its ``sys.stdout`` is None."""
+    if kind == "closed":
+        yield {"preexec_fn": _close_stdout}
+        return
     if kind == "full":
         fd = os.open("/dev/full", os.O_WRONLY)
     else:
         read_end, fd = os.pipe()
         os.close(read_end)
     try:
-        yield fd
+        yield {"stdout": fd}
     finally:
         os.close(fd)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("kind", ["full", "closed-pipe"])
+@pytest.mark.parametrize("kind", ["full", "closed-pipe", "closed"])
 @pytest.mark.parametrize("args", STDOUT_COMMANDS)
 def test_unwritable_stdout_exits_3_on_one_line(args, kind):
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    with _unwritable_stdout(kind) as fd:
+    with _unwritable_stdout(kind) as stdout:
         child = subprocess.run(
             [sys.executable, "-m", "eqschubert.cli", *args],
-            stdout=fd,
             stderr=subprocess.PIPE,
             env=env,
             timeout=300,
+            **stdout,
         )
     stderr = child.stderr.decode()
     assert child.returncode == 3, stderr
     assert stderr.startswith("cannot write <stdout>: ") and stderr.count("\n") == 1, stderr
+
+
+def test_closed_stdout_is_no_error_when_nothing_goes_to_it(tmp_path):
+    out = tmp_path / "t.json"
+    child = subprocess.run(
+        [sys.executable, "-m", "eqschubert.cli", "table", "--k", "1", "--n", "2", "--out", str(out)],
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        preexec_fn=_close_stdout,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    assert child.stderr == b""
+    assert out.read_text() == run("table", "--k", "1", "--n", "2").stdout
 
 
 def test_restrictions_export(gr24):

@@ -1,6 +1,7 @@
 import ast
 import random
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -396,6 +397,55 @@ def test_warmed_rows_walk_shares_keys_and_zero(gr36):
     assert len({id(k) for k in keys}) == len(set(keys))
     zeros = [p for p in values if p.is_zero]
     assert zeros and all(p is table._zero for p in zeros)
+    # equal nonzero values are one polynomial object
+    nonzero = [p for p in values if not p.is_zero]
+    assert len({id(p) for p in nonzero}) == len(set(nonzero)) < len(nonzero)
+
+
+def test_mirrored_table_holds_its_own_values(gr25):
+    # the commutativity check recomputes every value, so the mirrored
+    # table interns into its own dict and shares no value object
+    table, mirrored = EQTable(gr25), EQTable(gr25, mirrored=True)
+    d_max = default_d_max(gr25)
+    assert list(table.rows(d_max)) == list(mirrored.rows(d_max))
+    shared = [
+        (value, mirrored._coeff[key])
+        for key, value in table._coeff.items()
+        if key in mirrored._coeff and not value.is_zero
+    ]
+    assert shared
+    assert all(a == b and a is not b for a, b in shared)
+
+
+def _contains(w, u):
+    return all(a <= b for a, b in zip_longest(u.parts, w.parts, fillvalue=0))
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 6)])
+def test_zeros_forced_by_containment_match_the_full_recursion(k, n):
+    # C[u,v,w,0] = 0 unless u and v lie inside w; a table whose down-sets
+    # hold every class never takes that shortcut, nor restricts a block to
+    # the rows inside its target, and must agree on every key
+    from eqschubert import GrassContext
+
+    ctx = GrassContext(k, n)
+    table, full = EQTable(ctx), EQTable(ctx)
+    classes = enumerate_classes(ctx)
+    full._inside = [set(range(len(classes)))] * len(classes)
+    outside = 0
+    for u in classes:
+        for v in classes:
+            for w in classes:
+                for d in range(default_d_max(ctx) + 1):
+                    value = full.coefficient(u, v, w, d)
+                    assert table.coefficient(u, v, w, d) == value
+                    if d == 0 and not (_contains(w, u) and _contains(w, v)):
+                        assert value.is_zero
+                        outside += 1
+    assert outside
+    both = table._coeff.keys() & full._coeff.keys()
+    assert both and all(table._coeff[key] == full._coeff[key] for key in both)
+    assert len(table._coeff) < len(full._coeff)
 
 
 def test_other_box_shapes():

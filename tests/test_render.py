@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqschubert.quantum as quantum_mod
+import eqschubert.render as render_mod
 
 from eqschubert import GrassContext, Polynomial, QModuleElement, enumerate_classes, multiply
+from eqschubert.grass import default_d_max
 from eqschubert.polyring import y_to_x
 from eqschubert.render import (
     CSV_ERRORS,
@@ -92,13 +94,40 @@ def table_rows(draw):
     term = st.tuples(st.lists(st.integers(0, 3), min_size=ctx.r, max_size=ctx.r), coefficient)
     rows = []
     for _ in range(draw(st.integers(1, 4))):
-        items = draw(st.lists(term, max_size=6))
-        if items and draw(st.booleans()):
-            items = [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
-        poly = Polynomial.from_exponents(ctx.r, ((tuple(e), c) for e, c in items))
+        if rows and draw(st.booleans()):
+            # the table holds equal coefficients as one object
+            poly = draw(st.sampled_from(rows))[4]
+        else:
+            items = draw(st.lists(term, max_size=6))
+            if items and draw(st.booleans()):
+                items = [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
+            poly = Polynomial.from_exponents(ctx.r, ((tuple(e), c) for e, c in items))
         u, v, w = draw(classes), draw(classes), draw(classes)
         rows.append((u, v, w, draw(st.integers(0, 3)), poly))
     return ctx, rows
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6)])
+def test_table_entries_convert_each_value_object_once(k, n, monkeypatch):
+    ctx = GrassContext(k, n)
+    rows = list(quantum_mod.eq_table(ctx).rows(default_d_max(ctx)))
+    objects = {id(c) for *_, c in rows}
+    assert len(objects) < len(rows)
+    converted = []
+
+    def counted(p):
+        converted.append(id(p))
+        return y_to_x(p)
+
+    monkeypatch.setattr(render_mod, "y_to_x", counted)
+    entries = table_entries(ctx)
+    assert sorted(converted) == sorted(objects)
+    assert entries == [
+        canonical_json(
+            {"u": list(u), "v": list(v), "w": list(w), "d": d, "poly": poly_json(y_to_x(c))}
+        )
+        for u, v, w, d, c in rows
+    ]
 
 
 @given(table_rows())
