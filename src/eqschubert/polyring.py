@@ -38,6 +38,24 @@ the next one runs.  Two more conversions run on the same kernel:
 the w0 involution ``w0_involution`` (y_j -> y_{n-1-j} - y_{n-1}: a lane
 reversal, then shears v_j -> v_j - v_{n-1}).
 
+``y_to_x_stream`` and ``y_to_x_many`` convert many values at once, as the
+exports and the ``positivity`` and ``tbasis`` suites do: Kronecker packing
+(Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", JSC 2009) across values instead of across monomials.  The
+values are grouped by variable count and maximum key degree; in a group,
+each y monomial gets one int whose lane j, a signed digit of a fixed
+width, is value j's coefficient, and the unchanged ``_shear`` runs once on
+those ints.  A shear only adds coefficients and multiplies them by positive
+binomials, which are linear maps, so the packed int of each x monomial is
+exactly the sum of its lanes' values, and it is zero only where every lane
+is: the chain visits the union of the keys the per-value chains visit, and
+so fails the exponent cap exactly when one of them does.  The lane width
+comes from a proven bound, ``|p|_1 * nvars**d`` for a value p of maximum
+key degree d, which no x coefficient exceeds; a group whose bound passes 63
+bits converts value by value.  Only a value of degree past 2**15 can pass
+the cap, and over two or more variables its bound passes 63 bits, so the
+packed chain never meets the cap.
+
 Rational expressions keep the denominator factored as a multiset of primitive
 linear forms (a map from form to multiplicity) times a positive integer
 scalar.  Localization sums then cancel denominators factor by factor; nothing
@@ -48,7 +66,9 @@ from __future__ import annotations
 
 import heapq
 import struct
+from array import array
 from functools import lru_cache, reduce
+from itertools import compress
 from math import comb, gcd
 from operator import or_
 
@@ -588,6 +608,106 @@ def x_to_y(p):
     """Substitute x_j -> y_j - y_{j-1} (y_0 = 0), the inverse of
     :func:`y_to_x`: the shears v_j -> v_j - v_{j-1} for j = 2 up to nvars."""
     return _shear(p.nvars, p.terms, "x_to_y")
+
+
+# the signed array typecode of each lane width in bytes
+_LANE_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _lane_bytes(bound):
+    """The narrowest lane, in bytes, whose signed digit holds every integer
+    of absolute value at most ``bound``; None when that takes over 63 bits."""
+    for size in _LANE_CODES:
+        if bound.bit_length() < 8 * size:
+            return size
+    return None
+
+
+def _packed_lanes(values, size, mask):
+    """The term map whose int at each y monomial holds, as lane j, value j's
+    coefficient there: a signed digit of ``size`` bytes.
+
+    The digits are written into one zeroed array, monomial by monomial, and
+    each monomial's row of bytes read as one int; XOR with ``mask``, the top
+    bit of every lane, then subtracting it turns two's-complement digits
+    into the signed sum."""
+    code, m = _LANE_CODES[size], len(values)
+    row = m * size
+    keys = list(set().union(*(p.terms for p in values)))
+    index = {k: r * m for r, k in enumerate(keys)}
+    lanes = array(code, bytes(len(keys) * row))
+    for j, p in enumerate(values):
+        for k, c in p.terms.items():
+            lanes[index[k] + j] = c
+    view = memoryview(lanes).cast("B")
+    return {
+        k: (int.from_bytes(view[r : r + row], "little") ^ mask) - mask
+        for k, r in zip(keys, range(0, len(view), row))
+    }
+
+
+def _y_to_x_lanes(nvars, values, size):
+    """Yield ``y_to_x`` of each of ``values``, in order, all converted by one
+    shear chain on ``_packed_lanes``.  The caller proves every coefficient
+    fits a lane of ``size`` bytes.
+
+    The x ints are decoded the other way round, each popped from the
+    chain's map as it is written, into one byte string; each value's dict
+    is built only when it is yielded."""
+    code, m = _LANE_CODES[size], len(values)
+    row = m * size
+    mask = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * m, "little")
+    images = _shear(nvars, _packed_lanes(values, size, mask), "y_to_x").terms
+    keys = list(images)
+    blob = bytearray(len(keys) * row)
+    for r, k in zip(range(0, len(blob), row), keys):
+        blob[r : r + row] = ((images.pop(k) + mask) ^ mask).to_bytes(row, "little")
+    del images
+    digits = memoryview(blob).cast(code)
+    for j in range(m):
+        column = digits[j::m]
+        yield Polynomial(nvars, dict(compress(zip(keys, column), column)))
+
+
+def y_to_x_stream(polys):
+    """Yield ``(i, y_to_x(polys[i]))`` for every position i of ``polys``,
+    one group of values at a time; each distinct object is converted once,
+    its positions share its image, and each image is built only as it is
+    yielded.
+
+    The values are grouped by variable count and maximum key degree d.
+    Every coefficient of the chain on a value p, so every x coefficient, is
+    at most ``|p|_1 * nvars**d`` in absolute value, with ``|p|_1`` the sum
+    of its coefficients' absolute values: the substitution sends y^a to a
+    sum of at most ``nvars**|a|`` monomials with coefficient 1.  A group
+    whose bound fits 63 bits runs as lanes of one chain
+    (``_y_to_x_lanes``); a wider one converts value by value.
+    """
+    members = {}
+    for i, p in enumerate(polys):
+        members.setdefault(id(p), (p, []))[1].append(i)
+    degree = {k: _key_degree(k) for k in set().union(*(p.terms for p in polys))}
+    groups = {}
+    for p, positions in members.values():
+        d = max(map(degree.__getitem__, p.terms), default=0)
+        groups.setdefault((p.nvars, d), []).append((p, positions))
+    del members, degree
+    # the largest chains first, so later groups reuse the memory they free
+    for (nvars, d), group in sorted(groups.items(), reverse=True):
+        values = [p for p, _ in group]
+        size = _lane_bytes(max(sum(map(abs, p.terms.values())) for p in values) * nvars**d)
+        images = map(y_to_x, values) if size is None else _y_to_x_lanes(nvars, values, size)
+        for image, (_, positions) in zip(images, group):
+            for i in positions:
+                yield i, image
+
+
+def y_to_x_many(polys):
+    """``[y_to_x(p) for p in polys]``, converted by :func:`y_to_x_stream`."""
+    out = [None] * len(polys)
+    for i, image in y_to_x_stream(polys):
+        out[i] = image
+    return out
 
 
 @lru_cache(maxsize=None)

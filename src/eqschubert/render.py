@@ -12,12 +12,12 @@ error.
 
 Every export is in the simple roots x. The table and restriction exports
 read the engine's tables, which are in the torus-character coordinates y,
-and convert each polynomial with ``polyring.y_to_x`` just before encoding
-it; the module elements that ``qelem_text`` and ``qelem_json`` render come
-from ``quantum.multiply``, already in x, and are rendered as given. The
-engine's table holds equal coefficients as one object, so the table export
-converts and encodes each distinct value once and keeps its text only
-until the last row that uses it.
+and convert all their polynomials in one batch (``polyring.y_to_x_stream``
+and ``y_to_x_many``), one shear chain per degree; the module elements that
+``qelem_text`` and ``qelem_json`` render come from ``quantum.multiply``,
+already in x, and are rendered as given. The engine's table holds equal
+coefficients as one object, so the table export converts and encodes each
+distinct value once, into the first row that uses it.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
 from functools import lru_cache
 
 from .errors import DimensionMismatchError
 from .grass import Partition, default_d_max, enumerate_classes
-from .polyring import Polynomial, _lanes, y_to_x
+from .polyring import Polynomial, _lanes, y_to_x_many, y_to_x_stream
 
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -146,6 +145,9 @@ def qelem_json(elem):
     )
 
 
+_ROW = '{"d":%d,"poly":%s,"u":%s,"v":%s,"w":%s}'
+
+
 def table_entries(ctx, d_max=None):
     """Canonical JSON export rows for the full product table, one string per row.
 
@@ -153,11 +155,14 @@ def table_entries(ctx, d_max=None):
     class order, sorted by (u, v, d, w). Each row is one format of its
     cached partition arrays and its terms in x as ``_term_encoder`` writes
     them. ``EQTable._store`` keeps equal coefficients as one object, and
-    makes each homogeneous. Each object is converted from y and encoded at
-    its first row; its text is kept only while later rows still use it, so
-    no x copy of the table is kept. The conversion keeps the degree, so the
-    terms always take the encoder's one-degree path: sorted by packed key,
-    which is graded-lex order within one degree.
+    makes each homogeneous. The distinct objects go through one batch
+    conversion, ``y_to_x_stream``, which builds each x image only as it
+    yields it; the image is encoded into its value's first row at once and
+    dropped, so no x copy of the table is kept. Every later row of a value
+    copies the text out of that first row, so no text is kept beside the
+    rows either. The conversion keeps the degree, so the terms always take
+    the encoder's one-degree path: sorted by packed key, which is graded-lex
+    order within one degree.
     """
     from .quantum import eq_table
 
@@ -166,19 +171,20 @@ def table_entries(ctx, d_max=None):
     encode = _term_encoder(ctx.r)
     arrays = {p.parts: canonical_json(list(p.parts)) for p in enumerate_classes(ctx)}
     rows = list(eq_table(ctx).rows(d_max))
-    uses = Counter(id(row[4]) for row in rows)  # rows left per value object
-    texts = {}
-    entries = []
-    for u, v, w, d, c in rows:
-        key = id(c)
-        text = texts.pop(key, None) or encode(y_to_x(c))
-        uses[key] -= 1
-        if uses[key]:
-            texts[key] = text
-        entries.append(
-            '{"d":%d,"poly":%s,"u":%s,"v":%s,"w":%s}'
-            % (d, text, arrays[u], arrays[v], arrays[w])
-        )
+    first = {}  # id of each value object -> the index of its first row
+    for i, row in enumerate(rows):
+        first.setdefault(id(row[4]), i)
+    heads = list(first.values())
+    entries = [None] * len(rows)
+    for j, image in y_to_x_stream([rows[i][4] for i in heads]):
+        u, v, w, d, _ = rows[heads[j]]
+        entries[heads[j]] = _ROW % (d, encode(image), arrays[u], arrays[v], arrays[w])
+    for i, (u, v, w, d, c) in enumerate(rows):
+        if entries[i] is None:
+            # a later row of a value copies the text out of its first row
+            head = entries[first[id(c)]]
+            text = head[head.index("[") : head.rindex(',"u":')]
+            entries[i] = _ROW % (d, text, arrays[u], arrays[v], arrays[w])
     return entries
 
 
@@ -267,11 +273,12 @@ def restriction_table_json(ctx, family="schubert"):
     table = restriction_table(ctx, family)
     encode = _term_encoder(ctx.r)
     points = [(pt, canonical_json(list(pt.subset))) for pt in fixed_points(ctx)]
+    classes = [(p, canonical_json(list(p.parts))) for p in enumerate_classes(ctx)]
+    images = y_to_x_many([table.restriction(p, pt) for p, _ in classes for pt, _ in points])
+    labels = [(parts, text) for _, parts in classes for _, text in points]
     rows = [
-        '{"class":%s,"point":%s,"poly":%s}'
-        % (canonical_json(list(p.parts)), text, encode(y_to_x(table.restriction(p, pt))))
-        for p in enumerate_classes(ctx)
-        for pt, text in points
+        '{"class":%s,"point":%s,"poly":%s}' % (parts, text, encode(image))
+        for (parts, text), image in zip(labels, images)
     ]
     return _join_entries({"k": ctx.k, "n": ctx.n, "family": family}, rows)
 

@@ -12,7 +12,7 @@ import random
 from .equivariant import elr_table, gkm_violations, pairing
 from .grass import Partition, default_d_max, enumerate_classes
 from .oracles import quantum_lr_rimhook
-from .polyring import Polynomial, is_x_nonnegative, to_T_variables, y_to_x
+from .polyring import Polynomial, is_x_nonnegative, to_T_variables, y_to_x_many
 from .quantum import EQTable, QModuleElement, eq_table
 
 MAX_TRIPLES = 1000
@@ -38,13 +38,17 @@ def _where(**classes):
 
 
 def verify_positivity(ctx, d_max=None):
-    """Check nonnegativity in x of every structure constant up to d_max."""
+    """Check nonnegativity in x of every structure constant up to d_max.
+
+    Each distinct value object is converted once, in one batch
+    (``y_to_x_many``); every key whose value has a negative x coefficient
+    is a violation, in key order."""
     if d_max is None:
         d_max = default_d_max(ctx)
     table = eq_table(ctx)
     classes = enumerate_classes(ctx)
-    checked = 0
-    violations = []
+    keys = []
+    values = {}  # id -> value object, each distinct object once
     for i, u in enumerate(classes):
         for v in classes[i:]:
             for w in classes:
@@ -52,10 +56,13 @@ def verify_positivity(ctx, d_max=None):
                 for d in range(min(d_max, (u.size + v.size) // ctx.n) + 1):
                     if u.size + v.size - w.size - d * ctx.n < 0:
                         continue
-                    checked += 1
-                    if not is_x_nonnegative(y_to_x(table.coefficient(u, v, w, d))):
-                        violations.append(dict(_where(u=u, v=v, w=w), d=d))
-    return _report("positivity", ctx, violations, d_max=d_max, checked=checked)
+                    c = table.coefficient(u, v, w, d)
+                    values.setdefault(id(c), c)
+                    keys.append((u, v, w, d, id(c)))
+    images = zip(values, y_to_x_many(list(values.values())))
+    bad = {key for key, x in images if not is_x_nonnegative(x)}
+    violations = [dict(_where(u=u, v=v, w=w), d=d) for u, v, w, d, key in keys if key in bad]
+    return _report("positivity", ctx, violations, d_max=d_max, checked=len(keys))
 
 
 def verify_algebra(ctx):
@@ -133,22 +140,25 @@ def verify_tbasis(ctx, d_max=None):
 
     The engine's coordinates are the T presentation: ``y_j = T_1 - T_{j+1}``,
     as ``x_j = T_j - T_{j+1}``.  So each table row ``c``, in y, converted to
-    x as the exports convert it, must map by :func:`to_T_variables` to ``c``
-    with each y_j replaced by T_1 - T_{j+1}.  That binds the exported x
-    coefficient, the engine's entry and the conversion; a row where the two
-    images differ is a violation.
+    x by the batch the exports use (``y_to_x_many``, each distinct value
+    once), must map by :func:`to_T_variables` to ``c`` with each y_j
+    replaced by T_1 - T_{j+1}.  That binds the exported x coefficient, the
+    engine's entry and the conversion; a row where the two images differ is
+    a violation.
     """
     if d_max is None:
         d_max = default_d_max(ctx)
     m = ctx.n
     weights = [Polynomial.variable(m, 1) - Polynomial.variable(m, j + 1) for j in range(1, m)]
-    checked = 0
-    violations = []
-    for u, v, w, d, c in eq_table(ctx).rows(d_max):
-        checked += 1
-        if to_T_variables(y_to_x(c), m) != c.substitute(weights, m):
-            violations.append({"u": list(u), "v": list(v), "w": list(w), "d": d})
-    return _report("tbasis", ctx, violations, checked=checked)
+    rows = list(eq_table(ctx).rows(d_max))
+    values = list({id(c): c for *_, c in rows}.values())
+    images = dict(zip(map(id, values), y_to_x_many(values)))
+    violations = [
+        {"u": list(u), "v": list(v), "w": list(w), "d": d}
+        for u, v, w, d, c in rows
+        if to_T_variables(images[id(c)], m) != c.substitute(weights, m)
+    ]
+    return _report("tbasis", ctx, violations, checked=len(rows))
 
 
 def verify_specialization(ctx):

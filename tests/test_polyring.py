@@ -19,9 +19,11 @@ from eqschubert.polyring import (
     w0_involution,
     x_to_y,
     y_to_x,
+    y_to_x_many,
     _divide_heap,
     _divide_linear,
     _key_degree,
+    _lane_bytes,
     _pack,
     _shear,
     _unpack,
@@ -419,6 +421,92 @@ def test_coordinate_changes_stay_below_the_guard_bit(nvars):
             y_to_x(monomial(a, b))
         with pytest.raises(OverflowError):
             x_to_y(monomial(a, b))
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (2, 7)])
+def test_y_to_x_many_matches_y_to_x_on_every_table_value(k, n):
+    from eqschubert import GrassContext, default_d_max, eq_table
+
+    ctx = GrassContext(k, n)
+    rows = eq_table(ctx).rows(default_d_max(ctx))
+    values = list({id(row[4]): row[4] for row in rows}.values())
+    assert y_to_x_many(values) == [y_to_x(p) for p in values]
+
+
+@st.composite
+def poly_lists(draw):
+    """Lists of polynomials over 1 to 6 variables, with negative coefficients
+    and coefficients wider than 64 bits, zero polynomials and repeated
+    objects; members are homogeneous or not."""
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        if out and draw(st.booleans()):
+            out.append(draw(st.sampled_from(out)))
+            continue
+        nvars = draw(st.integers(1, 6))
+        coefficient = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+        exps = st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars)
+        items = draw(st.lists(st.tuples(exps, coefficient), max_size=6))
+        if items and draw(st.booleans()):
+            items = [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
+        out.append(Polynomial.from_exponents(nvars, ((tuple(e), c) for e, c in items)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_lists())
+@example([])
+@example([Polynomial.zero(3), Polynomial.zero(3)])
+# the first key is of lower degree than the last
+@example([x(1) + 5 * x(2) ** 3 * x(3), x(2) ** 4, x(2) ** 4 - 2**70 * x(3) ** 4])
+def test_y_to_x_many_is_y_to_x_of_each(polys):
+    assert y_to_x_many(polys) == [y_to_x(p) for p in polys]
+
+
+def test_lane_bytes_is_the_narrowest_signed_lane():
+    assert [_lane_bytes(b) for b in (0, 127, 128, 2**15 - 1, 2**15)] == [1, 1, 2, 2, 4]
+    assert [_lane_bytes(b) for b in (2**31 - 1, 2**31, 2**63 - 1)] == [4, 8, 8]
+    assert _lane_bytes(2**63) is None
+
+
+def test_y_to_x_many_past_63_bits_converts_value_by_value(monkeypatch):
+    # the bound |p|_1 * nvars**deg: y_2**62 over 2 variables bounds at 2**62
+    # and takes 8-byte lanes; y_2**63 passes 63 bits through nvars**deg
+    # alone, and 2**80 * y_2 through its coefficient alone
+    y1, y2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    one_by_one = []
+
+    def counted(p):
+        one_by_one.append(p)
+        return y_to_x(p)
+
+    monkeypatch.setattr(polyring, "y_to_x", counted)
+    cases = [
+        ([y2**62, -(y2**62), y1**62], []),
+        ([Polynomial.const(2, 2**63 - 1), Polynomial.const(2, -(2**63) + 1)], []),
+        ([y2**63, -(y1**63)], [0, 1]),
+        ([2**80 * y2 + y1, y1 - y2], [0, 1]),
+        ([y2**63, y1 * y2, 2**80 * y2], [0, 2]),
+    ]
+    for polys, wide in cases:
+        one_by_one.clear()
+        assert y_to_x_many(polys) == [y_to_x(p) for p in polys]
+        assert one_by_one == [polys[i] for i in wide]
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 5])
+def test_y_to_x_many_raises_at_the_exponent_cap_as_y_to_x_does(nvars):
+    top = 2**15 - 1
+
+    def monomial(a, b):
+        return Polynomial.from_exponents(nvars, [((a, b) + (0,) * (nvars - 2), 1)])
+
+    small = Polynomial.variable(nvars, nvars)
+    reaches = monomial(top - 1, 1)
+    assert y_to_x_many([small, reaches]) == [y_to_x(small), y_to_x(reaches)]
+    for a, b in ((top, 1), (top - 2, 3)):
+        with pytest.raises(OverflowError):
+            y_to_x_many([small, monomial(a, b), small])
 
 
 polys_over_one_to_six = st.integers(1, 6).flatmap(

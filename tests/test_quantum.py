@@ -312,6 +312,39 @@ def test_verify_positivity_detects_injected_violation(gr24, monkeypatch):
     assert report["violations"] == [{"u": [1], "v": [1], "w": [1], "d": 0}]
 
 
+def test_verify_positivity_reports_every_key_of_a_bad_shared_value(gr25, monkeypatch):
+    # a negative x coefficient planted in the image of one value object that
+    # several keys share: each of those keys is a violation, in key order
+    import eqschubert.suites as suites_mod
+    from eqschubert.polyring import y_to_x_many
+
+    clean = verify_positivity(gr25)
+    assert clean["passed"]
+    rows = list(eq_table(gr25).rows(default_d_max(gr25)))
+    uses = Counter(id(row[4]) for row in rows if row[4].degree() > 0)
+    planted = next(row[4] for row in rows if id(row[4]) == uses.most_common(1)[0][0])
+    batches = []
+
+    def corrupted(values):
+        batches.append(values)
+        return [-x if c is planted else x for c, x in zip(values, y_to_x_many(values))]
+
+    monkeypatch.setattr(suites_mod, "y_to_x_many", corrupted)
+    report = verify_positivity(gr25)
+    assert len(batches) == 1 and sum(c is planted for c in batches[0]) == 1
+    assert report["checked"] == clean["checked"]
+    # the suite's key order: pairs as the rows give them, then w, then d
+    order = {p.parts: i for i, p in enumerate(enumerate_classes(gr25))}
+    keys = sorted(
+        ((u, v, w, d) for u, v, w, d, c in rows if c is planted),
+        key=lambda key: (order[key[0]], order[key[1]], order[key[2]], key[3]),
+    )
+    assert len(keys) == uses[id(planted)] > 1
+    assert report["violations"] == [
+        {"u": list(u), "v": list(v), "w": list(w), "d": d} for u, v, w, d in keys
+    ]
+
+
 def test_verify_algebra_small(gr12, gr24):
     for ctx in (gr12, gr24):
         report = verify_algebra(ctx)
@@ -482,21 +515,29 @@ def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
 
 
 def test_tbasis_fails_a_row_left_in_engine_coordinates(gr24, monkeypatch):
-    # the one corruption a y -> x boundary invites: a row exported as its y
-    # entry, unconverted; the first row whose x and y forms differ is left so
+    # the one corruption a y -> x boundary invites: a value exported as its y
+    # entry, unconverted; the batch leaves so the value of the most rows
+    # among those whose x and y forms differ, and each of its rows fails
     import eqschubert.suites as suites_mod
-    from eqschubert.polyring import y_to_x
+    from eqschubert.polyring import y_to_x, y_to_x_many
 
     rows = list(eq_table(gr24).rows(default_d_max(gr24)))
-    index = next(i for i, row in enumerate(rows) if y_to_x(row[4]) != row[4])
-    calls = []
+    uses = Counter(id(row[4]) for row in rows if y_to_x(row[4]) != row[4])
+    planted = next(row[4] for row in rows if id(row[4]) == uses.most_common(1)[0][0])
+    batches = []
 
-    def corrupted(c):
-        calls.append(c)
-        return c if len(calls) == index + 1 else y_to_x(c)
+    def corrupted(values):
+        batches.append(values)
+        return [c if c is planted else x for c, x in zip(values, y_to_x_many(values))]
 
-    monkeypatch.setattr(suites_mod, "y_to_x", corrupted)
+    monkeypatch.setattr(suites_mod, "y_to_x_many", corrupted)
     report = suites_mod.verify_tbasis(gr24)
-    u, v, w, d, _ = rows[index]
-    assert report["checked"] == len(calls) == len(rows)
-    assert report["violations"] == [{"u": list(u), "v": list(v), "w": list(w), "d": d}]
+    assert len(batches) == 1 and sum(c is planted for c in batches[0]) == 1
+    assert report["checked"] == len(rows)
+    expected = [
+        {"u": list(u), "v": list(v), "w": list(w), "d": d}
+        for u, v, w, d, c in rows
+        if c is planted
+    ]
+    assert len(expected) == uses[id(planted)] > 1
+    assert report["violations"] == expected

@@ -12,7 +12,7 @@ import eqschubert.render as render_mod
 
 from eqschubert import GrassContext, Polynomial, QModuleElement, enumerate_classes, multiply
 from eqschubert.grass import default_d_max
-from eqschubert.polyring import y_to_x
+from eqschubert.polyring import y_to_x, y_to_x_stream
 from eqschubert.render import (
     CSV_ERRORS,
     canonical_json,
@@ -113,15 +113,16 @@ def test_table_entries_convert_each_value_object_once(k, n, monkeypatch):
     rows = list(quantum_mod.eq_table(ctx).rows(default_d_max(ctx)))
     objects = {id(c) for *_, c in rows}
     assert len(objects) < len(rows)
-    converted = []
+    batches = []
 
-    def counted(p):
-        converted.append(id(p))
-        return y_to_x(p)
+    def counted(values):
+        batches.append([id(p) for p in values])
+        return y_to_x_stream(values)
 
-    monkeypatch.setattr(render_mod, "y_to_x", counted)
+    monkeypatch.setattr(render_mod, "y_to_x_stream", counted)
     entries = table_entries(ctx)
-    assert sorted(converted) == sorted(objects)
+    # one batch, which holds each distinct value object exactly once
+    assert len(batches) == 1 and sorted(batches[0]) == sorted(objects)
     assert entries == [
         canonical_json(
             {"u": list(u), "v": list(v), "w": list(w), "d": d, "poly": poly_json(y_to_x(c))}
