@@ -66,23 +66,27 @@ def _fail(message):
 
 
 def _emit(text, out):
-    """Write ``text`` to stdout or, through a temporary file, to ``out``, in
-    slices of ``EMIT_SLICE`` characters, so no encoded copy of the whole
-    text is ever made."""
+    """Write ``text`` to stdout or to ``out``, in slices of ``EMIT_SLICE``
+    characters, so no encoded copy of the whole text is ever made.  An
+    ``out`` that exists and is no regular file (a FIFO, a device) is
+    written in place; any other goes through a temporary file."""
     slices = range(0, len(text), EMIT_SLICE)
     if out == "-":
         for i in slices:
             sys.stdout.write(text[i : i + EMIT_SLICE])
         return
-    tmp = out + ".tmp"
+    in_place = os.path.exists(out) and not os.path.isfile(out)
+    tmp = out if in_place else out + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             for i in slices:
                 fh.write(text[i : i + EMIT_SLICE])
-        os.replace(tmp, out)
+        if not in_place:
+            os.replace(tmp, out)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         _fail("cannot write %s: %s" % (out, exc))
 
 

@@ -28,18 +28,19 @@ the package's one multiply-accumulate kernel: the restriction minors,
 step multiplies by one power of an image instead of building a power
 product per term.
 
-``y_to_x`` and its inverse ``x_to_y`` change between the torus-character
-coordinates y_j = x_1 + ... + x_j, in which the engine computes, and the
-simple roots x.  Each is a chain of one-variable shears v_j -> v_j +- v_{j-1}
-on packed keys: a term whose lane j holds b expands by a precomputed row of
-key offsets and binomials, and the terms a shear merges are merged before
-the next one runs.  Two more conversions run on the same kernel:
+``y_to_x`` changes from the torus-character coordinates
+y_j = x_1 + ... + x_j, in which the engine computes, to the simple roots x,
+by a chain of one-variable shears v_j -> v_j + v_{j-1} on packed keys: a
+term whose lane j holds b expands by a precomputed row of key offsets and
+binomials, and the terms a shear merges are merged before the next one
+runs.  Nothing converts back.  Two more conversions run on the same kernel:
 ``to_T_variables`` (x_j -> T_j - T_{j+1}, shears v_j -> v_j - v_{j+1}) and
 the w0 involution ``w0_involution`` (y_j -> y_{n-1-j} - y_{n-1}: a lane
 reversal, then shears v_j -> v_j - v_{n-1}).
 
-``y_to_x_stream`` and ``y_to_x_many`` convert many values at once, as the
-exports and the ``positivity`` and ``tbasis`` suites do: Kronecker packing
+``y_to_x_stream`` is the y -> x boundary of the exports and the
+``positivity`` and ``tbasis`` suites, and the one place that decides to
+convert each distinct value object once: Kronecker packing
 (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", JSC 2009) across values instead of across monomials.  The
 values are grouped by variable count and maximum key degree; in a group,
@@ -544,18 +545,17 @@ def _shear_chain(nvars, conversion):
     of ``conversion`` over ``nvars`` variables, in the order they run:
 
     * ``"y_to_x"``: v_j -> v_j + v_{j-1}, j = nvars down to 2;
-    * ``"x_to_y"``: v_j -> v_j - v_{j-1}, j = 2 up to nvars;
     * ``"to_T"``: v_j -> v_j - v_{j+1}, j = nvars-1 down to 1;
     * ``"w0"``: v_j -> v_j - v_nvars, j = 1 up to nvars-1.
     """
     if conversion == "y_to_x":
         moves, sign = [(j, j - 1) for j in range(nvars, 1, -1)], 1
-    elif conversion == "x_to_y":
-        moves, sign = [(j, j - 1) for j in range(2, nvars + 1)], -1
     elif conversion == "to_T":
         moves, sign = [(j, j + 1) for j in range(nvars - 1, 0, -1)], -1
-    else:
+    elif conversion == "w0":
         moves, sign = [(j, nvars) for j in range(1, nvars)], -1
+    else:
+        raise ValueError("no shear chain named %r" % (conversion,))
     out = []
     for j, i in moves:
         shift = _SHIFT * (nvars - j)
@@ -602,12 +602,6 @@ def y_to_x(p):
     to this substitution.  ``OverflowError`` if an exponent passes the cap.
     """
     return _shear(p.nvars, p.terms, "y_to_x")
-
-
-def x_to_y(p):
-    """Substitute x_j -> y_j - y_{j-1} (y_0 = 0), the inverse of
-    :func:`y_to_x`: the shears v_j -> v_j - v_{j-1} for j = 2 up to nvars."""
-    return _shear(p.nvars, p.terms, "x_to_y")
 
 
 # the signed array typecode of each lane width in bytes
@@ -670,23 +664,24 @@ def _y_to_x_lanes(nvars, values, size):
 
 
 def y_to_x_stream(polys):
-    """Yield ``(i, y_to_x(polys[i]))`` for every position i of ``polys``,
-    one group of values at a time; each distinct object is converted once,
-    its positions share its image, and each image is built only as it is
-    yielded.
+    """Yield ``(i, y_to_x(polys[i]))`` for every position i of ``polys``.
 
-    The values are grouped by variable count and maximum key degree d.
-    Every coefficient of the chain on a value p, so every x coefficient, is
-    at most ``|p|_1 * nvars**d`` in absolute value, with ``|p|_1`` the sum
-    of its coefficients' absolute values: the substitution sends y^a to a
-    sum of at most ``nvars**|a|`` monomials with coefficient 1.  A group
-    whose bound fits 63 bits runs as lanes of one chain
-    (``_y_to_x_lanes``); a wider one converts value by value.
+    Callers may rely on this: each position is yielded exactly once, and
+    all positions of one object come together and share one image object,
+    built only as it is yielded.  So each distinct object is converted once.
+
+    The distinct objects are grouped by variable count and maximum key
+    degree d.  Every coefficient of the chain on a value p, so every x
+    coefficient, is at most ``|p|_1 * nvars**d`` in absolute value, with
+    ``|p|_1`` the sum of its coefficients' absolute values: the
+    substitution sends y^a to a sum of at most ``nvars**|a|`` monomials
+    with coefficient 1.  A group whose bound fits 63 bits runs as lanes of
+    one chain (``_y_to_x_lanes``); a wider one converts value by value.
     """
     members = {}
     for i, p in enumerate(polys):
         members.setdefault(id(p), (p, []))[1].append(i)
-    degree = {k: _key_degree(k) for k in set().union(*(p.terms for p in polys))}
+    degree = {k: _key_degree(k) for k in set().union(*(p.terms for p, _ in members.values()))}
     groups = {}
     for p, positions in members.values():
         d = max(map(degree.__getitem__, p.terms), default=0)
@@ -700,14 +695,6 @@ def y_to_x_stream(polys):
         for image, (_, positions) in zip(images, group):
             for i in positions:
                 yield i, image
-
-
-def y_to_x_many(polys):
-    """``[y_to_x(p) for p in polys]``, converted by :func:`y_to_x_stream`."""
-    out = [None] * len(polys)
-    for i, image in y_to_x_stream(polys):
-        out[i] = image
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """The equivariant quantum product on the Schubert basis of Gr(k,n).
 
 The divisor product is built, not transcribed: its classical part adds one
-box in every legal row, its diagonal coefficient is computed by localization,
-and its q-term has coefficient exactly one because the grading leaves no room
-for a correction (degree 1 + |a| - (|a|-n+1) - n = 0) while the constant term
+box in every legal row, its diagonal coefficient is the closed form of
+sigma(1)|a (Knutson-Tao), checked against localization, and its q-term
+has coefficient exactly one because the grading leaves no room for a
+correction (degree 1 + |a| - (|a|-n+1) - n = 0) while the constant term
 is pinned against the rim-hook count by the quantum specialization.
 
 Every other structure constant C[u,v,w,d] is forced by commutativity and
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .equivariant import elr, own_restriction
+from .equivariant import divisor_restriction, elr, own_restriction, point_of
 from .errors import TableSolveError
 from .grass import (
     Partition,
@@ -65,7 +66,6 @@ from .polyring import (
     add_into,
     add_product_into,
     finish_terms,
-    x_to_y,
     y_to_x,
 )
 
@@ -154,16 +154,18 @@ class EQTable:
     def chevalley_terms(self, a):
         """sigma(1) * sigma(a) as a term map (parts, d) -> coefficient.
 
-        The diagonal comes from ``elr``, in x, and is mapped back to y.
+        The diagonal c_a is ``divisor_restriction`` at a's point, as in the
+        restriction walk; ``TableSolveError`` unless its x image is
+        ``elr(sigma(1), a, a)``.
         """
         cached = self._chev.get(a.parts)
         if cached is not None:
             return cached
         classes, i = self._classes, self._index[a.parts]
         terms = {(classes[j].parts, 0): self._one for j in self._up[i]}
-        diag = x_to_y(elr(classes[1], a, a))
-        if not (diag.is_zero or diag.is_homogeneous_of_degree(1)):
-            raise TableSolveError("divisor diagonal for %r is not linear" % (a.parts,))
+        diag = divisor_restriction(self.ctx, point_of(a).subset)
+        if y_to_x(diag) != elr(classes[1], a, a):
+            raise TableSolveError("divisor diagonal for %r disagrees with elr" % (a.parts,))
         if not diag.is_zero:
             terms[(a.parts, 0)] = diag
         if self._qshape[i] is not None:

@@ -12,12 +12,11 @@ error.
 
 Every export is in the simple roots x. The table and restriction exports
 read the engine's tables, which are in the torus-character coordinates y,
-and convert all their polynomials in one batch (``polyring.y_to_x_stream``
-and ``y_to_x_many``), one shear chain per degree; the module elements that
-``qelem_text`` and ``qelem_json`` render come from ``quantum.multiply``,
-already in x, and are rendered as given. The engine's table holds equal
-coefficients as one object, so the table export converts and encodes each
-distinct value once, into the first row that uses it.
+and pass all their polynomials, repeats included, to the one batch
+conversion ``polyring.y_to_x_stream``, one shear chain per degree; the
+module elements that ``qelem_text`` and ``qelem_json`` render come from
+``quantum.multiply``, already in x, and are rendered as given. Each
+distinct value is encoded once, and its text lives only across its rows.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import lru_cache
 
 from .errors import DimensionMismatchError
 from .grass import Partition, default_d_max, enumerate_classes
-from .polyring import Polynomial, _lanes, y_to_x_many, y_to_x_stream
+from .polyring import Polynomial, _lanes, y_to_x_stream
 
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -103,6 +102,16 @@ def _term_encoder(nvars):
     return encode
 
 
+def _encoded(values, encode):
+    """Yield ``(i, encode(y_to_x(values[i])))`` for every position i, in
+    stream order: each object's image is encoded once, when it changes."""
+    image = text = None
+    for i, x in y_to_x_stream(values):
+        if x is not image:
+            image, text = x, encode(x)
+        yield i, text
+
+
 def _join_entries(envelope, rows):
     """The canonical text of ``envelope`` with the encoded ``rows`` as its
     ``entries`` list, plus a newline.
@@ -155,36 +164,22 @@ def table_entries(ctx, d_max=None):
     class order, sorted by (u, v, d, w). Each row is one format of its
     cached partition arrays and its terms in x as ``_term_encoder`` writes
     them. ``EQTable._store`` keeps equal coefficients as one object, and
-    makes each homogeneous. The distinct objects go through one batch
-    conversion, ``y_to_x_stream``, which builds each x image only as it
-    yields it; the image is encoded into its value's first row at once and
-    dropped, so no x copy of the table is kept. Every later row of a value
-    copies the text out of that first row, so no text is kept beside the
-    rows either. The conversion keeps the degree, so the terms always take
-    the encoder's one-degree path: sorted by packed key, which is graded-lex
-    order within one degree.
+    makes each homogeneous. The rows' values go as they stand through
+    ``_encoded``, so each distinct value is converted and encoded once and
+    no x copy of the table is kept. The conversion keeps the degree, so the
+    terms always take the encoder's one-degree path: sorted by packed key,
+    which is graded-lex order within one degree.
     """
     from .quantum import eq_table
 
     if d_max is None:
         d_max = default_d_max(ctx)
-    encode = _term_encoder(ctx.r)
     arrays = {p.parts: canonical_json(list(p.parts)) for p in enumerate_classes(ctx)}
     rows = list(eq_table(ctx).rows(d_max))
-    first = {}  # id of each value object -> the index of its first row
-    for i, row in enumerate(rows):
-        first.setdefault(id(row[4]), i)
-    heads = list(first.values())
     entries = [None] * len(rows)
-    for j, image in y_to_x_stream([rows[i][4] for i in heads]):
-        u, v, w, d, _ = rows[heads[j]]
-        entries[heads[j]] = _ROW % (d, encode(image), arrays[u], arrays[v], arrays[w])
-    for i, (u, v, w, d, c) in enumerate(rows):
-        if entries[i] is None:
-            # a later row of a value copies the text out of its first row
-            head = entries[first[id(c)]]
-            text = head[head.index("[") : head.rindex(',"u":')]
-            entries[i] = _ROW % (d, text, arrays[u], arrays[v], arrays[w])
+    for i, text in _encoded([row[4] for row in rows], _term_encoder(ctx.r)):
+        u, v, w, d, _ = rows[i]
+        entries[i] = _ROW % (d, text, arrays[u], arrays[v], arrays[w])
     return entries
 
 
@@ -271,15 +266,13 @@ def restriction_table_json(ctx, family="schubert"):
     from .equivariant import fixed_points, restriction_table
 
     table = restriction_table(ctx, family)
-    encode = _term_encoder(ctx.r)
     points = [(pt, canonical_json(list(pt.subset))) for pt in fixed_points(ctx)]
     classes = [(p, canonical_json(list(p.parts))) for p in enumerate_classes(ctx)]
-    images = y_to_x_many([table.restriction(p, pt) for p, _ in classes for pt, _ in points])
+    values = [table.restriction(p, pt) for p, _ in classes for pt, _ in points]
     labels = [(parts, text) for _, parts in classes for _, text in points]
-    rows = [
-        '{"class":%s,"point":%s,"poly":%s}' % (parts, text, encode(image))
-        for (parts, text), image in zip(labels, images)
-    ]
+    rows = [None] * len(values)
+    for i, text in _encoded(values, _term_encoder(ctx.r)):
+        rows[i] = '{"class":%s,"point":%s,"poly":%s}' % (*labels[i], text)
     return _join_entries({"k": ctx.k, "n": ctx.n, "family": family}, rows)
 
 

@@ -12,7 +12,7 @@ import random
 from .equivariant import elr_table, gkm_violations, pairing
 from .grass import Partition, default_d_max, enumerate_classes
 from .oracles import quantum_lr_rimhook
-from .polyring import Polynomial, is_x_nonnegative, to_T_variables, y_to_x_many
+from .polyring import Polynomial, is_x_nonnegative, to_T_variables, y_to_x_stream
 from .quantum import EQTable, QModuleElement, eq_table
 
 MAX_TRIPLES = 1000
@@ -37,18 +37,28 @@ def _where(**classes):
     return {key: list(p.parts) for key, p in classes.items()}
 
 
+def _failing(values, holds):
+    """The positions i where ``holds(values[i], x)`` fails, x the image of
+    ``values[i]`` in x; it runs once per distinct value object."""
+    bad, image = set(), None
+    for i, x in y_to_x_stream(values):
+        if x is not image:
+            image, ok = x, holds(values[i], x)
+        if not ok:
+            bad.add(i)
+    return bad
+
+
 def verify_positivity(ctx, d_max=None):
     """Check nonnegativity in x of every structure constant up to d_max.
 
-    Each distinct value object is converted once, in one batch
-    (``y_to_x_many``); every key whose value has a negative x coefficient
-    is a violation, in key order."""
+    Each distinct value object is checked once (``_failing``); every key
+    whose value has a negative x coefficient is a violation, in key order."""
     if d_max is None:
         d_max = default_d_max(ctx)
     table = eq_table(ctx)
     classes = enumerate_classes(ctx)
-    keys = []
-    values = {}  # id -> value object, each distinct object once
+    keys, values = [], []
     for i, u in enumerate(classes):
         for v in classes[i:]:
             for w in classes:
@@ -56,12 +66,12 @@ def verify_positivity(ctx, d_max=None):
                 for d in range(min(d_max, (u.size + v.size) // ctx.n) + 1):
                     if u.size + v.size - w.size - d * ctx.n < 0:
                         continue
-                    c = table.coefficient(u, v, w, d)
-                    values.setdefault(id(c), c)
-                    keys.append((u, v, w, d, id(c)))
-    images = zip(values, y_to_x_many(list(values.values())))
-    bad = {key for key, x in images if not is_x_nonnegative(x)}
-    violations = [dict(_where(u=u, v=v, w=w), d=d) for u, v, w, d, key in keys if key in bad]
+                    keys.append((u, v, w, d))
+                    values.append(table.coefficient(u, v, w, d))
+    bad = _failing(values, lambda c, x: is_x_nonnegative(x))
+    violations = [
+        dict(_where(u=u, v=v, w=w), d=d) for i, (u, v, w, d) in enumerate(keys) if i in bad
+    ]
     return _report("positivity", ctx, violations, d_max=d_max, checked=len(keys))
 
 
@@ -139,24 +149,26 @@ def verify_tbasis(ctx, d_max=None):
     """Check every exported coefficient against the engine in the T-variables.
 
     The engine's coordinates are the T presentation: ``y_j = T_1 - T_{j+1}``,
-    as ``x_j = T_j - T_{j+1}``.  So each table row ``c``, in y, converted to
-    x by the batch the exports use (``y_to_x_many``, each distinct value
-    once), must map by :func:`to_T_variables` to ``c`` with each y_j
-    replaced by T_1 - T_{j+1}.  That binds the exported x coefficient, the
-    engine's entry and the conversion; a row where the two images differ is
-    a violation.
+    as ``x_j = T_j - T_{j+1}``.  So each table value ``c``, in y, converted
+    to x by the batch the exports use (``y_to_x_stream``), must map by
+    :func:`to_T_variables` to ``c`` with each y_j replaced by T_1 - T_{j+1}.
+    That binds the exported x coefficient, the engine's entry and the
+    conversion.  Each distinct value is checked once (``_failing``), and
+    every row of a value whose two images differ is a violation.
     """
     if d_max is None:
         d_max = default_d_max(ctx)
     m = ctx.n
     weights = [Polynomial.variable(m, 1) - Polynomial.variable(m, j + 1) for j in range(1, m)]
     rows = list(eq_table(ctx).rows(d_max))
-    values = list({id(c): c for *_, c in rows}.values())
-    images = dict(zip(map(id, values), y_to_x_many(values)))
+    bad = _failing(
+        [row[4] for row in rows],
+        lambda c, x: to_T_variables(x, m) == c.substitute(weights, m),
+    )
     violations = [
         {"u": list(u), "v": list(v), "w": list(w), "d": d}
-        for u, v, w, d, c in rows
-        if to_T_variables(images[id(c)], m) != c.substitute(weights, m)
+        for i, (u, v, w, d, _) in enumerate(rows)
+        if i in bad
     ]
     return _report("tbasis", ctx, violations, checked=len(rows))
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -32,7 +33,7 @@ SEED_SHA256 = {
     ("json", 2, 7): "26fb918386d8c6707697e08da6c2b640644e4fff4584de750fe75d12a9dcf585",
 }
 
-# sha256 of the other canonical JSON outputs on Gr(2,4).
+# sha256 of the other canonical JSON outputs, on Gr(2,4) unless named.
 OUTPUT_SHA256 = [
     pytest.param(
         ("restrictions", "--family", "schubert"),
@@ -43,6 +44,16 @@ OUTPUT_SHA256 = [
         ("restrictions", "--family", "opposite"),
         "c1a10caa8f789ceb56a4c39726029f71906dadeffea27e4be293fa948da643b2",
         id="restrictions-opposite",
+    ),
+    pytest.param(
+        ("restrictions", "--k", "3", "--n", "6", "--family", "schubert"),
+        "1a2f2f0b691fb139c6929932fd06a82c3226ac6601975f359d5745d53d63baf5",
+        id="restrictions-schubert-gr36",
+    ),
+    pytest.param(
+        ("restrictions", "--k", "3", "--n", "6", "--family", "opposite"),
+        "6ea1d96f500870f48d9933342ada405e43570bd2a5e560de7cb64a306aef84ae",
+        id="restrictions-opposite-gr36",
     ),
     pytest.param(
         ("multiply", "--u", "[2,1]", "--v", "[2,1]", "--format", "json"),
@@ -91,7 +102,8 @@ def test_table_csv_bytes_match_seed(fmt, k, n):
 
 @pytest.mark.parametrize("args, digest", OUTPUT_SHA256)
 def test_json_output_bytes_match_seed(args, digest):
-    result = run(args[0], "--k", "2", "--n", "4", *args[1:])
+    context = () if "--k" in args else ("--k", "2", "--n", "4")
+    result = run(args[0], *context, *args[1:])
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
@@ -638,6 +650,65 @@ def test_a_doubled_restriction_seed_exits_3(cold_restrictions, monkeypatch):
     assert result.exit_code == 3
     assert result.stderr.startswith("internal error: ") and "unit" in result.stderr
     assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (("table", "--k", "1", "--n", "2", "--out"), "fifo"),
+        (("table", "--k", "1", "--n", "2", "--out"), "symlink"),
+        (("fixtures", "--regen", "--path"), "fifo"),
+    ],
+    ids=["table-fifo", "table-symlink", "fixtures-fifo"],
+)
+def test_output_onto_a_non_regular_file_is_written_in_place(tmp_path, args, kind):
+    # a target that exists and is not a regular file is written through, not
+    # replaced by a renamed temporary file
+    out = tmp_path / "out"
+    if args[0] == "table":
+        expected = run("table", "--k", "1", "--n", "2").stdout_bytes
+    else:
+        with open(FIXTURE_FILE, "rb") as fh:
+            expected = fh.read()
+    reader = None
+    if kind == "fifo":
+        os.mkfifo(out)
+        # opened first, without blocking, so the writer's open cannot hang;
+        # both payloads fit the pipe buffer
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+    else:
+        out.symlink_to(os.devnull)
+    try:
+        result = run(*args, str(out))
+        received = b"" if reader is None else os.read(reader, 1 << 16)
+    finally:
+        if reader is not None:
+            os.close(reader)
+    assert result.exit_code == 0, result.stderr
+    if kind == "fifo":
+        assert received == expected
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+    else:
+        assert out.is_symlink() and os.readlink(out) == os.devnull
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_a_wrong_divisor_diagonal_exits_3(gr24, monkeypatch):
+    # the closed-form diagonal c_a is held against the localization constant
+    # elr(sigma(1), a, a); a planted wrong elr is caught there
+    elr = quantum_mod.elr
+    monkeypatch.setattr(quantum_mod, "elr", lambda u, v, w: elr(u, v, w) + elr(u, v, w))
+    classes = enumerate_classes(gr24)
+    quantum_mod.eq_table.cache_clear()
+    try:
+        with pytest.raises(TableSolveError, match="disagrees with elr"):
+            quantum_mod.EQTable(gr24).chevalley_terms(classes[1])
+        result = run("table", "--k", "2", "--n", "4", "--no-cache")
+    finally:
+        quantum_mod.eq_table.cache_clear()
+    assert result.exit_code == 3
+    assert result.stderr.startswith("internal error: ") and result.stderr.count("\n") == 1
     assert result.stdout == ""
 
 

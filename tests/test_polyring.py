@@ -17,15 +17,15 @@ from eqschubert import (
 )
 from eqschubert.polyring import (
     w0_involution,
-    x_to_y,
     y_to_x,
-    y_to_x_many,
+    y_to_x_stream,
     _divide_heap,
     _divide_linear,
     _key_degree,
     _lane_bytes,
     _pack,
     _shear,
+    _shear_chain,
     _unpack,
     add_into,
     add_product_into,
@@ -395,11 +395,9 @@ def test_y_to_x_is_the_partial_sum_substitution(p):
     assert y_to_x(p) == p.substitute(partial_sums(p.nvars), p.nvars)
 
 
-@settings(max_examples=200, deadline=None)
-@given(polys_over_any_nvars())
-def test_coordinate_changes_are_inverse(p):
-    assert x_to_y(y_to_x(p)) == p
-    assert y_to_x(x_to_y(p)) == p
+def test_shear_chain_refuses_an_unknown_conversion():
+    with pytest.raises(ValueError):
+        _shear_chain(3, "x_to_y")
 
 
 @pytest.mark.parametrize("nvars", [2, 3, 5])
@@ -411,26 +409,44 @@ def test_coordinate_changes_stay_below_the_guard_bit(nvars):
 
     x1, x2 = Polynomial.variable(nvars, 1), Polynomial.variable(nvars, 2)
     # a result that reaches the cap exactly is a polynomial: y_1**(top-1) * y_2
-    # maps to x_1**(top-1) * (x_1 + x_2), and back
+    # maps to x_1**(top-1) * (x_1 + x_2)
     assert y_to_x(monomial(top - 1, 1)) == x1 ** (top - 1) * (x1 + x2)
-    assert x_to_y(x1 ** (top - 1) * (x1 + x2)) == monomial(top - 1, 1)
-    # y_1**a * y_2**b maps to x_1**a * (x_1 + x_2)**b, and x_1**a * x_2**b
-    # to y_1**a * (y_2 - y_1)**b: both hold a first lane of a + b
+    # y_1**a * y_2**b maps to x_1**a * (x_1 + x_2)**b, which holds a first
+    # lane of a + b
     for a, b in ((top, 1), (top - 2, 3)):
         with pytest.raises(OverflowError):
             y_to_x(monomial(a, b))
-        with pytest.raises(OverflowError):
-            x_to_y(monomial(a, b))
+
+
+def converted(polys):
+    """The images ``y_to_x_stream(polys)`` yields, by position, once its
+    contract is checked: every position is yielded once, and all positions
+    of one object come together and share one image object."""
+    out = [None] * len(polys)
+    runs = []  # (object, image) of each run of one object's positions
+    for i, image in y_to_x_stream(polys):
+        assert out[i] is None
+        out[i] = image
+        if not runs or runs[-1][0] is not polys[i]:
+            runs.append((polys[i], image))
+        assert runs[-1][1] is image
+    assert all(image is not None for image in out)
+    # one run per distinct object: its positions are consecutive
+    assert len(runs) == len({id(p) for p in polys})
+    return out
 
 
 @pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (2, 7)])
 def test_y_to_x_many_matches_y_to_x_on_every_table_value(k, n):
+    # every row's value as the suites pass them, repeats and the table's
+    # one shared zero included
     from eqschubert import GrassContext, default_d_max, eq_table
 
     ctx = GrassContext(k, n)
-    rows = eq_table(ctx).rows(default_d_max(ctx))
-    values = list({id(row[4]): row[4] for row in rows}.values())
-    assert y_to_x_many(values) == [y_to_x(p) for p in values]
+    table = eq_table(ctx)
+    values = [c for row in table.rows(default_d_max(ctx)) for c in (row[4], table._zero)]
+    assert len({id(p) for p in values}) < len(values)
+    assert converted(values) == [y_to_x(p) for p in values]
 
 
 @st.composite
@@ -453,14 +469,19 @@ def poly_lists(draw):
     return out
 
 
+ZERO = Polynomial.zero(3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(poly_lists())
 @example([])
 @example([Polynomial.zero(3), Polynomial.zero(3)])
+# one zero object at many positions, as the table shares its zero
+@example([ZERO, x(1), ZERO, x(2) ** 2, ZERO])
 # the first key is of lower degree than the last
 @example([x(1) + 5 * x(2) ** 3 * x(3), x(2) ** 4, x(2) ** 4 - 2**70 * x(3) ** 4])
-def test_y_to_x_many_is_y_to_x_of_each(polys):
-    assert y_to_x_many(polys) == [y_to_x(p) for p in polys]
+def test_y_to_x_stream_keeps_its_contract(polys):
+    assert converted(polys) == [y_to_x(p) for p in polys]
 
 
 def test_lane_bytes_is_the_narrowest_signed_lane():
@@ -472,8 +493,10 @@ def test_lane_bytes_is_the_narrowest_signed_lane():
 def test_y_to_x_many_past_63_bits_converts_value_by_value(monkeypatch):
     # the bound |p|_1 * nvars**deg: y_2**62 over 2 variables bounds at 2**62
     # and takes 8-byte lanes; y_2**63 passes 63 bits through nvars**deg
-    # alone, and 2**80 * y_2 through its coefficient alone
+    # alone, and 2**80 * y_2 through its coefficient alone; a repeated
+    # object is converted once
     y1, y2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    wide_twice = y2**63
     one_by_one = []
 
     def counted(p):
@@ -487,10 +510,11 @@ def test_y_to_x_many_past_63_bits_converts_value_by_value(monkeypatch):
         ([y2**63, -(y1**63)], [0, 1]),
         ([2**80 * y2 + y1, y1 - y2], [0, 1]),
         ([y2**63, y1 * y2, 2**80 * y2], [0, 2]),
+        ([wide_twice, y1, wide_twice], [0]),
     ]
     for polys, wide in cases:
         one_by_one.clear()
-        assert y_to_x_many(polys) == [y_to_x(p) for p in polys]
+        assert converted(polys) == [y_to_x(p) for p in polys]
         assert one_by_one == [polys[i] for i in wide]
 
 
@@ -503,10 +527,10 @@ def test_y_to_x_many_raises_at_the_exponent_cap_as_y_to_x_does(nvars):
 
     small = Polynomial.variable(nvars, nvars)
     reaches = monomial(top - 1, 1)
-    assert y_to_x_many([small, reaches]) == [y_to_x(small), y_to_x(reaches)]
+    assert converted([small, reaches]) == [y_to_x(small), y_to_x(reaches)]
     for a, b in ((top, 1), (top - 2, 3)):
         with pytest.raises(OverflowError):
-            y_to_x_many([small, monomial(a, b), small])
+            converted([small, monomial(a, b), small])
 
 
 polys_over_one_to_six = st.integers(1, 6).flatmap(

@@ -316,7 +316,7 @@ def test_verify_positivity_reports_every_key_of_a_bad_shared_value(gr25, monkeyp
     # a negative x coefficient planted in the image of one value object that
     # several keys share: each of those keys is a violation, in key order
     import eqschubert.suites as suites_mod
-    from eqschubert.polyring import y_to_x_many
+    from eqschubert.polyring import y_to_x_stream
 
     clean = verify_positivity(gr25)
     assert clean["passed"]
@@ -326,12 +326,20 @@ def test_verify_positivity_reports_every_key_of_a_bad_shared_value(gr25, monkeyp
     batches = []
 
     def corrupted(values):
+        # the stream's contract holds: one shared image per object
         batches.append(values)
-        return [-x if c is planted else x for c, x in zip(values, y_to_x_many(values))]
+        bad = None
+        for i, x in y_to_x_stream(values):
+            if values[i] is planted:
+                bad = -x if bad is None else bad
+                x = bad
+            yield i, x
 
-    monkeypatch.setattr(suites_mod, "y_to_x_many", corrupted)
+    monkeypatch.setattr(suites_mod, "y_to_x_stream", corrupted)
     report = verify_positivity(gr25)
-    assert len(batches) == 1 and sum(c is planted for c in batches[0]) == 1
+    # one batch of every key's value, repeats included
+    assert len(batches) == 1 and len(batches[0]) == clean["checked"]
+    assert sum(c is planted for c in batches[0]) == uses[id(planted)]
     assert report["checked"] == clean["checked"]
     # the suite's key order: pairs as the rows give them, then w, then d
     order = {p.parts: i for i, p in enumerate(enumerate_classes(gr25))}
@@ -494,24 +502,35 @@ def test_other_box_shapes():
 
 
 def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
-    # the third row's T image gains T_1, so it no longer equals the
-    # engine's entry with each y_j replaced by T_1 - T_{j+1}
+    # the T image of the value of the most rows gains T_1, so it no longer
+    # equals the engine's entry with each y_j replaced by T_1 - T_{j+1};
+    # to_T_variables runs once per distinct value, and every row of the
+    # planted value fails, in row order
     import eqschubert.suites as suites_mod
-    from eqschubert.polyring import to_T_variables
+    from eqschubert.polyring import to_T_variables, y_to_x
 
+    rows = list(eq_table(gr24).rows(default_d_max(gr24)))
+    uses = Counter(id(row[4]) for row in rows)
+    planted = next(row[4] for row in rows if id(row[4]) == uses.most_common(1)[0][0])
+    target = y_to_x(planted)
     calls = []
 
-    def planted(c, m):
+    def corrupted(c, m):
         calls.append(c)
         image = to_T_variables(c, m)
-        return image + Polynomial.variable(m, 1) if len(calls) == 3 else image
+        return image + Polynomial.variable(m, 1) if c == target else image
 
-    monkeypatch.setattr(suites_mod, "to_T_variables", planted)
+    monkeypatch.setattr(suites_mod, "to_T_variables", corrupted)
     report = suites_mod.verify_tbasis(gr24)
-    u, v, w, d, _ = list(eq_table(gr24).rows(default_d_max(gr24)))[2]
-    assert not report["passed"]
-    assert report["checked"] == len(calls)
-    assert report["violations"] == [{"u": list(u), "v": list(v), "w": list(w), "d": d}]
+    assert len(calls) == len(uses) < len(rows)
+    assert report["checked"] == len(rows)
+    expected = [
+        {"u": list(u), "v": list(v), "w": list(w), "d": d}
+        for u, v, w, d, c in rows
+        if c is planted
+    ]
+    assert len(expected) == uses[id(planted)] > 1
+    assert report["violations"] == expected
 
 
 def test_tbasis_fails_a_row_left_in_engine_coordinates(gr24, monkeypatch):
@@ -519,7 +538,7 @@ def test_tbasis_fails_a_row_left_in_engine_coordinates(gr24, monkeypatch):
     # entry, unconverted; the batch leaves so the value of the most rows
     # among those whose x and y forms differ, and each of its rows fails
     import eqschubert.suites as suites_mod
-    from eqschubert.polyring import y_to_x, y_to_x_many
+    from eqschubert.polyring import y_to_x, y_to_x_stream
 
     rows = list(eq_table(gr24).rows(default_d_max(gr24)))
     uses = Counter(id(row[4]) for row in rows if y_to_x(row[4]) != row[4])
@@ -528,11 +547,13 @@ def test_tbasis_fails_a_row_left_in_engine_coordinates(gr24, monkeypatch):
 
     def corrupted(values):
         batches.append(values)
-        return [c if c is planted else x for c, x in zip(values, y_to_x_many(values))]
+        for i, x in y_to_x_stream(values):
+            yield i, planted if values[i] is planted else x
 
-    monkeypatch.setattr(suites_mod, "y_to_x_many", corrupted)
+    monkeypatch.setattr(suites_mod, "y_to_x_stream", corrupted)
     report = suites_mod.verify_tbasis(gr24)
-    assert len(batches) == 1 and sum(c is planted for c in batches[0]) == 1
+    # one batch of every row's value, repeats included
+    assert len(batches) == 1 and [row[4] for row in rows] == batches[0]
     assert report["checked"] == len(rows)
     expected = [
         {"u": list(u), "v": list(v), "w": list(w), "d": d}

@@ -113,16 +113,36 @@ def test_table_entries_convert_each_value_object_once(k, n, monkeypatch):
     rows = list(quantum_mod.eq_table(ctx).rows(default_d_max(ctx)))
     objects = {id(c) for *_, c in rows}
     assert len(objects) < len(rows)
-    batches = []
+    batches, images, encoded = [], {}, []
 
     def counted(values):
-        batches.append([id(p) for p in values])
-        return y_to_x_stream(values)
+        batches.append(values)
+        for i, x in y_to_x_stream(values):
+            images.setdefault(id(values[i]), []).append(x)
+            yield i, x
+
+    make = render_mod._term_encoder
+
+    def counting(nvars):
+        encode = make(nvars)
+
+        def wrapped(p):
+            encoded.append(p)
+            return encode(p)
+
+        return wrapped
 
     monkeypatch.setattr(render_mod, "y_to_x_stream", counted)
+    monkeypatch.setattr(render_mod, "_term_encoder", counting)
     entries = table_entries(ctx)
-    # one batch, which holds each distinct value object exactly once
-    assert len(batches) == 1 and sorted(batches[0]) == sorted(objects)
+    # one batch of every row's value, repeats included; each distinct value
+    # object gets one image, which is encoded once
+    assert len(batches) == 1 and all(a is b for a, b in zip(batches[0], [c for *_, c in rows]))
+    assert len(batches[0]) == len(rows)
+    assert images.keys() == objects
+    assert all(x is xs[0] for xs in images.values() for x in xs)
+    assert len(encoded) == len(objects)
+    assert {id(x) for x in encoded} == {id(xs[0]) for xs in images.values()}
     assert entries == [
         canonical_json(
             {"u": list(u), "v": list(v), "w": list(w), "d": d, "poly": poly_json(y_to_x(c))}
