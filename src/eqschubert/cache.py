@@ -1,18 +1,24 @@
 """Versioned on-disk cache for computed product tables.
 
-Format (documented for consumers): a gzip stream (mtime pinned to zero) of a
-UTF-8 JSON object with fields
+Format (documented for consumers): one gzip stream (mtime pinned to zero)
+holding a header line, then the payload's UTF-8 bytes as they are. The
+header line is the canonical JSON (sorted keys, no whitespace) of an object
+with fields
 
-    cache_version   integer format version
+    cache_version   integer format version (2)
     engine_version  package version that produced the payload
     k, n, d_max     the table key
-    sha256          hex digest of the payload string
-    payload         the canonical table JSON, as a string
+    sha256          hex digest of the payload bytes
 
-A file whose checksum or JSON structure is broken raises CacheError; a file
-whose versions or key disagree is stale and is simply ignored, never
-migrated.  Writes go to a temporary file and are renamed into place; a
-failed write removes the temporary file.
+followed by a newline. The file name carries the format version
+(``eqtable-k2-n7-d3.v2.gz``), so a file of another format, such as a
+version 1 ``*.json.gz`` envelope, is never opened.
+
+A file whose header line is missing, longer than ``HEADER_CAP`` bytes or no
+JSON object, whose checksum does not match, or whose payload is not UTF-8
+raises CacheError; a file whose versions or key disagree is stale and is
+simply ignored, never migrated. Writes go to a temporary file and are
+renamed into place; a failed write removes the temporary file.
 """
 
 from __future__ import annotations
@@ -27,24 +33,27 @@ import zlib
 from .errors import CacheError
 from .version import CACHE_VERSION, ENGINE_VERSION
 
+# the longest first line read as a header; a real one is about 150 bytes
+HEADER_CAP = 4096
+
 
 def cache_path(cache_dir, k, n, d_max):
-    name = "eqtable-k%d-n%d-d%d.json.gz" % (k, n, d_max)
+    name = "eqtable-k%d-n%d-d%d.v%d.gz" % (k, n, d_max, CACHE_VERSION)
     return os.path.join(cache_dir, name)
 
 
 def store(cache_dir, k, n, d_max, payload):
     os.makedirs(cache_dir, exist_ok=True)
-    envelope = {
+    data = payload.encode("utf-8")
+    header = {
         "cache_version": CACHE_VERSION,
         "engine_version": ENGINE_VERSION,
         "k": k,
         "n": n,
         "d_max": d_max,
-        "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
-        "payload": payload,
+        "sha256": hashlib.sha256(data).hexdigest(),
     }
-    raw = json.dumps(envelope, sort_keys=True).encode("utf-8")
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
     path = cache_path(cache_dir, k, n, d_max)
     tmp = path + ".tmp"
     try:
@@ -52,7 +61,8 @@ def store(cache_dir, k, n, d_max, payload):
         with open(tmp, "wb") as fh, gzip.GzipFile(
             filename="", mode="wb", fileobj=fh, mtime=0
         ) as zf:
-            zf.write(raw)
+            zf.write(line.encode("utf-8"))
+            zf.write(data)
         os.replace(tmp, path)
     except OSError:
         with contextlib.suppress(OSError):
@@ -68,30 +78,28 @@ def load(cache_dir, k, n, d_max):
         return None
     try:
         with gzip.open(path, "rb") as fh:
-            envelope = json.loads(fh.read().decode("utf-8"))
-        payload = envelope["payload"]
-        digest = envelope["sha256"]
-        if not isinstance(payload, str):
-            raise CacheError("cache file %s has a non-string payload" % path)
-        actual = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    except (
-        OSError,
-        EOFError,
-        zlib.error,
-        RecursionError,
-        ValueError,
-        KeyError,
-        TypeError,
-    ) as exc:
+            line = fh.readline(HEADER_CAP)
+            if not line.endswith(b"\n"):
+                raise CacheError(
+                    "cache file %s has no header line within %d bytes" % (path, HEADER_CAP)
+                )
+            header = json.loads(line.decode("utf-8"))
+            data = fh.read()
+    except (OSError, EOFError, zlib.error, RecursionError, ValueError) as exc:
         raise CacheError("unreadable cache file %s: %s" % (path, exc))
-    if actual != digest:
+    if type(header) is not dict:
+        raise CacheError("cache file %s has a header that is no JSON object" % path)
+    if hashlib.sha256(data).hexdigest() != header.get("sha256"):
         raise CacheError("checksum mismatch in cache file %s" % path)
     # JSON true and 1.0 compare equal to 1, but only an int names a table
-    stamp = tuple(envelope.get(f) for f in ("cache_version", "k", "n", "d_max"))
+    stamp = tuple(header.get(f) for f in ("cache_version", "k", "n", "d_max"))
     if (
-        envelope.get("engine_version") != ENGINE_VERSION
+        header.get("engine_version") != ENGINE_VERSION
         or any(type(v) is not int for v in stamp)
         or stamp != (CACHE_VERSION, k, n, d_max)
     ):
         return None
-    return payload
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CacheError("cache file %s holds a payload that is not UTF-8: %s" % (path, exc))

@@ -8,8 +8,9 @@ and a warm re-export is mostly interpreter start and the imports of this
 module. So the module imports only what that path runs: ``json``, the cache
 module with its ``gzip`` and ``hashlib``, and the standard library's
 ``argparse``, which needs neither ``inspect`` nor ``typing``. The engine and
-the renderers are imported inside the commands that use them, so a warm cache
-read loads neither.
+the renderers are imported inside the commands that use them, so a warm JSON
+read loads neither, and a warm CSV read loads the renderer, which imports the
+engine's polynomial ring only when a row is not canonical.
 """
 
 from __future__ import annotations

@@ -177,11 +177,6 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max(map(_key_degree, self.terms)) if self.terms else -1
 
-    def is_homogeneous_of_degree(self, d):
-        """True if every monomial has degree d (vacuously true when zero)."""
-        unpack, size = _lanes(self.nvars), 2 * self.nvars
-        return all(sum(unpack(k.to_bytes(size, "big"))) == d for k in self.terms)
-
     def constant_term(self):
         return self.terms.get(0, 0)
 
@@ -299,7 +294,7 @@ class Polynomial:
     def __repr__(self):
         from .render import poly_text
 
-        return "Polynomial(%d, %s)" % (self.nvars, poly_text(self))
+        return "Polynomial(%d, %s)" % (self.nvars, poly_text(self.canonical_terms()))
 
     # -- structural operations ----------------------------------------------
 

@@ -8,7 +8,9 @@ the rows and polynomial terms of the JSON exports come from the key-fragment
 encoder (``_term_encoder``), which writes the same bytes straight from the
 packed monomial keys. A Tier-1 test pins the two byte for byte. The CSV
 export reads only that canonical table JSON back; any other payload is an
-error.
+error. It reads canonical rows as text, so a warm CSV re-export imports
+``polyring`` only for a row it must decode; the module imports ``polyring``
+inside the functions that use it.
 
 Every export is in the simple roots x. The table and restriction exports
 read the engine's tables, which are in the torus-character coordinates y,
@@ -28,7 +30,6 @@ from functools import lru_cache
 
 from .errors import DimensionMismatchError
 from .grass import Partition, default_d_max, enumerate_classes
-from .polyring import Polynomial, _lanes, y_to_x_stream
 
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -43,9 +44,10 @@ def _monomial_text(exps):
     )
 
 
-def poly_text(p):
-    """Human-readable polynomial, e.g. ``2*x1^2*x2 + x3 - 1``."""
-    items = p.canonical_terms()
+def poly_text(items):
+    """Human-readable polynomial, e.g. ``2*x1^2*x2 + x3 - 1``, from its
+    ``(exponents, coefficient)`` items in the order of
+    ``Polynomial.canonical_terms``."""
     if not items:
         return "0"
     chunks = []
@@ -70,6 +72,8 @@ def poly_json(p):
 
 
 def poly_from_json(obj, nvars):
+    from .polyring import Polynomial
+
     return Polynomial.from_exponents(nvars, ((tuple(t["e"]), int(t["c"])) for t in obj))
 
 
@@ -83,6 +87,8 @@ def _term_encoder(nvars):
     the graded-lex order of ``canonical_terms``; otherwise the terms are
     sorted by (degree, key), which is that order too.
     """
+    from .polyring import _lanes
+
     unpack, size = _lanes(nvars), 2 * nvars
     fragments, degrees = {}, {}
 
@@ -105,6 +111,8 @@ def _term_encoder(nvars):
 def _encoded(values, encode):
     """Yield ``(i, encode(y_to_x(values[i])))`` for every position i, in
     stream order: each object's image is encoded once, when it changes."""
+    from .polyring import y_to_x_stream
+
     image = text = None
     for i, x in y_to_x_stream(values):
         if x is not image:
@@ -139,7 +147,7 @@ def qelem_text(elem):
         if c == 1:
             coeff = ""
         else:
-            coeff = "(%s)" % poly_text(c)
+            coeff = "(%s)" % poly_text(c.canonical_terms())
         body = "*".join(x for x in (q, coeff, label) if x)
         pieces.append(body)
     return " + ".join(pieces)
@@ -196,6 +204,97 @@ _decode = json.JSONDecoder().raw_decode
 # every error ``table_csv`` raises on a payload that is not canonical table JSON
 CSV_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
 _ENTRIES = '"entries":['
+# ``polyring``'s packing cap on one exponent, kept here so that a warm CSV
+# re-export does not import the engine; a Tier-1 test pins the two equal
+_MAX_EXPONENT = (1 << 15) - 1
+
+
+def _is_int(text):
+    """True if ``text`` is an int as canonical JSON writes it."""
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdigit() and (digits[0] != "0" or text == "0")
+
+
+def _canonical_rows():
+    """``read(payload, i)``: the row of canonical table JSON that starts at
+    ``i``, as ``(end, u, v, w, d, poly, nvars)``, or None.
+
+    A row is read as text only when it is ``{"d":D,"poly":P,"u":U,"v":V,"w":W}``
+    with D a canonical int, U, V and W canonical int lists, and P canonical
+    polynomial text: terms ``{"c":"C","e":[...]}`` with C a nonzero int,
+    exponents at most ``_MAX_EXPONENT`` in vectors of one length (``nvars``,
+    None for no terms), in strictly descending graded-lex order. Then D, U,
+    V and W are their own CSV text, and ``poly`` is ``poly_text`` of P's
+    terms, made once per distinct P. Such a row is exactly the text
+    ``canonical_json`` writes for what ``json`` decodes from it, so it
+    renders as the general path would.
+    """
+    checked = set()  # int and int-list texts found canonical
+    monomials = {}  # exponent-list text -> (degree, exponents), or False
+    # hash of a polynomial's text -> (where that text first starts, its
+    # length, (CSV text, nvars) or None); the payload holds the text, so the
+    # memo keeps no copy of it
+    polys = {}
+
+    def ints(text):
+        if text in checked:
+            return True
+        body = text[1:-1]
+        if text[:1] + text[-1:] == "[]" and (not body or all(map(_is_int, body.split(",")))):
+            checked.add(text)
+            return True
+        return False
+
+    def monomial(text):
+        parts = text.split(",") if text else []
+        if not all(map(_is_int, parts)):
+            return False
+        exps = tuple(map(int, parts))
+        if not all(0 <= e <= _MAX_EXPONENT for e in exps):
+            return False
+        return sum(exps), exps
+
+    def poly(text):
+        if text == "[]":
+            return "0", None
+        if not (text.startswith('[{"c":"') and text.endswith("]}]") and text.isascii()):
+            return None
+        items, width, last = [], None, (float("inf"),)
+        for term in text[7:-3].split(']},{"c":"'):
+            c, sep, e = term.partition('","e":[')
+            if not sep:
+                return None
+            key = monomials.get(e)
+            if key is None:
+                key = monomials[e] = monomial(e)
+            coeff = _is_int(c) and int(c)
+            if not (key and coeff and key < last) or width not in (None, len(key[1])):
+                return None
+            last, width = key, len(key[1])
+            items.append((key[1], coeff))
+        return poly_text(items), width
+
+    def read(payload, i):
+        if not payload.startswith('{"d":', i):
+            return None
+        cuts = [i + 5]
+        for mark in (',"poly":', ',"u":', ',"v":', ',"w":', "}"):
+            at = payload.find(mark, cuts[-1])
+            if at < 0:
+                return None
+            cuts += [at, at + len(mark)]
+        d, p, u, v, w = (payload[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
+        if not (_is_int(d) and ints(u) and ints(v) and ints(w)):
+            return None
+        start, length, known = polys.get(hash(p), (0, -1, None))
+        if length != len(p) or not payload.startswith(p, start):
+            known = poly(p)
+            polys.setdefault(hash(p), (cuts[2], len(p), known))
+        if known is None:
+            return None
+        return (cuts[-1], u, v, w, d, *known)
+
+    return read
 
 
 def table_csv(payload, k, n, d_max):
@@ -203,17 +302,20 @@ def table_csv(payload, k, n, d_max):
     Gr(k,n) to q-degree ``d_max``.
 
     Only what ``table_json`` writes is read, the mirror of ``_join_entries``:
-    the rows after ``"entries":[`` are decoded one at a time, each written as
+    the rows after ``"entries":[`` are read one at a time, each written as
     its CSV line before the next is read, so the parsed table is never built.
+    A row ``_canonical_rows`` accepts is read as text, with each distinct
+    polynomial rendered once. From the first row it does not accept on, each
+    row is decoded with ``json`` and its polynomial built with
+    ``poly_from_json``, as any layout of a row is.
     The rest, the shell, must be the canonical text of an envelope with
     exactly the keys ``d_max``, ``entries`` (empty), ``k``, ``n`` and
     ``variables``, each count a nonnegative int, plus a newline; that also
     proves the ``entries`` found is the top-level member. ``variables`` comes
     after the rows, so each polynomial is built over the length of the first
-    exponent vector, which ``Polynomial.from_exponents`` checks every later
-    vector against and which must equal ``variables``. The envelope's ``k``,
-    ``n`` and ``d_max`` must be the ones asked for. Anything else raises one
-    of ``CSV_ERRORS``.
+    exponent vector, which every later vector must have and which must equal
+    ``variables``. The envelope's ``k``, ``n`` and ``d_max`` must be the ones
+    asked for. Anything else raises one of ``CSV_ERRORS``.
     """
     body = payload.find(_ENTRIES)
     if body < 0:
@@ -222,23 +324,34 @@ def table_csv(payload, k, n, d_max):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v", "w", "d", "poly"])
+    read = _canonical_rows()
     nvars = None
     i = body
     more = payload[i : i + 1] != "]"
     while more:
-        row, i = _decode(payload, i)
-        poly = row["poly"]
-        if nvars is None and poly:
-            nvars = len(poly[0]["e"])
-        writer.writerow(
-            [
-                canonical_json(row["u"]),
-                canonical_json(row["v"]),
-                canonical_json(row["w"]),
-                row["d"],
-                poly_text(poly_from_json(poly, nvars or 0)),
-            ]
-        )
+        row = read and read(payload, i)
+        if row and nvars is not None and row[-1] not in (None, nvars):
+            row = None
+        if row:
+            i, u, v, w, d, text, width = row
+            if nvars is None:
+                nvars = width
+            writer.writerow([u, v, w, d, text])
+        else:
+            read = None
+            row, i = _decode(payload, i)
+            poly = row["poly"]
+            if nvars is None and poly:
+                nvars = len(poly[0]["e"])
+            writer.writerow(
+                [
+                    canonical_json(row["u"]),
+                    canonical_json(row["v"]),
+                    canonical_json(row["w"]),
+                    row["d"],
+                    poly_text(poly_from_json(poly, nvars or 0).canonical_terms()),
+                ]
+            )
         more = payload[i : i + 1] == ","
         i += more
     shell = payload[:body] + payload[i:]

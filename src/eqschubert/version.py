@@ -1,5 +1,5 @@
 __version__ = "0.1.0"
 
-# Stamped into cache envelopes; a bump invalidates every cached table.
+# Stamped into cache headers and file names; a bump invalidates every cached table.
 ENGINE_VERSION = __version__
-CACHE_VERSION = 1
+CACHE_VERSION = 2

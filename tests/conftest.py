@@ -1,5 +1,7 @@
 import contextlib
+import gzip
 import io
+import json
 import sys
 from types import SimpleNamespace
 
@@ -81,3 +83,20 @@ def invoke(argv):
         stdout_bytes=out.getvalue(),
         output=stdout + stderr,
     )
+
+
+def read_cache_file(data):
+    """The header object and the payload bytes of a cache file's bytes."""
+    line, payload = gzip.decompress(data).split(b"\n", 1)
+    return json.loads(line), payload
+
+
+def make_cache_file(header, payload):
+    """The bytes of a cache file with ``header`` (any JSON value) as its
+    header line and the bytes ``payload`` after it."""
+    return gzip.compress(json.dumps(header).encode() + b"\n" + payload)
+
+
+def homogeneous_of_degree(p, d):
+    """True if every monomial of ``p`` has degree ``d`` (vacuously when zero)."""
+    return all(sum(exps) == d for exps, _ in p.canonical_terms())

@@ -1,15 +1,15 @@
 """The exit-code contract on damaged cache files.
 
 A real cache file of Gr(1,2) or Gr(2,4) is truncated, has bits flipped, or
-has its envelope re-gzipped with fields of odd types. Every run must exit 0
-or 3 with no traceback, and an exit 0 must write the cold export's bytes.
-Payloads forged with a recomputed checksum are left out: the checksum
-guards against corruption, not forgery.
+is re-gzipped with a header line of odd fields and types, its payload
+perhaps made no UTF-8. Every run must exit 0 or 3 with no traceback, and an
+exit 0 must write the cold export's bytes. Payloads forged into other valid
+UTF-8 with a recomputed checksum are left out: the checksum guards against
+corruption, not forgery.
 """
 
 import functools
-import gzip
-import json
+import hashlib
 import os
 import tempfile
 
@@ -20,10 +20,10 @@ import eqschubert.cache as cache_mod
 from eqschubert import GrassContext
 from eqschubert.grass import default_d_max
 
-from conftest import invoke
+from conftest import invoke, make_cache_file, read_cache_file
 
 CONTEXTS = [(1, 2), (2, 4)]
-FIELDS = ["cache_version", "engine_version", "k", "n", "d_max", "sha256", "payload"]
+FIELDS = ["cache_version", "engine_version", "k", "n", "d_max", "sha256"]
 CHECKED = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -107,14 +107,19 @@ def test_a_cache_file_with_flipped_bits(context, fmt, data):
 
 @CHECKED
 @given(contexts, formats, st.data())
-def test_a_cache_envelope_with_odd_fields(context, fmt, data):
-    envelope = json.loads(gzip.decompress(cache_file(*context)))
+def test_a_cache_header_with_odd_fields(context, fmt, data):
+    header, payload = read_cache_file(cache_file(*context))
+    if data.draw(st.booleans()):
+        # a byte no UTF-8 text has, under a checksum that matches it
+        at = data.draw(st.integers(0, len(payload)))
+        payload = payload[:at] + b"\xff" + payload[at:]
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
     if data.draw(st.booleans()):
         for field in data.draw(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3)):
             if data.draw(st.booleans()):
-                envelope[field] = data.draw(odd_values)
+                header[field] = data.draw(odd_values)
             else:
-                envelope.pop(field, None)
+                header.pop(field, None)
     else:
-        envelope = data.draw(odd_values)
-    read_from(*context, fmt, gzip.compress(json.dumps(envelope).encode()))
+        header = data.draw(odd_values)
+    read_from(*context, fmt, make_cache_file(header, payload))

@@ -20,8 +20,9 @@ import eqschubert.suites as suites_mod
 from eqschubert import GrassContext, enumerate_classes, point_of
 from eqschubert.errors import ExpansionError, NonPolynomialError, TableSolveError
 from eqschubert.render import canonical_json, poly_from_json, table_json
+from eqschubert.version import ENGINE_VERSION
 
-from conftest import captured_output, invoke
+from conftest import captured_output, invoke, make_cache_file, read_cache_file
 
 # sha256 of exports recorded in bench/expected.json; export bytes must not change.
 # Gr(2,5) and Gr(3,6) run q-degree >= 1 blocks through the exact block solve.
@@ -146,15 +147,33 @@ def test_table_cache_round_trip(tmp_path):
     assert first.output == second.output
 
 
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+NOT_UTF8 = [b"\xed\xa0\x80", b"\xff"]  # a lone surrogate's bytes; a byte no UTF-8 has
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda blob: dict(blob, payload=blob["payload"][:-2] + "]}"),
-        lambda blob: [blob],
-        lambda blob: dict(blob, payload=1),
-        lambda blob: dict(blob, payload="\ud800"),
+        lambda header, payload: (header, payload[:-2] + b"]}"),
+        lambda header, payload: ([header], payload),
+        lambda header, payload: (dict(header, sha256=int(header["sha256"], 16)), payload),
+        lambda header, payload: (dict(header, sha256=_sha256(NOT_UTF8[0])), NOT_UTF8[0]),
+        lambda header, payload: (dict(header, sha256=_sha256(NOT_UTF8[1])), NOT_UTF8[1]),
+        lambda header, payload: ({f: v for f, v in header.items() if f != "sha256"}, payload),
+        lambda header, payload: ("header", payload),
     ],
-    ids=["bad-checksum", "list-envelope", "int-payload", "surrogate-payload"],
+    ids=[
+        "bad-checksum",
+        "list-envelope",
+        "int-sha256",
+        "surrogate-payload",
+        "non-utf8-payload",
+        "no-sha256",
+        "string-header",
+    ],
 )
 def test_table_rejects_corrupt_cache(tmp_path, corrupt):
     cache_dir = tmp_path / "cache"
@@ -162,11 +181,60 @@ def test_table_rejects_corrupt_cache(tmp_path, corrupt):
     run_ok = run("table", "--k", "1", "--n", "2", "--cache-dir", str(cache_dir))
     assert run_ok.exit_code == 0
     (path,) = cache_dir.iterdir()
-    blob = json.loads(gzip.decompress(path.read_bytes()))
-    path.write_bytes(gzip.compress(json.dumps(corrupt(blob)).encode()))
-    result = run("table", "--k", "1", "--n", "2", "--cache-dir", str(cache_dir))
+    path.write_bytes(make_cache_file(*corrupt(*read_cache_file(path.read_bytes()))))
+    for fmt in ("json", "csv"):
+        args = ("table", "--k", "1", "--n", "2", "--format", fmt, "--cache-dir", str(cache_dir))
+        result = run(*args)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
+
+def test_a_header_line_past_the_cap_exits_3(tmp_path):
+    args = ("table", "--k", "1", "--n", "2", "--cache-dir", str(tmp_path))
+    cold = run(*args)
+    assert cold.exit_code == 0
+    (path,) = tmp_path.iterdir()
+    header, payload = read_cache_file(path.read_bytes())
+    line = json.dumps(header).encode()
+    # JSON allows the spaces, so only the line's length differs
+    padded = line + b" " * (cache_mod.HEADER_CAP - 1 - len(line))
+    path.write_bytes(gzip.compress(padded + b"\n" + payload))
+    assert run(*args).stdout_bytes == cold.stdout_bytes
+    path.write_bytes(gzip.compress(padded + b" \n" + payload))
+    result = run(*args)
     assert result.exit_code == 3
-    assert result.stderr.startswith("cache error:")
+    assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
+    assert "no header line within %d bytes" % cache_mod.HEADER_CAP in result.stderr
+    assert result.stdout == ""
+
+
+def test_a_version_1_cache_file_is_never_read(tmp_path):
+    args = ("table", "--k", "1", "--n", "2", "--cache-dir", str(tmp_path))
+    cold = run(*args, "--no-cache")
+    assert cold.exit_code == 0
+    # the first format: one JSON envelope with the payload as a string; its
+    # checksum is valid, so a reader of that format would serve it
+    v1 = tmp_path / "eqtable-k1-n2-d1.json.gz"
+    forged = "not the table\n"
+    envelope = {
+        "cache_version": 1,
+        "engine_version": ENGINE_VERSION,
+        "k": 1,
+        "n": 2,
+        "d_max": 1,
+        "sha256": _sha256(forged.encode()),
+        "payload": forged,
+    }
+    v1_bytes = gzip.compress(json.dumps(envelope, sort_keys=True).encode())
+    v1.write_bytes(v1_bytes)
+    result = run(*args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == cold.stdout_bytes
+    v2 = tmp_path / os.path.basename(cache_mod.cache_path("", 1, 2, 1))
+    assert sorted(os.listdir(tmp_path)) == sorted([v1.name, v2.name])
+    assert v1.read_bytes() == v1_bytes
+    assert read_cache_file(v2.read_bytes())[1] == cold.stdout_bytes
 
 
 @pytest.mark.parametrize(
@@ -294,12 +362,15 @@ def test_table_csv_of_a_malformed_cached_payload_exits_3(tmp_path):
 
 
 def test_cache_file_bytes_match_seed(tmp_path):
-    assert run("table", "--k", "2", "--n", "4", "--cache-dir", str(tmp_path)).exit_code == 0
+    result = run("table", "--k", "2", "--n", "4", "--cache-dir", str(tmp_path))
+    assert result.exit_code == 0
     (path,) = tmp_path.iterdir()
-    assert (
-        hashlib.sha256(path.read_bytes()).hexdigest()
-        == "61d49795d14cd50c13a0376573d336a55f7d0e73a18368d4fff4e97201df6a67"
-    )
+    assert path.name == "eqtable-k2-n4-d2.v2.gz"
+    data = path.read_bytes()
+    header, payload = read_cache_file(data)
+    assert payload == result.stdout_bytes
+    assert gzip.decompress(data) == canonical_json(header).encode() + b"\n" + payload
+    assert _sha256(data) == "f686e94419a83728e5d2f58c79b3a5dc0ac962944f6e1ddd91bfe8d4884c0dfb"
 
 
 @pytest.mark.parametrize(
@@ -319,8 +390,8 @@ def test_failed_cache_store_exits_3_and_leaves_no_tmp(tmp_path, monkeypatch, own
 
 @pytest.mark.parametrize(
     "field, value",
-    [("k", True), ("n", 2.0), ("d_max", 1.0), ("cache_version", True)],
-    ids=["bool-k", "float-n", "float-d_max", "bool-cache_version"],
+    [("k", True), ("n", 2.0), ("d_max", 1.0), ("cache_version", 2.0)],
+    ids=["bool-k", "float-n", "float-d_max", "float-cache_version"],
 )
 def test_a_cache_key_of_the_wrong_type_is_a_miss(tmp_path, field, value):
     # JSON true and 1.0 compare equal to 1 in Python, but name no table
@@ -329,28 +400,32 @@ def test_a_cache_key_of_the_wrong_type_is_a_miss(tmp_path, field, value):
     assert cold.exit_code == 0
     cache_mod.store(str(tmp_path), 1, 2, 1, "not the table\n")
     (path,) = tmp_path.iterdir()
-    blob = json.loads(gzip.decompress(path.read_bytes()))
-    blob[field] = value
-    path.write_bytes(gzip.compress(json.dumps(blob).encode()))
+    header, payload = read_cache_file(path.read_bytes())
+    header[field] = value
+    path.write_bytes(make_cache_file(header, payload))
     result = run(*args)
     assert result.exit_code == 0
     assert result.stdout_bytes == cold.stdout_bytes
-    blob = json.loads(gzip.decompress(path.read_bytes()))
-    assert blob[field] == value and type(blob[field]) is int
-    assert blob["payload"] == cold.stdout
+    header, payload = read_cache_file(path.read_bytes())
+    assert header[field] == value and type(header[field]) is int
+    assert payload == cold.stdout_bytes
 
 
 def test_table_ignores_stale_cache(tmp_path):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    assert run("table", "--k", "1", "--n", "2", "--cache-dir", str(cache_dir)).exit_code == 0
+    args = ("table", "--k", "1", "--n", "2", "--cache-dir", str(cache_dir))
+    cold = run(*args)
+    assert cold.exit_code == 0
     (path,) = cache_dir.iterdir()
-    blob = json.loads(gzip.decompress(path.read_bytes()))
-    blob["engine_version"] = "0.0.0-older"
-    raw = json.dumps(blob, sort_keys=True).encode()
-    path.write_bytes(gzip.compress(raw))
-    result = run("table", "--k", "1", "--n", "2", "--cache-dir", str(cache_dir))
+    header, _ = read_cache_file(path.read_bytes())
+    forged = b"not the table\n"
+    header.update(engine_version="0.0.0-older", sha256=_sha256(forged))
+    path.write_bytes(make_cache_file(header, forged))
+    result = run(*args)
     assert result.exit_code == 0
+    assert result.stdout_bytes == cold.stdout_bytes
+    assert read_cache_file(path.read_bytes())[1] == cold.stdout_bytes
 
 
 def test_usage_errors_exit_2():
@@ -728,9 +803,17 @@ def test_emit_writes_slices_byte_for_byte(tmp_path):
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
 FIXTURE_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "oracle_fixtures.json")
 
-# one run of each command that writes to stdout
+# stands for the directory of the ``warm_cache`` fixture
+WARM = "<warm cache>"
+
+# one run of each command that writes to stdout, and warm table reads
 STDOUT_COMMANDS = [
     pytest.param(("table", "--k", "2", "--n", "4", "--no-cache"), id="table"),
+    pytest.param(("table", "--k", "2", "--n", "4", "--cache-dir", WARM), id="table-warm-json"),
+    pytest.param(
+        ("table", "--k", "2", "--n", "4", "--format", "csv", "--cache-dir", WARM),
+        id="table-warm-csv",
+    ),
     pytest.param(("restrictions", "--k", "2", "--n", "4"), id="restrictions"),
     pytest.param(("verify", "--k", "2", "--n", "4", "--suite", "gkm"), id="verify"),
     pytest.param(
@@ -764,10 +847,24 @@ def _unwritable_stdout(kind):
         os.close(fd)
 
 
+def _stamps(directory):
+    return sorted((p.name, p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir())
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A cache directory holding the Gr(2,4) table."""
+    cache_dir = tmp_path_factory.mktemp("warm")
+    assert run("table", "--k", "2", "--n", "4", "--cache-dir", str(cache_dir)).exit_code == 0
+    return cache_dir
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("kind", ["full", "closed-pipe", "closed"])
 @pytest.mark.parametrize("args", STDOUT_COMMANDS)
-def test_unwritable_stdout_exits_3_on_one_line(args, kind):
+def test_unwritable_stdout_exits_3_on_one_line(args, kind, warm_cache):
+    files = _stamps(warm_cache)
+    args = [str(warm_cache) if arg == WARM else arg for arg in args]
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     with _unwritable_stdout(kind) as stdout:
         child = subprocess.run(
@@ -780,6 +877,8 @@ def test_unwritable_stdout_exits_3_on_one_line(args, kind):
     stderr = child.stderr.decode()
     assert child.returncode == 3, stderr
     assert stderr.startswith("cannot write <stdout>: ") and stderr.count("\n") == 1, stderr
+    # the warm runs read the cache file and wrote no new one
+    assert _stamps(warm_cache) == files
 
 
 def test_closed_stdout_is_no_error_when_nothing_goes_to_it(tmp_path):

@@ -33,7 +33,7 @@ from eqschubert.oracles import _b_forms_x, factorial_schur_zpoly
 from eqschubert.polyring import add_product_into, finish_terms, y_to_x
 from eqschubert.suites import verify_specialization
 
-from conftest import part
+from conftest import homogeneous_of_degree, part
 
 
 def x(ctx, i):
@@ -75,7 +75,7 @@ def test_tangent_weight_count(gr24, gr36):
         for pt in fixed_points(ctx):
             weights = tangent_weights(pt)
             assert len(weights) == ctx.dim
-            assert all(w.is_homogeneous_of_degree(1) for w in weights)
+            assert all(homogeneous_of_degree(w, 1) for w in weights)
 
 
 def test_unit_restricts_to_one(gr12, gr24, gr25):
@@ -94,7 +94,7 @@ def test_restriction_support(gr24, gr25, gr36):
                     assert value.is_zero
                 else:
                     assert not value.is_zero
-                    assert value.is_homogeneous_of_degree(p.size)
+                    assert homogeneous_of_degree(value, p.size)
 
 
 def test_restrictions_match_the_factorial_schur_oracle():
@@ -265,7 +265,7 @@ def test_elr_grading_positivity_and_classical_limit(gr24):
         for v in enumerate_classes(gr24):
             for w in enumerate_classes(gr24):
                 value = elr(u, v, w)
-                assert value.is_homogeneous_of_degree(u.size + v.size - w.size)
+                assert homogeneous_of_degree(value, u.size + v.size - w.size)
                 assert is_x_nonnegative(value)
                 assert value.constant_term() == lr_tableau(u, v, w)
 

@@ -22,7 +22,7 @@ from eqschubert.equivariant import partition_of, point_of
 from eqschubert.grass import partition_from_permutation
 from eqschubert.quantum import EQTable
 
-from conftest import part
+from conftest import homogeneous_of_degree, part
 
 CONTEXTS = [(1, 2), (2, 4), (2, 5), (3, 6)]
 
@@ -218,7 +218,7 @@ def c1_curve_integral(ctx):
             c1 = c1 + wgt
         values[pt] = c1 * sigma.restriction(curve, pt)
     result = integrate(ctx, values)
-    assert result.is_homogeneous_of_degree(0)
+    assert homogeneous_of_degree(result, 0)
     return result.constant_term()
 
 

@@ -51,17 +51,28 @@ def _python(*args):
     )
 
 
-def test_warm_json_read_imports_no_engine_module(tmp_path):
-    args = ["table", "--k", "1", "--n", "2", "--cache-dir", str(tmp_path)]
+def _warm_read(cache_dir, fmt):
+    """The package modules of ``ENGINE`` loaded after importing the CLI and
+    after a warm Gr(2,4) read in ``fmt``, which must write the cold bytes."""
+    args = ["table", "--k", "2", "--n", "4", "--format", fmt, "--cache-dir", str(cache_dir)]
     cold = invoke(args)
-    assert cold.exit_code == 0 and len(os.listdir(tmp_path)) == 1
+    assert cold.exit_code == 0 and len(os.listdir(cache_dir)) == 1
     proc = _python("-c", CHECK, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == cold.output
     after_import, after_read, suites, unbound = json.loads(proc.stderr.splitlines()[-1])
-    assert after_import == [] and after_read == []
     assert suites == ["axioms", "duality", "gkm", "positivity", "specialization", "tbasis"]
     assert unbound == []
+    return after_import, after_read
+
+
+def test_warm_json_read_imports_no_engine_module(tmp_path):
+    assert _warm_read(tmp_path, "json") == ([], [])
+
+
+def test_warm_csv_read_imports_only_the_renderer(tmp_path):
+    # the CSV renderer reads the cached payload without the polynomial ring
+    assert _warm_read(tmp_path, "csv") == ([], ["render"])
 
 
 @pytest.mark.parametrize(

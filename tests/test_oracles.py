@@ -12,7 +12,7 @@ from eqschubert import (
 )
 from eqschubert.oracles import fs_product_expansion, rim_reduce, wide_lr_expansion
 
-from conftest import part
+from conftest import homogeneous_of_degree, part
 
 
 def test_lr_examples(gr24):
@@ -120,4 +120,4 @@ def test_fs_expansion_is_triangular(gr24):
     # with the widest coefficients constant
     expansion = fs_product_expansion(gr24, (2, 1), (2, 1))
     for shape, coeff in expansion.items():
-        assert coeff.is_homogeneous_of_degree(6 - sum(shape))
+        assert homogeneous_of_degree(coeff, 6 - sum(shape))

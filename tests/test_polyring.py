@@ -32,6 +32,8 @@ from eqschubert.polyring import (
     finish_terms,
 )
 
+from conftest import homogeneous_of_degree
+
 NVARS = 3
 
 
@@ -88,9 +90,9 @@ def test_nonnegativity_closed_under_product(a, b):
 
 def test_homogeneity_tracking():
     p = x(1) * x(2) + x(3) ** 2
-    assert p.is_homogeneous_of_degree(2)
-    assert not any((p + x(1)).is_homogeneous_of_degree(d) for d in (1, 2))
-    assert Polynomial.zero(NVARS).is_homogeneous_of_degree(7)
+    assert homogeneous_of_degree(p, 2)
+    assert not any(homogeneous_of_degree(p + x(1), d) for d in (1, 2))
+    assert homogeneous_of_degree(Polynomial.zero(NVARS), 7)
 
 
 def test_divide_exact():

@@ -28,7 +28,7 @@ from eqschubert.equivariant import own_restriction, point_of, restriction_table
 from eqschubert.grass import add_box_shapes, default_d_max
 from eqschubert.quantum import EQTable
 
-from conftest import part
+from conftest import homogeneous_of_degree, part
 
 
 def x(ctx, i):
@@ -246,7 +246,7 @@ def test_grading_and_finiteness(gr24):
         for v in enumerate_classes(gr24):
             elem = multiply(u, v)
             for (w, d), c in elem.terms.items():
-                assert c.is_homogeneous_of_degree(u.size + v.size - sum(w) - d * gr24.n)
+                assert homogeneous_of_degree(c, u.size + v.size - sum(w) - d * gr24.n)
                 assert d * gr24.n <= u.size + v.size
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqschubert.polyring as polyring_mod
 import eqschubert.quantum as quantum_mod
 import eqschubert.render as render_mod
 
@@ -35,15 +36,18 @@ def x(i):
 
 
 def test_poly_text():
-    assert poly_text(Polynomial.zero(3)) == "0"
-    assert poly_text(Polynomial.const(3, -7)) == "-7"
-    assert poly_text(x(1) ** 2 * x(2) * 2 + x(3) - 1) == "2*x1^2*x2 + x3 - 1"
-    assert poly_text(-x(1) + x(2)) == "-x1 + x2"
+    def text(p):
+        return poly_text(p.canonical_terms())
+
+    assert text(Polynomial.zero(3)) == "0"
+    assert text(Polynomial.const(3, -7)) == "-7"
+    assert text(x(1) ** 2 * x(2) * 2 + x(3) - 1) == "2*x1^2*x2 + x3 - 1"
+    assert text(-x(1) + x(2)) == "-x1 + x2"
 
 
 def test_poly_text_graded_lex_order():
     p = x(3) + x(1) * x(2) + x(1)
-    assert poly_text(p) == "x1*x2 + x1 + x3"
+    assert poly_text(p.canonical_terms()) == "x1*x2 + x1 + x3"
 
 
 def test_poly_json_round_trip():
@@ -132,7 +136,7 @@ def test_table_entries_convert_each_value_object_once(k, n, monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(render_mod, "y_to_x_stream", counted)
+    monkeypatch.setattr(polyring_mod, "y_to_x_stream", counted)
     monkeypatch.setattr(render_mod, "_term_encoder", counting)
     entries = table_entries(ctx)
     # one batch of every row's value, repeats included; each distinct value
@@ -185,7 +189,7 @@ def reference_table_csv(payload):
                 canonical_json(row["v"]),
                 canonical_json(row["w"]),
                 row["d"],
-                poly_text(poly_from_json(row["poly"], table["variables"])),
+                poly_text(poly_from_json(row["poly"], table["variables"]).canonical_terms()),
             ]
         )
     return buf.getvalue()
@@ -239,6 +243,34 @@ def test_table_csv_matches_the_whole_payload_parse(payload):
     assert table_csv(canonical, 1, 2, 1) == reference_table_csv(canonical)
 
 
+def _undecodable(*args):
+    raise AssertionError("a canonical row must be read as text, not decoded")
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_payloads())
+def test_table_csv_reads_canonical_rows_as_text(payload):
+    # with every polynomial in canonical term order, each row is read as text
+    table = json.loads(payload)
+    for row in table["entries"]:
+        row["poly"] = poly_json(poly_from_json(row["poly"], table["variables"]))
+    canonical = canonical_json(table) + "\n"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render_mod, "_decode", _undecodable)
+        rendered = table_csv(canonical, 1, 2, 1)
+    assert rendered == reference_table_csv(canonical)
+
+
+def test_table_csv_reads_a_real_table_as_text(gr24, monkeypatch):
+    payload = table_json(gr24)
+    monkeypatch.setattr(render_mod, "_decode", _undecodable)
+    assert table_csv(payload, 2, 4, default_d_max(gr24)) == reference_table_csv(payload)
+
+
+def test_render_keeps_the_packing_cap_of_polyring():
+    assert render_mod._MAX_EXPONENT == polyring_mod._MAX_EXPONENT
+
+
 def gr12_payload(rows, variables="1"):
     """A canonical Gr(1,2) envelope around the row text ``rows``."""
     return '{"d_max":1,"entries":[%s],"k":1,"n":2,"variables":%s}\n' % (rows, variables)
@@ -253,6 +285,16 @@ def gr12_payload(rows, variables="1"):
         gr12_payload('{"d":0,"poly":[]}'),
         '{"d_max":1,"entries":{},"k":1,"n":2,"variables":1}\n',
         gr12_payload('{"d":0,"poly":[],"u":[],"v":[],"w":[]},'),
+        # in canonical order, with only the middle vector of another length
+        gr12_payload(
+            '{"d":0,"poly":[{"c":"1","e":[2]},{"c":"1","e":[0,1]},{"c":"1","e":[0]}],'
+            '"u":[],"v":[],"w":[]}'
+        ),
+        gr12_payload(
+            '{"d":0,"poly":[{"c":"1","e":[1]}],"u":[],"v":[],"w":[]},'
+            '{"d":0,"poly":[{"c":"1","e":[1,0]}],"u":[],"v":[],"w":[]},'
+            '{"d":0,"poly":[{"c":"1","e":[0]}],"u":[],"v":[],"w":[]}'
+        ),
     ],
     ids=[
         "variables-mismatch",
@@ -261,11 +303,33 @@ def gr12_payload(rows, variables="1"):
         "missing-u",
         "entries-dict",
         "trailing-comma",
+        "ragged-vectors",
+        "ragged-rows",
     ],
 )
 def test_table_csv_rejects_what_no_table_has(payload):
     with pytest.raises(CSV_ERRORS):
         table_csv(payload, 1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        '{"d":true,"poly":[],"u":[],"v":[],"w":[]}',
+        '{"d":-0,"poly":[],"u":[],"v":[],"w":[]}',
+        '{"d":0,"poly":[],"u":[1.0],"v":[],"w":[]}',
+        '{"d":0,"poly":[],"u":[],"v":[ ],"w":[]}',
+        '{"d":0,"poly":[],"u":[],"v":[],"w":["1"]}',
+        '{"d":0,"poly":[{"c":"01","e":[1]}],"u":[],"v":[],"w":[]}',
+        '{"d":0,"poly":[{"c":" -1","e":[1]}],"u":[],"v":[],"w":[]}',
+    ],
+)
+def test_table_csv_renders_odd_row_values_as_the_whole_payload_parse(row):
+    # after a canonical row, in the canonical layout, values no canonical
+    # row holds
+    first = '{"d":0,"poly":[{"c":"2","e":[1]}],"u":[1],"v":[],"w":[1]}'
+    payload = gr12_payload(first + "," + row)
+    assert table_csv(payload, 1, 2, 1) == reference_table_csv(payload)
 
 
 @pytest.mark.parametrize("key", [(2, 4, 2), (1, 3, 1), (1, 2, 0)])
