@@ -1,9 +1,9 @@
 """Versioned on-disk cache for computed product tables.
 
-Format (documented for consumers): one gzip stream (mtime pinned to zero)
-holding a header line, then the payload's UTF-8 bytes as they are. The
-header line is the canonical JSON (sorted keys, no whitespace) of an object
-with fields
+Format (documented for consumers): one gzip stream of one member (mtime
+zero, no file name, written at zlib's default level) holding a header line,
+then the payload's UTF-8 bytes as they are. The header line is the
+canonical JSON (sorted keys, no whitespace) of an object with fields
 
     cache_version   integer format version (2)
     engine_version  package version that produced the payload
@@ -14,17 +14,22 @@ followed by a newline. The file name carries the format version
 (``eqtable-k2-n7-d3.v2.gz``), so a file of another format, such as a
 version 1 ``*.json.gz`` envelope, is never opened.
 
-A file whose header line is missing, longer than ``HEADER_CAP`` bytes or no
-JSON object, whose checksum does not match, or whose payload is not UTF-8
-raises CacheError; a file whose versions or key disagree is stale and is
-simply ignored, never migrated. Writes go to a temporary file and are
-renamed into place; a failed write removes the temporary file.
+A file whose gzip stream is corrupt, ends early or is followed by any byte,
+whose header line is missing, longer than ``HEADER_CAP`` bytes or no JSON
+object, whose checksum does not match, or whose payload is not UTF-8 raises
+CacheError; a file whose versions or key disagree is stale and is simply
+ignored, never migrated. Writes go to a temporary file named for the
+writing process and are renamed into place; a failed write removes the
+temporary file.
+
+Both paths work on ``zlib`` directly: a read inflates the file in one pass
+and hashes and decodes the payload without copying it, and no start-up of
+the command line pays for importing ``gzip``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import gzip
 import hashlib
 import json
 import os
@@ -35,6 +40,12 @@ from .version import CACHE_VERSION, ENGINE_VERSION
 
 # the longest first line read as a header; a real one is about 150 bytes
 HEADER_CAP = 4096
+# zlib's window bits for a gzip wrapper, read and written
+GZIP_WBITS = 31
+# compressed bytes inflated per call: one call on a whole file grows its
+# output in blocks and then copies them, about four times the payload at the
+# peak against two
+READ_SLICE = 1 << 16
 
 
 def cache_path(cache_dir, k, n, d_max):
@@ -55,14 +66,15 @@ def store(cache_dir, k, n, d_max, payload):
     }
     line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
     path = cache_path(cache_dir, k, n, d_max)
-    tmp = path + ".tmp"
+    # one name per process, so two exports storing one table at once do not
+    # rename each other's file away
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    deflate = zlib.compressobj(wbits=GZIP_WBITS)
     try:
-        # filename="" keeps the temporary file's name out of the gzip header
-        with open(tmp, "wb") as fh, gzip.GzipFile(
-            filename="", mode="wb", fileobj=fh, mtime=0
-        ) as zf:
-            zf.write(line.encode("utf-8"))
-            zf.write(data)
+        with open(tmp, "wb") as fh:
+            fh.write(deflate.compress(line.encode("utf-8")))
+            fh.write(deflate.compress(data))
+            fh.write(deflate.flush())
         os.replace(tmp, path)
     except OSError:
         with contextlib.suppress(OSError):
@@ -76,19 +88,33 @@ def load(cache_dir, k, n, d_max):
     path = cache_path(cache_dir, k, n, d_max)
     if not os.path.exists(path):
         return None
+    inflate = zlib.decompressobj(GZIP_WBITS)
+    pieces = []
     try:
-        with gzip.open(path, "rb") as fh:
-            line = fh.readline(HEADER_CAP)
-            if not line.endswith(b"\n"):
-                raise CacheError(
-                    "cache file %s has no header line within %d bytes" % (path, HEADER_CAP)
-                )
-            header = json.loads(line.decode("utf-8"))
-            data = fh.read()
-    except (OSError, EOFError, zlib.error, RecursionError, ValueError) as exc:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(READ_SLICE), b""):
+                pieces.append(inflate.decompress(block))
+    except (OSError, zlib.error) as exc:
+        raise CacheError("unreadable cache file %s: %s" % (path, exc))
+    plain = b"".join(pieces)
+    del pieces  # so the payload is held at most twice
+    if not inflate.eof:
+        raise CacheError("unreadable cache file %s: the gzip stream ends early" % path)
+    if inflate.unused_data:
+        raise CacheError("cache file %s has bytes after its gzip stream" % path)
+    # the line, newline included, is at most HEADER_CAP bytes
+    end = plain.find(b"\n", 0, HEADER_CAP) + 1
+    if not end:
+        raise CacheError(
+            "cache file %s has no header line within %d bytes" % (path, HEADER_CAP)
+        )
+    try:
+        header = json.loads(plain[:end].decode("utf-8"))
+    except (RecursionError, ValueError) as exc:
         raise CacheError("unreadable cache file %s: %s" % (path, exc))
     if type(header) is not dict:
         raise CacheError("cache file %s has a header that is no JSON object" % path)
+    data = memoryview(plain)[end:]
     if hashlib.sha256(data).hexdigest() != header.get("sha256"):
         raise CacheError("checksum mismatch in cache file %s" % path)
     # JSON true and 1.0 compare equal to 1, but only an int names a table
@@ -100,6 +126,6 @@ def load(cache_dir, k, n, d_max):
     ):
         return None
     try:
-        return data.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
         raise CacheError("cache file %s holds a payload that is not UTF-8: %s" % (path, exc))

@@ -6,11 +6,12 @@ cache error.
 Users re-export tables from the cache far more often than they build them,
 and a warm re-export is mostly interpreter start and the imports of this
 module. So the module imports only what that path runs: ``json``, the cache
-module with its ``gzip`` and ``hashlib``, and the standard library's
-``argparse``, which needs neither ``inspect`` nor ``typing``. The engine and
-the renderers are imported inside the commands that use them, so a warm JSON
-read loads neither, and a warm CSV read loads the renderer, which imports the
-engine's polynomial ring only when a row is not canonical.
+module with its ``zlib`` and ``hashlib`` (not ``gzip``, nor ``tempfile``),
+and the standard library's ``argparse``, which needs neither ``inspect`` nor
+``typing``. The engine and the renderers are imported inside the commands
+that use them, so a warm JSON read loads neither, and a warm CSV read loads
+the renderer, which imports the engine's polynomial ring only when a row is
+not canonical.
 """
 
 from __future__ import annotations
@@ -70,14 +71,15 @@ def _emit(text, out):
     """Write ``text`` to stdout or to ``out``, in slices of ``EMIT_SLICE``
     characters, so no encoded copy of the whole text is ever made.  An
     ``out`` that exists and is no regular file (a FIFO, a device) is
-    written in place; any other goes through a temporary file."""
+    written in place; any other goes through a temporary file named for
+    this process, so two exports to one ``out`` do not collide."""
     slices = range(0, len(text), EMIT_SLICE)
     if out == "-":
         for i in slices:
             sys.stdout.write(text[i : i + EMIT_SLICE])
         return
     in_place = os.path.exists(out) and not os.path.isfile(out)
-    tmp = out if in_place else out + ".tmp"
+    tmp = out if in_place else "%s.%d.tmp" % (out, os.getpid())
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             for i in slices:

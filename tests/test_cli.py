@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -244,8 +245,19 @@ def test_a_version_1_cache_file_is_never_read(tmp_path):
         # a first deflate byte of 0xff declares the reserved block type
         lambda raw: raw[:10] + b"\xff" + raw[11:],
         lambda raw: gzip.compress(b"[" * 200000),
+        # a file is one gzip member and nothing after it
+        lambda raw: raw + b"junk",
+        lambda raw: raw + gzip.compress(b""),
+        lambda raw: raw + bytes(512),
     ],
-    ids=["truncated", "corrupt-deflate", "deep-nesting"],
+    ids=[
+        "truncated",
+        "corrupt-deflate",
+        "deep-nesting",
+        "trailing-junk",
+        "second-member",
+        "zero-padding",
+    ],
 )
 def test_table_rejects_undecodable_cache(tmp_path, damage):
     cache_dir = tmp_path / "cache"
@@ -255,6 +267,7 @@ def test_table_rejects_undecodable_cache(tmp_path, damage):
     result = run("table", "--k", "1", "--n", "2", "--cache-dir", str(cache_dir))
     assert result.exit_code == 3
     assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
+    assert result.stdout == ""
 
 
 def test_table_cache_dir_on_a_regular_file_exits_3(tmp_path):
@@ -370,22 +383,73 @@ def test_cache_file_bytes_match_seed(tmp_path):
     header, payload = read_cache_file(data)
     assert payload == result.stdout_bytes
     assert gzip.decompress(data) == canonical_json(header).encode() + b"\n" + payload
-    assert _sha256(data) == "f686e94419a83728e5d2f58c79b3a5dc0ac962944f6e1ddd91bfe8d4884c0dfb"
+    # zlib's default level; the gzip header's OS byte is zlib's (3, Unix)
+    assert _sha256(data) == "107edeb5dabc90647a5d44ced31b1b2f4caedb6767bcd4f853bfc3b4c62f9bb1"
+
+
+def _refuse(*args):
+    raise OSError("refused")
+
+
+@contextlib.contextmanager
+def _open_refusing_writes(path, mode):
+    # the temporary file is created; writing to it fails
+    with open(path, mode):
+        yield types.SimpleNamespace(write=_refuse)
 
 
 @pytest.mark.parametrize(
-    "owner, attr", [(os, "replace"), (gzip.GzipFile, "write")], ids=["rename", "write"]
+    "owner, attr, fake",
+    [(os, "replace", _refuse), (cache_mod, "open", _open_refusing_writes)],
+    ids=["rename", "write"],
 )
-def test_failed_cache_store_exits_3_and_leaves_no_tmp(tmp_path, monkeypatch, owner, attr):
-    def refuse(*args):
-        raise OSError("refused")
-
-    monkeypatch.setattr(owner, attr, refuse)
+def test_failed_cache_store_exits_3_and_leaves_no_tmp(tmp_path, monkeypatch, owner, attr, fake):
+    monkeypatch.setattr(owner, attr, fake, raising=False)
     result = run("table", "--k", "1", "--n", "2", "--cache-dir", str(tmp_path))
     assert result.exit_code == 3
     assert result.stderr == "cache error: refused\n"
     assert result.stdout == ""
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("target", ["cache", "out"])
+def test_two_exports_writing_one_file_at_once_both_succeed(tmp_path, monkeypatch, target):
+    # a second export of the table, in a process of its own, writes and
+    # renames its file while the first is about to rename its own
+    args = ["table", "--k", "1", "--n", "2"]
+    if target == "cache":
+        args += ["--cache-dir", str(tmp_path)]
+    else:
+        args += ["--out", str(tmp_path / "t.json")]
+    real_replace = os.replace
+    seconds = []
+
+    def replace_after_a_second_export(src, dst):
+        if not seconds:
+            seconds.append(
+                subprocess.run(
+                    [sys.executable, "-m", "eqschubert.cli", *args],
+                    capture_output=True,
+                    text=True,
+                    env=dict(os.environ, PYTHONPATH=SRC_DIR),
+                    timeout=300,
+                )
+            )
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_a_second_export)
+    first = run(*args)
+    assert first.exit_code == 0, first.stderr
+    (second,) = seconds
+    assert second.returncode == 0, second.stderr
+    assert not list(tmp_path.rglob("*.tmp"))
+    (path,) = tmp_path.iterdir()
+    expected = run("table", "--k", "1", "--n", "2").stdout_bytes
+    if target == "cache":
+        assert read_cache_file(path.read_bytes())[1] == expected
+        assert run(*args).stdout_bytes == expected
+    else:
+        assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize(

@@ -562,3 +562,40 @@ def test_tbasis_fails_a_row_left_in_engine_coordinates(gr24, monkeypatch):
     ]
     assert len(expected) == uses[id(planted)] > 1
     assert report["violations"] == expected
+
+
+def _conjugate(p, ctx):
+    """The conjugate partition of ``p``, in the (n-k) x k box of ``ctx``."""
+    return Partition([sum(1 for a in p.parts if a > j) for j in range(ctx.k)], ctx)
+
+
+def _reversed_x(p):
+    """``p`` with x_1, ..., x_{n-1} replaced by x_{n-1}, ..., x_1."""
+    return Polynomial.from_exponents(p.nvars, ((e[::-1], c) for e, c in p.canonical_terms()))
+
+
+@pytest.mark.parametrize(
+    "k, n, keys, differ_unreversed",
+    [(1, 3, 81, 3), (2, 4, 648, 30), (2, 5, 4000, 222), (2, 6, 13500, 848)],
+)
+def test_conjugation_identity(k, n, keys, differ_unreversed):
+    # Gr(k,n) = Gr(n-k,n) by V -> V^perp twisted by w0: conjugate partitions
+    # and reversed x.  The two sides run different class orders and block
+    # solves, and the identity reaches the mixed terms, d >= 1 with positive
+    # x-degree.  Every key up to the default d_max, zeros included.
+    from eqschubert import GrassContext
+
+    ctx, dual = GrassContext(k, n), GrassContext(n - k, n)
+    d_max = default_d_max(ctx)
+    assert default_d_max(dual) == d_max
+    conj = {p: _conjugate(p, dual) for p in enumerate_classes(ctx)}
+    checked = differ = 0
+    for u in conj:
+        for v in conj:
+            for w in conj:
+                for d in range(d_max + 1):
+                    mine, theirs = eqlr(u, v, w, d), eqlr(conj[u], conj[v], conj[w], d)
+                    assert theirs == _reversed_x(mine), (u, v, w, d)
+                    checked += 1
+                    differ += theirs != mine
+    assert (checked, differ) == (keys, differ_unreversed)
