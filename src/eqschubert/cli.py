@@ -69,23 +69,26 @@ def _fail(message):
 
 def _emit(text, out):
     """Write ``text`` to stdout or to ``out``, in slices of ``EMIT_SLICE``
-    characters, so no encoded copy of the whole text is ever made.  An
-    ``out`` that exists and is no regular file (a FIFO, a device) is
-    written in place; any other goes through a temporary file named for
-    this process, so two exports to one ``out`` do not collide."""
+    characters, so no encoded copy of the whole text is ever made.  A
+    symbolic link is followed to its target, which is written, so the link
+    stays a link.  A target that exists and is no regular file (a FIFO, a
+    device) is written in place; any other goes through a temporary file
+    beside it, named for this process, so two exports to one ``out`` do not
+    collide."""
     slices = range(0, len(text), EMIT_SLICE)
     if out == "-":
         for i in slices:
             sys.stdout.write(text[i : i + EMIT_SLICE])
         return
-    in_place = os.path.exists(out) and not os.path.isfile(out)
-    tmp = out if in_place else "%s.%d.tmp" % (out, os.getpid())
+    target = os.path.realpath(out)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if in_place else "%s.%d.tmp" % (target, os.getpid())
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             for i in slices:
                 fh.write(text[i : i + EMIT_SLICE])
         if not in_place:
-            os.replace(tmp, out)
+            os.replace(tmp, target)
     except OSError as exc:
         if not in_place:
             with contextlib.suppress(OSError):

@@ -237,24 +237,23 @@ def elr(u, v, w):
     Integrates sigma(u) sigma(v) sigma~(w dual) over the fixed locus; the
     result, in x, is homogeneous of degree |u|+|v|-|w| and vanishes when
     that degree is negative.
+
+    The integrand vanishes at p unless u and v are contained in p and p in
+    w, so the opposite factor is restricted point by point, only where the
+    other two are nonzero, and no opposite table is built: for
+    elr(sigma(1), a, a) one point, p = a, contributes.
     """
     ctx = u.ctx
     if u.size + v.size < w.size:
         return Polynomial.zero(ctx.r)
     sigma = restriction_table(ctx, "schubert")
-    tilde = restriction_table(ctx, "opposite")
     wd = w.dual()
     values = {}
     for pt in fixed_points(ctx):
         a = sigma.restriction(u, pt)
-        if a.is_zero:
-            values[pt] = a
-            continue
-        b = sigma.restriction(v, pt)
-        if b.is_zero:
-            values[pt] = b
-            continue
-        values[pt] = a * b * tilde.restriction(wd, pt)
+        b = a if a.is_zero else sigma.restriction(v, pt)
+        c = b if b.is_zero else restrict_schubert(wd, pt, "opposite")
+        values[pt] = c if c.is_zero else a * b * c
     return y_to_x(integrate(ctx, values))
 
 

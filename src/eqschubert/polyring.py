@@ -642,12 +642,14 @@ def _y_to_x_lanes(nvars, values, size):
 
     The x ints are decoded the other way round, each popped from the
     chain's map as it is written, into one byte string; each value's dict
-    is built only when it is yielded."""
+    is built only when it is yielded.  The keys are sorted once per group,
+    in descending order, so every image holds its keys in the order the
+    encoder writes them (``render._term_encoder``), one descending run."""
     code, m = _LANE_CODES[size], len(values)
     row = m * size
     mask = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * m, "little")
     images = _shear(nvars, _packed_lanes(values, size, mask), "y_to_x").terms
-    keys = list(images)
+    keys = sorted(images, reverse=True)
     blob = bytearray(len(keys) * row)
     for r, k in zip(range(0, len(blob), row), keys):
         blob[r : r + row] = ((images.pop(k) + mask) ^ mask).to_bytes(row, "little")
@@ -664,6 +666,7 @@ def y_to_x_stream(polys):
     Callers may rely on this: each position is yielded exactly once, and
     all positions of one object come together and share one image object,
     built only as it is yielded.  So each distinct object is converted once.
+    An image from the lane path holds its keys in descending order.
 
     The distinct objects are grouped by variable count and maximum key
     degree d.  Every coefficient of the chain on a value p, so every x

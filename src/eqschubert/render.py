@@ -85,7 +85,10 @@ def _term_encoder(nvars):
     with the key's degree cached beside it. Packed keys compare as exponent
     vectors, so when all terms share one degree the descending key order is
     the graded-lex order of ``canonical_terms``; otherwise the terms are
-    sorted by (degree, key), which is that order too.
+    sorted by (degree, key), which is that order too.  The images of
+    ``y_to_x_stream``'s lane path already hold their keys in descending
+    order, so for them the sort is one linear pass; any other order still
+    encodes correctly.
     """
     from .polyring import _lanes
 

@@ -833,6 +833,32 @@ def test_output_onto_a_non_regular_file_is_written_in_place(tmp_path, args, kind
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("table", "--k", "1", "--n", "2", "--out"), ("fixtures", "--regen", "--path")],
+    ids=["table", "fixtures"],
+)
+@pytest.mark.parametrize("dangling", [False, True], ids=["target", "dangling"])
+def test_output_through_a_symlink_writes_its_target(tmp_path, args, dangling):
+    # the link is followed: its target gets the bytes, renamed over it from a
+    # temporary file beside it, and the link itself is left a link
+    if args[0] == "table":
+        expected = run("table", "--k", "1", "--n", "2").stdout_bytes
+    else:
+        with open(FIXTURE_FILE, "rb") as fh:
+            expected = fh.read()
+    target = tmp_path / "target.json"
+    if not dangling:
+        target.write_bytes(b"old bytes\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    result = run(*args, str(link))
+    assert result.exit_code == 0, result.stderr
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == expected
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_a_wrong_divisor_diagonal_exits_3(gr24, monkeypatch):
     # the closed-form diagonal c_a is held against the localization constant
     # elr(sigma(1), a, a); a planted wrong elr is caught there

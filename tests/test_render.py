@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqschubert.equivariant as equivariant_mod
 import eqschubert.polyring as polyring_mod
 import eqschubert.quantum as quantum_mod
 import eqschubert.render as render_mod
@@ -153,6 +154,68 @@ def test_table_entries_convert_each_value_object_once(k, n, monkeypatch):
         )
         for u, v, w, d, c in rows
     ]
+
+
+def test_a_cold_export_builds_no_opposite_table(monkeypatch):
+    # the divisor-diagonal check elr(sigma(1), a, a) restricts the opposite
+    # class only where its integrand can be nonzero, so a cold export builds
+    # the Schubert restriction table alone; the check still runs, and
+    # integrates, once per diagonal
+    ctx = GrassContext(2, 5)
+    classes = enumerate_classes(ctx)
+    families, checked, integrals = [], [], []
+    build, elr, integrate = (
+        equivariant_mod.RestrictionTable.__init__,
+        quantum_mod.elr,
+        equivariant_mod.integrate,
+    )
+
+    def recording_build(self, ctx, family):
+        families.append(family)
+        build(self, ctx, family)
+
+    def recording_elr(u, v, w):
+        checked.append((u.parts, v.parts, w.parts))
+        return elr(u, v, w)
+
+    def recording_integrate(ctx, values):
+        integrals.append(len(values))
+        return integrate(ctx, values)
+
+    monkeypatch.setattr(equivariant_mod.RestrictionTable, "__init__", recording_build)
+    monkeypatch.setattr(quantum_mod, "elr", recording_elr)
+    monkeypatch.setattr(equivariant_mod, "integrate", recording_integrate)
+    caches = (
+        quantum_mod.eq_table,
+        equivariant_mod.restriction_table,
+        equivariant_mod._restrictions_at,
+    )
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        table_json(ctx)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert families == ["schubert"]
+    # the walk reads the diagonal of every nonempty class, each checked once
+    assert sorted(checked) == sorted(((1,), a.parts, a.parts) for a in classes[1:])
+    assert integrals == [len(classes)] * len(checked)
+
+
+def test_lane_images_hold_their_keys_in_descending_order(gr36, monkeypatch):
+    # every Gr(3,6) value takes the lane path, whose images come in the
+    # order the encoder writes them
+    values = [c for *_, c in quantum_mod.eq_table(gr36).rows(default_d_max(gr36))]
+
+    def per_value(p):
+        raise AssertionError("a Gr(3,6) value left the lane path")
+
+    monkeypatch.setattr(polyring_mod, "y_to_x", per_value)
+    images = {id(x): x for _, x in y_to_x_stream(values)}
+    assert images
+    for image in images.values():
+        assert list(image.terms) == sorted(image.terms, reverse=True)
 
 
 @given(table_rows())
