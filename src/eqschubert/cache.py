@@ -24,13 +24,14 @@ temporary file.
 
 Both paths work on ``zlib`` directly: a read inflates the file in one pass
 and hashes and decodes the payload without copying it, and no start-up of
-the command line pays for importing ``gzip``.
+the command line pays for importing ``gzip``. ``hashlib``, which loads
+OpenSSL, is imported only by a read that found a file and by a write, so a
+cold export without a cache and ``verify`` never load it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import zlib
@@ -54,6 +55,8 @@ def cache_path(cache_dir, k, n, d_max):
 
 
 def store(cache_dir, k, n, d_max, payload):
+    import hashlib
+
     os.makedirs(cache_dir, exist_ok=True)
     data = payload.encode("utf-8")
     header = {
@@ -114,6 +117,8 @@ def load(cache_dir, k, n, d_max):
         raise CacheError("unreadable cache file %s: %s" % (path, exc))
     if type(header) is not dict:
         raise CacheError("cache file %s has a header that is no JSON object" % path)
+    import hashlib
+
     data = memoryview(plain)[end:]
     if hashlib.sha256(data).hexdigest() != header.get("sha256"):
         raise CacheError("checksum mismatch in cache file %s" % path)

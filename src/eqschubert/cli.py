@@ -6,12 +6,12 @@ cache error.
 Users re-export tables from the cache far more often than they build them,
 and a warm re-export is mostly interpreter start and the imports of this
 module. So the module imports only what that path runs: ``json``, the cache
-module with its ``zlib`` and ``hashlib`` (not ``gzip``, nor ``tempfile``),
-and the standard library's ``argparse``, which needs neither ``inspect`` nor
-``typing``. The engine and the renderers are imported inside the commands
-that use them, so a warm JSON read loads neither, and a warm CSV read loads
-the renderer, which imports the engine's polynomial ring only when a row is
-not canonical.
+module with its ``zlib`` (not ``gzip``, nor ``tempfile``; ``hashlib`` only
+when a cache file is read or written), and the standard library's
+``argparse``, which needs neither ``inspect`` nor ``typing``. The engine
+and the renderers are imported inside the commands that use them, so a
+warm JSON read loads neither, and a warm CSV read loads the renderer, which
+imports the engine's polynomial ring only when a row is not canonical.
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ from .errors import (
 from .grass import GrassContext, default_d_max
 
 DEFAULT_FIXTURE_PATH = os.path.join("fixtures", "oracle_fixtures.json")
+# a failed check of the engine's own arithmetic, or a limit of the interpreter
+INTERNAL_ERRORS = (
+    TableSolveError,
+    NonPolynomialError,
+    ExpansionError,
+    MemoryError,
+    RecursionError,
+    OverflowError,
+)
 EMIT_SLICE = 1 << 20
 
 
@@ -294,8 +303,8 @@ def main(argv=None):
             sys.stdout.flush()
     except _UsageError as exc:
         subs[name].error(str(exc))
-    except (TableSolveError, NonPolynomialError, ExpansionError) as exc:
-        _fail("internal error: %s" % exc)
+    except INTERNAL_ERRORS as exc:
+        _fail("internal error: %s" % (str(exc) or type(exc).__name__))
     except OSError as exc:
         # Every command maps its own file and cache errors to exit 3, so this
         # one came from writing stdout.  stdout goes to the null device, so

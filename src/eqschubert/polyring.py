@@ -38,9 +38,9 @@ runs.  Nothing converts back.  Two more conversions run on the same kernel:
 the w0 involution ``w0_involution`` (y_j -> y_{n-1-j} - y_{n-1}: a lane
 reversal, then shears v_j -> v_j - v_{n-1}).
 
-``y_to_x_stream`` is the y -> x boundary of the exports and the
-``positivity`` and ``tbasis`` suites, and the one place that decides to
-convert each distinct value object once: Kronecker packing
+``_x_columns`` is the y -> x boundary of the exports (by columns of
+digits, with no x polynomial per value) and, through ``y_to_x_stream``, of
+the ``positivity`` and ``tbasis`` suites: Kronecker packing
 (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", JSC 2009) across values instead of across monomials.  The
 values are grouped by variable count and maximum key degree; in a group,
@@ -635,29 +635,65 @@ def _packed_lanes(values, size, mask):
     }
 
 
-def _y_to_x_lanes(nvars, values, size):
-    """Yield ``y_to_x`` of each of ``values``, in order, all converted by one
-    shear chain on ``_packed_lanes``.  The caller proves every coefficient
-    fits a lane of ``size`` bytes.
+def _y_to_x_lanes(nvars, values, size, mixed):
+    """``(keys, columns)``: the x keys of all of ``values``, converted by one
+    shear chain on ``_packed_lanes``, in graded-lex descending order, and an
+    iterator of each value's column of x coefficients aligned with them.
+    The caller proves every coefficient fits a lane of ``size`` bytes.
 
-    The x ints are decoded the other way round, each popped from the
-    chain's map as it is written, into one byte string; each value's dict
-    is built only when it is yielded.  The keys are sorted once per group,
-    in descending order, so every image holds its keys in the order the
-    encoder writes them (``render._term_encoder``), one descending run."""
+    The shear keeps each term's degree, so unless the group is ``mixed``
+    (of more than one y degree) the descending key order is graded-lex.
+    The x ints are popped from the chain's map into one byte string, whose
+    strided views are the columns."""
     code, m = _LANE_CODES[size], len(values)
     row = m * size
     mask = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * m, "little")
     images = _shear(nvars, _packed_lanes(values, size, mask), "y_to_x").terms
     keys = sorted(images, reverse=True)
+    if mixed:
+        keys.sort(key=lambda k: (_key_degree(k), k), reverse=True)
     blob = bytearray(len(keys) * row)
     for r, k in zip(range(0, len(blob), row), keys):
         blob[r : r + row] = ((images.pop(k) + mask) ^ mask).to_bytes(row, "little")
     del images
     digits = memoryview(blob).cast(code)
-    for j in range(m):
-        column = digits[j::m]
-        yield Polynomial(nvars, dict(compress(zip(keys, column), column)))
+    return keys, (digits[j::m] for j in range(m))
+
+
+def _x_columns(polys):
+    """Yield ``(nvars, keys, items)`` per group of the distinct objects of
+    ``polys``, with ``items`` yielding ``(column, positions)`` per object:
+    the lanes of ``_y_to_x_lanes``, or on the per-value path keys None and
+    the image ``y_to_x(p)`` as the column.  So each distinct object is
+    converted once.
+
+    The groups are by variable count and maximum key degree d.  Every x
+    coefficient of a value p is at most ``|p|_1 * nvars**d``, with
+    ``|p|_1`` the sum of its coefficients' absolute values: the
+    substitution sends y^a to at most ``nvars**|a|`` monomials with
+    coefficient 1.  A group whose bound passes 63 bits goes value by value.
+    """
+    members = {}
+    for i, p in enumerate(polys):
+        members.setdefault(id(p), (p, []))[1].append(i)
+    degree = {k: _key_degree(k) for k in set().union(*(p.terms for p, _ in members.values()))}
+    groups, mixed = {}, set()
+    for p, positions in members.values():
+        degrees = set(map(degree.__getitem__, p.terms))
+        group = (p.nvars, max(degrees, default=0))
+        groups.setdefault(group, []).append((p, positions))
+        if len(degrees) > 1:
+            mixed.add(group)
+    del members, degree
+    # the largest chains first, so later groups reuse the memory they free
+    for (nvars, d), group in sorted(groups.items(), reverse=True):
+        values = [p for p, _ in group]
+        size = _lane_bytes(max(sum(map(abs, p.terms.values())) for p in values) * nvars**d)
+        if size is None:
+            keys, columns = None, map(y_to_x, values)
+        else:
+            keys, columns = _y_to_x_lanes(nvars, values, size, (nvars, d) in mixed)
+        yield nvars, keys, zip(columns, (positions for _, positions in group))
 
 
 def y_to_x_stream(polys):
@@ -665,34 +701,15 @@ def y_to_x_stream(polys):
 
     Callers may rely on this: each position is yielded exactly once, and
     all positions of one object come together and share one image object,
-    built only as it is yielded.  So each distinct object is converted once.
-    An image from the lane path holds its keys in descending order.
-
-    The distinct objects are grouped by variable count and maximum key
-    degree d.  Every coefficient of the chain on a value p, so every x
-    coefficient, is at most ``|p|_1 * nvars**d`` in absolute value, with
-    ``|p|_1`` the sum of its coefficients' absolute values: the
-    substitution sends y^a to a sum of at most ``nvars**|a|`` monomials
-    with coefficient 1.  A group whose bound fits 63 bits runs as lanes of
-    one chain (``_y_to_x_lanes``); a wider one converts value by value.
+    built from its ``_x_columns`` column as it is yielded; a lane image
+    holds its keys in graded-lex descending order.
     """
-    members = {}
-    for i, p in enumerate(polys):
-        members.setdefault(id(p), (p, []))[1].append(i)
-    degree = {k: _key_degree(k) for k in set().union(*(p.terms for p, _ in members.values()))}
-    groups = {}
-    for p, positions in members.values():
-        d = max(map(degree.__getitem__, p.terms), default=0)
-        groups.setdefault((p.nvars, d), []).append((p, positions))
-    del members, degree
-    # the largest chains first, so later groups reuse the memory they free
-    for (nvars, d), group in sorted(groups.items(), reverse=True):
-        values = [p for p, _ in group]
-        size = _lane_bytes(max(sum(map(abs, p.terms.values())) for p in values) * nvars**d)
-        images = map(y_to_x, values) if size is None else _y_to_x_lanes(nvars, values, size)
-        for image, (_, positions) in zip(images, group):
+    for nvars, keys, items in _x_columns(polys):
+        for column, positions in items:
+            if keys is not None:
+                column = Polynomial(nvars, dict(compress(zip(keys, column), column)))
             for i in positions:
-                yield i, image
+                yield i, column
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,9 @@ Monomials always print in graded-lex descending order and coefficients
 serialize as decimal strings, so every export is byte-stable for a fixed
 input and code version. The JSON form of every export is canonical: sorted
 keys, no whitespace. ``canonical_json`` encodes the envelopes and reports;
-the rows and polynomial terms of the JSON exports come from the key-fragment
-encoder (``_term_encoder``), which writes the same bytes straight from the
-packed monomial keys. A Tier-1 test pins the two byte for byte. The CSV
+the rows and polynomial terms of the JSON exports are written from the
+packed monomial keys' cached ``","e":[...]}`` fragments (``_term_encoder``)
+with the same bytes. A Tier-1 test pins the two byte for byte. The CSV
 export reads only that canonical table JSON back; any other payload is an
 error. It reads canonical rows as text, so a warm CSV re-export imports
 ``polyring`` only for a row it must decode; the module imports ``polyring``
@@ -15,10 +15,12 @@ inside the functions that use it.
 Every export is in the simple roots x. The table and restriction exports
 read the engine's tables, which are in the torus-character coordinates y,
 and pass all their polynomials, repeats included, to the one batch
-conversion ``polyring.y_to_x_stream``, one shear chain per degree; the
-module elements that ``qelem_text`` and ``qelem_json`` render come from
-``quantum.multiply``, already in x, and are rendered as given. Each
-distinct value is encoded once, and its text lives only across its rows.
+conversion ``polyring._x_columns``, one shear chain per degree; each
+distinct value's text is written once straight from its column of lane
+digits (``_x_texts``), with no x polynomial built, and lives only across
+its rows. The module elements that ``qelem_text`` and ``qelem_json``
+render come from ``quantum.multiply``, already in x, and are rendered as
+given.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import csv
 import io
 import json
 from functools import lru_cache
+from itertools import compress
+from operator import add
 
 from .errors import DimensionMismatchError
 from .grass import Partition, default_d_max, enumerate_classes
@@ -77,50 +81,56 @@ def poly_from_json(obj, nvars):
     return Polynomial.from_exponents(nvars, ((tuple(t["e"]), int(t["c"])) for t in obj))
 
 
-def _term_encoder(nvars):
-    """``encode(p)``: the text of ``canonical_json(poly_json(p))`` for any
-    polynomial ``p`` over ``nvars`` variables, built from its packed keys.
+def _terms_text(coefficients, fragments):
+    """The JSON text of the terms with these nonzero ``coefficients`` and,
+    aligned with them, these key fragments; ``[]`` for no terms."""
+    body = ',{"c":"'.join(map(add, map(str, coefficients), fragments))
+    return '[{"c":"' + body + "]" if body else "[]"
 
-    Each distinct key's ``","e":[...]}`` fragment is built once per encoder,
-    with the key's degree cached beside it. Packed keys compare as exponent
-    vectors, so when all terms share one degree the descending key order is
-    the graded-lex order of ``canonical_terms``; otherwise the terms are
-    sorted by (degree, key), which is that order too.  The images of
-    ``y_to_x_stream``'s lane path already hold their keys in descending
-    order, so for them the sort is one linear pass; any other order still
-    encodes correctly.
-    """
-    from .polyring import _lanes
+
+def _term_encoder(nvars):
+    """``(encode, fragment)`` over ``nvars`` variables: ``fragment(k)`` is
+    the ``","e":[...]}`` text of the packed key k, built once per encoder,
+    and ``encode(p)`` is the text of ``canonical_json(poly_json(p))`` for
+    any polynomial ``p``.  Packed keys compare as exponent vectors, so
+    (degree, key) order is the graded-lex order of ``canonical_terms``."""
+    from .polyring import _key_degree, _lanes
 
     unpack, size = _lanes(nvars), 2 * nvars
-    fragments, degrees = {}, {}
+    fragments = {}
+
+    def fragment(k):
+        text = fragments.get(k)
+        if text is None:
+            exps = unpack(k.to_bytes(size, "big"))
+            text = fragments[k] = '","e":[%s]}' % ",".join(map(str, exps))
+        return text
 
     def encode(p):
-        terms = p.terms
-        if not terms:
-            return "[]"
-        for k in [k for k in terms if k not in fragments]:
-            exps = unpack(k.to_bytes(size, "big"))
-            fragments[k] = '","e":[%s]}' % ",".join(map(str, exps))
-            degrees[k] = sum(exps)
-        keys = sorted(terms, reverse=True)
-        if len(set(map(degrees.__getitem__, keys))) > 1:
-            keys.sort(key=lambda k: (degrees[k], k), reverse=True)
-        return '[{"c":"' + ',{"c":"'.join([str(terms[k]) + fragments[k] for k in keys]) + "]"
+        keys = sorted(p.terms, key=lambda k: (_key_degree(k), k), reverse=True)
+        return _terms_text(map(p.terms.__getitem__, keys), map(fragment, keys))
 
-    return encode
+    return encode, fragment
 
 
-def _encoded(values, encode):
+def _x_texts(values, nvars):
     """Yield ``(i, encode(y_to_x(values[i])))`` for every position i, in
-    stream order: each object's image is encoded once, when it changes."""
-    from .polyring import y_to_x_stream
+    stream order, each distinct object's text made once.  A lane column of
+    ``polyring._x_columns`` is written straight from its nonzero digits and
+    the fragments of its group's keys, listed once per group; a per-value
+    image is encoded."""
+    from .polyring import _x_columns
 
-    image = text = None
-    for i, x in y_to_x_stream(values):
-        if x is not image:
-            image, text = x, encode(x)
-        yield i, text
+    encode, fragment = _term_encoder(nvars)
+    for _, keys, items in _x_columns(values):
+        fragments = None if keys is None else list(map(fragment, keys))
+        for column, positions in items:
+            if keys is None:
+                text = encode(column)
+            else:
+                text = _terms_text(compress(column, column), compress(fragments, column))
+            for i in positions:
+                yield i, text
 
 
 def _join_entries(envelope, rows):
@@ -158,7 +168,7 @@ def qelem_text(elem):
 
 def qelem_json(elem):
     """Canonical JSON list of the ``{"w", "d", "poly"}`` terms of an element."""
-    encode = _term_encoder(elem.ctx.r)
+    encode, _ = _term_encoder(elem.ctx.r)
     return "[%s]" % ",".join(
         '{"d":%d,"poly":%s,"w":%s}' % (d, encode(c), canonical_json(list(w)))
         for (w, d), c in elem.canonical_items()
@@ -173,13 +183,10 @@ def table_entries(ctx, d_max=None):
 
     One row per nonzero coefficient, pairs listed once with u <= v in the
     class order, sorted by (u, v, d, w). Each row is one format of its
-    cached partition arrays and its terms in x as ``_term_encoder`` writes
-    them. ``EQTable._store`` keeps equal coefficients as one object, and
-    makes each homogeneous. The rows' values go as they stand through
-    ``_encoded``, so each distinct value is converted and encoded once and
-    no x copy of the table is kept. The conversion keeps the degree, so the
-    terms always take the encoder's one-degree path: sorted by packed key,
-    which is graded-lex order within one degree.
+    cached partition arrays and its terms in x. ``EQTable._store`` keeps
+    equal coefficients as one object, and makes each homogeneous. The rows'
+    values go as they stand through ``_x_texts``, so each distinct value is
+    converted and written once, and no x copy of the table is kept.
     """
     from .quantum import eq_table
 
@@ -188,7 +195,7 @@ def table_entries(ctx, d_max=None):
     arrays = {p.parts: canonical_json(list(p.parts)) for p in enumerate_classes(ctx)}
     rows = list(eq_table(ctx).rows(d_max))
     entries = [None] * len(rows)
-    for i, text in _encoded([row[4] for row in rows], _term_encoder(ctx.r)):
+    for i, text in _x_texts([row[4] for row in rows], ctx.r):
         u, v, w, d, _ = rows[i]
         entries[i] = _ROW % (d, text, arrays[u], arrays[v], arrays[w])
     return entries
@@ -387,7 +394,7 @@ def restriction_table_json(ctx, family="schubert"):
     values = [table.restriction(p, pt) for p, _ in classes for pt, _ in points]
     labels = [(parts, text) for _, parts in classes for _, text in points]
     rows = [None] * len(values)
-    for i, text in _encoded(values, _term_encoder(ctx.r)):
+    for i, text in _x_texts(values, ctx.r):
         rows[i] = '{"class":%s,"point":%s,"poly":%s}' % (*labels[i], text)
     return _join_entries({"k": ctx.k, "n": ctx.n, "family": family}, rows)
 

@@ -710,6 +710,33 @@ def test_internal_errors_exit_3(monkeypatch, args, owner, attr, error):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError(), "MemoryError"),
+        (RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"),
+        (OverflowError("int too large"), "int too large"),
+    ],
+    ids=["memory", "recursion", "overflow"],
+)
+@pytest.mark.parametrize("where", ["cache", "suite"])
+def test_interpreter_limits_exit_3_on_one_line(tmp_path, monkeypatch, where, error, message):
+    # exit 1 means a failed verification; running out of memory, recursion
+    # depth or int range is an internal error with one line, no traceback
+    def fail(*args, **kwargs):
+        raise error
+
+    if where == "cache":
+        monkeypatch.setattr(cli_mod, "cache_load", fail)
+        args = ("table", "--k", "2", "--n", "4", "--cache-dir", str(tmp_path))
+    else:
+        monkeypatch.setitem(suites_mod.SUITES, "duality", fail)
+        args = ("verify", "--k", "2", "--n", "4", "--suite", "duality")
+    result = run(*args)
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == "internal error: %s\n" % message
+
+
 def _corrupt_block(monkeypatch, corruption):
     """Corrupt what the block solves read.  ``rows`` doubles the second read
     of each divisor c_t - c_a by a block of target t (in t's first block,

@@ -78,7 +78,10 @@ def test_warm_csv_read_imports_only_the_renderer(tmp_path):
 @pytest.mark.parametrize(
     "module, banned",
     [
-        ("eqschubert.cli", ("click", "inspect", "dataclasses", "typing", "gzip", "tempfile")),
+        (
+            "eqschubert.cli",
+            ("click", "inspect", "dataclasses", "typing", "gzip", "tempfile", "hashlib"),
+        ),
         ("eqschubert.quantum", ("inspect", "dataclasses")),
         ("eqschubert.equivariant", ("inspect", "dataclasses")),
         ("eqschubert.render", ("inspect", "dataclasses")),

@@ -116,44 +116,72 @@ def table_rows(draw):
 def test_table_entries_convert_each_value_object_once(k, n, monkeypatch):
     ctx = GrassContext(k, n)
     rows = list(quantum_mod.eq_table(ctx).rows(default_d_max(ctx)))
-    objects = {id(c) for *_, c in rows}
+    values = [c for *_, c in rows]
+    objects = {id(c) for c in values}
     assert len(objects) < len(rows)
-    batches, images, encoded = [], {}, []
+    batches, converted, written = [], [], []
+    columns, terms_text = polyring_mod._x_columns, render_mod._terms_text
 
-    def counted(values):
-        batches.append(values)
-        for i, x in y_to_x_stream(values):
-            images.setdefault(id(values[i]), []).append(x)
-            yield i, x
+    def recorded(items):
+        for column, positions in items:
+            converted.append(positions)
+            yield column, positions
 
-    make = render_mod._term_encoder
+    def counted(polys):
+        batches.append(polys)
+        for nvars, keys, items in columns(polys):
+            yield nvars, keys, recorded(items)
 
-    def counting(nvars):
-        encode = make(nvars)
+    def counting(coefficients, fragments):
+        written.append(fragments)
+        return terms_text(coefficients, fragments)
 
-        def wrapped(p):
-            encoded.append(p)
-            return encode(p)
-
-        return wrapped
-
-    monkeypatch.setattr(polyring_mod, "y_to_x_stream", counted)
-    monkeypatch.setattr(render_mod, "_term_encoder", counting)
+    monkeypatch.setattr(polyring_mod, "_x_columns", counted)
+    monkeypatch.setattr(render_mod, "_terms_text", counting)
     entries = table_entries(ctx)
-    # one batch of every row's value, repeats included; each distinct value
-    # object gets one image, which is encoded once
-    assert len(batches) == 1 and all(a is b for a, b in zip(batches[0], [c for *_, c in rows]))
-    assert len(batches[0]) == len(rows)
-    assert images.keys() == objects
-    assert all(x is xs[0] for xs in images.values() for x in xs)
-    assert len(encoded) == len(objects)
-    assert {id(x) for x in encoded} == {id(xs[0]) for xs in images.values()}
+    # one batch of every row's value, repeats included
+    assert len(batches) == 1 and len(batches[0]) == len(rows)
+    assert all(a is b for a, b in zip(batches[0], values))
+    # each distinct object is converted once, with all its positions, and
+    # its text is written once
+    assert len(converted) == len(written) == len(objects)
+    assert sorted(i for positions in converted for i in positions) == list(range(len(rows)))
+    assert {id(values[positions[0]]) for positions in converted} == objects
+    assert all(values[i] is values[positions[0]] for positions in converted for i in positions)
     assert entries == [
         canonical_json(
             {"u": list(u), "v": list(v), "w": list(w), "d": d, "poly": poly_json(y_to_x(c))}
         )
         for u, v, w, d, c in rows
     ]
+
+
+def test_a_lane_export_builds_no_x_polynomial(gr36, monkeypatch):
+    # every Gr(3,6) value takes the lane path, whose texts are written from
+    # the digit columns: no per-value conversion or encoding, and no
+    # polynomial but the one packed term map of each lane group's chain
+    values = [c for *_, c in quantum_mod.eq_table(gr36).rows(default_d_max(gr36))]
+    groups = {max(map(polyring_mod._key_degree, c.terms), default=0) for c in values}
+    built = []
+    init, make = Polynomial.__init__, render_mod._term_encoder
+
+    def per_value(p):
+        raise AssertionError("a Gr(3,6) value went value by value")
+
+    def counted(self, nvars, terms):
+        built.append(len(terms))
+        init(self, nvars, terms)
+
+    def no_encode(nvars):
+        return per_value, make(nvars)[1]
+
+    monkeypatch.setattr(polyring_mod, "y_to_x", per_value)
+    monkeypatch.setattr(render_mod, "_term_encoder", no_encode)
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    entries = table_entries(gr36)
+    monkeypatch.undo()
+    assert len(built) == len(groups)
+    assert [json.loads(row)["poly"] for row in entries] == [poly_json(y_to_x(c)) for c in values]
 
 
 def test_a_cold_export_builds_no_opposite_table(monkeypatch):
@@ -216,6 +244,43 @@ def test_lane_images_hold_their_keys_in_descending_order(gr36, monkeypatch):
     assert images
     for image in images.values():
         assert list(image.terms) == sorted(image.terms, reverse=True)
+
+
+@st.composite
+def value_lists(draw):
+    """A variable count and a list of polynomials over it, with repeated
+    objects, zeros, homogeneous and mixed-degree values, and perhaps one
+    value wide enough to take the per-value path."""
+    nvars = draw(st.integers(1, 6))
+    exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).map(tuple)
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        if out and draw(st.booleans()):
+            out.append(draw(st.sampled_from(out)))
+            continue
+        items = draw(st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=6))
+        if items and draw(st.booleans()):
+            items = [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
+        out.append(Polynomial.from_exponents(nvars, items))
+    if draw(st.booleans()):
+        items = draw(st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=3))
+        items.append((draw(exps), draw(st.integers(2**64, 2**80))))
+        wide = Polynomial.from_exponents(nvars, items)
+        out.insert(draw(st.integers(0, len(out))), wide)
+    return nvars, out
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_lists())
+def test_lane_texts_match_the_encoder(case):
+    nvars, values = case
+    encode, _ = render_mod._term_encoder(nvars)
+    texts = [None] * len(values)
+    for i, text in render_mod._x_texts(values, nvars):
+        assert texts[i] is None
+        texts[i] = text
+    assert texts == [encode(y_to_x(p)) for p in values]
+    assert texts == [canonical_json(poly_json(y_to_x(p))) for p in values]
 
 
 @given(table_rows())
