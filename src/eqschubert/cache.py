@@ -19,11 +19,12 @@ whose header line is missing, longer than ``HEADER_CAP`` bytes or no JSON
 object, whose checksum does not match, or whose payload is not UTF-8 raises
 CacheError; a file whose versions or key disagree is stale and is simply
 ignored, never migrated. Writes go to a temporary file named for the
-writing process and are renamed into place; a failed write removes the
-temporary file.
+writing process and are renamed into place; a write that fails for any
+reason, an interrupt included, removes the temporary file.
 
-Both paths work on ``zlib`` directly: a read inflates the file in one pass
-and hashes and decodes the payload without copying it, and no start-up of
+Both paths work on ``zlib`` directly: a write hashes the streamed payload
+in one pass and deflates it in a second, a read inflates the file in one
+pass and hashes and decodes the payload without copying it, and no start-up of
 the command line pays for importing ``gzip``. ``hashlib``, which loads
 OpenSSL, is imported only by a read that found a file and by a write, so a
 cold export without a cache and ``verify`` never load it.
@@ -55,17 +56,28 @@ def cache_path(cache_dir, k, n, d_max):
 
 
 def store(cache_dir, k, n, d_max, payload):
+    """Write ``payload``, a string or a re-iterable of text chunks (a
+    streamed export), as the cache file of its key, and return its path.
+
+    The header holds the payload's digest, so a chunked payload is read
+    twice: one pass hashes its chunks, the next deflates them after the
+    header, and no encoded copy of the whole payload is made.  The deflated
+    bytes do not depend on the chunking.
+    """
     import hashlib
 
     os.makedirs(cache_dir, exist_ok=True)
-    data = payload.encode("utf-8")
+    chunks = (payload,) if isinstance(payload, str) else payload
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk.encode("utf-8"))
     header = {
         "cache_version": CACHE_VERSION,
         "engine_version": ENGINE_VERSION,
         "k": k,
         "n": n,
         "d_max": d_max,
-        "sha256": hashlib.sha256(data).hexdigest(),
+        "sha256": digest.hexdigest(),
     }
     line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
     path = cache_path(cache_dir, k, n, d_max)
@@ -76,10 +88,12 @@ def store(cache_dir, k, n, d_max, payload):
     try:
         with open(tmp, "wb") as fh:
             fh.write(deflate.compress(line.encode("utf-8")))
-            fh.write(deflate.compress(data))
+            for chunk in chunks:
+                fh.write(deflate.compress(chunk.encode("utf-8")))
             fh.write(deflate.flush())
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
+        # an interrupt or a MemoryError while a chunk is formatted, too
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise

@@ -76,32 +76,40 @@ def _fail(message):
     sys.exit(3)
 
 
-def _emit(text, out):
-    """Write ``text`` to stdout or to ``out``, in slices of ``EMIT_SLICE``
-    characters, so no encoded copy of the whole text is ever made.  A
-    symbolic link is followed to its target, which is written, so the link
-    stays a link.  A target that exists and is no regular file (a FIFO, a
-    device) is written in place; any other goes through a temporary file
-    beside it, named for this process, so two exports to one ``out`` do not
-    collide."""
-    slices = range(0, len(text), EMIT_SLICE)
+def _emit(payload, out):
+    """Write ``payload`` to stdout or to ``out``.  A string (a warm read,
+    ``fixtures``) goes in slices of ``EMIT_SLICE`` characters, so no encoded
+    copy of the whole text is ever made; any other payload is a streamed
+    export, an iterable of text chunks, each written as it is formatted.
+    A symbolic link is followed to its target, which is written, so the
+    link stays a link.  A target that exists and is no regular file (a
+    FIFO, a device) is written in place; any other goes through a temporary
+    file beside it, named for this process, so two exports to one ``out``
+    do not collide.  A write that fails for any reason, an interrupt or a
+    ``MemoryError`` while a chunk is formatted included, removes that file;
+    an ``OSError`` exits 3 here, any other error goes on unchanged."""
+    chunks = payload
+    if isinstance(payload, str):
+        chunks = (payload[i : i + EMIT_SLICE] for i in range(0, len(payload), EMIT_SLICE))
     if out == "-":
-        for i in slices:
-            sys.stdout.write(text[i : i + EMIT_SLICE])
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     target = os.path.realpath(out)
     in_place = os.path.exists(target) and not os.path.isfile(target)
     tmp = target if in_place else "%s.%d.tmp" % (target, os.getpid())
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for i in slices:
-                fh.write(text[i : i + EMIT_SLICE])
+            for chunk in chunks:
+                fh.write(chunk)
         if not in_place:
             os.replace(tmp, target)
-    except OSError as exc:
+    except BaseException as exc:
         if not in_place:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
+        if not isinstance(exc, OSError):
+            raise
         _fail("cannot write %s: %s" % (out, exc))
 
 
@@ -132,7 +140,7 @@ def table(k, n, d_max, fmt, out, cache_dir, no_cache):
         from .render import CSV_ERRORS, table_csv
 
         try:
-            payload = table_csv(payload, k, n, d_max)
+            payload = table_csv(str(payload), k, n, d_max)
         except CSV_ERRORS as exc:
             _fail("cache error: %s" % exc)
     _emit(payload, out)

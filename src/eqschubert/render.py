@@ -17,10 +17,13 @@ read the engine's tables, which are in the torus-character coordinates y,
 and pass all their polynomials, repeats included, to the one batch
 conversion ``polyring._x_columns``, one shear chain per degree; each
 distinct value's text is written once straight from its column of lane
-digits (``_x_texts``), with no x polynomial built, and lives only across
-its rows. The module elements that ``qelem_text`` and ``qelem_json``
-render come from ``quantum.multiply``, already in x, and are rendered as
-given.
+digits (``_x_texts``), with no x polynomial built. The export keeps each
+row's fields, those texts shared by all the rows of their value, and
+streams: ``_Payload`` formats the rows in export order, in chunks of
+about ``CHUNK`` characters, as each pass over it writes them, so no list
+of row strings and no joined payload is ever built. The module elements
+that ``qelem_text`` and ``qelem_json`` render come from
+``quantum.multiply``, already in x, and are rendered as given.
 """
 
 from __future__ import annotations
@@ -133,19 +136,57 @@ def _x_texts(values, nvars):
                 yield i, text
 
 
-def _join_entries(envelope, rows):
-    """The canonical text of ``envelope`` with the encoded ``rows`` as its
-    ``entries`` list, plus a newline.
+# characters of formatted rows per chunk of a streamed export
+CHUNK = 1 << 18
 
-    The envelope's other values hold no empty list. Its two halves go onto
-    the first and last row strings, so the one join is the only copy of the
-    payload beyond its rows.
+
+class _Rows:
+    """The export rows ``form % fields`` for the tuples of ``fields``, in
+    order, formatted anew on each pass and never held; ``len()`` is the
+    row count."""
+
+    def __init__(self, form, fields):
+        self.form, self.fields = form, fields
+
+    def __len__(self):
+        return len(self.fields)
+
+    def __iter__(self):
+        return map(self.form.__mod__, self.fields)
+
+
+class _Payload:
+    """The canonical text of ``envelope`` with ``rows`` as its ``entries``
+    list, plus a newline, as a re-iterable of text chunks.
+
+    The envelope's other values hold no empty list. Each pass formats the
+    rows anew and joins about ``CHUNK`` characters of them per chunk, so
+    neither the rows' strings nor the whole text is ever held. ``len()`` is
+    the text's length, counted over one pass; ``str()`` is the text.
     """
-    head, tail = canonical_json(dict(envelope, entries=[])).split("[]")
-    rows = rows or [""]
-    rows[0] = head + "[" + rows[0]
-    rows[-1] += "]" + tail + "\n"
-    return ",".join(rows)
+
+    def __init__(self, envelope, rows):
+        self.head, self.tail = canonical_json(dict(envelope, entries=[])).split("[]")
+        self.rows = rows
+
+    def __iter__(self):
+        yield self.head + "["
+        batch, size = [], 0
+        for row in self.rows:
+            batch.append(row)
+            size += len(row)
+            if size >= CHUNK:
+                yield ",".join(batch)
+                # the next chunk starts with the comma before its first row
+                batch, size = [""], 0
+        yield ",".join(batch)
+        yield "]" + self.tail + "\n"
+
+    def __len__(self):
+        return sum(map(len, self))
+
+    def __str__(self):
+        return "".join(self)
 
 
 def qelem_text(elem):
@@ -179,14 +220,16 @@ _ROW = '{"d":%d,"poly":%s,"u":%s,"v":%s,"w":%s}'
 
 
 def table_entries(ctx, d_max=None):
-    """Canonical JSON export rows for the full product table, one string per row.
+    """Canonical JSON export rows for the full product table, formatted as
+    they are iterated; ``len()`` is the row count.
 
     One row per nonzero coefficient, pairs listed once with u <= v in the
     class order, sorted by (u, v, d, w). Each row is one format of its
     cached partition arrays and its terms in x. ``EQTable._store`` keeps
     equal coefficients as one object, and makes each homogeneous. The rows'
     values go as they stand through ``_x_texts``, so each distinct value is
-    converted and written once, and no x copy of the table is kept.
+    converted and written once, its text shared by all its rows, and no x
+    copy of the table is kept.
     """
     from .quantum import eq_table
 
@@ -194,20 +237,20 @@ def table_entries(ctx, d_max=None):
         d_max = default_d_max(ctx)
     arrays = {p.parts: canonical_json(list(p.parts)) for p in enumerate_classes(ctx)}
     rows = list(eq_table(ctx).rows(d_max))
-    entries = [None] * len(rows)
+    fields = [None] * len(rows)
     for i, text in _x_texts([row[4] for row in rows], ctx.r):
         u, v, w, d, _ = rows[i]
-        entries[i] = _ROW % (d, text, arrays[u], arrays[v], arrays[w])
-    return entries
+        fields[i] = (d, text, arrays[u], arrays[v], arrays[w])
+    return _Rows(_ROW, fields)
 
 
 def table_json(ctx, d_max=None):
     """The canonical table payload, the one source of every table export:
-    the rows of ``table_entries`` joined into the encoded envelope."""
+    the rows of ``table_entries`` streamed into the encoded envelope."""
     if d_max is None:
         d_max = default_d_max(ctx)
     envelope = {"k": ctx.k, "n": ctx.n, "d_max": d_max, "variables": ctx.r}
-    return _join_entries(envelope, table_entries(ctx, d_max))
+    return _Payload(envelope, table_entries(ctx, d_max))
 
 
 _decode = json.JSONDecoder().raw_decode
@@ -311,7 +354,7 @@ def table_csv(payload, k, n, d_max):
     """CSV rendering of the entries of the canonical table payload string of
     Gr(k,n) to q-degree ``d_max``.
 
-    Only what ``table_json`` writes is read, the mirror of ``_join_entries``:
+    Only what ``table_json`` writes is read, the mirror of ``_Payload``:
     the rows after ``"entries":[`` are read one at a time, each written as
     its CSV line before the next is read, so the parsed table is never built.
     A row ``_canonical_rows`` accepts is read as text, with each distinct
@@ -385,7 +428,8 @@ def table_csv(payload, k, n, d_max):
 
 
 def restriction_table_json(ctx, family="schubert"):
-    """The canonical restriction export of one family, in x."""
+    """The canonical restriction export of one family, in x, streamed as
+    ``table_json`` streams the table."""
     from .equivariant import fixed_points, restriction_table
 
     table = restriction_table(ctx, family)
@@ -393,10 +437,11 @@ def restriction_table_json(ctx, family="schubert"):
     classes = [(p, canonical_json(list(p.parts))) for p in enumerate_classes(ctx)]
     values = [table.restriction(p, pt) for p, _ in classes for pt, _ in points]
     labels = [(parts, text) for _, parts in classes for _, text in points]
-    rows = [None] * len(values)
+    fields = [None] * len(values)
     for i, text in _x_texts(values, ctx.r):
-        rows[i] = '{"class":%s,"point":%s,"poly":%s}' % (*labels[i], text)
-    return _join_entries({"k": ctx.k, "n": ctx.n, "family": family}, rows)
+        fields[i] = (*labels[i], text)
+    rows = _Rows('{"class":%s,"point":%s,"poly":%s}', fields)
+    return _Payload({"k": ctx.k, "n": ctx.n, "family": family}, rows)
 
 
 def partition_argument(ctx, text):

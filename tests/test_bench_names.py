@@ -3,7 +3,12 @@ attribute; a rename or an inlined function would silently zero its spans."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
+
+import pytest
+
+from conftest import invoke
 
 SHIM = Path(__file__).resolve().parents[1] / "bench" / "shim.py"
 
@@ -56,3 +61,28 @@ def test_verify_suites_call_the_traced_sites(gr24, monkeypatch):
     assert calls["circ"] == 2 * 6**3
     assert suites_mod.verify_specialization(gr24)["passed"]
     assert calls["elr_table"] == 1
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 6)])
+def test_a_cold_export_is_counted_as_the_tracer_counts_it(tmp_path, monkeypatch, k, n):
+    # the tracer counts render.rows as len() of what table_entries returns
+    # and render.payload_bytes as len() of what table_json returns, right
+    # after each call and before the export is written
+    import eqschubert.render as render_mod
+
+    lengths = {"table_entries": [], "table_json": []}
+    for name, counts in lengths.items():
+
+        def counted(*args, _fn=getattr(render_mod, name), _counts=counts):
+            result = _fn(*args)
+            _counts.append(len(result))
+            return result
+
+        monkeypatch.setattr(render_mod, name, counted)
+    out = tmp_path / "t.json"
+    args = ["table", "--k", str(k), "--n", str(n), "--no-cache", "--out", str(out)]
+    assert invoke(args).exit_code == 0
+    data = out.read_bytes()
+    (rows,), (size,) = lengths["table_entries"], lengths["table_json"]
+    assert rows == len(json.loads(data)["entries"]) > 0
+    assert size == len(data)

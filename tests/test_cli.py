@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import types
+import zlib
 
 import pytest
 
@@ -319,7 +320,7 @@ def test_table_csv_of_a_cached_non_table_exits_3(tmp_path, payload):
     "key", [(2, 4, 2), (1, 3, 1), (1, 2, 0)], ids=["k-and-n", "n", "d_max"]
 )
 def test_table_csv_of_a_payload_cached_under_another_key_exits_3(tmp_path, key):
-    payload = table_json(GrassContext(1, 2))
+    payload = str(table_json(GrassContext(1, 2)))
     cache_mod.store(str(tmp_path), *key, payload)
     k, n, d_max = key
     args = ("table", "--k", str(k), "--n", str(n), "--d-max", str(d_max))
@@ -338,7 +339,7 @@ def _malformed_gr12_payloads():
     list, and rows that are not objects; and the table re-laid out as JSON
     that is not canonical: a space after a comma, ``variables`` first, a
     repeated ``variables``, no final newline, and ``d_max`` as a string."""
-    payload = table_json(GrassContext(1, 2))
+    payload = str(table_json(GrassContext(1, 2)))
     body = payload.rstrip("\n")
     table = json.loads(body)
     variants = [
@@ -735,6 +736,71 @@ def test_interpreter_limits_exit_3_on_one_line(tmp_path, monkeypatch, where, err
     result = run(*args)
     assert (result.exit_code, result.stdout) == (3, "")
     assert result.stderr == "internal error: %s\n" % message
+
+
+class _SlicedOnce(str):
+    """A payload whose second slice cannot be made: the write fails with
+    ``MemoryError`` after its first slice is on disk."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and key.start:
+            raise MemoryError
+        return str.__getitem__(self, key)
+
+
+def _compressobj_failing_on_the_payload(*args, _real=zlib.compressobj, **kwargs):
+    # the header line deflates; the payload's first chunk runs out of memory
+    deflate = _real(*args, **kwargs)
+    calls = []
+
+    def compress(data):
+        calls.append(data)
+        if len(calls) > 1:
+            raise MemoryError
+        return deflate.compress(data)
+
+    return types.SimpleNamespace(compress=compress, flush=deflate.flush)
+
+
+@pytest.mark.parametrize("target", ["out", "cache"])
+def test_a_write_that_runs_out_of_memory_exits_3_and_leaves_no_tmp(tmp_path, monkeypatch, target):
+    # a streamed export formats its rows inside the write, so any error, not
+    # only an OSError, must remove the temporary file before it goes on
+    if target == "out":
+        text = _SlicedOnce("x" * (cli_mod.EMIT_SLICE + 1))
+        monkeypatch.setattr(render_mod, "table_json", lambda ctx, d_max: text)
+        args = ("table", "--k", "1", "--n", "2", "--no-cache", "--out", str(tmp_path / "t.json"))
+    else:
+        monkeypatch.setattr(zlib, "compressobj", _compressobj_failing_on_the_payload)
+        args = ("table", "--k", "1", "--n", "2", "--cache-dir", str(tmp_path))
+    result = run(*args)
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == "internal error: MemoryError\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (2, 7)])
+def test_the_chunks_of_a_streamed_table_join_to_the_pinned_bytes(tmp_path, k, n):
+    payload = table_json(GrassContext(k, n))
+    chunks = list(payload)
+    # the Gr(2,7) rows span more than one chunk
+    assert len(chunks) > 3 or (k, n) != (2, 7)
+    text = "".join(chunks)
+    assert text == str(payload) and len(text) == len(payload)
+    assert _sha256(text.encode()) == SEED_SHA256[("json", k, n)]
+    # the cache file does not depend on the chunking
+    streamed = cache_mod.store(str(tmp_path / "streamed"), k, n, 9, payload)
+    whole = cache_mod.store(str(tmp_path / "whole"), k, n, 9, text)
+    assert open(streamed, "rb").read() == open(whole, "rb").read()
+
+
+@pytest.mark.parametrize(
+    "args, digest", [p.values for p in OUTPUT_SHA256 if p.values[0][0] == "restrictions"]
+)
+def test_the_chunks_of_a_streamed_restriction_export_join_to_the_pinned_bytes(args, digest):
+    ctx = GrassContext(3, 6) if "--k" in args else GrassContext(2, 4)
+    text = "".join(render_mod.restriction_table_json(ctx, args[-1]))
+    assert _sha256(text.encode()) == digest
 
 
 def _corrupt_block(monkeypatch, corruption):
