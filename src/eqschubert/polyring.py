@@ -40,22 +40,24 @@ reversal, then shears v_j -> v_j - v_{n-1}).
 
 ``_x_columns`` is the y -> x boundary of the exports (by columns of
 digits, with no x polynomial per value) and, through ``y_to_x_stream``, of
-the ``positivity`` and ``tbasis`` suites: Kronecker packing
+the ``positivity`` suite: Kronecker packing
 (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", JSC 2009) across values instead of across monomials.  The
-values are grouped by variable count and maximum key degree; in a group,
-each y monomial gets one int whose lane j, a signed digit of a fixed
-width, is value j's coefficient, and the unchanged ``_shear`` runs once on
-those ints.  A shear only adds coefficients and multiplies them by positive
-binomials, which are linear maps, so the packed int of each x monomial is
-exactly the sum of its lanes' values, and it is zero only where every lane
-is: the chain visits the union of the keys the per-value chains visit, and
-so fails the exponent cap exactly when one of them does.  The lane width
-comes from a proven bound, ``|p|_1 * nvars**d`` for a value p of maximum
-key degree d, which no x coefficient exceeds; a group whose bound passes 63
-bits converts value by value.  Only a value of degree past 2**15 can pass
-the cap, and over two or more variables its bound passes 63 bits, so the
-packed chain never meets the cap.
+``tbasis`` suite checks the same packed images (``_lane_images``), a group
+at a time, and unpacks them only where its check fails.  The values are
+grouped by variable count and maximum key degree (``_lane_groups``); in a
+group, each y monomial gets one int whose lane j, a signed digit of a
+fixed width, is value j's coefficient, and the unchanged ``_shear`` runs
+once on those ints.  A shear only adds coefficients and multiplies them
+by positive binomials, which are linear maps, so the packed int of each x
+monomial is exactly the sum of its lanes' values, and it is zero only
+where every lane is: the chain visits the union of the keys the
+per-value chains visit, and so fails the exponent cap exactly when one of
+them does.  The lane width comes from a proven bound, ``|p|_1 * nvars**d``
+for a value p of maximum key degree d, which no x coefficient exceeds; a
+group whose bound passes 63 bits converts value by value.  Only a value
+of degree past 2**15 can pass the cap, and over two or more variables its
+bound passes 63 bits, so the packed chain never meets the cap.
 
 Rational expressions keep the denominator factored as a multiset of primitive
 linear forms (a map from form to multiplicity) times a positive integer
@@ -612,16 +614,21 @@ def _lane_bytes(bound):
     return None
 
 
-def _packed_lanes(values, size, mask):
+def _lane_mask(size, m):
+    """The top bit of each of ``m`` lanes of ``size`` bytes, as one int."""
+    return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * m, "little")
+
+
+def _packed_lanes(values, size):
     """The term map whose int at each y monomial holds, as lane j, value j's
     coefficient there: a signed digit of ``size`` bytes.
 
     The digits are written into one zeroed array, monomial by monomial, and
-    each monomial's row of bytes read as one int; XOR with ``mask``, the top
-    bit of every lane, then subtracting it turns two's-complement digits
-    into the signed sum."""
+    each monomial's row of bytes read as one int; XOR with the top bit of
+    every lane (``_lane_mask``), then subtracting it turns two's-complement
+    digits into the signed sum."""
     code, m = _LANE_CODES[size], len(values)
-    row = m * size
+    row, mask = m * size, _lane_mask(size, m)
     keys = list(set().union(*(p.terms for p in values)))
     index = {k: r * m for r, k in enumerate(keys)}
     lanes = array(code, bytes(len(keys) * row))
@@ -635,11 +642,26 @@ def _packed_lanes(values, size, mask):
     }
 
 
+def _lane_digits(packed, size, m):
+    """The ``m`` signed digits of ``size`` bytes whose lanes sum to the int
+    ``packed``, the inverse of ``_packed_lanes`` on one monomial."""
+    mask = _lane_mask(size, m)
+    digits = ((packed + mask) ^ mask).to_bytes(m * size, "little")
+    return memoryview(digits).cast(_LANE_CODES[size])
+
+
+def _lane_images(nvars, values, size):
+    """The x images of ``values`` packed in signed lanes of ``size`` bytes:
+    one y -> x shear chain on their ``_packed_lanes``, whose int at each x
+    monomial holds each value's x coefficient as its lane.  The caller
+    proves that every coefficient the chain forms fits a lane."""
+    return _shear(nvars, _packed_lanes(values, size), "y_to_x")
+
+
 def _y_to_x_lanes(nvars, values, size, mixed):
-    """``(keys, columns)``: the x keys of all of ``values``, converted by one
-    shear chain on ``_packed_lanes``, in graded-lex descending order, and an
-    iterator of each value's column of x coefficients aligned with them.
-    The caller proves every coefficient fits a lane of ``size`` bytes.
+    """``(keys, columns)``: the x keys of ``_lane_images``, in graded-lex
+    descending order, and an iterator of each value's column of x
+    coefficients aligned with them.
 
     The shear keeps each term's degree, so unless the group is ``mixed``
     (of more than one y degree) the descending key order is graded-lex.
@@ -647,8 +669,8 @@ def _y_to_x_lanes(nvars, values, size, mixed):
     strided views are the columns."""
     code, m = _LANE_CODES[size], len(values)
     row = m * size
-    mask = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * m, "little")
-    images = _shear(nvars, _packed_lanes(values, size, mask), "y_to_x").terms
+    mask = _lane_mask(size, m)
+    images = _lane_images(nvars, values, size).terms
     keys = sorted(images, reverse=True)
     if mixed:
         keys.sort(key=lambda k: (_key_degree(k), k), reverse=True)
@@ -660,19 +682,13 @@ def _y_to_x_lanes(nvars, values, size, mixed):
     return keys, (digits[j::m] for j in range(m))
 
 
-def _x_columns(polys):
-    """Yield ``(nvars, keys, items)`` per group of the distinct objects of
-    ``polys``, with ``items`` yielding ``(column, positions)`` per object:
-    the lanes of ``_y_to_x_lanes``, or on the per-value path keys None and
-    the image ``y_to_x(p)`` as the column.  So each distinct object is
-    converted once.
-
-    The groups are by variable count and maximum key degree d.  Every x
-    coefficient of a value p is at most ``|p|_1 * nvars**d``, with
-    ``|p|_1`` the sum of its coefficients' absolute values: the
-    substitution sends y^a to at most ``nvars**|a|`` monomials with
-    coefficient 1.  A group whose bound passes 63 bits goes value by value.
-    """
+def _lane_groups(polys):
+    """Yield ``(nvars, d, mixed, norm, group)`` per group of the distinct
+    objects of ``polys``, by variable count and maximum key degree d, the
+    largest first: ``group`` lists ``(p, positions)`` per object, in the
+    order of their first positions; ``mixed`` tells whether the group holds
+    more than one y degree, and ``norm`` is its largest ``|p|_1``, the sum
+    of a value's coefficients' absolute values."""
     members = {}
     for i, p in enumerate(polys):
         members.setdefault(id(p), (p, []))[1].append(i)
@@ -687,12 +703,29 @@ def _x_columns(polys):
     del members, degree
     # the largest chains first, so later groups reuse the memory they free
     for (nvars, d), group in sorted(groups.items(), reverse=True):
+        norm = max(sum(map(abs, p.terms.values())) for p, _ in group)
+        yield nvars, d, (nvars, d) in mixed, norm, group
+
+
+def _x_columns(polys):
+    """Yield ``(nvars, keys, items)`` per ``_lane_groups`` group of
+    ``polys``, with ``items`` yielding ``(column, positions)`` per object:
+    the lanes of ``_y_to_x_lanes``, or on the per-value path keys None and
+    the image ``y_to_x(p)`` as the column.  So each distinct object is
+    converted once.
+
+    Every x coefficient of a value p of maximum key degree d is at most
+    ``|p|_1 * nvars**d``: the substitution sends y^a to at most
+    ``nvars**|a|`` monomials with coefficient 1.  A group whose bound
+    passes 63 bits goes value by value.
+    """
+    for nvars, d, mixed, norm, group in _lane_groups(polys):
         values = [p for p, _ in group]
-        size = _lane_bytes(max(sum(map(abs, p.terms.values())) for p in values) * nvars**d)
+        size = _lane_bytes(norm * nvars**d)
         if size is None:
             keys, columns = None, map(y_to_x, values)
         else:
-            keys, columns = _y_to_x_lanes(nvars, values, size, (nvars, d) in mixed)
+            keys, columns = _y_to_x_lanes(nvars, values, size, mixed)
         yield nvars, keys, zip(columns, (positions for _, positions in group))
 
 

@@ -12,7 +12,18 @@ import random
 from .equivariant import elr_table, gkm_violations, pairing
 from .grass import Partition, default_d_max, enumerate_classes
 from .oracles import quantum_lr_rimhook
-from .polyring import Polynomial, is_x_nonnegative, to_T_variables, y_to_x_stream
+from .polyring import (
+    Polynomial,
+    _lane_bytes,
+    _lane_digits,
+    _lane_groups,
+    _lane_images,
+    _packed_lanes,
+    is_x_nonnegative,
+    to_T_variables,
+    y_to_x,
+    y_to_x_stream,
+)
 from .quantum import EQTable, QModuleElement, eq_table
 
 MAX_TRIPLES = 1000
@@ -38,12 +49,12 @@ def _where(**classes):
 
 
 def _failing(values, holds):
-    """The positions i where ``holds(values[i], x)`` fails, x the image of
+    """The positions i where ``holds(x)`` fails, x the image of
     ``values[i]`` in x; it runs once per distinct value object."""
     bad, image = set(), None
     for i, x in y_to_x_stream(values):
         if x is not image:
-            image, ok = x, holds(values[i], x)
+            image, ok = x, holds(x)
         if not ok:
             bad.add(i)
     return bad
@@ -68,7 +79,7 @@ def verify_positivity(ctx, d_max=None):
                         continue
                     keys.append((u, v, w, d))
                     values.append(table.coefficient(u, v, w, d))
-    bad = _failing(values, lambda c, x: is_x_nonnegative(x))
+    bad = _failing(values, is_x_nonnegative)
     violations = [
         dict(_where(u=u, v=v, w=w), d=d) for i, (u, v, w, d) in enumerate(keys) if i in bad
     ]
@@ -145,26 +156,83 @@ def verify_gkm(ctx):
     return _report("gkm", ctx, violations)
 
 
+def _tbasis_failing(values, m):
+    """The positions i where ``to_T_variables(y_to_x(c), m)`` differs from
+    ``c.substitute(weights, m)``, c = ``values[i]`` and weights the images
+    T_1 - T_{j+1} of the y_j, each route run once per ``_lane_groups``
+    group on its values packed in signed lanes.
+
+    The x images are the exports' own packed batch (``_lane_images``), and
+    the y side is the same values' ``_packed_lanes``.  Both routes only add
+    coefficients and multiply them by integers that do not depend on the
+    coefficients, so they are Z-linear, and the packed int each forms at a
+    monomial is the sum of its lanes' per-value coefficients there.
+
+    The lane width is proven: every coefficient either route forms for a
+    value p of maximum key degree d, final or intermediate, is at most
+    ``|p|_1 * (2 * nvars)**d`` in absolute value.  Each step adds
+    coefficients and multiplies them by binomials and signs, so by the
+    triangle inequality a coefficient is at most the one the same steps
+    form from the absolute values of p's coefficients with every sign +.
+    Those never cancel, so each is at most its step's result at all ones:
+    a sum over the terms c * y^a of p of |c| times |a| <= d factors, one
+    per variable occurrence, each the number of terms of that variable's
+    image at that step.  Under a partial y -> x chain the image of y_j is a
+    0/1 sum of at most nvars variables; under a partial x -> T chain after
+    it each of those x_i has at most 2 terms (T_i + T_{i+1}), so at most
+    ``2 * nvars``; Horner's images T_1 + T_{j+1} have 2, and its powers and
+    partial products are sub-sums of their full expansion.  A group's
+    lanes hold that bound (``_lane_bytes``), so at every step a packed int
+    is zero exactly when all its lanes are: the packed routes visit the
+    union of the per-value routes' terms, so they meet the exponent cap
+    exactly when one of those does, and their term maps are equal exactly
+    where every lane is.  Only where they differ are the two ints decoded
+    (``_lane_digits``), to find the failing lanes.  A group whose bound
+    passes 63 bits goes value by value.
+    """
+    weights = [Polynomial.variable(m, 1) - Polynomial.variable(m, j + 1) for j in range(1, m)]
+    bad = set()
+    for nvars, d, _, norm, group in _lane_groups(values):
+        objects = [c for c, _ in group]
+        size = _lane_bytes(norm * (2 * nvars) ** d)
+        if size is None:
+            failing = {
+                j
+                for j, c in enumerate(objects)
+                if to_T_variables(y_to_x(c), m) != c.substitute(weights, m)
+            }
+        else:
+            count = len(objects)
+            got = to_T_variables(_lane_images(nvars, objects, size), m).terms
+            want = Polynomial(nvars, _packed_lanes(objects, size)).substitute(weights, m).terms
+            failing = set()
+            if got != want:
+                for k in got.keys() | want.keys():
+                    a, b = got.get(k, 0), want.get(k, 0)
+                    if a != b:
+                        pairs = zip(_lane_digits(a, size, count), _lane_digits(b, size, count))
+                        failing.update(j for j, (x, y) in enumerate(pairs) if x != y)
+        for j in failing:
+            bad.update(group[j][1])
+    return bad
+
+
 def verify_tbasis(ctx, d_max=None):
     """Check every exported coefficient against the engine in the T-variables.
 
     The engine's coordinates are the T presentation: ``y_j = T_1 - T_{j+1}``,
     as ``x_j = T_j - T_{j+1}``.  So each table value ``c``, in y, converted
-    to x by the batch the exports use (``y_to_x_stream``), must map by
-    :func:`to_T_variables` to ``c`` with each y_j replaced by T_1 - T_{j+1}.
-    That binds the exported x coefficient, the engine's entry and the
-    conversion.  Each distinct value is checked once (``_failing``), and
-    every row of a value whose two images differ is a violation.
+    to x by the batch the exports use, must map by :func:`to_T_variables`
+    to ``c`` with each y_j replaced by T_1 - T_{j+1}.  That binds the
+    exported x coefficient, the engine's entry and the conversion.  Both
+    routes run once per lane group of the distinct values, on their packed
+    lanes (``_tbasis_failing``), and every row of a value whose two images
+    differ is a violation, in row order.
     """
     if d_max is None:
         d_max = default_d_max(ctx)
-    m = ctx.n
-    weights = [Polynomial.variable(m, 1) - Polynomial.variable(m, j + 1) for j in range(1, m)]
     rows = list(eq_table(ctx).rows(d_max))
-    bad = _failing(
-        [row[4] for row in rows],
-        lambda c, x: to_T_variables(x, m) == c.substitute(weights, m),
-    )
+    bad = _tbasis_failing([row[4] for row in rows], ctx.n)
     violations = [
         {"u": list(u), "v": list(v), "w": list(w), "d": d}
         for i, (u, v, w, d, _) in enumerate(rows)

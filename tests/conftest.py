@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import eqschubert.equivariant as equivariant_mod
-from eqschubert import GrassContext, Partition
+from eqschubert import GrassContext, Partition, Polynomial
 from eqschubert.cli import main
 
 
@@ -46,6 +46,20 @@ def cold_restrictions():
 
 def part(ctx, *parts):
     return Partition(tuple(parts), ctx)
+
+
+def max_key_degree(p):
+    """The maximum degree of ``p``'s monomials, 0 when ``p`` is zero: with
+    the variable count, the lane group of a value."""
+    from eqschubert.polyring import _key_degree
+
+    return max(map(_key_degree, p.terms), default=0)
+
+
+def in_lane(p, j, size):
+    """``p`` with each coefficient moved into lane j of a packed group whose
+    lanes are ``size`` bytes wide."""
+    return Polynomial(p.nvars, {k: c << (8 * size * j) for k, c in p.terms.items()})
 
 
 @contextlib.contextmanager

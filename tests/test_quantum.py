@@ -28,7 +28,7 @@ from eqschubert.equivariant import own_restriction, point_of, restriction_table
 from eqschubert.grass import add_box_shapes, default_d_max
 from eqschubert.quantum import EQTable
 
-from conftest import homogeneous_of_degree, part
+from conftest import homogeneous_of_degree, in_lane, max_key_degree, part
 
 
 def x(ctx, i):
@@ -502,27 +502,39 @@ def test_other_box_shapes():
 
 
 def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
-    # the T image of the value of the most rows gains T_1, so it no longer
-    # equals the engine's entry with each y_j replaced by T_1 - T_{j+1};
-    # to_T_variables runs once per distinct value, and every row of the
-    # planted value fails, in row order
+    # in the packed T image of its lane group, the lane of the value of the
+    # most rows gains T_1, so it no longer equals the engine's entry with
+    # each y_j replaced by T_1 - T_{j+1}; to_T_variables runs once per lane
+    # group, and every row of the planted value fails, in row order
     import eqschubert.suites as suites_mod
-    from eqschubert.polyring import to_T_variables, y_to_x
+    from eqschubert.polyring import to_T_variables
 
     rows = list(eq_table(gr24).rows(default_d_max(gr24)))
     uses = Counter(id(row[4]) for row in rows)
     planted = next(row[4] for row in rows if id(row[4]) == uses.most_common(1)[0][0])
-    target = y_to_x(planted)
-    calls = []
+    lane_images = suites_mod._lane_images
+    groups, calls = [], []
 
-    def corrupted(c, m):
-        calls.append(c)
-        image = to_T_variables(c, m)
-        return image + Polynomial.variable(m, 1) if c == target else image
+    def recorded(nvars, values, size):
+        images = lane_images(nvars, values, size)
+        groups.append((images, values, size))
+        return images
 
+    def corrupted(x, m):
+        calls.append(x)
+        image = to_T_variables(x, m)
+        images, values, size = groups[-1]
+        assert x is images
+        for j, c in enumerate(values):
+            if c is planted:
+                image = image + in_lane(Polynomial.variable(m, 1), j, size)
+        return image
+
+    monkeypatch.setattr(suites_mod, "_lane_images", recorded)
     monkeypatch.setattr(suites_mod, "to_T_variables", corrupted)
     report = suites_mod.verify_tbasis(gr24)
-    assert len(calls) == len(uses) < len(rows)
+    lane_groups = {max_key_degree(c) for *_, c in rows}
+    assert len(calls) == len(groups) == len(lane_groups) < len(uses)
     assert report["checked"] == len(rows)
     expected = [
         {"u": list(u), "v": list(v), "w": list(w), "d": d}
@@ -535,25 +547,32 @@ def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
 
 def test_tbasis_fails_a_row_left_in_engine_coordinates(gr24, monkeypatch):
     # the one corruption a y -> x boundary invites: a value exported as its y
-    # entry, unconverted; the batch leaves so the value of the most rows
-    # among those whose x and y forms differ, and each of its rows fails
+    # entry, unconverted; the exports' packed batch leaves so the lane of
+    # the value of the most rows among those whose x and y forms differ,
+    # and each of its rows fails
     import eqschubert.suites as suites_mod
-    from eqschubert.polyring import y_to_x, y_to_x_stream
+    from eqschubert.polyring import y_to_x
 
     rows = list(eq_table(gr24).rows(default_d_max(gr24)))
     uses = Counter(id(row[4]) for row in rows if y_to_x(row[4]) != row[4])
     planted = next(row[4] for row in rows if id(row[4]) == uses.most_common(1)[0][0])
+    lane_images = suites_mod._lane_images
     batches = []
 
-    def corrupted(values):
+    def corrupted(nvars, values, size):
         batches.append(values)
-        for i, x in y_to_x_stream(values):
-            yield i, planted if values[i] is planted else x
+        images = lane_images(nvars, values, size)
+        for j, c in enumerate(values):
+            if c is planted:
+                images = images + in_lane(planted - y_to_x(planted), j, size)
+        return images
 
-    monkeypatch.setattr(suites_mod, "y_to_x_stream", corrupted)
+    monkeypatch.setattr(suites_mod, "_lane_images", corrupted)
     report = suites_mod.verify_tbasis(gr24)
-    # one batch of every row's value, repeats included
-    assert len(batches) == 1 and [row[4] for row in rows] == batches[0]
+    # one batch per lane group, which together hold each distinct value once
+    converted = [id(c) for values in batches for c in values]
+    assert len(batches) == len({max_key_degree(c) for *_, c in rows})
+    assert sorted(converted) == sorted({id(row[4]) for row in rows})
     assert report["checked"] == len(rows)
     expected = [
         {"u": list(u), "v": list(v), "w": list(w), "d": d}

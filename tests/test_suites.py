@@ -1,9 +1,19 @@
 """Every verification suite lives in ``suites`` and reports in one shape."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import eqschubert.polyring as polyring_mod
 import eqschubert.quantum as quantum_mod
+import eqschubert.suites as suites_mod
+from eqschubert.grass import default_d_max
+from eqschubert.polyring import Polynomial, to_T_variables, y_to_x
 from eqschubert.suites import SUITES
+
+from conftest import in_lane, max_key_degree
 
 REPORT_KEYS = {"suite", "context", "violations", "passed"}
 
@@ -23,3 +33,158 @@ def test_suite_reports_have_one_shape(gr12, gr24, name):
 
 def test_the_engine_defines_no_suite():
     assert [name for name in vars(quantum_mod) if name.startswith("verify")] == []
+
+
+def test_tbasis_runs_each_route_once_per_lane_group(gr36, monkeypatch):
+    # the y -> T substitution and the x -> T shear chain each run once per
+    # lane group of the Gr(3,6) values (10), not once per distinct value
+    # (610); no value goes value by value, and the suite still passes
+    values = [c for *_, c in quantum_mod.eq_table(gr36).rows(default_d_max(gr36))]
+    groups = {max_key_degree(c) for c in values}
+    assert (len(groups), len({id(c) for c in values})) == (10, 610)
+    substituted, chains = [], []
+    substitute, shear = Polynomial.substitute, polyring_mod._shear
+
+    def recording_substitute(self, images, out_nvars):
+        substituted.append(self)
+        return substitute(self, images, out_nvars)
+
+    def recording_shear(nvars, terms, conversion):
+        chains.append(conversion)
+        return shear(nvars, terms, conversion)
+
+    def per_value(p):
+        raise AssertionError("a Gr(3,6) value went value by value")
+
+    monkeypatch.setattr(Polynomial, "substitute", recording_substitute)
+    monkeypatch.setattr(polyring_mod, "_shear", recording_shear)
+    monkeypatch.setattr(suites_mod, "y_to_x", per_value)
+    report = suites_mod.verify_tbasis(gr36)
+    assert report["passed"] and report["checked"] == len(values)
+    assert len(substituted) == chains.count("to_T") == chains.count("y_to_x") == len(groups)
+
+
+@st.composite
+def monomials(draw, nvars, d):
+    """Exponent tuples over ``nvars`` variables of degree ``d``."""
+    exps, left = [], d
+    for _ in range(nvars - 1):
+        exps.append(draw(st.integers(0, left)))
+        left -= exps[-1]
+    return tuple(exps) + (left,)
+
+
+@st.composite
+def value_lists(draw, huge=False):
+    """``(m, values, planted)``: homogeneous y polynomials over m - 1
+    variables, of degree 0 to 3 and coefficients up to 2**9, with zeros,
+    repeated objects and equal copies, and one of their objects to plant a
+    fault in.  With ``huge``, one value has a coefficient past 63 bits, so
+    its group's lane bound does too."""
+    m = draw(st.integers(2, 4))
+    r = m - 1
+    pool = [Polynomial.zero(r)]
+    for _ in range(draw(st.integers(1, 5))):
+        d = draw(st.integers(0, 3))
+        coefficient = st.one_of(st.integers(-9, 9), st.integers(-(2**9), 2**9))
+        items = draw(st.lists(st.tuples(monomials(r, d), coefficient), max_size=4))
+        pool.append(Polynomial.from_exponents(r, items))
+    if huge:
+        exps = draw(monomials(r, draw(st.integers(0, 3))))
+        big = draw(st.sampled_from([2**70, -(2**70)]))
+        pool.append(Polynomial.from_exponents(r, [(exps, big)]))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    values = [
+        Polynomial(r, dict(pool[i].terms)) if draw(st.booleans()) else pool[i] for i in picks
+    ]
+    if huge:
+        values.append(pool[-1])
+    return m, values, draw(st.sampled_from(values))
+
+
+def _reference(values, m, planted=None):
+    """The positions i where ``to_T_variables(y_to_x(c), m)``, or T_1 for
+    the object ``planted``, differs from ``c.substitute(weights, m)``,
+    c = ``values[i]``: the check value by value.  No value maps to T_1, a
+    form in which the T_{j+1} cancel, so every position of ``planted``
+    fails."""
+    weights = [Polynomial.variable(m, 1) - Polynomial.variable(m, j + 1) for j in range(1, m)]
+    return {
+        i
+        for i, c in enumerate(values)
+        if (Polynomial.variable(m, 1) if c is planted else to_T_variables(y_to_x(c), m))
+        != c.substitute(weights, m)
+    }
+
+
+def _lane_route(values, m, planted=None):
+    """``(positions, per_value)``: what ``_tbasis_failing`` flags when the T
+    image of the object ``planted`` is T_1 (in its lane, on the packed
+    path), and the objects it converted value by value."""
+    lane_images = suites_mod._lane_images
+    packed, per_value = [], []
+
+    def recorded(nvars, objects, size):
+        images = lane_images(nvars, objects, size)
+        packed.append((images, objects, size))
+        return images
+
+    def converted(c):
+        per_value.append(c)
+        return y_to_x(c)
+
+    def corrupted(x, m):
+        image, plant = to_T_variables(x, m), Polynomial.variable(m, 1)
+        if packed and x is packed[-1][0]:
+            _, objects, size = packed[-1]
+            for j, c in enumerate(objects):
+                if c is planted:
+                    image = image + in_lane(plant - to_T_variables(y_to_x(c), m), j, size)
+        elif per_value and per_value[-1] is planted:
+            image = plant
+        return image
+
+    with mock.patch.multiple(
+        suites_mod, _lane_images=recorded, to_T_variables=corrupted, y_to_x=converted
+    ):
+        return suites_mod._tbasis_failing(values, m), per_value
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_lists())
+def test_the_lane_route_passes_what_the_per_value_check_passes(case):
+    m, values, _ = case
+    flagged, per_value = _lane_route(values, m)
+    assert flagged == _reference(values, m) == set()
+    assert per_value == []
+
+
+# 127 * y_1**3 maps to 127 * (T_1 - T_2)**3, whose coefficients reach 381:
+# past a lane proven for its x image alone, inside one proven for T
+EDGE = Polynomial.from_exponents(1, [((3,), 127)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_lists())
+@example((2, [EDGE, Polynomial.zero(1), EDGE], EDGE))
+@example((2, [Polynomial.zero(1), EDGE, -EDGE], -EDGE))
+def test_the_lane_route_flags_one_planted_lane(case):
+    m, values, planted = case
+    flagged, per_value = _lane_route(values, m, planted)
+    assert flagged == _reference(values, m, planted)
+    assert flagged == {i for i, c in enumerate(values) if c is planted}
+    assert per_value == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_lists(huge=True))
+def test_a_group_past_63_bits_goes_value_by_value(case):
+    # the group of the huge value (the last), and it alone, converts value
+    # by value, each of its distinct objects once
+    m, values, planted = case
+    flagged, per_value = _lane_route(values, m, planted)
+    assert flagged == _reference(values, m, planted)
+    assert flagged == {i for i, c in enumerate(values) if c is planted}
+    assert sorted(map(id, per_value)) == sorted(
+        {id(c) for c in values if max_key_degree(c) == max_key_degree(values[-1])}
+    )
