@@ -29,7 +29,6 @@ _EXPORTS = {
     "eq_chevalley": "quantum",
     "eq_table": "quantum",
     "eqlr": "quantum",
-    "express_in_T_differences": "polyring",
     "fixed_points": "equivariant",
     "integrate": "equivariant",
     "is_x_nonnegative": "polyring",

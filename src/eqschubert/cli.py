@@ -1,21 +1,25 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal or
-cache error.
+cache error; 128 + the signal's number when SIGINT or SIGTERM stops a
+command (130, 143).
 
 Users re-export tables from the cache far more often than they build them,
 and a warm re-export is mostly interpreter start and the imports of this
 module. So the module imports only what that path runs: ``json``, the cache
 module with its ``zlib`` (not ``gzip``, nor ``tempfile``; ``hashlib`` only
-when a cache file is read or written), and the standard library's
-``argparse``, which needs neither ``inspect`` nor ``typing``. The engine
-and the renderers are imported inside the commands that use them, so a
-warm JSON read loads neither, and a warm CSV read loads the renderer, which
-imports the engine's polynomial ring only when a row is not canonical.
+when a cache file is read or written), ``_signal``, the built-in core of
+``signal`` (which builds its enums on import, about 1.3 ms), and the
+standard library's ``argparse``, which needs neither ``inspect`` nor
+``typing``. The engine and the renderers are imported inside the commands
+that use them, so a warm JSON read loads neither, and a warm CSV read loads
+the renderer, which imports the engine's polynomial ring only when a row is
+not canonical.
 """
 
 from __future__ import annotations
 
+import _signal
 import argparse
 import contextlib
 import errno
@@ -68,6 +72,11 @@ class _ClosedStdout:
 
     def flush(self):
         pass
+
+
+def _terminated(signum, frame):
+    """Raise SIGTERM as SIGINT is raised, so every write's cleanup runs."""
+    raise KeyboardInterrupt(signum)
 
 
 def _fail(message):
@@ -304,6 +313,7 @@ def main(argv=None):
     closed = sys.stdout is None  # fd 1 was closed at start-up
     if closed:
         sys.stdout = _ClosedStdout()
+    previous = _signal.signal(_signal.SIGTERM, _terminated)
     try:
         try:
             COMMANDS[name](**options)
@@ -321,7 +331,13 @@ def main(argv=None):
             with contextlib.suppress(OSError):
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _fail("cannot write <stdout>: %s" % exc)
+    except KeyboardInterrupt as exc:
+        signum = exc.args[0] if exc.args else _signal.SIGINT
+        name = "SIGTERM" if signum == _signal.SIGTERM else "SIGINT"
+        print("interrupted by %s" % name, file=sys.stderr)
+        sys.exit(128 + signum)
     finally:
+        _signal.signal(_signal.SIGTERM, previous)
         if closed:
             sys.stdout = None
 

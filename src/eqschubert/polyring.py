@@ -38,26 +38,26 @@ runs.  Nothing converts back.  Two more conversions run on the same kernel:
 the w0 involution ``w0_involution`` (y_j -> y_{n-1-j} - y_{n-1}: a lane
 reversal, then shears v_j -> v_j - v_{n-1}).
 
-``_x_columns`` is the y -> x boundary of the exports (by columns of
-digits, with no x polynomial per value) and, through ``y_to_x_stream``, of
-the ``positivity`` suite: Kronecker packing
-(Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", JSC 2009) across values instead of across monomials.  The
-``tbasis`` suite checks the same packed images (``_lane_images``), a group
-at a time, and unpacks them only where its check fails.  The values are
-grouped by variable count and maximum key degree (``_lane_groups``); in a
-group, each y monomial gets one int whose lane j, a signed digit of a
-fixed width, is value j's coefficient, and the unchanged ``_shear`` runs
-once on those ints.  A shear only adds coefficients and multiplies them
-by positive binomials, which are linear maps, so the packed int of each x
-monomial is exactly the sum of its lanes' values, and it is zero only
-where every lane is: the chain visits the union of the keys the
-per-value chains visit, and so fails the exponent cap exactly when one of
-them does.  The lane width comes from a proven bound, ``|p|_1 * nvars**d``
-for a value p of maximum key degree d, which no x coefficient exceeds; a
-group whose bound passes 63 bits converts value by value.  Only a value
-of degree past 2**15 can pass the cap, and over two or more variables its
-bound passes 63 bits, so the packed chain never meets the cap.
+``_x_columns`` is the one y -> x boundary that the exports and the
+``positivity`` suite read, by columns of digits with no x polynomial per
+value: Kronecker packing (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", JSC 2009) across values instead of
+across monomials.  The values are grouped by variable count and maximum
+key degree (``_lane_groups``); in a group, each y monomial gets one int
+whose lane j, a signed digit of a fixed width, is value j's coefficient
+(``_packed_lanes``), and the unchanged ``_shear`` runs once on those ints.
+A shear only adds coefficients and multiplies them by positive binomials,
+which are linear maps, so the packed int of each x monomial is exactly the
+sum of its lanes' values, and it is zero only where every lane is: the
+chain visits the union of the keys the per-value chains visit, and so
+fails the exponent cap exactly when one of them does.  The lane width
+comes from a proven bound, ``|p|_1 * nvars**d`` for a value p of maximum
+key degree d, which no x coefficient exceeds; a group whose bound passes
+63 bits converts value by value.  Only a value of degree past 2**15 can
+pass the cap, and over two or more variables its bound passes 63 bits, so
+the packed chain never meets the cap.  The ``tbasis`` suite packs the same
+groups in lanes of its own proven width and runs its per-value check once
+on each group's packed polynomial, unpacking only where it fails.
 
 Rational expressions keep the denominator factored as a multiset of primitive
 linear forms (a map from form to multiplicity) times a positive integer
@@ -71,7 +71,6 @@ import heapq
 import struct
 from array import array
 from functools import lru_cache, reduce
-from itertools import compress
 from math import comb, gcd
 from operator import or_
 
@@ -157,17 +156,6 @@ class Polynomial:
                 else:
                     del terms[key]
         return cls(nvars, terms)
-
-    @classmethod
-    def linear(cls, nvars, coeffs):
-        """Linear form sum(coeffs[i] * x_{i+1})."""
-        return cls.from_exponents(
-            nvars,
-            (
-                (tuple(1 if j == i else 0 for j in range(nvars)), c)
-                for i, c in enumerate(coeffs)
-            ),
-        )
 
     # -- queries -----------------------------------------------------------
 
@@ -650,18 +638,11 @@ def _lane_digits(packed, size, m):
     return memoryview(digits).cast(_LANE_CODES[size])
 
 
-def _lane_images(nvars, values, size):
-    """The x images of ``values`` packed in signed lanes of ``size`` bytes:
-    one y -> x shear chain on their ``_packed_lanes``, whose int at each x
-    monomial holds each value's x coefficient as its lane.  The caller
-    proves that every coefficient the chain forms fits a lane."""
-    return _shear(nvars, _packed_lanes(values, size), "y_to_x")
-
-
 def _y_to_x_lanes(nvars, values, size, mixed):
-    """``(keys, columns)``: the x keys of ``_lane_images``, in graded-lex
-    descending order, and an iterator of each value's column of x
-    coefficients aligned with them.
+    """``(keys, columns)``: the x keys of one y -> x shear chain on the
+    ``_packed_lanes`` of ``values``, in graded-lex descending order, and an
+    iterator of each value's column of x coefficients aligned with them.
+    The caller proves that every coefficient the chain forms fits a lane.
 
     The shear keeps each term's degree, so unless the group is ``mixed``
     (of more than one y degree) the descending key order is graded-lex.
@@ -670,7 +651,8 @@ def _y_to_x_lanes(nvars, values, size, mixed):
     code, m = _LANE_CODES[size], len(values)
     row = m * size
     mask = _lane_mask(size, m)
-    images = _lane_images(nvars, values, size).terms
+    # the packed y map is a call temporary, freed after the first shear
+    images = _shear(nvars, _packed_lanes(values, size), "y_to_x").terms
     keys = sorted(images, reverse=True)
     if mixed:
         keys.sort(key=lambda k: (_key_degree(k), k), reverse=True)
@@ -729,22 +711,6 @@ def _x_columns(polys):
         yield nvars, keys, zip(columns, (positions for _, positions in group))
 
 
-def y_to_x_stream(polys):
-    """Yield ``(i, y_to_x(polys[i]))`` for every position i of ``polys``.
-
-    Callers may rely on this: each position is yielded exactly once, and
-    all positions of one object come together and share one image object,
-    built from its ``_x_columns`` column as it is yielded; a lane image
-    holds its keys in graded-lex descending order.
-    """
-    for nvars, keys, items in _x_columns(polys):
-        for column, positions in items:
-            if keys is not None:
-                column = Polynomial(nvars, dict(compress(zip(keys, column), column)))
-            for i in positions:
-                yield i, column
-
-
 @lru_cache(maxsize=None)
 def _packer(nvars):
     """The packer of ``nvars`` lanes into a key's big-endian bytes."""
@@ -785,33 +751,6 @@ def to_T_variables(p, m):
             "polynomial over %d variables cannot map to %d T-variables" % (p.nvars, m)
         )
     return _shear(m, {k << _SHIFT: c for k, c in p.terms.items()}, "to_T")
-
-
-def _from_T_variables(p):
-    """Substitute T_j -> x_j + ... + x_{m-1} and T_m -> 0, the map that
-    inverts :func:`to_T_variables` on its image, without checking that ``p``
-    lies in that image."""
-    m = p.nvars
-    if m < 1:
-        raise DimensionMismatchError("need at least one variable")
-    r = m - 1
-    images = []
-    for j in range(1, m):
-        images.append(Polynomial.linear(r, [1 if j <= i + 1 else 0 for i in range(r)]))
-    images.append(Polynomial.zero(r))
-    return p.substitute(images, r)
-
-
-def express_in_T_differences(p):
-    """Inverse of :func:`to_T_variables` on its image.
-
-    Returns the unique preimage when ``p`` lies in the subring generated by
-    the consecutive differences T_j - T_{j+1}, and None otherwise.
-    """
-    candidate = _from_T_variables(p)
-    if to_T_variables(candidate, p.nvars) == p:
-        return candidate
-    return None
 
 
 # -- factored rational expressions -------------------------------------------

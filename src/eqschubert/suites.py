@@ -17,12 +17,11 @@ from .polyring import (
     _lane_bytes,
     _lane_digits,
     _lane_groups,
-    _lane_images,
     _packed_lanes,
+    _x_columns,
     is_x_nonnegative,
     to_T_variables,
     y_to_x,
-    y_to_x_stream,
 )
 from .quantum import EQTable, QModuleElement, eq_table
 
@@ -48,23 +47,13 @@ def _where(**classes):
     return {key: list(p.parts) for key, p in classes.items()}
 
 
-def _failing(values, holds):
-    """The positions i where ``holds(x)`` fails, x the image of
-    ``values[i]`` in x; it runs once per distinct value object."""
-    bad, image = set(), None
-    for i, x in y_to_x_stream(values):
-        if x is not image:
-            image, ok = x, holds(x)
-        if not ok:
-            bad.add(i)
-    return bad
-
-
 def verify_positivity(ctx, d_max=None):
     """Check nonnegativity in x of every structure constant up to d_max.
 
-    Each distinct value object is checked once (``_failing``); every key
-    whose value has a negative x coefficient is a violation, in key order."""
+    Each distinct value object is checked once, on its ``_x_columns``
+    column: a lane column must hold no negative digit, and a value past 63
+    bits, converted alone, must pass ``is_x_nonnegative``.  Every key whose
+    value has a negative x coefficient is a violation, in key order."""
     if d_max is None:
         d_max = default_d_max(ctx)
     table = eq_table(ctx)
@@ -79,7 +68,13 @@ def verify_positivity(ctx, d_max=None):
                         continue
                     keys.append((u, v, w, d))
                     values.append(table.coefficient(u, v, w, d))
-    bad = _failing(values, is_x_nonnegative)
+    bad = set()
+    for _, x_keys, items in _x_columns(values):
+        for column, positions in items:
+            # an all-zero group has no keys, so its columns are empty
+            ok = is_x_nonnegative(column) if x_keys is None else min(column, default=0) >= 0
+            if not ok:
+                bad.update(positions)
     violations = [
         dict(_where(u=u, v=v, w=w), d=d) for i, (u, v, w, d) in enumerate(keys) if i in bad
     ]
@@ -162,11 +157,11 @@ def _tbasis_failing(values, m):
     T_1 - T_{j+1} of the y_j, each route run once per ``_lane_groups``
     group on its values packed in signed lanes.
 
-    The x images are the exports' own packed batch (``_lane_images``), and
-    the y side is the same values' ``_packed_lanes``.  Both routes only add
-    coefficients and multiply them by integers that do not depend on the
-    coefficients, so they are Z-linear, and the packed int each forms at a
-    monomial is the sum of its lanes' per-value coefficients there.
+    A group's values are packed once (``_packed_lanes``), and both routes
+    run on that one packed y polynomial.  They only add coefficients and
+    multiply them by integers that do not depend on the coefficients, so
+    they are Z-linear, and the packed int each forms at a monomial is the
+    sum of its lanes' per-value coefficients there.
 
     The lane width is proven: every coefficient either route forms for a
     value p of maximum key degree d, final or intermediate, is at most
@@ -203,8 +198,9 @@ def _tbasis_failing(values, m):
             }
         else:
             count = len(objects)
-            got = to_T_variables(_lane_images(nvars, objects, size), m).terms
-            want = Polynomial(nvars, _packed_lanes(objects, size)).substitute(weights, m).terms
+            packed = Polynomial(nvars, _packed_lanes(objects, size))
+            got = to_T_variables(y_to_x(packed), m).terms
+            want = packed.substitute(weights, m).terms
             failing = set()
             if got != want:
                 for k in got.keys() | want.keys():
@@ -222,12 +218,12 @@ def verify_tbasis(ctx, d_max=None):
 
     The engine's coordinates are the T presentation: ``y_j = T_1 - T_{j+1}``,
     as ``x_j = T_j - T_{j+1}``.  So each table value ``c``, in y, converted
-    to x by the batch the exports use, must map by :func:`to_T_variables`
+    to x as the exports convert it, must map by :func:`to_T_variables`
     to ``c`` with each y_j replaced by T_1 - T_{j+1}.  That binds the
     exported x coefficient, the engine's entry and the conversion.  Both
-    routes run once per lane group of the distinct values, on their packed
-    lanes (``_tbasis_failing``), and every row of a value whose two images
-    differ is a violation, in row order.
+    routes run once per lane group of the distinct values, on the group's
+    one packed y polynomial (``_tbasis_failing``), and every row of a value
+    whose two images differ is a violation, in row order.
     """
     if d_max is None:
         d_max = default_d_max(ctx)

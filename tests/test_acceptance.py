@@ -18,7 +18,6 @@ from eqschubert import (
     elr_table,
     enumerate_classes,
     eq_table,
-    is_x_nonnegative,
     lr_tableau,
     multiply,
     pairing,
@@ -29,7 +28,7 @@ from eqschubert import (
     verify_positivity,
 )
 from eqschubert.equivariant import gkm_violations
-from eqschubert.polyring import express_in_T_differences, to_T_variables, y_to_x
+from eqschubert.polyring import to_T_variables, y_to_x
 
 from conftest import homogeneous_of_degree
 
@@ -167,11 +166,8 @@ def test_T_variable_corollary():
             for (w, d), c in exported.items():
                 image = to_T_variables(c, m)
                 assert image == engine[(w, d)].substitute(weights, m)
-                back = express_in_T_differences(image)
-                assert back == c
-                assert is_x_nonnegative(back) == is_x_nonnegative(c)
                 total += 1
-    _announce("t-basis-corollary", "%d coefficients round-tripped" % total)
+    _announce("t-basis-corollary", "%d coefficients mapped to T" % total)
 
 
 def test_oracle_equivalence():

@@ -779,6 +779,50 @@ def test_a_write_that_runs_out_of_memory_exits_3_and_leaves_no_tmp(tmp_path, mon
     assert not list(tmp_path.iterdir())
 
 
+# a child export that signals itself from inside a payload chunk once a
+# temporary file is in the directory sys.argv[2]; SIGINT is handled as in
+# an interactive shell, whatever the parent's disposition
+SIGNALLING_EXPORT = """
+import os, pathlib, signal, sys
+import eqschubert.render as render
+from eqschubert.cli import main
+
+chunks, signum = render._Payload.__iter__, getattr(signal, sys.argv[1])
+
+def signalling(self):
+    for chunk in chunks(self):
+        if any(pathlib.Path(sys.argv[2]).glob("*.tmp")):
+            os.kill(os.getpid(), signum)
+        yield chunk
+
+render._Payload.__iter__ = signalling
+signal.signal(signal.SIGINT, signal.default_int_handler)
+main(sys.argv[3:])
+"""
+
+
+@pytest.mark.parametrize("signame, status", [("SIGTERM", 143), ("SIGINT", 130)])
+@pytest.mark.parametrize("target", ["out", "cache"])
+def test_a_signalled_export_exits_on_one_line_and_leaves_no_tmp(tmp_path, target, signame, status):
+    # the signal arrives while the export writes its temporary file: the
+    # file is removed, and the process exits 128 + the signal's number
+    args = ["table", "--k", "2", "--n", "4"]
+    if target == "out":
+        args += ["--no-cache", "--out", str(tmp_path / "t.json")]
+    else:
+        args += ["--cache-dir", str(tmp_path)]
+    child = subprocess.run(
+        [sys.executable, "-c", SIGNALLING_EXPORT, signame, str(tmp_path), *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        timeout=300,
+    )
+    assert (child.returncode, child.stdout) == (status, ""), child.stderr
+    assert child.stderr == "interrupted by %s\n" % signame
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (2, 7)])
 def test_the_chunks_of_a_streamed_table_join_to_the_pinned_bytes(tmp_path, k, n):
     payload = table_json(GrassContext(k, n))

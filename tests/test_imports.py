@@ -80,7 +80,7 @@ def test_warm_csv_read_imports_only_the_renderer(tmp_path):
     [
         (
             "eqschubert.cli",
-            ("click", "inspect", "dataclasses", "typing", "gzip", "tempfile", "hashlib"),
+            ("click", "inspect", "dataclasses", "typing", "gzip", "tempfile", "hashlib", "signal"),
         ),
         ("eqschubert.quantum", ("inspect", "dataclasses")),
         ("eqschubert.equivariant", ("inspect", "dataclasses")),

@@ -11,14 +11,12 @@ from eqschubert import (
     NonPolynomialError,
     Polynomial,
     RationalExpression,
-    express_in_T_differences,
     is_x_nonnegative,
     to_T_variables,
 )
 from eqschubert.polyring import (
     w0_involution,
     y_to_x,
-    y_to_x_stream,
     _divide_heap,
     _divide_linear,
     _key_degree,
@@ -27,6 +25,7 @@ from eqschubert.polyring import (
     _shear,
     _shear_chain,
     _unpack,
+    _x_columns,
     add_into,
     add_product_into,
     finish_terms,
@@ -159,9 +158,14 @@ def test_add_product_into_matches_add_into_of_the_product(start, a, b, sign):
     assert finish_terms(NVARS, fused) == Polynomial(NVARS, plain)
 
 
+def linear(nvars, coeffs):
+    """The linear form sum(coeffs[i] * x_{i+1})."""
+    return sum((c * x(i + 1, nvars) for i, c in enumerate(coeffs)), Polynomial.zero(nvars))
+
+
 def linear_forms(nvars=NVARS):
     return st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars).filter(any).map(
-        lambda coeffs: Polynomial.linear(nvars, coeffs)
+        lambda coeffs: linear(nvars, coeffs)
     )
 
 
@@ -187,7 +191,7 @@ def test_divide_exact_at_the_lane_edges():
 def offset_linear_forms(nvars=4):
     # lead variable x_j with j >= 2: x_1..x_{j-1} ride along as passengers
     def form(j, lead, rest):
-        return Polynomial.linear(nvars, [0] * (j - 1) + [lead] + rest)
+        return linear(nvars, [0] * (j - 1) + [lead] + rest)
 
     return st.integers(2, nvars).flatmap(
         lambda j: st.builds(
@@ -324,7 +328,7 @@ def y(i):
 @given(polys(max_terms=8), images())
 @example(Polynomial.zero(NVARS), [y(1), y(2), y(1) + y(2)])
 @example(Polynomial.const(NVARS, -5), [y(1), Polynomial.zero(2), y(2) ** 2])
-# a zero image, as express_in_T_differences maps the last T-variable
+# a zero image
 @example(
     x(1) ** 3 * x(3) + 2 * x(2) * x(3) ** 2 - x(1) + 4,
     [y(1) - y(2), y(2), Polynomial.zero(2)],
@@ -354,16 +358,6 @@ def test_to_T_examples():
         to_T_variables(x(1), 3)
 
 
-def test_express_examples():
-    T = lambda i: Polynomial.variable(4, i)
-    assert express_in_T_differences(T(1) - T(2)) == x(1)
-    assert express_in_T_differences(T(1)) is None
-    assert (
-        express_in_T_differences((T(1) - T(2)) ** 2 + (T(2) - T(3)))
-        == x(1) ** 2 + x(2)
-    )
-
-
 @settings(max_examples=100, deadline=None)
 @given(polys(), polys())
 def test_to_T_is_ring_homomorphism(a, b):
@@ -372,15 +366,9 @@ def test_to_T_is_ring_homomorphism(a, b):
     assert to_T_variables(a + b, m) == to_T_variables(a, m) + to_T_variables(b, m)
 
 
-@settings(max_examples=100, deadline=None)
-@given(polys())
-def test_express_round_trip(p):
-    assert express_in_T_differences(to_T_variables(p, NVARS + 1)) == p
-
-
 def partial_sums(nvars):
     """x_1 + ... + x_j for j = 1..nvars: the images of the y_j."""
-    return [Polynomial.linear(nvars, [1] * j + [0] * (nvars - j)) for j in range(1, nvars + 1)]
+    return [linear(nvars, [1] * j + [0] * (nvars - j)) for j in range(1, nvars + 1)]
 
 
 @st.composite
@@ -421,20 +409,30 @@ def test_coordinate_changes_stay_below_the_guard_bit(nvars):
 
 
 def converted(polys):
-    """The images ``y_to_x_stream(polys)`` yields, by position, once its
-    contract is checked: every position is yielded once, and all positions
-    of one object come together and share one image object."""
+    """The x images ``_x_columns(polys)`` gives, by position, once its
+    contract is checked: each distinct object comes once, with all its
+    positions.  A lane column holds one digit per key of its group; its
+    image is its nonzero digits in key order, and its verdict
+    ``min(column, default=0) >= 0`` is its image's ``is_x_nonnegative``.
+    A per-value column is the image."""
     out = [None] * len(polys)
-    runs = []  # (object, image) of each run of one object's positions
-    for i, image in y_to_x_stream(polys):
-        assert out[i] is None
-        out[i] = image
-        if not runs or runs[-1][0] is not polys[i]:
-            runs.append((polys[i], image))
-        assert runs[-1][1] is image
+    objects = set()
+    for nvars, keys, items in _x_columns(polys):
+        for column, positions in items:
+            # one item per distinct object, with every position of it
+            assert len({id(polys[i]) for i in positions}) == 1
+            assert id(polys[positions[0]]) not in objects
+            objects.add(id(polys[positions[0]]))
+            if keys is None:
+                image = column
+            else:
+                assert len(column) == len(keys)
+                image = Polynomial(nvars, {k: c for k, c in zip(keys, column) if c})
+                assert (min(column, default=0) >= 0) == is_x_nonnegative(image)
+            for i in positions:
+                assert out[i] is None
+                out[i] = image
     assert all(image is not None for image in out)
-    # one run per distinct object: its positions are consecutive
-    assert len(runs) == len({id(p) for p in polys})
     return out
 
 
@@ -477,13 +475,19 @@ ZERO = Polynomial.zero(3)
 @settings(max_examples=200, deadline=None)
 @given(poly_lists())
 @example([])
-@example([Polynomial.zero(3), Polynomial.zero(3)])
-# one zero object at many positions, as the table shares its zero
-@example([ZERO, x(1), ZERO, x(2) ** 2, ZERO])
-# the first key is of lower degree than the last
-@example([x(1) + 5 * x(2) ** 3 * x(3), x(2) ** 4, x(2) ** 4 - 2**70 * x(3) ** 4])
-def test_y_to_x_stream_keeps_its_contract(polys):
-    assert converted(polys) == [y_to_x(p) for p in polys]
+# an all-zero group, which has no keys
+@example([ZERO, Polynomial.zero(3)])
+# one zero object and one nonzero object, each at several positions
+@example([ZERO, x(1), ZERO, -(x(2) ** 2), x(1), ZERO])
+# a mixed-degree lane group: the first key is of lower degree than the last
+@example([x(1) - 5 * x(2) ** 3 * x(3), x(2) ** 4, x(3) ** 4 - x(1) ** 2 * x(2) * x(3)])
+# a group past 63 bits, beside a lane group of the same degree over more variables
+@example([x(2) ** 4 - 2**70 * x(3) ** 4, -x(1) ** 4, Polynomial.variable(4, 4) ** 4])
+def test_x_columns_keep_their_contract(polys):
+    # the images come in key order, so a column's nonzero digits are its
+    # image's coefficients in its group's key order
+    images = {id(p): y_to_x(p) for p in polys}
+    assert converted(polys) == [images[id(p)] for p in polys]
 
 
 def test_lane_bytes_is_the_narrowest_signed_lane():

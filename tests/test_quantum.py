@@ -312,11 +312,48 @@ def test_verify_positivity_detects_injected_violation(gr24, monkeypatch):
     assert report["violations"] == [{"u": [1], "v": [1], "w": [1], "d": 0}]
 
 
+def test_verify_positivity_passes_a_table_of_zeros(gr24, monkeypatch):
+    # every value zero: its lane group has no keys, so every column is empty
+    table = eq_table(gr24)
+    zero = Polynomial.zero(gr24.r)
+    monkeypatch.setattr(table, "coefficient", lambda u, v, w, d: zero)
+    report = verify_positivity(gr24)
+    assert report["passed"] and report["checked"] > 0
+
+
+def test_verify_positivity_checks_a_value_past_63_bits_alone(gr24, monkeypatch):
+    # a coefficient past 63 bits sends its lane group value by value, where
+    # the planted negative value is still a violation
+    import eqschubert.polyring as polyring_mod
+
+    table = eq_table(gr24)
+    coefficient, y_to_x = table.coefficient, polyring_mod.y_to_x
+    planted, one_by_one = [], []
+
+    def corrupted(u, v, w, d):
+        value = coefficient(u, v, w, d)
+        if (u.parts, v.parts, w.parts, d) == ((1,), (1,), (1,), 0):
+            planted.append(value * -(2**70))
+            return planted[-1]
+        return value
+
+    def counted(p):
+        one_by_one.append(p)
+        return y_to_x(p)
+
+    monkeypatch.setattr(table, "coefficient", corrupted)
+    monkeypatch.setattr(polyring_mod, "y_to_x", counted)
+    report = verify_positivity(gr24)
+    assert report["violations"] == [{"u": [1], "v": [1], "w": [1], "d": 0}]
+    assert any(p is planted[0] for p in one_by_one)
+
+
 def test_verify_positivity_reports_every_key_of_a_bad_shared_value(gr25, monkeypatch):
-    # a negative x coefficient planted in the image of one value object that
-    # several keys share: each of those keys is a violation, in key order
+    # a negative x coefficient planted in the column of one value object
+    # that several keys share: each of those keys is a violation, in key
+    # order
     import eqschubert.suites as suites_mod
-    from eqschubert.polyring import y_to_x_stream
+    from eqschubert.polyring import _x_columns
 
     clean = verify_positivity(gr25)
     assert clean["passed"]
@@ -325,17 +362,21 @@ def test_verify_positivity_reports_every_key_of_a_bad_shared_value(gr25, monkeyp
     planted = next(row[4] for row in rows if id(row[4]) == uses.most_common(1)[0][0])
     batches = []
 
-    def corrupted(values):
-        # the stream's contract holds: one shared image per object
-        batches.append(values)
-        bad = None
-        for i, x in y_to_x_stream(values):
-            if values[i] is planted:
-                bad = -x if bad is None else bad
-                x = bad
-            yield i, x
+    def negated(values, items):
+        for column, positions in items:
+            if values[positions[0]] is planted:
+                column = [-c for c in column]
+            yield column, positions
 
-    monkeypatch.setattr(suites_mod, "y_to_x_stream", corrupted)
+    def corrupted(values):
+        # the columns' contract holds: one column per object, with all its
+        # positions
+        batches.append(values)
+        for nvars, keys, items in _x_columns(values):
+            assert keys is not None
+            yield nvars, keys, negated(values, items)
+
+    monkeypatch.setattr(suites_mod, "_x_columns", corrupted)
     report = verify_positivity(gr25)
     # one batch of every key's value, repeats included
     assert len(batches) == 1 and len(batches[0]) == clean["checked"]
@@ -505,32 +546,39 @@ def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
     # in the packed T image of its lane group, the lane of the value of the
     # most rows gains T_1, so it no longer equals the engine's entry with
     # each y_j replaced by T_1 - T_{j+1}; to_T_variables runs once per lane
-    # group, and every row of the planted value fails, in row order
+    # group, on the x image of the group's one packed polynomial, and every
+    # row of the planted value fails, in row order
     import eqschubert.suites as suites_mod
-    from eqschubert.polyring import to_T_variables
+    from eqschubert.polyring import to_T_variables, y_to_x
 
     rows = list(eq_table(gr24).rows(default_d_max(gr24)))
     uses = Counter(id(row[4]) for row in rows)
     planted = next(row[4] for row in rows if id(row[4]) == uses.most_common(1)[0][0])
-    lane_images = suites_mod._lane_images
-    groups, calls = [], []
+    packed_lanes = suites_mod._packed_lanes
+    groups, images, calls = [], [], []
 
-    def recorded(nvars, values, size):
-        images = lane_images(nvars, values, size)
-        groups.append((images, values, size))
-        return images
+    def recorded(values, size):
+        terms = packed_lanes(values, size)
+        groups.append((terms, values, size))
+        return terms
+
+    def converted(p):
+        assert p.terms is groups[-1][0]
+        images.append(y_to_x(p))
+        return images[-1]
 
     def corrupted(x, m):
         calls.append(x)
         image = to_T_variables(x, m)
-        images, values, size = groups[-1]
-        assert x is images
+        assert x is images[-1]
+        _, values, size = groups[-1]
         for j, c in enumerate(values):
             if c is planted:
                 image = image + in_lane(Polynomial.variable(m, 1), j, size)
         return image
 
-    monkeypatch.setattr(suites_mod, "_lane_images", recorded)
+    monkeypatch.setattr(suites_mod, "_packed_lanes", recorded)
+    monkeypatch.setattr(suites_mod, "y_to_x", converted)
     monkeypatch.setattr(suites_mod, "to_T_variables", corrupted)
     report = suites_mod.verify_tbasis(gr24)
     lane_groups = {max_key_degree(c) for *_, c in rows}
@@ -547,30 +595,35 @@ def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
 
 def test_tbasis_fails_a_row_left_in_engine_coordinates(gr24, monkeypatch):
     # the one corruption a y -> x boundary invites: a value exported as its y
-    # entry, unconverted; the exports' packed batch leaves so the lane of
-    # the value of the most rows among those whose x and y forms differ,
-    # and each of its rows fails
+    # entry, unconverted; the y -> x shear chain on a group's packed values
+    # leaves so the lane of the value of the most rows among those whose x
+    # and y forms differ, and each of its rows fails
     import eqschubert.suites as suites_mod
     from eqschubert.polyring import y_to_x
 
     rows = list(eq_table(gr24).rows(default_d_max(gr24)))
     uses = Counter(id(row[4]) for row in rows if y_to_x(row[4]) != row[4])
     planted = next(row[4] for row in rows if id(row[4]) == uses.most_common(1)[0][0])
-    lane_images = suites_mod._lane_images
+    packed_lanes = suites_mod._packed_lanes
     batches = []
 
-    def corrupted(nvars, values, size):
-        batches.append(values)
-        images = lane_images(nvars, values, size)
+    def recorded(values, size):
+        batches.append((values, size))
+        return packed_lanes(values, size)
+
+    def corrupted(p):
+        values, size = batches[-1]
+        images = y_to_x(p)
         for j, c in enumerate(values):
             if c is planted:
                 images = images + in_lane(planted - y_to_x(planted), j, size)
         return images
 
-    monkeypatch.setattr(suites_mod, "_lane_images", corrupted)
+    monkeypatch.setattr(suites_mod, "_packed_lanes", recorded)
+    monkeypatch.setattr(suites_mod, "y_to_x", corrupted)
     report = suites_mod.verify_tbasis(gr24)
     # one batch per lane group, which together hold each distinct value once
-    converted = [id(c) for values in batches for c in values]
+    converted = [id(c) for values, _ in batches for c in values]
     assert len(batches) == len({max_key_degree(c) for *_, c in rows})
     assert sorted(converted) == sorted({id(row[4]) for row in rows})
     assert report["checked"] == len(rows)

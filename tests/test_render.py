@@ -16,7 +16,7 @@ import eqschubert.render as render_mod
 
 from eqschubert import GrassContext, Polynomial, QModuleElement, enumerate_classes, multiply
 from eqschubert.grass import default_d_max
-from eqschubert.polyring import y_to_x, y_to_x_stream
+from eqschubert.polyring import _key_degree, _x_columns, y_to_x
 from eqschubert.render import (
     CSV_ERRORS,
     canonical_json,
@@ -261,19 +261,17 @@ def test_an_export_never_holds_the_joined_payload(tmp_path):
     assert peak < 1.5 * out.stat().st_size
 
 
-def test_lane_images_hold_their_keys_in_descending_order(gr36, monkeypatch):
-    # every Gr(3,6) value takes the lane path, whose images come in the
-    # order the encoder writes them
+def test_lane_images_hold_their_keys_in_descending_order(gr36):
+    # every Gr(3,6) value takes the lane path, whose keys come in the
+    # order the encoder writes them: graded-lex descending, and, as each
+    # group holds one degree, descending as ints
     values = [c for *_, c in quantum_mod.eq_table(gr36).rows(default_d_max(gr36))]
-
-    def per_value(p):
-        raise AssertionError("a Gr(3,6) value left the lane path")
-
-    monkeypatch.setattr(polyring_mod, "y_to_x", per_value)
-    images = {id(x): x for _, x in y_to_x_stream(values)}
-    assert images
-    for image in images.values():
-        assert list(image.terms) == sorted(image.terms, reverse=True)
+    groups = list(_x_columns(values))
+    assert groups
+    for _, keys, _ in groups:
+        assert keys is not None
+        assert keys == sorted(keys, reverse=True)
+        assert keys == sorted(keys, key=lambda k: (_key_degree(k), k), reverse=True)
 
 
 @st.composite

@@ -36,14 +36,17 @@ def test_the_engine_defines_no_suite():
 
 
 def test_tbasis_runs_each_route_once_per_lane_group(gr36, monkeypatch):
-    # the y -> T substitution and the x -> T shear chain each run once per
-    # lane group of the Gr(3,6) values (10), not once per distinct value
-    # (610); no value goes value by value, and the suite still passes
+    # each lane group of the Gr(3,6) values (10) is packed once, and the
+    # y -> T substitution and the y -> x -> T shear chains each run once on
+    # it, not once per distinct value (610): so no value goes value by
+    # value, and the suite still passes
     values = [c for *_, c in quantum_mod.eq_table(gr36).rows(default_d_max(gr36))]
     groups = {max_key_degree(c) for c in values}
-    assert (len(groups), len({id(c) for c in values})) == (10, 610)
-    substituted, chains = [], []
+    distinct = {id(c) for c in values}
+    assert (len(groups), len(distinct)) == (10, 610)
+    substituted, chains, packs = [], [], []
     substitute, shear = Polynomial.substitute, polyring_mod._shear
+    packed_lanes = polyring_mod._packed_lanes
 
     def recording_substitute(self, images, out_nvars):
         substituted.append(self)
@@ -53,15 +56,20 @@ def test_tbasis_runs_each_route_once_per_lane_group(gr36, monkeypatch):
         chains.append(conversion)
         return shear(nvars, terms, conversion)
 
-    def per_value(p):
-        raise AssertionError("a Gr(3,6) value went value by value")
+    def recording_packed_lanes(objects, size):
+        packs.append(objects)
+        return packed_lanes(objects, size)
 
     monkeypatch.setattr(Polynomial, "substitute", recording_substitute)
     monkeypatch.setattr(polyring_mod, "_shear", recording_shear)
-    monkeypatch.setattr(suites_mod, "y_to_x", per_value)
+    for module in (polyring_mod, suites_mod):
+        monkeypatch.setattr(module, "_packed_lanes", recording_packed_lanes)
     report = suites_mod.verify_tbasis(gr36)
     assert report["passed"] and report["checked"] == len(values)
     assert len(substituted) == chains.count("to_T") == chains.count("y_to_x") == len(groups)
+    # one pack per lane group, which together hold each distinct value once
+    assert len(packs) == len(groups)
+    assert sorted(id(c) for objects in packs for c in objects) == sorted(distinct)
 
 
 @st.composite
@@ -121,21 +129,25 @@ def _lane_route(values, m, planted=None):
     """``(positions, per_value)``: what ``_tbasis_failing`` flags when the T
     image of the object ``planted`` is T_1 (in its lane, on the packed
     path), and the objects it converted value by value."""
-    lane_images = suites_mod._lane_images
-    packed, per_value = [], []
+    packed_lanes = suites_mod._packed_lanes
+    packed, images, per_value = [], [], []
 
-    def recorded(nvars, objects, size):
-        images = lane_images(nvars, objects, size)
-        packed.append((images, objects, size))
-        return images
+    def recorded(objects, size):
+        terms = packed_lanes(objects, size)
+        packed.append((terms, objects, size))
+        return terms
 
     def converted(c):
-        per_value.append(c)
-        return y_to_x(c)
+        x = y_to_x(c)
+        if packed and c.terms is packed[-1][0]:
+            images.append(x)
+        else:
+            per_value.append(c)
+        return x
 
     def corrupted(x, m):
         image, plant = to_T_variables(x, m), Polynomial.variable(m, 1)
-        if packed and x is packed[-1][0]:
+        if images and x is images[-1]:
             _, objects, size = packed[-1]
             for j, c in enumerate(objects):
                 if c is planted:
@@ -145,7 +157,7 @@ def _lane_route(values, m, planted=None):
         return image
 
     with mock.patch.multiple(
-        suites_mod, _lane_images=recorded, to_T_variables=corrupted, y_to_x=converted
+        suites_mod, _packed_lanes=recorded, to_T_variables=corrupted, y_to_x=converted
     ):
         return suites_mod._tbasis_failing(values, m), per_value
 
