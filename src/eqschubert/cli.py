@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal or
-cache error; 128 + the signal's number when SIGINT or SIGTERM stops a
-command (130, 143).
+cache error; 128 + the signal's number when SIGINT, SIGHUP or SIGTERM stops
+a command (130, 129, 143).
 
 Users re-export tables from the cache far more often than they build them,
 and a warm re-export is mostly interpreter start and the imports of this
@@ -49,6 +49,8 @@ INTERNAL_ERRORS = (
     OverflowError,
 )
 EMIT_SLICE = 1 << 20
+# the signals a command raises as SIGINT is raised, with the names it reports
+CONVERTED_SIGNALS = {_signal.SIGHUP: "SIGHUP", _signal.SIGTERM: "SIGTERM"}
 
 
 class _UsageError(Exception):
@@ -75,7 +77,8 @@ class _ClosedStdout:
 
 
 def _terminated(signum, frame):
-    """Raise SIGTERM as SIGINT is raised, so every write's cleanup runs."""
+    """Raise SIGHUP or SIGTERM as SIGINT is raised, so every write's
+    cleanup runs."""
     raise KeyboardInterrupt(signum)
 
 
@@ -313,7 +316,11 @@ def main(argv=None):
     closed = sys.stdout is None  # fd 1 was closed at start-up
     if closed:
         sys.stdout = _ClosedStdout()
-    previous = _signal.signal(_signal.SIGTERM, _terminated)
+    previous = {}
+    for signum in CONVERTED_SIGNALS:
+        # a signal ignored at start (under nohup, say) stays ignored
+        if _signal.getsignal(signum) != _signal.SIG_IGN:
+            previous[signum] = _signal.signal(signum, _terminated)
     try:
         try:
             COMMANDS[name](**options)
@@ -333,11 +340,11 @@ def main(argv=None):
         _fail("cannot write <stdout>: %s" % exc)
     except KeyboardInterrupt as exc:
         signum = exc.args[0] if exc.args else _signal.SIGINT
-        name = "SIGTERM" if signum == _signal.SIGTERM else "SIGINT"
-        print("interrupted by %s" % name, file=sys.stderr)
+        print("interrupted by %s" % CONVERTED_SIGNALS.get(signum, "SIGINT"), file=sys.stderr)
         sys.exit(128 + signum)
     finally:
-        _signal.signal(_signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            _signal.signal(signum, handler)
         if closed:
             sys.stdout = None
 

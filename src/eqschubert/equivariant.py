@@ -44,6 +44,8 @@ from .grass import (
 from .polyring import (
     Polynomial,
     RationalExpression,
+    _normalize_linear,
+    _rational,
     add_product_into,
     finish_terms,
     w0_involution,
@@ -127,10 +129,16 @@ def tangent_weights(point):
 
 @lru_cache(maxsize=None)
 def _euler_factors(point):
-    """Tangent weights split into (forms b_a - b_b with a > b, overall sign)."""
-    pairs = _tangent_pairs(point.ctx, point.subset)
-    forms = tuple(b_difference(point.ctx, max(a, b), min(a, b)) for a, b in pairs)
-    return forms, -1 if sum(a < b for a, b in pairs) & 1 else 1
+    """The tangent Euler class at ``point`` normalized as a
+    ``RationalExpression`` denominator, once per point: (map of positive
+    primitive linear forms to multiplicity, signed scale), from
+    ``polyring._normalize_linear`` of each tangent weight in turn."""
+    factors, scale = {}, 1
+    for form in tangent_weights(point):
+        form, s = _normalize_linear(form)
+        factors[form] = factors.get(form, 0) + 1
+        scale *= s
+    return factors, scale
 
 
 @lru_cache(maxsize=None)
@@ -207,15 +215,19 @@ def integrate(ctx, values):
     ``values`` maps every fixed point to a polynomial in y, and the result
     is in y.  It is the Atiyah-Bott sum of values over tangent Euler
     classes, accumulated pairwise in the canonical fixed-point order; it
-    must clear to a polynomial or the input table was inconsistent.
+    must clear to a polynomial or the input table was inconsistent.  Each
+    point's Euler class comes already normalized from ``_euler_factors``,
+    so no tangent weight is normalized per call.
     """
     acc = RationalExpression(Polynomial.zero(ctx.r))
     for point in fixed_points(ctx):
         value = values[point]
         if value.is_zero:
             continue
-        forms, sign = _euler_factors(point)
-        acc = acc.add(RationalExpression(value * sign, forms).reduced())
+        factors, scale = _euler_factors(point)
+        if scale < 0:
+            value, scale = -value, -scale
+        acc = acc.add(_rational(value, scale, factors).reduced())
     return acc.expect_polynomial()
 
 
@@ -238,22 +250,27 @@ def elr(u, v, w):
     result, in x, is homogeneous of degree |u|+|v|-|w| and vanishes when
     that degree is negative.
 
-    The integrand vanishes at p unless u and v are contained in p and p in
-    w, so the opposite factor is restricted point by point, only where the
-    other two are nonzero, and no opposite table is built: for
-    elr(sigma(1), a, a) one point, p = a, contributes.
+    The integrand is nonzero at the point of p exactly when u and v are
+    contained in p and p in w, so only the points of that interval are
+    restricted, every other one gets zero, and no opposite table is built:
+    for elr(sigma(1), a, a) one point, p = a, contributes.
     """
     ctx = u.ctx
+    zero = Polynomial.zero(ctx.r)
     if u.size + v.size < w.size:
-        return Polynomial.zero(ctx.r)
+        return zero
     sigma = restriction_table(ctx, "schubert")
     wd = w.dual()
     values = {}
-    for pt in fixed_points(ctx):
-        a = sigma.restriction(u, pt)
-        b = a if a.is_zero else sigma.restriction(v, pt)
-        c = b if b.is_zero else restrict_schubert(wd, pt, "opposite")
-        values[pt] = c if c.is_zero else a * b * c
+    for p, pt in zip(enumerate_classes(ctx), fixed_points(ctx)):
+        if w.contains(p) and p.contains(u) and p.contains(v):
+            values[pt] = (
+                sigma.restriction(u, pt)
+                * sigma.restriction(v, pt)
+                * restrict_schubert(wd, pt, "opposite")
+            )
+        else:
+            values[pt] = zero
     return y_to_x(integrate(ctx, values))
 
 

@@ -17,7 +17,13 @@ divides in one pass over the dividend.  A linear form (every key a single
 lane's unit) divides synthetically in its lead variable, bucket by bucket,
 with no heap.  Any other divisor takes Monagan-Pearce heap division
 ("Sparse polynomial division using a heap", JSC 2011), which is the general
-path and the reference the tests hold the other two against.
+path and the reference the tests hold the other two against.  The linear
+path is one kernel, ``divide_linear``, that runs on a plan of the divisor
+(``linear_plan``: lead key, lead coefficient, tail, lane shift) and takes
+its dividend as a list of signed polynomials, folded straight into its
+buckets with no sum built first.  ``divide_exact`` plans its divisor on
+each call; the quantum table keeps one plan per divisor and hands the
+kernel the references of each relation as they are.
 
 Sums of products fold into one term map with ``add_product_into``, a fused
 multiply-accumulate that builds no polynomial per product and copies no
@@ -354,12 +360,11 @@ class Polynomial:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return self
-        keys = divisor.terms
-        if len(keys) == 1:
+        if len(divisor.terms) == 1:
             return _divide_monomial(self, divisor)
-        # a linear form: every key is one lane's unit
-        if all(k & (k - 1) == 0 and (k.bit_length() - 1) % _SHIFT == 0 for k in keys):
-            return _divide_linear(self, divisor)
+        plan = linear_plan(divisor)
+        if plan is not None:
+            return divide_linear(self.nvars, ((self, 1),), plan)
         return _divide_heap(self, divisor)
 
 
@@ -380,29 +385,47 @@ def _divide_monomial(dividend, divisor):
     return Polynomial(dividend.nvars, out)
 
 
-def _divide_linear(dividend, divisor):
-    """Synthetic division by a linear form in its lead variable x_j.
+def linear_plan(divisor):
+    """The plan of a linear form for ``divide_linear``: ``(lead key, lead
+    coefficient, tail, lane shift)``, with the tail the other ``(key,
+    coefficient)`` pairs and the shift that of the lead variable's lane;
+    None unless every key of ``divisor`` is one lane's unit."""
+    keys = divisor.terms
+    if not all(k & (k - 1) == 0 and (k.bit_length() - 1) % _SHIFT == 0 for k in keys):
+        return None
+    lead = max(keys)
+    tail = tuple((k, c) for k, c in keys.items() if k != lead)
+    return lead, keys[lead], tail, lead.bit_length() - 1
 
-    The dividend is bucketed by the exponent of x_j.  Walking the buckets
-    from the top, the terms of bucket e divided by the lead coefficient are
-    the quotient terms of x_j-exponent e-1, and subtracting them times the
-    rest of the form changes bucket e-1 only.  The quotient exists exactly
-    when every such division is exact and bucket 0 ends up empty.
+
+def divide_linear(nvars, parts, plan):
+    """Exact quotient of the sum of ``sign * p`` over the ``(p, sign)`` of
+    ``parts`` (sign is +-1) by the linear form of ``plan`` (``linear_plan``),
+    or None when it does not divide: synthetic division in the form's lead
+    variable x_j.
+
+    The parts fold straight into buckets by the exponent of x_j, with no
+    sum built first.  Walking the buckets from the top, the terms of
+    bucket e divided by the lead coefficient are the quotient terms of
+    x_j-exponent e-1, and subtracting them times the tail changes bucket
+    e-1 only.  The quotient exists exactly when every such division is
+    exact and bucket 0 ends up zero.  Zero coefficients stay in the
+    buckets and are skipped, as ``add_product_into`` leaves them.
     """
-    lead = max(divisor.terms)
-    lc = divisor.terms[lead]
-    tail = [(k, c) for k, c in divisor.terms.items() if k != lead]
-    shift = lead.bit_length() - 1
+    lead, lc, tail, shift = plan
     buckets = {}
-    for k, c in dividend.terms.items():
-        e = (k >> shift) & _LANE
-        bucket = buckets.get(e)
-        if bucket is None:
-            buckets[e] = {k: c}
-        else:
-            bucket[k] = c
-    top = max(buckets)
-    bucket = buckets[top]
+    for p, sign in parts:
+        for k, c in p.terms.items():
+            e = (k >> shift) & _LANE
+            bucket = buckets.get(e)
+            if bucket is None:
+                buckets[e] = {k: c if sign > 0 else -c}
+            elif sign > 0:
+                bucket[k] = bucket.get(k, 0) + c
+            else:
+                bucket[k] = bucket.get(k, 0) - c
+    top = max(buckets, default=0)
+    bucket = buckets.get(top, {})
     quotient = {}
     for e in range(top, 0, -1):
         below = buckets.get(e - 1)
@@ -410,6 +433,8 @@ def _divide_linear(dividend, divisor):
             below = {}
         get = below.get
         for k, c in bucket.items():
+            if not c:
+                continue
             if c % lc:
                 return None
             qc = c // lc
@@ -417,13 +442,9 @@ def _divide_linear(dividend, divisor):
             quotient[qk] = qc
             for tk, tc in tail:
                 nk = qk + tk
-                nc = get(nk, 0) - qc * tc
-                if nc:
-                    below[nk] = nc
-                else:
-                    del below[nk]
+                below[nk] = get(nk, 0) - qc * tc
         bucket = below
-    return None if bucket else Polynomial(dividend.nvars, quotient)
+    return None if any(bucket.values()) else Polynomial(nvars, quotient)
 
 
 def _divide_heap(dividend, divisor):

@@ -37,6 +37,11 @@ them, and with them W, against the localization diagonal.  Block solves
 only consult strictly smaller blocks, lower q-degrees and lower targets, so
 the whole table is well founded.
 
+Every division is by a gap c_w - c_a, a linear form.  The table keeps one
+``polyring.linear_plan`` per gap and hands ``polyring.divide_linear`` the
+nonzero references of each relation as signed values, so no right-hand
+side is summed before it is divided.
+
 The recursion runs on class positions in ``enumerate_classes`` order over
 one graph per context, built by ``EQTable``: the add-box edges a -> a+ and
 the q-edge a -> a-hat, with the inverses w -> w- and w -> qparent(w) read
@@ -65,7 +70,9 @@ from .polyring import (
     _key_degree,
     add_into,
     add_product_into,
+    divide_linear,
     finish_terms,
+    linear_plan,
     y_to_x,
 )
 
@@ -243,40 +250,45 @@ class EQTable:
         return value
 
     def _gap(self, iw, ia):
-        """The divisor c_w - c_a of the relation, built and checked once per pair."""
-        gap = self._gaps.get((iw, ia))
-        if gap is None:
+        """The ``linear_plan`` of the divisor c_w - c_a of the relation,
+        built and checked once per pair.  Each c_z is stored homogeneous of
+        degree one, so the difference is a linear form."""
+        plan = self._gaps.get((iw, ia))
+        if plan is None:
             gap = self._coefficient(1, iw, iw, 0) - self._coefficient(1, ia, ia, 0)
             if gap.is_zero:
                 raise TableSolveError("vanishing divisor difference")
-            self._gaps[(iw, ia)] = gap
-        return gap
+            plan = self._gaps[(iw, ia)] = linear_plan(gap)
+        return plan
 
     def _known_tail(self, ia, io, iw, d):
-        """The reference terms of the difference relation that never touch
-        the unknowns of the current step: lower q-degree and lower targets.
-        Their sum is a fresh term map, for the caller to fold more into."""
-        tail = {}
+        """The nonzero reference terms of the difference relation that never
+        touch the unknowns of the current step: lower q-degree and lower
+        targets.  They come as a fresh list of ``(value, sign)``, for the
+        caller to extend and hand to ``divide_linear``."""
+        refs = []
         ahat = self._qshape[ia]
         if ahat is not None:
-            add_into(tail, self._coefficient(ahat, io, iw, d - 1))
+            refs.append((self._coefficient(ahat, io, iw, d - 1), 1))
         for wm in self._down[iw]:
-            add_into(tail, self._coefficient(ia, io, wm, d), -1)
+            refs.append((self._coefficient(ia, io, wm, d), -1))
         qp = self._qparent[iw]
         if qp is not None and d >= 1:
-            add_into(tail, self._coefficient(ia, io, qp, d - 1), -1)
-        return tail
+            refs.append((self._coefficient(ia, io, qp, d - 1), -1))
+        return [ref for ref in refs if ref[0].terms]
 
     def _difference_step(self, iu, iv, iw, d):
         """Solve the associativity relation for one off-diagonal target."""
         ia, io = (iv, iu) if self.mirrored else (iu, iv)
-        rhs = self._known_tail(ia, io, iw, d)
+        refs = self._known_tail(ia, io, iw, d)
         for up in self._up[ia]:
-            add_into(rhs, self._coefficient(up, io, iw, d))
-        gap = self._gap(iw, ia)
-        if not rhs:
+            value = self._coefficient(up, io, iw, d)
+            if value.terms:
+                refs.append((value, 1))
+        plan = self._gap(iw, ia)
+        if not refs:
             return self._zero
-        value = Polynomial(self.ctx.r, rhs).divide_exact(gap)
+        value = divide_linear(self.ctx.r, refs, plan)
         if value is None:
             raise TableSolveError(
                 "inexact division for %r" % (self._named((iu, iv, iw, d)),)
@@ -298,6 +310,7 @@ class EQTable:
 
     def _solve_block_inner(self, key):
         it, d = key
+        r = self.ctx.r
         inside = self._inside[it]
         weight = own_restriction(self._classes[it])
         rows, known, pinned = {}, {}, {it: self._zero}
@@ -307,37 +320,43 @@ class EQTable:
             # No grading shortcut here: rows whose value is forced to zero
             # still carry their relation downward, and for d >= 1 the unit
             # row below them is the only thing that pins X_t.
-            acc, terms = {}, self._known_tail(ia, it, it, d)
+            acc, refs = {}, self._known_tail(ia, it, it, d)
             for up in self._up[ia]:
                 if up not in inside:
-                    add_into(terms, rows[up])
+                    if rows[up].terms:
+                        refs.append((rows[up], 1))
                 elif self._down[up][-1] == ia:  # P_up has no reader below ia
                     add_into(acc, pinned.pop(up))
                 else:
                     add_into(acc, pinned[up])
             if ia not in inside:
-                rows[ia] = self._block_row(key, ia, terms)
+                rows[ia] = self._block_row(key, ia, refs)
                 continue
-            known[ia] = terms
-            add_product_into(acc, weight, Polynomial(self.ctx.r, terms))
-            pinned[ia] = finish_terms(self.ctx.r, acc).divide_exact(self._gap(it, ia))
+            known[ia] = refs
+            tail = {}  # summed first: W times the sum takes far fewer products
+            for value, sign in refs:
+                add_into(tail, value, sign)
+            add_product_into(acc, weight, Polynomial(r, tail))
+            dividend = ((finish_terms(r, acc), 1),)
+            pinned[ia] = divide_linear(r, dividend, self._gap(it, ia))
             if pinned[ia] is None:
                 raise TableSolveError("inexact block solve %r" % (self._named(key),))
         x_t = (weight if d == 0 else self._zero) - pinned[0]
         rows[it] = self._store((it, it, it, d), x_t, self._size[it] - d * self.ctx.n)
         for ia in sorted(inside - {it}, reverse=True):
-            terms = known[ia]
+            refs = known[ia]
             for up in self._up[ia]:
-                if up in inside:
-                    add_into(terms, rows[up])
-            rows[ia] = self._block_row(key, ia, terms)
+                if up in inside and rows[up].terms:
+                    refs.append((rows[up], 1))
+            rows[ia] = self._block_row(key, ia, refs)
 
-    def _block_row(self, key, ia, terms):
-        """X_a = (sum X_a+ + tail_a) / (c_t - c_a) in the block ``key``,
-        stored, or checked if a is the unit or the divisor."""
+    def _block_row(self, key, ia, refs):
+        """X_a = (sum X_a+ + tail_a) / (c_t - c_a) in the block ``key``, its
+        nonzero references ``refs`` as ``(value, sign)``, stored, or checked
+        if a is the unit or the divisor."""
         it, d = key
         row = (min(ia, it), max(ia, it), it, d)
-        value = Polynomial(self.ctx.r, terms).divide_exact(self._gap(it, ia))
+        value = divide_linear(self.ctx.r, refs, self._gap(it, ia))
         if value is None:
             raise TableSolveError("inexact block row %r" % (self._named(row),))
         if ia > 1:

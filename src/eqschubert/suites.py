@@ -8,6 +8,7 @@ raise: a failing suite is a result, and the caller decides the exit status.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from .equivariant import elr_table, gkm_violations, pairing
 from .grass import Partition, default_d_max, enumerate_classes
@@ -88,6 +89,11 @@ def verify_algebra(ctx):
     recursion, on a table of its own that is dropped before the
     associativity check.  Associativity is exhaustive up to ``MAX_TRIPLES`` triples;
     beyond that ``SAMPLE_SIZE`` triples are drawn with seed ``SAMPLE_SEED``.
+
+    Triple (u, v, w) compares (u v) w with (v w) u, so each side is a
+    ``circ`` of an unordered pair's product by a class.  Each distinct
+    side is computed once: its uses are counted up front, and its result
+    is held only until the last triple that needs it.
     """
     classes = enumerate_classes(ctx)
     table = eq_table(ctx)
@@ -112,10 +118,27 @@ def verify_algebra(ctx):
             (rng.choice(classes), rng.choice(classes), rng.choice(classes))
             for _ in range(SAMPLE_SIZE)
         ]
+
+    def sides(u, v, w):
+        """(u v) w and (v w) u, each keyed by its unordered pair and class."""
+        return (frozenset((u, v)), w), (frozenset((v, w)), u)
+
+    uses = Counter(key for triple in triples for key in sides(*triple))
+    held = {}
+
+    def product(key, a, b, c):
+        """circ(element(a, b), c), held until the last triple that uses it."""
+        value = held.pop(key, None)
+        if value is None:
+            value = table.circ(table.element(a, b), c)
+        uses[key] -= 1
+        if uses[key]:
+            held[key] = value
+        return value
+
     for u, v, w in triples:
-        left = table.circ(table.element(u, v), w)
-        right = table.circ(table.element(v, w), u)
-        if left != right:
+        left, right = sides(u, v, w)
+        if product(left, u, v, w) != product(right, v, w, u):
             failures.append(dict(_where(u=u, v=v, w=w), law="associativity"))
     return _report(
         "axioms",

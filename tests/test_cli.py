@@ -122,6 +122,19 @@ def test_verify_gr25_json_matches_seed():
     )
 
 
+BENCH_EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "expected.json")
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 6)])
+def test_verify_text_matches_the_benchmark_transcript(k, n):
+    # the benchmark counts a verify whose lines differ from these as failed
+    with open(BENCH_EXPECTED, encoding="utf-8") as fh:
+        lines = json.load(fh)["verify"]["%d,%d" % (k, n)]
+    result = run("verify", "--k", str(k), "--n", str(n))
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout == "".join(line + "\n" for line in lines)
+
+
 def test_warm_csv_renders_the_cached_payload(tmp_path, monkeypatch):
     args = ("table", "--k", "2", "--n", "4", "--format", "csv", "--cache-dir", str(tmp_path))
     cold = run(*args, "--no-cache")
@@ -781,7 +794,8 @@ def test_a_write_that_runs_out_of_memory_exits_3_and_leaves_no_tmp(tmp_path, mon
 
 # a child export that signals itself from inside a payload chunk once a
 # temporary file is in the directory sys.argv[2]; SIGINT is handled as in
-# an interactive shell, whatever the parent's disposition
+# an interactive shell, and SIGHUP and SIGTERM have their default action
+# unless sys.argv[3] is "ignored", whatever the parent's disposition
 SIGNALLING_EXPORT = """
 import os, pathlib, signal, sys
 import eqschubert.render as render
@@ -797,11 +811,25 @@ def signalling(self):
 
 render._Payload.__iter__ = signalling
 signal.signal(signal.SIGINT, signal.default_int_handler)
-main(sys.argv[3:])
+for other in (signal.SIGHUP, signal.SIGTERM):
+    signal.signal(other, signal.SIG_IGN if sys.argv[3] == "ignored" else signal.SIG_DFL)
+main(sys.argv[4:])
 """
 
 
-@pytest.mark.parametrize("signame, status", [("SIGTERM", 143), ("SIGINT", 130)])
+def _signalled_export(tmp_path, signame, disposition, args):
+    return subprocess.run(
+        [sys.executable, "-c", SIGNALLING_EXPORT, signame, str(tmp_path), disposition, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "signame, status", [("SIGTERM", 143), ("SIGINT", 130), ("SIGHUP", 129)]
+)
 @pytest.mark.parametrize("target", ["out", "cache"])
 def test_a_signalled_export_exits_on_one_line_and_leaves_no_tmp(tmp_path, target, signame, status):
     # the signal arrives while the export writes its temporary file: the
@@ -811,16 +839,21 @@ def test_a_signalled_export_exits_on_one_line_and_leaves_no_tmp(tmp_path, target
         args += ["--no-cache", "--out", str(tmp_path / "t.json")]
     else:
         args += ["--cache-dir", str(tmp_path)]
-    child = subprocess.run(
-        [sys.executable, "-c", SIGNALLING_EXPORT, signame, str(tmp_path), *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=SRC_DIR),
-        timeout=300,
-    )
+    child = _signalled_export(tmp_path, signame, "default", args)
     assert (child.returncode, child.stdout) == (status, ""), child.stderr
     assert child.stderr == "interrupted by %s\n" % signame
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("signame", ["SIGHUP", "SIGTERM"])
+def test_a_signal_ignored_at_start_stays_ignored(tmp_path, signame):
+    # under nohup an export that is sent SIGHUP finishes and writes its file
+    out = tmp_path / "t.json"
+    args = ["table", "--k", "2", "--n", "4", "--no-cache", "--out", str(out)]
+    child = _signalled_export(tmp_path, signame, "ignored", args)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+    assert out.read_bytes() == run("table", "--k", "2", "--n", "4").stdout_bytes
 
 
 @pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (2, 7)])
@@ -849,7 +882,7 @@ def test_the_chunks_of_a_streamed_restriction_export_join_to_the_pinned_bytes(ar
 
 def _corrupt_block(monkeypatch, corruption):
     """Corrupt what the block solves read.  ``rows`` doubles the second read
-    of each divisor c_t - c_a by a block of target t (in t's first block,
+    of each divisor c_t - c_a (its ``linear_plan``) by a block of target t (in t's first block,
     the back-substitution's read), ``relation`` doubles every such read, and
     ``weight`` doubles the pin W = sigma(t)|t."""
     if corruption == "weight":
@@ -860,14 +893,15 @@ def _corrupt_block(monkeypatch, corruption):
     seen = set()
 
     def corrupted(self, iw, ia):
-        value = gap(self, iw, ia)
+        plan = gap(self, iw, ia)
         # while a block of target t runs, only it reads the divisors (t, a)
         if all(t != iw for t, _ in self._blocks_running):
-            return value
+            return plan
         if corruption == "rows" and (iw, ia) not in seen:
             seen.add((iw, ia))
-            return value
-        return value + value
+            return plan
+        lead, lc, tail, shift = plan  # the plan of the doubled divisor
+        return lead, 2 * lc, tuple((k, 2 * c) for k, c in tail), shift
 
     monkeypatch.setattr(quantum_mod.EQTable, "_gap", corrupted)
 

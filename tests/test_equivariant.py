@@ -23,6 +23,7 @@ from eqschubert import (
 import eqschubert.equivariant as equivariant_mod
 import eqschubert.quantum as quantum_mod
 from eqschubert.equivariant import (
+    _euler_factors,
     _own_weights,
     b_difference,
     divisor_restriction,
@@ -30,7 +31,7 @@ from eqschubert.equivariant import (
     gkm_violations,
 )
 from eqschubert.oracles import _b_forms_x, factorial_schur_zpoly
-from eqschubert.polyring import add_product_into, finish_terms, y_to_x
+from eqschubert.polyring import _normalize_linear, add_product_into, finish_terms, y_to_x
 from eqschubert.suites import verify_specialization
 
 from conftest import homogeneous_of_degree, part
@@ -248,6 +249,60 @@ def test_elr_examples(gr24):
     )
     # the diagonal divisor coefficient, pinned by the expansion oracle
     assert elr(part(gr24, 1), part(gr24, 1), part(gr24, 1)) == x(gr24, 2)
+
+
+def _every_point_elr(u, v, w):
+    """elr as the plain Atiyah-Bott sum: all three restrictions multiplied
+    at every fixed point."""
+    ctx = u.ctx
+    sigma = restriction_table(ctx, "schubert")
+    values = {
+        pt: sigma.restriction(u, pt)
+        * sigma.restriction(v, pt)
+        * restrict_schubert(w.dual(), pt, "opposite")
+        for pt in fixed_points(ctx)
+    }
+    return y_to_x(integrate(ctx, values))
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5)])
+def test_elr_restricts_only_on_its_interval(k, n, monkeypatch):
+    ctx = GrassContext(k, n)
+    classes = enumerate_classes(ctx)
+    restriction_table(ctx, "schubert")
+    restricted = []
+    restrict = equivariant_mod.restrict_schubert
+
+    def recorded(p, point, family="schubert"):
+        restricted.append((p, point))
+        return restrict(p, point, family)
+
+    monkeypatch.setattr(equivariant_mod, "restrict_schubert", recorded)
+    for u in classes:
+        for v in classes:
+            for w in classes:
+                del restricted[:]
+                value = elr(u, v, w)
+                # the opposite class of w is restricted exactly on the
+                # points p with u, v inside p and p inside w
+                interval = [
+                    point_of(p)
+                    for p in classes
+                    if w.contains(p) and p.contains(u) and p.contains(v)
+                ]
+                if u.size + v.size < w.size:
+                    interval = []
+                assert restricted == [(w.dual(), pt) for pt in interval]
+                assert value == _every_point_elr(u, v, w), (u, v, w)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6)])
+def test_euler_factors_are_the_normalized_tangent_weights(k, n):
+    for point in fixed_points(GrassContext(k, n)):
+        factors, scale = _euler_factors(point)
+        normalized = [_normalize_linear(f) for f in tangent_weights(point)]
+        assert list(factors.items()) == [(f, 1) for f, _ in normalized]
+        assert scale == prod(s for _, s in normalized)
 
 
 def test_elr_unit(gr24):

@@ -18,7 +18,6 @@ from eqschubert.polyring import (
     w0_involution,
     y_to_x,
     _divide_heap,
-    _divide_linear,
     _key_degree,
     _lane_bytes,
     _pack,
@@ -28,7 +27,9 @@ from eqschubert.polyring import (
     _x_columns,
     add_into,
     add_product_into,
+    divide_linear,
     finish_terms,
+    linear_plan,
 )
 
 from conftest import homogeneous_of_degree
@@ -214,13 +215,72 @@ def test_linear_division_matches_the_heap(a, ell, m):
     product = a * ell
     assert product.divide_exact(ell) == a
     if not product.is_zero:
-        assert _divide_linear(product, ell) == a
+        assert divide_linear(4, ((product, 1),), linear_plan(ell)) == a
     # the kernels take a nonzero dividend
     dividend = product + m
     if not dividend.is_zero:
         expected = _divide_heap(dividend, ell)
         assert dividend.divide_exact(ell) == expected
-        assert _divide_linear(dividend, ell) == expected
+        assert divide_linear(4, ((dividend, 1),), linear_plan(ell)) == expected
+
+
+def planned_forms(nvars=4):
+    # lead x_j for any j, lead coefficient +-1 or |lc| > 1, a tail of 0..3 terms
+    def form(j, lead, rest):
+        return linear(nvars, [0] * (j - 1) + [lead] + rest)
+
+    return st.integers(1, nvars).flatmap(
+        lambda j: st.builds(
+            form,
+            st.just(j),
+            st.sampled_from([-3, -2, -1, 1, 2, 3]),
+            st.lists(st.integers(-2, 2), min_size=nvars - j, max_size=nvars - j),
+        )
+    )
+
+
+@st.composite
+def signed_lists(draw, nvars=4):
+    """(parts, ell, quotient): signed parts that sum to quotient * ell plus a
+    drawn remainder (quotient None unless the remainder is zero), their
+    terms spread over parts that cancel each other in part."""
+    ell = draw(planned_forms(nvars))
+    a = draw(polys(nvars=nvars))
+    rest = draw(polys(nvars=nvars, max_terms=2))
+    extras = draw(st.lists(st.tuples(polys(nvars=nvars), st.sampled_from([1, -1])), max_size=3))
+    total = a * ell + rest
+    last = draw(st.sampled_from([1, -1]))
+    for p, sign in extras:
+        total = total - p * sign
+    parts = extras + [(total * last, last)]
+    if draw(st.booleans()):
+        # a part and its cancelling twin
+        parts += [(a, 1), (a, -1)]
+    return parts, ell, a if rest.is_zero else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_lists())
+@example(([(x(1, 4) + x(2, 4), 1), (x(1, 4) + x(2, 4), -1)], x(1, 4) - x(2, 4), None))
+@example(([(x(1, 4) ** 2, -1), (x(2, 4) ** 2, 1)], -x(1, 4) - x(2, 4), x(1, 4) - x(2, 4)))
+@example(([(2 * x(1, 4) * x(3, 4), 1), (x(3, 4), 1)], 2 * x(1, 4) + x(3, 4), None))
+def test_the_planned_kernel_divides_a_signed_list_as_the_heap_divides_its_sum(case):
+    parts, ell, quotient = case
+    total = sum((p * sign for p, sign in parts), Polynomial.zero(4))
+    got = divide_linear(4, parts, linear_plan(ell))
+    assert got == _divide_heap(total, ell)
+    if quotient is not None:
+        assert got == quotient
+    assert total.divide_exact(ell) == got
+
+
+def test_a_linear_plan_is_only_made_of_a_linear_form():
+    assert linear_plan(x(1) ** 2 + x(2)) is None
+    assert linear_plan(x(1) + 1) is None
+    lead, lc, tail, shift = linear_plan(2 * x(2) - 3 * x(3) - x(1))
+    # x_1 leads: the highest lanes, the key 1 << shift
+    assert (lead, lc, shift) == (1 << 32, -1, 32)
+    assert sorted(tail) == sorted((2 * x(2) - 3 * x(3)).terms.items())
 
 
 def edge_monomials(nvars=2):
@@ -249,10 +309,10 @@ def test_monomial_division_at_the_lane_edges_matches_the_heap(parts, mono):
 
 def test_a_square_plus_a_variable_is_not_linear(monkeypatch):
     # x1**2 has a power-of-two key too, but not one lane's unit
-    def refuse(dividend, divisor):
+    def refuse(nvars, parts, plan):
         raise AssertionError("divided by a nonlinear form as if linear")
 
-    monkeypatch.setattr(polyring, "_divide_linear", refuse)
+    monkeypatch.setattr(polyring, "divide_linear", refuse)
     f = x(1) ** 2 + x(2)
     q = x(1) * x(3) - 2 * x(2) + 5
     assert (q * f).divide_exact(f) == q

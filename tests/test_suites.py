@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import eqschubert.polyring as polyring_mod
 import eqschubert.quantum as quantum_mod
 import eqschubert.suites as suites_mod
-from eqschubert.grass import default_d_max
+from eqschubert.grass import default_d_max, enumerate_classes
 from eqschubert.polyring import Polynomial, to_T_variables, y_to_x
 from eqschubert.suites import SUITES
 
@@ -33,6 +33,54 @@ def test_suite_reports_have_one_shape(gr12, gr24, name):
 
 def test_the_engine_defines_no_suite():
     assert [name for name in vars(quantum_mod) if name.startswith("verify")] == []
+
+
+def test_axioms_compute_each_associativity_side_once(gr25, monkeypatch):
+    # Gr(2,5) checks all 1,000 triples; their 2,000 sides circ(element(a, b), c)
+    # have 55 unordered pairs times 10 classes distinct keys
+    sides = []
+    circ = quantum_mod.EQTable.circ
+
+    def counted(self, elem, t):
+        sides.append((id(elem), t))
+        return circ(self, elem, t)
+
+    monkeypatch.setattr(quantum_mod.EQTable, "circ", counted)
+    report = suites_mod.verify_algebra(gr25)
+    assert report["passed"] and report["associativity_checked"] == 1000
+    # each pair's element is one kept object, so its id names the pair
+    assert len(sides) == len(set(sides)) == 55 * 10
+
+
+def _planted_table(ctx):
+    """A walked table of ``ctx`` with its last nonzero coefficient of two
+    classes past the divisor doubled, and its products dropped so that they
+    are rebuilt from it."""
+    table = quantum_mod.EQTable(ctx)
+    classes = enumerate_classes(ctx)
+    for u in classes:
+        for v in classes:
+            table.element(u, v)
+    key = max(k for k, c in table._coeff.items() if k[0] > 1 and c.terms)
+    table._coeff[key] = table._coeff[key] + table._coeff[key]
+    table._elements.clear()
+    return table
+
+
+def test_a_planted_coefficient_fails_associativity_as_a_plain_loop_does(gr25, monkeypatch):
+    planted = _planted_table(gr25)
+    monkeypatch.setattr(suites_mod, "eq_table", lambda ctx: planted)
+    report = suites_mod.verify_algebra(gr25)
+    classes = enumerate_classes(gr25)
+    expected = [
+        {"u": list(u.parts), "v": list(v.parts), "w": list(w.parts), "law": "associativity"}
+        for u in classes
+        for v in classes
+        for w in classes
+        if planted.circ(planted.element(u, v), w) != planted.circ(planted.element(v, w), u)
+    ]
+    assert expected
+    assert [f for f in report["violations"] if f["law"] == "associativity"] == expected
 
 
 def test_tbasis_runs_each_route_once_per_lane_group(gr36, monkeypatch):
