@@ -13,8 +13,7 @@ when a cache file is read or written), ``_signal``, the built-in core of
 standard library's ``argparse``, which needs neither ``inspect`` nor
 ``typing``. The engine and the renderers are imported inside the commands
 that use them, so a warm JSON read loads neither, and a warm CSV read loads
-the renderer, which imports the engine's polynomial ring only when a row is
-not canonical.
+the renderer alone.
 """
 
 from __future__ import annotations
@@ -149,11 +148,11 @@ def table(k, n, d_max, fmt, out, cache_dir, no_cache):
             except OSError as exc:
                 _fail("cache error: %s" % exc)
     if fmt == "csv":
-        from .render import CSV_ERRORS, table_csv
+        from .render import table_csv
 
         try:
             payload = table_csv(str(payload), k, n, d_max)
-        except CSV_ERRORS as exc:
+        except ValueError as exc:
             _fail("cache error: %s" % exc)
     _emit(payload, out)
 

@@ -298,21 +298,14 @@ def elr_table(ctx):
     c_w = (sigma(u)|w sigma(v)|w - sum of c_x sigma(x)|w over x found) / sigma(w)|w.
     The numerator folds into one term map by ``polyring.add_product_into``
     and becomes a polynomial once, by ``finish_terms``.  The divisor
-    sigma(w)|w, checked against the restriction table once per class, is
-    ``own_restriction(w)``, the product of the linear forms ``_own_weights``
-    of w's point, so the division runs form by form on the linear path.
+    sigma(w)|w is ``own_restriction(w)``, the value the restriction walk
+    seeds w's point with: the product of the linear forms ``_own_weights``
+    of that point, so the division runs form by form on the linear path.
     """
     classes = enumerate_classes(ctx)
     points = [pt.subset for pt in fixed_points(ctx)]
     sigma = restriction_table(ctx, "schubert").entries
-    weights = {}
-    for w, pt in zip(classes, points):
-        weights[w.parts] = _own_weights(ctx, pt)
-        if own_restriction(w) != sigma[(w.parts, pt)]:
-            raise NonPolynomialError(
-                "restriction of %r at its own point is not its weight product"
-                % (w.parts,)
-            )
+    weights = {w.parts: _own_weights(ctx, pt) for w, pt in zip(classes, points)}
     out = {}
     for i, u in enumerate(classes):
         for v in classes[i:]:

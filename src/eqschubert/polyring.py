@@ -147,22 +147,6 @@ class Polynomial:
             raise DimensionMismatchError("variable index %d out of range" % index)
         return cls(nvars, {_pack([1 if i == index - 1 else 0 for i in range(nvars)]): 1})
 
-    @classmethod
-    def from_exponents(cls, nvars, items):
-        """Build from an iterable of (exponent tuple, coefficient)."""
-        terms = {}
-        for exps, c in items:
-            if len(exps) != nvars:
-                raise DimensionMismatchError("exponent vector has wrong length")
-            if c:
-                key = _pack(exps)
-                c2 = terms.get(key, 0) + c
-                if c2:
-                    terms[key] = c2
-                else:
-                    del terms[key]
-        return cls(nvars, terms)
-
     # -- queries -----------------------------------------------------------
 
     @property

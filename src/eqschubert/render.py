@@ -7,10 +7,10 @@ keys, no whitespace. ``canonical_json`` encodes the envelopes and reports;
 the rows and polynomial terms of the JSON exports are written from the
 packed monomial keys' cached ``","e":[...]}`` fragments (``_term_encoder``)
 with the same bytes. A Tier-1 test pins the two byte for byte. The CSV
-export reads only that canonical table JSON back; any other payload is an
-error. It reads canonical rows as text, so a warm CSV re-export imports
-``polyring`` only for a row it must decode; the module imports ``polyring``
-inside the functions that use it.
+export reads back, as text, only the canonical table JSON the program
+writes; any other payload is an error. So a warm CSV re-export never
+imports ``polyring``, which the module imports only inside the functions
+that build exports.
 
 Every export is in the simple roots x. The table and restriction exports
 read the engine's tables, which are in the torus-character coordinates y,
@@ -35,7 +35,6 @@ from functools import lru_cache
 from itertools import compress
 from operator import add
 
-from .errors import DimensionMismatchError
 from .grass import Partition, default_d_max, enumerate_classes
 
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -76,12 +75,6 @@ def poly_text(items):
 def poly_json(p):
     """List of {"e": exponents, "c": coefficient-as-string} terms."""
     return [{"e": list(exps), "c": str(c)} for exps, c in p.canonical_terms()]
-
-
-def poly_from_json(obj, nvars):
-    from .polyring import Polynomial
-
-    return Polynomial.from_exponents(nvars, ((tuple(t["e"]), int(t["c"])) for t in obj))
 
 
 def _terms_text(coefficients, fragments):
@@ -159,18 +152,21 @@ class _Payload:
     """The canonical text of ``envelope`` with ``rows`` as its ``entries``
     list, plus a newline, as a re-iterable of text chunks.
 
-    The envelope's other values hold no empty list. Each pass formats the
-    rows anew and joins about ``CHUNK`` characters of them per chunk, so
-    neither the rows' strings nor the whole text is ever held. ``len()`` is
-    the text's length, counted over one pass; ``str()`` is the text.
+    The envelope's other values hold no empty list. ``head`` is the text
+    up to and with the ``[`` of the rows, ``tail`` the text from their
+    ``]`` on. Each pass formats the rows anew and joins about ``CHUNK``
+    characters of them per chunk, so neither the rows' strings nor the
+    whole text is ever held. ``len()`` is the text's length, counted over
+    one pass; ``str()`` is the text.
     """
 
     def __init__(self, envelope, rows):
-        self.head, self.tail = canonical_json(dict(envelope, entries=[])).split("[]")
+        head, tail = canonical_json(dict(envelope, entries=[])).split("[]")
+        self.head, self.tail = head + "[", "]" + tail + "\n"
         self.rows = rows
 
     def __iter__(self):
-        yield self.head + "["
+        yield self.head
         batch, size = [], 0
         for row in self.rows:
             batch.append(row)
@@ -180,7 +176,7 @@ class _Payload:
                 # the next chunk starts with the comma before its first row
                 batch, size = [""], 0
         yield ",".join(batch)
-        yield "]" + self.tail + "\n"
+        yield self.tail
 
     def __len__(self):
         return sum(map(len, self))
@@ -219,6 +215,11 @@ def qelem_json(elem):
 _ROW = '{"d":%d,"poly":%s,"u":%s,"v":%s,"w":%s}'
 
 
+def _table_envelope(k, n, d_max, variables):
+    """The members of a table payload other than its ``entries``."""
+    return {"k": k, "n": n, "d_max": d_max, "variables": variables}
+
+
 def table_entries(ctx, d_max=None):
     """Canonical JSON export rows for the full product table, formatted as
     they are iterated; ``len()`` is the row count.
@@ -249,14 +250,9 @@ def table_json(ctx, d_max=None):
     the rows of ``table_entries`` streamed into the encoded envelope."""
     if d_max is None:
         d_max = default_d_max(ctx)
-    envelope = {"k": ctx.k, "n": ctx.n, "d_max": d_max, "variables": ctx.r}
-    return _Payload(envelope, table_entries(ctx, d_max))
+    return _Payload(_table_envelope(ctx.k, ctx.n, d_max, ctx.r), table_entries(ctx, d_max))
 
 
-_decode = json.JSONDecoder().raw_decode
-# every error ``table_csv`` raises on a payload that is not canonical table JSON
-CSV_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
-_ENTRIES = '"entries":['
 # ``polyring``'s packing cap on one exponent, kept here so that a warm CSV
 # re-export does not import the engine; a Tier-1 test pins the two equal
 _MAX_EXPONENT = (1 << 15) - 1
@@ -268,24 +264,23 @@ def _is_int(text):
     return digits.isascii() and digits.isdigit() and (digits[0] != "0" or text == "0")
 
 
-def _canonical_rows():
-    """``read(payload, i)``: the row of canonical table JSON that starts at
-    ``i``, as ``(end, u, v, w, d, poly, nvars)``, or None.
+def _canonical_rows(nvars):
+    """``read(payload, i)``: the row of canonical table JSON over ``nvars``
+    variables that starts at ``i``, as ``(end, u, v, w, d, poly)``, or None.
 
-    A row is read as text only when it is ``{"d":D,"poly":P,"u":U,"v":V,"w":W}``
+    A row is read only when it is ``{"d":D,"poly":P,"u":U,"v":V,"w":W}``
     with D a canonical int, U, V and W canonical int lists, and P canonical
-    polynomial text: terms ``{"c":"C","e":[...]}`` with C a nonzero int,
-    exponents at most ``_MAX_EXPONENT`` in vectors of one length (``nvars``,
-    None for no terms), in strictly descending graded-lex order. Then D, U,
-    V and W are their own CSV text, and ``poly`` is ``poly_text`` of P's
-    terms, made once per distinct P. Such a row is exactly the text
-    ``canonical_json`` writes for what ``json`` decodes from it, so it
-    renders as the general path would.
+    polynomial text: terms ``{"c":"C","e":[...]}`` with C a nonzero int and
+    ``nvars`` exponents of at most ``_MAX_EXPONENT``, in strictly descending
+    graded-lex order. Such a row is exactly the text ``canonical_json``
+    writes for what ``json`` decodes from it. Then D, U, V and W are their
+    own CSV text, and ``poly`` is ``poly_text`` of P's terms, made once per
+    distinct P.
     """
     checked = set()  # int and int-list texts found canonical
     monomials = {}  # exponent-list text -> (degree, exponents), or False
-    # hash of a polynomial's text -> (where that text first starts, its
-    # length, (CSV text, nvars) or None); the payload holds the text, so the
+    # hash of a canonical polynomial's text -> (where that text first
+    # starts, its length, its CSV text); the payload holds the text, so the
     # memo keeps no copy of it
     polys = {}
 
@@ -300,7 +295,7 @@ def _canonical_rows():
 
     def monomial(text):
         parts = text.split(",") if text else []
-        if not all(map(_is_int, parts)):
+        if len(parts) != nvars or not all(map(_is_int, parts)):
             return False
         exps = tuple(map(int, parts))
         if not all(0 <= e <= _MAX_EXPONENT for e in exps):
@@ -309,10 +304,10 @@ def _canonical_rows():
 
     def poly(text):
         if text == "[]":
-            return "0", None
+            return "0"
         if not (text.startswith('[{"c":"') and text.endswith("]}]") and text.isascii()):
             return None
-        items, width, last = [], None, (float("inf"),)
+        items, last = [], (float("inf"),)
         for term in text[7:-3].split(']},{"c":"'):
             c, sep, e = term.partition('","e":[')
             if not sep:
@@ -321,11 +316,11 @@ def _canonical_rows():
             if key is None:
                 key = monomials[e] = monomial(e)
             coeff = _is_int(c) and int(c)
-            if not (key and coeff and key < last) or width not in (None, len(key[1])):
+            if not (key and coeff and key < last):
                 return None
-            last, width = key, len(key[1])
+            last = key
             items.append((key[1], coeff))
-        return poly_text(items), width
+        return poly_text(items)
 
     def read(payload, i):
         if not payload.startswith('{"d":', i):
@@ -339,13 +334,13 @@ def _canonical_rows():
         d, p, u, v, w = (payload[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
         if not (_is_int(d) and ints(u) and ints(v) and ints(w)):
             return None
-        start, length, known = polys.get(hash(p), (0, -1, None))
+        start, length, text = polys.get(hash(p), (0, -1, None))
         if length != len(p) or not payload.startswith(p, start):
-            known = poly(p)
-            polys.setdefault(hash(p), (cuts[2], len(p), known))
-        if known is None:
-            return None
-        return (cuts[-1], u, v, w, d, *known)
+            text = poly(p)
+            if text is None:
+                return None
+            polys.setdefault(hash(p), (cuts[2], len(p), text))
+        return cuts[-1], u, v, w, d, text
 
     return read
 
@@ -354,76 +349,35 @@ def table_csv(payload, k, n, d_max):
     """CSV rendering of the entries of the canonical table payload string of
     Gr(k,n) to q-degree ``d_max``.
 
-    Only what ``table_json`` writes is read, the mirror of ``_Payload``:
-    the rows after ``"entries":[`` are read one at a time, each written as
-    its CSV line before the next is read, so the parsed table is never built.
-    A row ``_canonical_rows`` accepts is read as text, with each distinct
-    polynomial rendered once. From the first row it does not accept on, each
-    row is decoded with ``json`` and its polynomial built with
-    ``poly_from_json``, as any layout of a row is.
-    The rest, the shell, must be the canonical text of an envelope with
-    exactly the keys ``d_max``, ``entries`` (empty), ``k``, ``n`` and
-    ``variables``, each count a nonnegative int, plus a newline; that also
-    proves the ``entries`` found is the top-level member. ``variables`` comes
-    after the rows, so each polynomial is built over the length of the first
-    exponent vector, which every later vector must have and which must equal
-    ``variables``. The envelope's ``k``, ``n`` and ``d_max`` must be the ones
-    asked for. Anything else raises one of ``CSV_ERRORS``.
+    Only the text ``table_json`` writes for that key is read, the mirror of
+    ``_Payload``: the payload must start with the head and end with the tail
+    of that table's envelope, and every row between them must be one that
+    ``_canonical_rows`` reads, each written as its CSV line before the next
+    is read, so the parsed table is never built. Anything else raises
+    ``ValueError``.
     """
-    body = payload.find(_ENTRIES)
-    if body < 0:
-        raise ValueError("no entries list")
-    body += len(_ENTRIES)
+    shell = _Payload(_table_envelope(k, n, d_max, n - 1), ())
+    if not (payload.startswith(shell.head) and payload.endswith(shell.tail)):
+        raise ValueError(
+            "payload is not the canonical table of Gr(%d,%d) to d_max %d" % (k, n, d_max)
+        )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v", "w", "d", "poly"])
-    read = _canonical_rows()
-    nvars = None
-    i = body
-    more = payload[i : i + 1] != "]"
+    read = _canonical_rows(n - 1)
+    end = len(payload) - len(shell.tail)
+    i = len(shell.head)
+    more = i < end
     while more:
-        row = read and read(payload, i)
-        if row and nvars is not None and row[-1] not in (None, nvars):
-            row = None
-        if row:
-            i, u, v, w, d, text, width = row
-            if nvars is None:
-                nvars = width
-            writer.writerow([u, v, w, d, text])
-        else:
-            read = None
-            row, i = _decode(payload, i)
-            poly = row["poly"]
-            if nvars is None and poly:
-                nvars = len(poly[0]["e"])
-            writer.writerow(
-                [
-                    canonical_json(row["u"]),
-                    canonical_json(row["v"]),
-                    canonical_json(row["w"]),
-                    row["d"],
-                    poly_text(poly_from_json(poly, nvars or 0).canonical_terms()),
-                ]
-            )
+        row = read(payload, i)
+        if row is None:
+            break
+        i, *fields = row
+        writer.writerow(fields)
         more = payload[i : i + 1] == ","
         i += more
-    shell = payload[:body] + payload[i:]
-    envelope = json.loads(shell)
-    if (
-        type(envelope) is not dict
-        or sorted(envelope) != ["d_max", "entries", "k", "n", "variables"]
-        or envelope["entries"] != []
-        or not all(type(v) is int and v >= 0 for key, v in envelope.items() if key != "entries")
-        or canonical_json(envelope) + "\n" != shell
-    ):
-        raise ValueError("not canonical table JSON")
-    if (envelope["k"], envelope["n"], envelope["d_max"]) != (k, n, d_max):
-        raise ValueError(
-            "payload is the table of Gr(%d,%d) to d_max %d, not of Gr(%d,%d) to d_max %d"
-            % (envelope["k"], envelope["n"], envelope["d_max"], k, n, d_max)
-        )
-    if nvars not in (None, envelope["variables"]):
-        raise DimensionMismatchError("exponent vector has wrong length")
+    if more or i != end:
+        raise ValueError("row at character %d is not canonical" % i)
     return buf.getvalue()
 
 

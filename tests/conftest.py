@@ -48,6 +48,24 @@ def part(ctx, *parts):
     return Partition(tuple(parts), ctx)
 
 
+def from_exponents(nvars, items):
+    """The polynomial over ``nvars`` variables with these ``(exponents,
+    coefficient)`` items, repeated exponents summed and zero terms dropped."""
+    from eqschubert.polyring import _pack
+
+    terms = {}
+    for exps, c in items:
+        assert len(exps) == nvars, "exponent vector has wrong length"
+        key = _pack(exps)
+        terms[key] = terms.get(key, 0) + c
+    return Polynomial(nvars, {key: c for key, c in terms.items() if c})
+
+
+def poly_from_json(terms, nvars):
+    """The polynomial of a JSON term list ``[{"c": "C", "e": [...]}, ...]``."""
+    return from_exponents(nvars, ((tuple(t["e"]), int(t["c"])) for t in terms))
+
+
 def max_key_degree(p):
     """The maximum degree of ``p``'s monomials, 0 when ``p`` is zero: with
     the variable count, the lane group of a value."""

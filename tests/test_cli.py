@@ -21,10 +21,10 @@ import eqschubert.render as render_mod
 import eqschubert.suites as suites_mod
 from eqschubert import GrassContext, enumerate_classes, point_of
 from eqschubert.errors import ExpansionError, NonPolynomialError, TableSolveError
-from eqschubert.render import canonical_json, poly_from_json, table_json
+from eqschubert.render import canonical_json, table_json
 from eqschubert.version import ENGINE_VERSION
 
-from conftest import captured_output, invoke, make_cache_file, read_cache_file
+from conftest import captured_output, invoke, make_cache_file, poly_from_json, read_cache_file
 
 # sha256 of exports recorded in bench/expected.json; export bytes must not change.
 # Gr(2,5) and Gr(3,6) run q-degree >= 1 blocks through the exact block solve.
@@ -386,6 +386,42 @@ def test_table_csv_of_a_malformed_cached_payload_exits_3(tmp_path):
         assert result.exit_code == 3, payload
         assert result.stderr.startswith("cache error:") and result.stderr.count("\n") == 1
         assert result.stdout == ""
+
+
+def _relaid_gr24_payload(relay):
+    """The Gr(2,4) payload with one row laid out as JSON that is equal to it
+    but not canonical: a space inside the first ``"v":[1]``, or the terms of
+    the first polynomial with two or more in reverse order."""
+    payload = str(table_json(GrassContext(2, 4)))
+    if relay == "space-in-v":
+        return payload.replace('"v":[1]', '"v":[ 1]', 1)
+    rows = json.loads(payload)["entries"]
+    row = next(row for row in rows if len(row["poly"]) > 1)
+    reversed_row = canonical_json(dict(row, poly=row["poly"][::-1]))
+    return payload.replace(canonical_json(row), reversed_row, 1)
+
+
+@pytest.mark.parametrize("relay", ["space-in-v", "reversed-terms"])
+def test_table_csv_of_a_cached_row_that_is_not_canonical_text_exits_3(tmp_path, relay):
+    # the row parses to the canonical one, but only what table_json writes
+    # is read: the CSV export is a cache error, and the file stays
+    payload = _relaid_gr24_payload(relay)
+    assert payload != str(table_json(GrassContext(2, 4)))
+    cache_mod.store(str(tmp_path), 2, 4, 2, payload)
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    args = ("table", "--k", "2", "--n", "4", "--cache-dir", str(tmp_path))
+    result = run(*args, "--format", "csv")
+    assert result.exit_code == 3
+    assert result.stderr.startswith("cache error: row at character ")
+    assert result.stderr.endswith(" is not canonical\n")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+    assert path.read_bytes() == data
+    # JSON emits a checksum-valid payload as is
+    result = run(*args)
+    assert result.exit_code == 0
+    assert result.stdout == payload
 
 
 def test_cache_file_bytes_match_seed(tmp_path):
@@ -931,7 +967,8 @@ def test_corrupted_block_rows_exit_3(monkeypatch, corruption, reason):
 
 def test_corrupted_own_point_restriction_exits_3(gr24, monkeypatch):
     # The engine's table is walked first, so only elr_table reads the
-    # corrupted entry: sigma((1))|(1) doubled is no longer the weight product.
+    # corrupted entry: with sigma((1))|(1) doubled, the numerators at that
+    # point no longer divide by its weights one by one.
     classes = enumerate_classes(gr24)
     table = quantum_mod.eq_table(gr24)
     for u in classes:
@@ -946,7 +983,8 @@ def test_corrupted_own_point_restriction_exits_3(gr24, monkeypatch):
     finally:
         equivariant_mod.elr_table.cache_clear()
     assert result.exit_code == 3
-    assert result.stderr.startswith("internal error: ") and "own point" in result.stderr
+    assert result.stderr.startswith("internal error: ")
+    assert "inexact restriction expansion" in result.stderr
     assert result.stderr.count("\n") == 1
     assert result.stdout == ""
 

@@ -71,7 +71,8 @@ def test_warm_json_read_imports_no_engine_module(tmp_path):
 
 
 def test_warm_csv_read_imports_only_the_renderer(tmp_path):
-    # the CSV renderer reads the cached payload without the polynomial ring
+    # the CSV renderer reads every row of the cached payload as text, so
+    # it never needs the polynomial ring
     assert _warm_read(tmp_path, "csv") == ([], ["render"])
 
 

@@ -28,7 +28,7 @@ from eqschubert.equivariant import own_restriction, point_of, restriction_table
 from eqschubert.grass import add_box_shapes, default_d_max
 from eqschubert.quantum import EQTable
 
-from conftest import homogeneous_of_degree, in_lane, max_key_degree, part
+from conftest import from_exponents, homogeneous_of_degree, in_lane, max_key_degree, part
 
 
 def x(ctx, i):
@@ -643,7 +643,7 @@ def _conjugate(p, ctx):
 
 def _reversed_x(p):
     """``p`` with x_1, ..., x_{n-1} replaced by x_{n-1}, ..., x_1."""
-    return Polynomial.from_exponents(p.nvars, ((e[::-1], c) for e, c in p.canonical_terms()))
+    return from_exponents(p.nvars, ((e[::-1], c) for e, c in p.canonical_terms()))
 
 
 @pytest.mark.parametrize(

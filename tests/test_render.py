@@ -18,10 +18,8 @@ from eqschubert import GrassContext, Polynomial, QModuleElement, enumerate_class
 from eqschubert.grass import default_d_max
 from eqschubert.polyring import _key_degree, _x_columns, y_to_x
 from eqschubert.render import (
-    CSV_ERRORS,
     canonical_json,
     partition_argument,
-    poly_from_json,
     poly_json,
     poly_text,
     qelem_json,
@@ -31,7 +29,7 @@ from eqschubert.render import (
     table_json,
 )
 
-from conftest import part
+from conftest import from_exponents, part, poly_from_json
 
 
 def x(i):
@@ -108,7 +106,7 @@ def table_rows(draw):
             items = draw(st.lists(term, max_size=6))
             if items and draw(st.booleans()):
                 items = [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
-            poly = Polynomial.from_exponents(ctx.r, ((tuple(e), c) for e, c in items))
+            poly = from_exponents(ctx.r, ((tuple(e), c) for e, c in items))
         u, v, w = draw(classes), draw(classes), draw(classes)
         rows.append((u, v, w, draw(st.integers(0, 3)), poly))
     return ctx, rows
@@ -289,11 +287,11 @@ def value_lists(draw):
         items = draw(st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=6))
         if items and draw(st.booleans()):
             items = [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
-        out.append(Polynomial.from_exponents(nvars, items))
+        out.append(from_exponents(nvars, items))
     if draw(st.booleans()):
         items = draw(st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=3))
         items.append((draw(exps), draw(st.integers(2**64, 2**80))))
-        wide = Polynomial.from_exponents(nvars, items)
+        wide = from_exponents(nvars, items)
         out.insert(draw(st.integers(0, len(out))), wide)
     return nvars, out
 
@@ -385,42 +383,110 @@ def table_payloads(draw):
 def test_table_csv_renders_a_layout_as_the_whole_payload_parse_or_rejects_it(payload):
     try:
         rendered = table_csv(payload, 1, 2, 1)
-    except CSV_ERRORS:
+    except ValueError:
         return
     assert rendered == reference_table_csv(payload)
+
+
+def _canonical_polys(table):
+    """True if every polynomial of ``table`` is in canonical form: terms
+    sorted, none zero, no exponent vector twice."""
+    return all(
+        row["poly"] == poly_json(poly_from_json(row["poly"], table["variables"]))
+        for row in table["entries"]
+    )
 
 
 @settings(max_examples=300, deadline=None)
 @given(table_payloads())
 def test_table_csv_matches_the_whole_payload_parse(payload):
     # every payload the strategy draws parses to a table; its canonical
-    # re-encoding is the one layout table_csv reads
-    canonical = canonical_json(json.loads(payload)) + "\n"
-    assert table_csv(canonical, 1, 2, 1) == reference_table_csv(canonical)
-
-
-def _undecodable(*args):
-    raise AssertionError("a canonical row must be read as text, not decoded")
+    # re-encoding is read only when it is what table_json writes for
+    # Gr(1,2): one variable and every polynomial in canonical form
+    table = json.loads(payload)
+    canonical = canonical_json(table) + "\n"
+    if table["variables"] == 1 and _canonical_polys(table):
+        assert table_csv(canonical, 1, 2, 1) == reference_table_csv(canonical)
+    else:
+        with pytest.raises(ValueError):
+            table_csv(canonical, 1, 2, 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(table_payloads())
 def test_table_csv_reads_canonical_rows_as_text(payload):
-    # with every polynomial in canonical term order, each row is read as text
+    # with every polynomial in canonical form, and n one more than the
+    # variable count, the payload is what table_json writes for its key
     table = json.loads(payload)
     for row in table["entries"]:
         row["poly"] = poly_json(poly_from_json(row["poly"], table["variables"]))
+    table["n"] = table["variables"] + 1
     canonical = canonical_json(table) + "\n"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(render_mod, "_decode", _undecodable)
-        rendered = table_csv(canonical, 1, 2, 1)
-    assert rendered == reference_table_csv(canonical)
+    assert table_csv(canonical, 1, table["n"], 1) == reference_table_csv(canonical)
 
 
-def test_table_csv_reads_a_real_table_as_text(gr24, monkeypatch):
+def test_table_csv_reads_a_real_table_as_text(gr24):
     payload = str(table_json(gr24))
-    monkeypatch.setattr(render_mod, "_decode", _undecodable)
     assert table_csv(payload, 2, 4, default_d_max(gr24)) == reference_table_csv(payload)
+
+
+# the characters of table JSON text
+JSON_CHARACTERS = ' ,:[]{}"-0123456789cdeknpuvwy'
+
+
+@st.composite
+def edited_payloads(draw):
+    """A Gr(1,2) table payload in the canonical layout, with one
+    polynomial perhaps re-laid (terms reversed, the last repeated, a zero
+    term added, a vector of another length, a coefficient no canonical
+    payload writes) and up to three one-character edits, half of them at
+    a bracket, brace or separator: a character of table JSON inserted,
+    deleted or replaced."""
+    exps = st.lists(st.integers(0, 3), min_size=1, max_size=1).map(tuple)
+    terms = st.lists(st.tuples(exps, st.integers(-3, 3)), min_size=1, max_size=3)
+    part = st.lists(st.integers(0, 3), max_size=2)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        poly = poly_json(from_exponents(1, draw(terms)))
+        u, v, w = draw(part), draw(part), draw(part)
+        rows.append({"d": draw(st.integers(0, 2)), "poly": poly, "u": u, "v": v, "w": w})
+    row = draw(st.sampled_from(rows))
+    poly = row["poly"]
+    relay = draw(st.sampled_from(["none", "reverse", "repeat", "zero", "vector", "coefficient"]))
+    if relay == "reverse":
+        row["poly"] = poly[::-1]
+    elif relay == "repeat":
+        row["poly"] = poly + poly[-1:]
+    elif relay == "zero":
+        row["poly"] = poly + [{"c": "0", "e": [0]}]
+    elif relay == "vector" and poly:
+        poly[-1]["e"] = draw(st.sampled_from([[], [0, 0]]))
+    elif relay == "coefficient" and poly:
+        poly[0]["c"] = draw(st.sampled_from(["01", "-0", "+1", " 1", "1.0"]))
+    table = {"d_max": 1, "entries": rows, "k": 1, "n": 2, "variables": 1}
+    payload = canonical_json(table) + "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        marks = [i for i, c in enumerate(payload) if c in "[]{},:"]
+        i = draw(st.one_of(st.integers(0, len(payload) - 1), st.sampled_from(marks)))
+        c = draw(st.sampled_from(JSON_CHARACTERS))
+        inserted, deleted = payload[:i] + c + payload[i:], payload[:i] + payload[i + 1 :]
+        payload = draw(st.sampled_from([inserted, deleted, payload[:i] + c + payload[i + 1 :]]))
+    return payload
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(edited_payloads(), table_payloads()))
+def test_table_csv_accepts_only_canonical_text(payload):
+    # a payload table_csv reads is the canonical text of its own parse,
+    # each polynomial in canonical form: exactly what table_json writes
+    try:
+        rendered = table_csv(payload, 1, 2, 1)
+    except ValueError:
+        return
+    table = json.loads(payload)
+    assert _canonical_polys(table)
+    assert payload == canonical_json(table) + "\n"
+    assert rendered == reference_table_csv(payload)
 
 
 def test_render_keeps_the_packing_cap_of_polyring():
@@ -436,6 +502,7 @@ def gr12_payload(rows, variables="1"):
     "payload",
     [
         gr12_payload('{"d":0,"poly":[{"c":"1","e":[0,0]}],"u":[],"v":[],"w":[]}'),
+        gr12_payload('{"d":0,"poly":[],"u":[],"v":[],"w":[]} '),
         gr12_payload('{"d":0,"poly":[],"u":[],"v":[],"w":[]}', "-1"),
         gr12_payload('{"d":0,"poly":[],"u":[],"v":[],"w":[]}', '"1"'),
         gr12_payload('{"d":0,"poly":[]}'),
@@ -454,6 +521,7 @@ def gr12_payload(rows, variables="1"):
     ],
     ids=[
         "variables-mismatch",
+        "space-after-rows",
         "negative-variables",
         "string-variables",
         "missing-u",
@@ -464,7 +532,7 @@ def gr12_payload(rows, variables="1"):
     ],
 )
 def test_table_csv_rejects_what_no_table_has(payload):
-    with pytest.raises(CSV_ERRORS):
+    with pytest.raises(ValueError):
         table_csv(payload, 1, 2, 1)
 
 
@@ -480,17 +548,20 @@ def test_table_csv_rejects_what_no_table_has(payload):
         '{"d":0,"poly":[{"c":" -1","e":[1]}],"u":[],"v":[],"w":[]}',
     ],
 )
-def test_table_csv_renders_odd_row_values_as_the_whole_payload_parse(row):
+def test_table_csv_rejects_odd_row_values(row):
     # after a canonical row, in the canonical layout, values no canonical
-    # row holds
+    # row holds, though the whole payload parses to a table
     first = '{"d":0,"poly":[{"c":"2","e":[1]}],"u":[1],"v":[],"w":[1]}'
     payload = gr12_payload(first + "," + row)
-    assert table_csv(payload, 1, 2, 1) == reference_table_csv(payload)
+    assert json.loads(payload)["entries"][1]
+    message = "row at character %d is not canonical" % payload.index(row)
+    with pytest.raises(ValueError, match=message):
+        table_csv(payload, 1, 2, 1)
 
 
 @pytest.mark.parametrize("key", [(2, 4, 2), (1, 3, 1), (1, 2, 0)])
 def test_table_csv_rejects_a_payload_of_another_table(key):
     payload = gr12_payload('{"d":0,"poly":[{"c":"1","e":[0]}],"u":[],"v":[],"w":[]}')
     assert table_csv(payload, 1, 2, 1).startswith("u,v,w,d,poly\n")
-    with pytest.raises(ValueError, match="not of Gr"):
+    with pytest.raises(ValueError, match="not the canonical table of Gr"):
         table_csv(payload, *key)

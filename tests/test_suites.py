@@ -13,7 +13,7 @@ from eqschubert.grass import default_d_max, enumerate_classes
 from eqschubert.polyring import Polynomial, to_T_variables, y_to_x
 from eqschubert.suites import SUITES
 
-from conftest import in_lane, max_key_degree
+from conftest import from_exponents, in_lane, max_key_degree
 
 REPORT_KEYS = {"suite", "context", "violations", "passed"}
 
@@ -144,11 +144,11 @@ def value_lists(draw, huge=False):
         d = draw(st.integers(0, 3))
         coefficient = st.one_of(st.integers(-9, 9), st.integers(-(2**9), 2**9))
         items = draw(st.lists(st.tuples(monomials(r, d), coefficient), max_size=4))
-        pool.append(Polynomial.from_exponents(r, items))
+        pool.append(from_exponents(r, items))
     if huge:
         exps = draw(monomials(r, draw(st.integers(0, 3))))
         big = draw(st.sampled_from([2**70, -(2**70)]))
-        pool.append(Polynomial.from_exponents(r, [(exps, big)]))
+        pool.append(from_exponents(r, [(exps, big)]))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
     values = [
         Polynomial(r, dict(pool[i].terms)) if draw(st.booleans()) else pool[i] for i in picks
@@ -221,7 +221,7 @@ def test_the_lane_route_passes_what_the_per_value_check_passes(case):
 
 # 127 * y_1**3 maps to 127 * (T_1 - T_2)**3, whose coefficients reach 381:
 # past a lane proven for its x image alone, inside one proven for T
-EDGE = Polynomial.from_exponents(1, [((3,), 127)])
+EDGE = from_exponents(1, [((3,), 127)])
 
 
 @settings(max_examples=150, deadline=None)
