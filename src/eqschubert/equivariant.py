@@ -44,10 +44,12 @@ from .grass import (
 from .polyring import (
     Polynomial,
     RationalExpression,
+    _cancel,
     _normalize_linear,
-    _rational,
+    _without_content,
     add_product_into,
     finish_terms,
+    shared_zero,
     w0_involution,
     y_to_x,
 )
@@ -181,7 +183,7 @@ def restrict_schubert(p, point, family="schubert"):
     ctx, subset = p.ctx, point.subset
     if family == "opposite":
         subset = point_of(partition_from_permutation(ctx, subset).dual()).subset
-    value = _restrictions_at(ctx, subset).get(p.parts, Polynomial.zero(ctx.r))
+    value = _restrictions_at(ctx, subset).get(p.parts, shared_zero(ctx.r))
     return w0_involution(value) if family == "opposite" else value
 
 
@@ -209,69 +211,90 @@ def restriction_table(ctx, family="schubert"):
 # -- localization ------------------------------------------------------------
 
 
-def integrate(ctx, values):
+def integrate(ctx, factors):
     """Equivariant push-forward to a point of a class given by restrictions.
 
-    ``values`` maps every fixed point to a polynomial in y, and the result
-    is in y.  It is the Atiyah-Bott sum of values over tangent Euler
-    classes, accumulated pairwise in the canonical fixed-point order; it
-    must clear to a polynomial or the input table was inconsistent.  Each
-    point's Euler class comes already normalized from ``_euler_factors``,
-    so no tangent weight is normalized per call.
+    ``factors`` maps a fixed point to the tuple of polynomials in y whose
+    product is the class's restriction there; a point that is left out
+    restricts to zero.  The result is in y.  It is the Atiyah-Bott sum of
+    the restrictions over the tangent Euler classes, accumulated pairwise
+    in the canonical fixed-point order; it must clear to a polynomial or
+    the input table was inconsistent.
+
+    Each point's Euler class comes normalized from ``_euler_factors``, and
+    its forms are divided out of the factors one factor at a time before
+    the factors are multiplied.  A positive primitive linear form is prime
+    in Z[y], so it divides the product exactly as often as it divides the
+    factors together: each point's term is the reduced term of the product,
+    found by dividing the smaller factors.
     """
-    acc = RationalExpression(Polynomial.zero(ctx.r))
+    acc = RationalExpression(shared_zero(ctx.r))
     for point in fixed_points(ctx):
-        value = values[point]
-        if value.is_zero:
+        parts = factors.get(point)
+        if parts is None or any(part.is_zero for part in parts):
             continue
-        factors, scale = _euler_factors(point)
+        left, scale = _euler_factors(point)
+        reduced = []
+        for part in parts:
+            rest = {}
+            reduced.append(_cancel(part, left.items(), rest))
+            left = rest
+        value = prod(reduced[1:], start=reduced[0])
         if scale < 0:
             value, scale = -value, -scale
-        acc = acc.add(_rational(value, scale, factors).reduced())
+        acc = acc.add(_without_content(value, scale, left))
     return acc.expect_polynomial()
 
 
 def pairing(u, v):
-    """Push-forward of (class of u) * (opposite class of v), in x."""
+    """Push-forward of (class of u) * (opposite class of v), in x.
+
+    sigma(u)|p vanishes unless u is contained in p, and sigma~(v)|p unless
+    p is contained in v dual, so only the points of that interval are
+    restricted and integrated.
+    """
     ctx = u.ctx
     sigma = restriction_table(ctx, "schubert")
     tilde = restriction_table(ctx, "opposite")
-    values = {
-        pt: sigma.restriction(u, pt) * tilde.restriction(v, pt)
-        for pt in fixed_points(ctx)
+    vd = v.dual()
+    factors = {
+        pt: (sigma.restriction(u, pt), tilde.restriction(v, pt))
+        for p, pt in zip(enumerate_classes(ctx), fixed_points(ctx))
+        if p.contains(u) and vd.contains(p)
     }
-    return y_to_x(integrate(ctx, values))
+    return y_to_x(integrate(ctx, factors))
 
 
+@lru_cache(maxsize=4096)
 def elr(u, v, w):
     """Equivariant structure constant of sigma(u)*sigma(v) on sigma(w).
 
     Integrates sigma(u) sigma(v) sigma~(w dual) over the fixed locus; the
     result, in x, is homogeneous of degree |u|+|v|-|w| and vanishes when
-    that degree is negative.
+    that degree is negative.  Memoized per (u, v, w) in a bounded cache,
+    so the plain and the mirrored quantum tables share each
+    divisor-diagonal check.
 
     The integrand is nonzero at the point of p exactly when u and v are
     contained in p and p in w, so only the points of that interval are
-    restricted, every other one gets zero, and no opposite table is built:
+    restricted, each as its three factors, and no opposite table is built:
     for elr(sigma(1), a, a) one point, p = a, contributes.
     """
     ctx = u.ctx
-    zero = Polynomial.zero(ctx.r)
     if u.size + v.size < w.size:
-        return zero
+        return shared_zero(ctx.r)
     sigma = restriction_table(ctx, "schubert")
     wd = w.dual()
-    values = {}
-    for p, pt in zip(enumerate_classes(ctx), fixed_points(ctx)):
-        if w.contains(p) and p.contains(u) and p.contains(v):
-            values[pt] = (
-                sigma.restriction(u, pt)
-                * sigma.restriction(v, pt)
-                * restrict_schubert(wd, pt, "opposite")
-            )
-        else:
-            values[pt] = zero
-    return y_to_x(integrate(ctx, values))
+    factors = {
+        pt: (
+            sigma.restriction(u, pt),
+            sigma.restriction(v, pt),
+            restrict_schubert(wd, pt, "opposite"),
+        )
+        for p, pt in zip(enumerate_classes(ctx), fixed_points(ctx))
+        if w.contains(p) and p.contains(u) and p.contains(v)
+    }
+    return y_to_x(integrate(ctx, factors))
 
 
 def _own_weights(ctx, subset):
@@ -357,9 +380,10 @@ def gkm_violations(ctx, family="schubert"):
     """Edges where a restriction difference is not divisible by the weight,
     both in y."""
     table = restriction_table(ctx, family)
+    edges = gkm_edges(ctx)
     bad = []
     for p in enumerate_classes(ctx):
-        for pt1, pt2, weight in gkm_edges(ctx):
+        for pt1, pt2, weight in edges:
             diff = table.restriction(p, pt1) - table.restriction(p, pt2)
             if diff.is_zero:
                 continue

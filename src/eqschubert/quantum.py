@@ -73,6 +73,7 @@ from .polyring import (
     divide_linear,
     finish_terms,
     linear_plan,
+    shared_zero,
     y_to_x,
 )
 
@@ -91,7 +92,7 @@ class QModuleElement:
         return cls(p.ctx, {(p.parts, d): Polynomial.const(p.ctx.r, 1)})
 
     def get(self, w, d):
-        return self.terms.get((w.parts, d), Polynomial.zero(self.ctx.r))
+        return self.terms.get((w.parts, d), shared_zero(self.ctx.r))
 
     def canonical_items(self):
         """Terms sorted by q-power then class order."""
@@ -153,7 +154,7 @@ class EQTable:
         self._keys = {}
         self._gaps = {}
         self._blocks_running = set()
-        self._zero = Polynomial.zero(ctx.r)
+        self._zero = shared_zero(ctx.r)
         self._one = Polynomial.const(ctx.r, 1)
 
     # -- the divisor product --------------------------------------------------

@@ -21,6 +21,7 @@ from .polyring import (
     _packed_lanes,
     _x_columns,
     is_x_nonnegative,
+    shared_zero,
     to_T_variables,
     y_to_x,
 )
@@ -270,6 +271,7 @@ def verify_specialization(ctx):
     table = eq_table(ctx)
     localization = elr_table(ctx)
     classes = enumerate_classes(ctx)
+    zero = shared_zero(ctx.r)
     checked = 0
     violations = []
     for i, u in enumerate(classes):
@@ -277,9 +279,7 @@ def verify_specialization(ctx):
             elem = table.element(u, v)
             for w in classes:
                 checked += 1
-                expected = localization.get(
-                    (u.parts, v.parts, w.parts), Polynomial.zero(ctx.r)
-                )
+                expected = localization.get((u.parts, v.parts, w.parts), zero)
                 if elem.get(w, 0) != expected:
                     violations.append(dict(_where(u=u, v=v, w=w), kind="equivariant"))
                 for d in range((u.size + v.size) // ctx.n + 1):

@@ -34,9 +34,14 @@ def gr36():
 
 @pytest.fixture
 def cold_restrictions():
-    """Restriction caches emptied before and after a test that plants an
-    error in the walk, so no corrupted value outlives it."""
-    caches = (equivariant_mod._restrictions_at, equivariant_mod.restriction_table)
+    """Restriction caches, and the elr memo read from them, emptied before
+    and after a test that plants an error in the walk, so no corrupted
+    value outlives it."""
+    caches = (
+        equivariant_mod._restrictions_at,
+        equivariant_mod.restriction_table,
+        equivariant_mod.elr,
+    )
     for cached in caches:
         cached.cache_clear()
     yield

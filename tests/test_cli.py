@@ -10,12 +10,14 @@ import sys
 import time
 import types
 import zlib
+from collections import Counter
 
 import pytest
 
 import eqschubert.cache as cache_mod
 import eqschubert.cli as cli_mod
 import eqschubert.equivariant as equivariant_mod
+import eqschubert.polyring as polyring_mod
 import eqschubert.quantum as quantum_mod
 import eqschubert.render as render_mod
 import eqschubert.suites as suites_mod
@@ -690,6 +692,40 @@ def test_verify_all_suites_p1_json():
         "axioms", "duality", "gkm", "positivity", "specialization", "tbasis",
     }
     assert all(rep["passed"] for rep in reports)
+
+
+def test_a_cold_verify_plans_each_linear_form_once(monkeypatch):
+    # divide_exact and the quantum table take their plans from one bounded
+    # cache, so a cold verify plans each distinct divisor once, though the
+    # divisors come back many times each
+    plan = polyring_mod.linear_plan
+    seen = Counter()
+
+    def recorded(divisor):
+        seen[divisor] += 1
+        return plan(divisor)
+
+    monkeypatch.setattr(polyring_mod, "linear_plan", recorded)
+    monkeypatch.setattr(quantum_mod, "linear_plan", recorded)
+    caches = (
+        quantum_mod.eq_table,
+        equivariant_mod.restriction_table,
+        equivariant_mod._restrictions_at,
+        equivariant_mod.elr_table,
+        equivariant_mod.elr,
+        plan,
+    )
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        result = run("verify", "--k", "3", "--n", "6")
+        info = plan.cache_info()
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert result.exit_code == 0, result.output
+    assert info.misses == info.currsize == len(seen)
+    assert sum(seen.values()) > 10 * len(seen)
 
 
 def test_verify_workers_flag():

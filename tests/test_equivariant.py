@@ -1,12 +1,15 @@
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqschubert import (
     FixedPoint,
     GrassContext,
     NonPolynomialError,
     Polynomial,
+    RationalExpression,
     elr,
     enumerate_classes,
     fixed_points,
@@ -31,7 +34,13 @@ from eqschubert.equivariant import (
     gkm_violations,
 )
 from eqschubert.oracles import _b_forms_x, factorial_schur_zpoly
-from eqschubert.polyring import _normalize_linear, add_product_into, finish_terms, y_to_x
+from eqschubert.polyring import (
+    _normalize_linear,
+    _rational,
+    add_product_into,
+    finish_terms,
+    y_to_x,
+)
 from eqschubert.suites import verify_specialization
 
 from conftest import homogeneous_of_degree, part
@@ -198,20 +207,20 @@ def test_gkm_consistency_small(gr12, gr24):
 def test_integrate_point_class(gr24):
     table = restriction_table(gr24)
     top = part(gr24, 2, 2)
-    values = {pt: table.restriction(top, pt) for pt in fixed_points(gr24)}
+    values = {pt: (table.restriction(top, pt),) for pt in fixed_points(gr24)}
     assert integrate(gr24, values) == Polynomial.const(gr24.r, 1)
 
 
 def test_integrate_unit_vanishes(gr24, gr12):
     for ctx in (gr24, gr12):
         one = Polynomial.const(ctx.r, 1)
-        assert integrate(ctx, dict.fromkeys(fixed_points(ctx), one)).is_zero
+        assert integrate(ctx, dict.fromkeys(fixed_points(ctx), (one,))).is_zero
 
 
 def test_integrate_rejects_inconsistent_table(gr12):
     values = {
-        FixedPoint((1,), gr12): Polynomial.const(gr12.r, 1),
-        FixedPoint((2,), gr12): Polynomial.const(gr12.r, 2),
+        FixedPoint((1,), gr12): (Polynomial.const(gr12.r, 1),),
+        FixedPoint((2,), gr12): (Polynomial.const(gr12.r, 2),),
     }
     with pytest.raises(NonPolynomialError):
         integrate(gr12, values)
@@ -222,7 +231,7 @@ def test_integrate_sigma_times_opposite(gr12):
     tilde = restriction_table(gr12, "opposite")
     one = part(gr12, 1)
     values = {
-        pt: sigma.restriction(one, pt) * tilde.restriction(one, pt)
+        pt: (sigma.restriction(one, pt) * tilde.restriction(one, pt),)
         for pt in fixed_points(gr12)
     }
     assert integrate(gr12, values).is_zero
@@ -257,9 +266,11 @@ def _every_point_elr(u, v, w):
     ctx = u.ctx
     sigma = restriction_table(ctx, "schubert")
     values = {
-        pt: sigma.restriction(u, pt)
-        * sigma.restriction(v, pt)
-        * restrict_schubert(w.dual(), pt, "opposite")
+        pt: (
+            sigma.restriction(u, pt)
+            * sigma.restriction(v, pt)
+            * restrict_schubert(w.dual(), pt, "opposite"),
+        )
         for pt in fixed_points(ctx)
     }
     return y_to_x(integrate(ctx, values))
@@ -278,6 +289,8 @@ def test_elr_restricts_only_on_its_interval(k, n, monkeypatch):
         return restrict(p, point, family)
 
     monkeypatch.setattr(equivariant_mod, "restrict_schubert", recorded)
+    # elr is memoized, so a cold memo makes every call restrict
+    equivariant_mod.elr.cache_clear()
     for u in classes:
         for v in classes:
             for w in classes:
@@ -404,3 +417,99 @@ def test_edge_weights_are_b_differences(gr24):
     weights = tangent_weights(point_of(part(gr24, 2, 1)))
     assert b_difference(gr24, 2, 1) in weights
     assert b_difference(gr24, 3, 4) not in weights
+
+
+def _product_then_reduce(ctx, factors):
+    """integrate by multiplying each point's factors out first and then
+    reducing the product by the point's normalized Euler class, the route
+    the factor-wise one replaced."""
+    acc = RationalExpression(Polynomial.zero(ctx.r))
+    for point in fixed_points(ctx):
+        if point not in factors:
+            continue
+        value = prod(factors[point], start=Polynomial.const(ctx.r, 1))
+        if value.is_zero:
+            continue
+        forms, scale = _euler_factors(point)
+        if scale < 0:
+            value, scale = -value, -scale
+        acc = acc.add(_rational(value, scale, forms).reduced())
+    return acc.expect_polynomial()
+
+
+def _outcome(route, ctx, factors):
+    try:
+        return route(ctx, factors)
+    except NonPolynomialError as exc:
+        return ("NonPolynomialError", str(exc))
+
+
+FACTOR_CONTEXTS = [GrassContext(2, 4), GrassContext(2, 5), GrassContext(3, 6)]
+FAMILIES = ("schubert", "opposite")
+
+
+@st.composite
+def factor_tables(draw):
+    """A context and, per fixed point, a tuple of restrictions: the same
+    one to three classes at every point, some points left out and up to two
+    factors replaced, so both consistent and inconsistent tables come up."""
+    ctx = draw(st.sampled_from(FACTOR_CONTEXTS))
+    classes, points = enumerate_classes(ctx), fixed_points(ctx)
+    picks = st.tuples(st.sampled_from(classes), st.sampled_from(FAMILIES))
+    chosen = draw(st.lists(picks, min_size=1, max_size=3))
+    left_out = draw(st.sets(st.sampled_from(points), max_size=2))
+    plants = draw(
+        st.lists(
+            st.tuples(st.sampled_from(points), st.integers(0, len(chosen) - 1), picks),
+            max_size=2,
+        )
+    )
+
+    def value(pick, pt):
+        c, family = pick
+        return restriction_table(ctx, family).restriction(c, pt)
+
+    table = {pt: [value(pick, pt) for pick in chosen] for pt in points if pt not in left_out}
+    for pt, i, pick in plants:
+        if pt in table:
+            table[pt][i] = value(pick, pt)
+    return ctx, {pt: tuple(values) for pt, values in table.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_tables())
+def test_integrate_factor_by_factor_matches_the_product_route(drawn):
+    ctx, factors = drawn
+    got = _outcome(integrate, ctx, factors)
+    assert got == _outcome(_product_then_reduce, ctx, factors)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5)])
+def test_pairing_restricts_only_on_its_support(k, n, monkeypatch):
+    ctx = GrassContext(k, n)
+    classes = enumerate_classes(ctx)
+    sigma = restriction_table(ctx, "schubert").entries
+    tilde = restriction_table(ctx, "opposite").entries
+    restricted = []
+    restriction = equivariant_mod.RestrictionTable.restriction
+
+    def recorded(self, p, point):
+        restricted.append((self.family, p, point))
+        return restriction(self, p, point)
+
+    monkeypatch.setattr(equivariant_mod.RestrictionTable, "restriction", recorded)
+    for u in classes:
+        for v in classes:
+            every_point = {
+                pt: (sigma[(u.parts, pt.subset)] * tilde[(v.parts, pt.subset)],)
+                for pt in fixed_points(ctx)
+            }
+            expected = y_to_x(integrate(ctx, every_point))
+            del restricted[:]
+            assert pairing(u, v) == expected, (u, v)
+            # both classes are restricted exactly on the points p with u
+            # inside p and p inside v dual
+            support = [point_of(p) for p in classes if p.contains(u) and v.dual().contains(p)]
+            assert restricted == [
+                (family, c, pt) for pt in support for family, c in zip(FAMILIES, (u, v))
+            ]

@@ -216,7 +216,7 @@ def c1_curve_integral(ctx):
         c1 = Polynomial.zero(ctx.r)
         for wgt in tangent_weights(pt):
             c1 = c1 + wgt
-        values[pt] = c1 * sigma.restriction(curve, pt)
+        values[pt] = (c1 * sigma.restriction(curve, pt),)
     result = integrate(ctx, values)
     assert homogeneous_of_degree(result, 0)
     return result.constant_term()

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import eqschubert.equivariant as equivariant_mod
 import eqschubert.quantum as quantum_mod
 from eqschubert import (
     Partition,
@@ -671,3 +672,35 @@ def test_conjugation_identity(k, n, keys, differ_unreversed):
                     checked += 1
                     differ += theirs != mine
     assert (checked, differ) == (keys, differ_unreversed)
+
+
+def test_the_plain_and_mirrored_tables_share_each_diagonal_check(gr25, monkeypatch):
+    # both tables check every divisor diagonal c_a against elr(sigma(1), a, a),
+    # and elr is memoized per (u, v, w), so the mirrored table reads the
+    # integral the plain one made: one Atiyah-Bott sum per nonempty class
+    classes = enumerate_classes(gr25)
+    checked, integrals = [], []
+    elr, integrate = quantum_mod.elr, equivariant_mod.integrate
+
+    def recording_elr(u, v, w):
+        checked.append((u.parts, v.parts, w.parts))
+        return elr(u, v, w)
+
+    def recording_integrate(ctx, factors):
+        integrals.append(ctx)
+        return integrate(ctx, factors)
+
+    monkeypatch.setattr(quantum_mod, "elr", recording_elr)
+    monkeypatch.setattr(equivariant_mod, "integrate", recording_integrate)
+    equivariant_mod.elr.cache_clear()
+    try:
+        for mirrored in (False, True):
+            table = EQTable(gr25, mirrored=mirrored)
+            for u in classes:
+                for v in classes:
+                    table.element(u, v)
+    finally:
+        equivariant_mod.elr.cache_clear()
+    diagonals = [((1,), a.parts, a.parts) for a in classes[1:]]
+    assert sorted(checked) == sorted(diagonals * 2)
+    assert len(integrals) == len(diagonals)

@@ -188,7 +188,7 @@ def test_a_cold_export_builds_no_opposite_table(monkeypatch):
     # the divisor-diagonal check elr(sigma(1), a, a) restricts the opposite
     # class only where its integrand can be nonzero, so a cold export builds
     # the Schubert restriction table alone; the check still runs, and
-    # integrates, once per diagonal
+    # integrates over its one point p = a, once per diagonal
     ctx = GrassContext(2, 5)
     classes = enumerate_classes(ctx)
     families, checked, integrals = [], [], []
@@ -217,6 +217,7 @@ def test_a_cold_export_builds_no_opposite_table(monkeypatch):
         quantum_mod.eq_table,
         equivariant_mod.restriction_table,
         equivariant_mod._restrictions_at,
+        equivariant_mod.elr,
     )
     for cached in caches:
         cached.cache_clear()
@@ -228,7 +229,7 @@ def test_a_cold_export_builds_no_opposite_table(monkeypatch):
     assert families == ["schubert"]
     # the walk reads the diagonal of every nonempty class, each checked once
     assert sorted(checked) == sorted(((1,), a.parts, a.parts) for a in classes[1:])
-    assert integrals == [len(classes)] * len(checked)
+    assert integrals == [1] * len(checked)
 
 
 def test_an_export_never_holds_the_joined_payload(tmp_path):
@@ -478,7 +479,9 @@ def edited_payloads(draw):
 @given(st.one_of(edited_payloads(), table_payloads()))
 def test_table_csv_accepts_only_canonical_text(payload):
     # a payload table_csv reads is the canonical text of its own parse,
-    # each polynomial in canonical form: exactly what table_json writes
+    # each polynomial in canonical form: exactly what table_json writes;
+    # any other payload, edited or in another JSON layout, raises
+    # ValueError and nothing else
     try:
         rendered = table_csv(payload, 1, 2, 1)
     except ValueError:
