@@ -30,6 +30,7 @@ _EXPORTS = {
     "eq_table": "quantum",
     "eqlr": "quantum",
     "fixed_points": "equivariant",
+    "forget": "grass",
     "integrate": "equivariant",
     "is_x_nonnegative": "polyring",
     "lr_tableau": "oracles",

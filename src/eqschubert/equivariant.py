@@ -30,12 +30,12 @@ GKM, duality, and positivity checks:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
 
 from .errors import NonPolynomialError
 from .grass import (
     _frozen,
+    _per_context,
     add_box_shapes,
     enumerate_classes,
     partition_from_permutation,
@@ -93,13 +93,13 @@ def partition_of(point):
     return partition_from_permutation(point.ctx, point.subset)
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def fixed_points(ctx):
     """All fixed points, ordered like the classes they index."""
     return tuple(point_of(p) for p in enumerate_classes(ctx))
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def _b_forms(ctx):
     """b_1 = 0 and b_{j+1} = y_j for j = 1..n-1, the engine coordinates, as
     polynomials over r vars."""
@@ -107,10 +107,16 @@ def _b_forms(ctx):
     return (Polynomial.zero(r),) + tuple(Polynomial.variable(r, j) for j in range(1, ctx.n))
 
 
+@_per_context
+def _shared_form(ctx, form):
+    """The context's one object equal to ``form``, so equal forms hit caches by identity."""
+    return form
+
+
 def b_difference(ctx, a, b):
-    """b_a - b_b, in the engine coordinates y."""
+    """b_a - b_b, in the engine coordinates y, as a ``_shared_form``."""
     forms = _b_forms(ctx)
-    return forms[a - 1] - forms[b - 1]
+    return _shared_form(ctx, forms[a - 1] - forms[b - 1])
 
 
 def _tangent_pairs(ctx, subset):
@@ -129,7 +135,7 @@ def tangent_weights(point):
     return [b_difference(point.ctx, a, b) for a, b in _tangent_pairs(point.ctx, point.subset)]
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def _euler_factors(point):
     """The tangent Euler class at ``point`` normalized as a
     ``RationalExpression`` denominator, once per point: (map of positive
@@ -138,12 +144,13 @@ def _euler_factors(point):
     factors, scale = {}, 1
     for form in tangent_weights(point):
         form, s = _normalize_linear(form)
+        form = _shared_form(point.ctx, form)
         factors[form] = factors.get(form, 0) + 1
         scale *= s
     return factors, scale
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def divisor_restriction(ctx, subset):
     """c_S = sigma(1)|S = sum of b_{s_i} - b_i over the ascending subset S, in
     y (Knutson-Tao); at the point of a it is the Chevalley diagonal c_a."""
@@ -151,7 +158,7 @@ def divisor_restriction(ctx, subset):
     return sum(terms, Polynomial.zero(ctx.r))
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def _restrictions_at(ctx, subset):
     """Every nonzero sigma(a)|S at the fixed point S of m, keyed by parts.
 
@@ -167,7 +174,7 @@ def _restrictions_at(ctx, subset):
         if a.parts in values or not m.contains(a):
             continue
         above = [values[up.parts] for up in add_box_shapes(a) if up.parts in values]
-        gap = c_s - divisor_restriction(ctx, point_of(a).subset)
+        gap = _shared_form(ctx, c_s - divisor_restriction(ctx, point_of(a).subset))
         values[a.parts] = sum(above, Polynomial.zero(ctx.r)).divide_exact(gap)
         if values[a.parts] is None:
             raise NonPolynomialError("inexact Chevalley step at %r for %r" % (subset, a.parts))
@@ -203,7 +210,7 @@ class RestrictionTable:
         return self.entries[(p.parts, point.subset)]
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def restriction_table(ctx, family="schubert"):
     return RestrictionTable(ctx, family)
 
@@ -265,15 +272,14 @@ def pairing(u, v):
     return y_to_x(integrate(ctx, factors))
 
 
-@lru_cache(maxsize=4096)
+@_per_context
 def elr(u, v, w):
     """Equivariant structure constant of sigma(u)*sigma(v) on sigma(w).
 
     Integrates sigma(u) sigma(v) sigma~(w dual) over the fixed locus; the
     result, in x, is homogeneous of degree |u|+|v|-|w| and vanishes when
-    that degree is negative.  Memoized per (u, v, w) in a bounded cache,
-    so the plain and the mirrored quantum tables share each
-    divisor-diagonal check.
+    that degree is negative.  Memoized per (u, v, w), so the plain and the
+    mirrored quantum tables share each divisor-diagonal check.
 
     The integrand is nonzero at the point of p exactly when u and v are
     contained in p and p in w, so only the points of that interval are
@@ -303,14 +309,14 @@ def _own_weights(ctx, subset):
     return [b_difference(ctx, a, b) for a, b in _tangent_pairs(ctx, subset) if a > b]
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def own_restriction(p):
     """sigma(p)|p in y, the product of the ``_own_weights`` of p's point."""
     one = Polynomial.const(p.ctx.r, 1)
     return prod(_own_weights(p.ctx, point_of(p).subset), start=one)
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def elr_table(ctx):
     """All nonzero ELR coefficients keyed by (u.parts, v.parts, w.parts), in y.
 

@@ -4,11 +4,13 @@ Basis classes are partitions inside the k x (n-k) box; the class of the
 partition ``a`` has codimension |a|, the empty partition is the unit and the
 full box is the point class.  The global class order is by size, then by the
 parts tuple with larger first parts earlier, so serialized tables are stable.
+A context's tables live in its store (``_per_context``) until ``forget``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import defaultdict
+from functools import wraps
 
 from .errors import ContextError
 
@@ -54,6 +56,29 @@ class GrassContext:
     def dim(self):
         """Complex dimension k(n-k)."""
         return self.k * (self.n - self.k)
+
+
+_STORES = defaultdict(dict)  # context -> {(function, arguments): result}
+
+
+def _per_context(fn):
+    """Memoize ``fn`` in the store of its first argument or of that one's ``ctx``."""
+
+    @wraps(fn)
+    def cached(*args):
+        store = _STORES[args[0] if args[0].__class__ is GrassContext else args[0].ctx]
+        value = store.get((cached, args), store)  # a store never holds itself
+        if value is store:
+            value = store[cached, args] = fn(*args)
+        return value
+
+    return cached
+
+
+def forget(ctx=None):
+    """Drop every table kept for ``ctx``, or for every context when None."""
+    for key in list(_STORES) if ctx is None else [ctx]:
+        _STORES.pop(key, None)
 
 
 class Partition:
@@ -112,7 +137,7 @@ class Partition:
         return "Partition(%s; Gr(%d,%d))" % (list(self.parts), self.ctx.k, self.ctx.n)
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def enumerate_classes(ctx):
     """All box partitions in the canonical class order."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ExpansionError
-from .grass import Partition, remove_rim_hooks
+from .grass import Partition, _per_context, remove_rim_hooks
 from .polyring import Polynomial
 
 # -- classical Littlewood-Richardson by tableau enumeration -------------------
@@ -103,20 +103,19 @@ def wide_lr_expansion(u, v, k):
 # -- quantum structure constants by rim-hook reduction ------------------------
 
 
-@lru_cache(maxsize=None)
-def rim_reduce(shape, ctx):
+@_per_context
+def rim_reduce(ctx, shape):
     """Reduce a wide shape into the box by removing n-rim-hooks.
 
     Returns (box shape, sign, number of hooks) or None when the reduction
     dies.  Every removal order is explored and must agree; the final shape is
     an n-core, so a shape already inside the box is returned unchanged.
     """
-    shape = tuple(shape)
     if (not shape or shape[0] <= ctx.width) and len(shape) <= ctx.k:
         return (shape, 1, 0)
     outcomes = []
     for new_shape, sign in remove_rim_hooks(shape, ctx):
-        sub = rim_reduce(new_shape, ctx)
+        sub = rim_reduce(ctx, new_shape)
         outcomes.append(None if sub is None else (sub[0], sign * sub[1], sub[2] + 1))
     if not outcomes:
         return None
@@ -132,7 +131,7 @@ def quantum_lr_rimhook(u, v, w, d):
         return 0
     total = 0
     for shape, c in wide_lr_expansion(u.parts, v.parts, ctx.k).items():
-        reduced = rim_reduce(shape, ctx)
+        reduced = rim_reduce(ctx, shape)
         if reduced is not None and reduced[0] == w.parts and reduced[2] == d:
             total += reduced[1] * c
     return total
@@ -169,7 +168,7 @@ def _ssyt(shape, max_entry):
     yield from fill(0, 0)
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def _b_forms_x(ctx):
     """b_j = x_1 + ... + x_{j-1} for j = 1..n, in the simple roots x: the
     oracle builds its own, so it shares no coordinates with the engine."""
@@ -187,7 +186,7 @@ def _b_extended(ctx, j):
     return _b_forms_x(ctx)[min(j, ctx.n) - 1]
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def factorial_schur_zpoly(ctx, shape):
     """The factorial Schur polynomial of a shape with at most k rows, as a
     map from z-exponent vectors to coefficient polynomials in x."""
@@ -228,7 +227,7 @@ def _zmul(a, b):
     return out
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def fs_product_expansion(ctx, u, v):
     """Structure constants of a product in the factorial Schur basis.
 

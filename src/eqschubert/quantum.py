@@ -55,12 +55,11 @@ torus characters, where its memo is far sparser than in the simple roots x
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .equivariant import divisor_restriction, elr, own_restriction, point_of
+from .equivariant import _shared_form, divisor_restriction, elr, own_restriction, point_of
 from .errors import TableSolveError
 from .grass import (
     Partition,
+    _per_context,
     add_box_shapes,
     enumerate_classes,
     quantum_chevalley_shape,
@@ -259,7 +258,7 @@ class EQTable:
             gap = self._coefficient(1, iw, iw, 0) - self._coefficient(1, ia, ia, 0)
             if gap.is_zero:
                 raise TableSolveError("vanishing divisor difference")
-            plan = self._gaps[(iw, ia)] = linear_plan(gap)
+            plan = self._gaps[(iw, ia)] = linear_plan(_shared_form(self.ctx, gap))
         return plan
 
     def _known_tail(self, ia, io, iw, d):
@@ -438,7 +437,7 @@ class EQTable:
         )
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def eq_table(ctx):
     return EQTable(ctx)
 

@@ -7,8 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import eqschubert.equivariant as equivariant_mod
-from eqschubert import GrassContext, Partition, Polynomial
+from eqschubert import GrassContext, Partition, Polynomial, forget
 from eqschubert.cli import main
 
 
@@ -33,20 +32,12 @@ def gr36():
 
 
 @pytest.fixture
-def cold_restrictions():
-    """Restriction caches, and the elr memo read from them, emptied before
-    and after a test that plants an error in the walk, so no corrupted
-    value outlives it."""
-    caches = (
-        equivariant_mod._restrictions_at,
-        equivariant_mod.restriction_table,
-        equivariant_mod.elr,
-    )
-    for cached in caches:
-        cached.cache_clear()
+def cold_state():
+    """Every context's state dropped before and after a test that wants a
+    cold build or plants a fault, so no corrupted value outlives it."""
+    forget()
     yield
-    for cached in caches:
-        cached.cache_clear()
+    forget()
 
 
 def part(ctx, *parts):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import gzip
 import hashlib
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 import types
+import weakref
 import zlib
 from collections import Counter
 
@@ -17,11 +19,12 @@ import pytest
 import eqschubert.cache as cache_mod
 import eqschubert.cli as cli_mod
 import eqschubert.equivariant as equivariant_mod
+import eqschubert.grass as grass_mod
 import eqschubert.polyring as polyring_mod
 import eqschubert.quantum as quantum_mod
 import eqschubert.render as render_mod
 import eqschubert.suites as suites_mod
-from eqschubert import GrassContext, enumerate_classes, point_of
+from eqschubert import GrassContext, enumerate_classes, forget, point_of
 from eqschubert.errors import ExpansionError, NonPolynomialError, TableSolveError
 from eqschubert.render import canonical_json, table_json
 from eqschubert.version import ENGINE_VERSION
@@ -135,6 +138,29 @@ def test_verify_text_matches_the_benchmark_transcript(k, n):
     result = run("verify", "--k", str(k), "--n", str(n))
     assert (result.exit_code, result.stderr) == (0, "")
     assert result.stdout == "".join(line + "\n" for line in lines)
+
+
+def test_forget_drops_one_context_and_keeps_the_others(cold_state):
+    # a library process that is done with Gr(3,6) frees its tables alone
+    gr36, gr25 = GrassContext(3, 6), GrassContext(2, 5)
+    assert run("verify", "--k", "3", "--n", "6").exit_code == 0
+    assert run("table", "--k", "2", "--n", "5", "--no-cache").exit_code == 0
+    kept = dict(grass_mod._STORES[gr25])
+    tables = [
+        weakref.ref(quantum_mod.eq_table(gr36)),
+        weakref.ref(equivariant_mod.restriction_table(gr36, "schubert")),
+    ]
+    forget(gr36)
+    gc.collect()
+    assert gr36 not in grass_mod._STORES
+    assert [table() for table in tables] == [None, None]
+    assert grass_mod._STORES[gr25].keys() == kept.keys()
+    assert all(grass_mod._STORES[gr25][key] is value for key, value in kept.items())
+    with open(BENCH_EXPECTED, encoding="utf-8") as fh:
+        digest = json.load(fh)["json"]["3,6"]
+    export = run("table", "--k", "3", "--n", "6", "--no-cache")
+    assert export.exit_code == 0
+    assert _sha256(export.stdout_bytes) == digest
 
 
 def test_warm_csv_renders_the_cached_payload(tmp_path, monkeypatch):
@@ -694,7 +720,7 @@ def test_verify_all_suites_p1_json():
     assert all(rep["passed"] for rep in reports)
 
 
-def test_a_cold_verify_plans_each_linear_form_once(monkeypatch):
+def test_a_cold_verify_plans_each_linear_form_once(cold_state, monkeypatch):
     # divide_exact and the quantum table take their plans from one bounded
     # cache, so a cold verify plans each distinct divisor once, though the
     # divisors come back many times each
@@ -707,22 +733,12 @@ def test_a_cold_verify_plans_each_linear_form_once(monkeypatch):
 
     monkeypatch.setattr(polyring_mod, "linear_plan", recorded)
     monkeypatch.setattr(quantum_mod, "linear_plan", recorded)
-    caches = (
-        quantum_mod.eq_table,
-        equivariant_mod.restriction_table,
-        equivariant_mod._restrictions_at,
-        equivariant_mod.elr_table,
-        equivariant_mod.elr,
-        plan,
-    )
-    for cached in caches:
-        cached.cache_clear()
+    plan.cache_clear()
     try:
         result = run("verify", "--k", "3", "--n", "6")
         info = plan.cache_info()
     finally:
-        for cached in caches:
-            cached.cache_clear()
+        plan.cache_clear()
     assert result.exit_code == 0, result.output
     assert info.misses == info.currsize == len(seen)
     assert sum(seen.values()) > 10 * len(seen)
@@ -987,21 +1003,17 @@ def _corrupt_block(monkeypatch, corruption):
     ],
     ids=["rows", "relation", "weight"],
 )
-def test_corrupted_block_rows_exit_3(monkeypatch, corruption, reason):
+def test_corrupted_block_rows_exit_3(cold_state, monkeypatch, corruption, reason):
     # the corrupted table must not outlive the test in the shared memo
-    quantum_mod.eq_table.cache_clear()
     _corrupt_block(monkeypatch, corruption)
-    try:
-        result = run("table", "--k", "2", "--n", "4", "--no-cache")
-    finally:
-        quantum_mod.eq_table.cache_clear()
+    result = run("table", "--k", "2", "--n", "4", "--no-cache")
     assert result.exit_code == 3
     assert result.stderr.startswith("internal error: ") and reason in result.stderr
     assert result.stderr.count("\n") == 1
     assert result.stdout == ""
 
 
-def test_corrupted_own_point_restriction_exits_3(gr24, monkeypatch):
+def test_corrupted_own_point_restriction_exits_3(gr24, cold_state, monkeypatch):
     # The engine's table is walked first, so only elr_table reads the
     # corrupted entry: with sigma((1))|(1) doubled, the numerators at that
     # point no longer divide by its weights one by one.
@@ -1013,11 +1025,7 @@ def test_corrupted_own_point_restriction_exits_3(gr24, monkeypatch):
     entries = equivariant_mod.restriction_table(gr24, "schubert").entries
     key = (classes[1].parts, point_of(classes[1]).subset)
     monkeypatch.setitem(entries, key, entries[key] + entries[key])
-    equivariant_mod.elr_table.cache_clear()
-    try:
-        result = run("verify", "--k", "2", "--n", "4", "--suite", "specialization")
-    finally:
-        equivariant_mod.elr_table.cache_clear()
+    result = run("verify", "--k", "2", "--n", "4", "--suite", "specialization")
     assert result.exit_code == 3
     assert result.stderr.startswith("internal error: ")
     assert "inexact restriction expansion" in result.stderr
@@ -1025,7 +1033,7 @@ def test_corrupted_own_point_restriction_exits_3(gr24, monkeypatch):
     assert result.stdout == ""
 
 
-def test_a_doubled_restriction_seed_exits_3(cold_restrictions, monkeypatch):
+def test_a_doubled_restriction_seed_exits_3(cold_state, monkeypatch):
     # every restriction at a point is a multiple of the seed sigma(m)|m, so
     # doubling it doubles the unit row, which the walk checks
     own = equivariant_mod.own_restriction
@@ -1104,19 +1112,15 @@ def test_output_through_a_symlink_writes_its_target(tmp_path, args, dangling):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-def test_a_wrong_divisor_diagonal_exits_3(gr24, monkeypatch):
+def test_a_wrong_divisor_diagonal_exits_3(gr24, cold_state, monkeypatch):
     # the closed-form diagonal c_a is held against the localization constant
     # elr(sigma(1), a, a); a planted wrong elr is caught there
     elr = quantum_mod.elr
     monkeypatch.setattr(quantum_mod, "elr", lambda u, v, w: elr(u, v, w) + elr(u, v, w))
     classes = enumerate_classes(gr24)
-    quantum_mod.eq_table.cache_clear()
-    try:
-        with pytest.raises(TableSolveError, match="disagrees with elr"):
-            quantum_mod.EQTable(gr24).chevalley_terms(classes[1])
-        result = run("table", "--k", "2", "--n", "4", "--no-cache")
-    finally:
-        quantum_mod.eq_table.cache_clear()
+    with pytest.raises(TableSolveError, match="disagrees with elr"):
+        quantum_mod.EQTable(gr24).chevalley_terms(classes[1])
+    result = run("table", "--k", "2", "--n", "4", "--no-cache")
     assert result.exit_code == 3
     assert result.stderr.startswith("internal error: ") and result.stderr.count("\n") == 1
     assert result.stdout == ""

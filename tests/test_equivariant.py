@@ -135,13 +135,13 @@ def test_divisor_closed_form_is_the_chevalley_diagonal(gr25, gr36):
             assert y_to_x(c_s) == elr(one_box, a, a)
 
 
-def test_inexact_chevalley_division_raises(gr24, cold_restrictions, monkeypatch):
+def test_inexact_chevalley_division_raises(gr24, cold_state, monkeypatch):
     monkeypatch.setattr(Polynomial, "divide_exact", lambda self, divisor: None)
     with pytest.raises(NonPolynomialError, match="inexact Chevalley step"):
         restrict_schubert(part(gr24, 1), FixedPoint((2, 4), gr24))
 
 
-def test_a_doubled_seed_fails_the_unit_row(gr24, cold_restrictions, monkeypatch):
+def test_a_doubled_seed_fails_the_unit_row(gr24, cold_state, monkeypatch):
     own = equivariant_mod.own_restriction
     monkeypatch.setattr(equivariant_mod, "own_restriction", lambda p: own(p) + own(p))
     with pytest.raises(NonPolynomialError, match="unit or divisor row"):
@@ -277,7 +277,7 @@ def _every_point_elr(u, v, w):
 
 
 @pytest.mark.parametrize("k, n", [(2, 4), (2, 5)])
-def test_elr_restricts_only_on_its_interval(k, n, monkeypatch):
+def test_elr_restricts_only_on_its_interval(k, n, cold_state, monkeypatch):
     ctx = GrassContext(k, n)
     classes = enumerate_classes(ctx)
     restriction_table(ctx, "schubert")
@@ -289,8 +289,7 @@ def test_elr_restricts_only_on_its_interval(k, n, monkeypatch):
         return restrict(p, point, family)
 
     monkeypatch.setattr(equivariant_mod, "restrict_schubert", recorded)
-    # elr is memoized, so a cold memo makes every call restrict
-    equivariant_mod.elr.cache_clear()
+    # elr is memoized, so cold_state's cold memo makes every call restrict
     for u in classes:
         for v in classes:
             for w in classes:
@@ -388,7 +387,7 @@ def test_elr_table_matches_the_plain_triangular_expansion(gr12, gr24, gr25, gr36
         assert elr_table(ctx) == plain_elr_table(ctx)
 
 
-def test_a_corrupted_restriction_fails_the_specialization(gr25, monkeypatch):
+def test_a_corrupted_restriction_fails_the_specialization(gr25, cold_state, monkeypatch):
     # The engine's table is walked first, so only elr_table reads the
     # corrupted entry.  Adding the top class's own restriction keeps every
     # division exact, so the top coefficients come out wrong, not inexact.
@@ -403,11 +402,7 @@ def test_a_corrupted_restriction_fails_the_specialization(gr25, monkeypatch):
     key = (part(gr25, 3, 1).parts, pt)
     assert pt != point_of(part(gr25, 3, 1)).subset and not entries[key].is_zero
     monkeypatch.setitem(entries, key, entries[key] + entries[(top.parts, pt)])
-    equivariant_mod.elr_table.cache_clear()
-    try:
-        report = verify_specialization(gr25)
-    finally:
-        equivariant_mod.elr_table.cache_clear()
+    report = verify_specialization(gr25)
     assert not report["passed"]
     assert {v["kind"] for v in report["violations"]} == {"equivariant"}
     assert all(v["w"] == list(top.parts) for v in report["violations"])

@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 from itertools import permutations
 from math import comb
 
 import pytest
 
+import eqschubert
 from eqschubert import (
     ContextError,
     GrassContext,
@@ -226,3 +229,27 @@ def test_q_degree_formula_and_oracle():
     for k, n in CONTEXTS:
         ctx = GrassContext(k, n)
         assert c1_curve_integral(ctx) == n
+
+
+# the caches keyed by no context: a variable count, a linear form or plain
+# shapes; every table of a context lives in that context's store
+FORM_KEYED_CACHES = {
+    "eqschubert.polyring._lanes",
+    "eqschubert.polyring._guard_mask",
+    "eqschubert.polyring.shared_zero",
+    "eqschubert.polyring.linear_plan",
+    "eqschubert.polyring._shear_chain",
+    "eqschubert.polyring._packer",
+    "eqschubert.render._monomial_text",
+    "eqschubert.oracles.wide_lr_expansion",
+}
+
+
+def test_only_caches_keyed_by_no_context_are_functools_caches():
+    found = set()
+    for info in pkgutil.iter_modules(eqschubert.__path__):
+        module = importlib.import_module("eqschubert." + info.name)
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_info", None)):
+                found.add("%s.%s" % (value.__module__, value.__qualname__))
+    assert found == FORM_KEYED_CACHES

@@ -43,13 +43,13 @@ def test_wide_expansion_degree_count():
 
 
 def test_rim_reduce(gr24, gr12):
-    assert rim_reduce((2, 1), gr24) == ((2, 1), 1, 0)
-    assert rim_reduce((4, 2), gr24) == ((1, 1), 1, 1)
-    assert rim_reduce((3, 3), gr24) == ((2,), 1, 1)
-    assert rim_reduce((4,), gr24) == ((), -1, 1)
-    assert rim_reduce((4, 4), gr24) == ((), 1, 2)
-    assert rim_reduce((4, 1), gr24) is None
-    assert rim_reduce((2,), gr12) == ((), 1, 1)
+    assert rim_reduce(gr24, (2, 1)) == ((2, 1), 1, 0)
+    assert rim_reduce(gr24, (4, 2)) == ((1, 1), 1, 1)
+    assert rim_reduce(gr24, (3, 3)) == ((2,), 1, 1)
+    assert rim_reduce(gr24, (4,)) == ((), -1, 1)
+    assert rim_reduce(gr24, (4, 4)) == ((), 1, 2)
+    assert rim_reduce(gr24, (4, 1)) is None
+    assert rim_reduce(gr12, (2,)) == ((), 1, 1)
 
 
 def test_diverging_rim_hook_removals_raise(gr24, monkeypatch):
@@ -57,7 +57,7 @@ def test_diverging_rim_hook_removals_raise(gr24, monkeypatch):
     removals = lambda shape, ctx: [((), 1), ((), -1)]
     monkeypatch.setattr(oracles_mod, "remove_rim_hooks", removals)
     with pytest.raises(ExpansionError):
-        rim_reduce.__wrapped__((4,), gr24)
+        rim_reduce.__wrapped__(gr24, (4,))
 
 
 def test_quantum_lr_examples(gr24):

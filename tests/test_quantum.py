@@ -674,7 +674,9 @@ def test_conjugation_identity(k, n, keys, differ_unreversed):
     assert (checked, differ) == (keys, differ_unreversed)
 
 
-def test_the_plain_and_mirrored_tables_share_each_diagonal_check(gr25, monkeypatch):
+def test_the_plain_and_mirrored_tables_share_each_diagonal_check(
+    gr25, cold_state, monkeypatch
+):
     # both tables check every divisor diagonal c_a against elr(sigma(1), a, a),
     # and elr is memoized per (u, v, w), so the mirrored table reads the
     # integral the plain one made: one Atiyah-Bott sum per nonempty class
@@ -692,15 +694,11 @@ def test_the_plain_and_mirrored_tables_share_each_diagonal_check(gr25, monkeypat
 
     monkeypatch.setattr(quantum_mod, "elr", recording_elr)
     monkeypatch.setattr(equivariant_mod, "integrate", recording_integrate)
-    equivariant_mod.elr.cache_clear()
-    try:
-        for mirrored in (False, True):
-            table = EQTable(gr25, mirrored=mirrored)
-            for u in classes:
-                for v in classes:
-                    table.element(u, v)
-    finally:
-        equivariant_mod.elr.cache_clear()
+    for mirrored in (False, True):
+        table = EQTable(gr25, mirrored=mirrored)
+        for u in classes:
+            for v in classes:
+                table.element(u, v)
     diagonals = [((1,), a.parts, a.parts) for a in classes[1:]]
     assert sorted(checked) == sorted(diagonals * 2)
     assert len(integrals) == len(diagonals)
