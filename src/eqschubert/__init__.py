@@ -18,9 +18,7 @@ _EXPORTS = {
     "Partition": "grass",
     "Polynomial": "polyring",
     "QModuleElement": "quantum",
-    "RationalExpression": "polyring",
     "TableSolveError": "errors",
-    "add_box_shapes": "grass",
     "default_d_max": "grass",
     "elr": "equivariant",
     "elr_factorial_schur": "oracles",
@@ -36,18 +34,12 @@ _EXPORTS = {
     "lr_tableau": "oracles",
     "multiply": "quantum",
     "pairing": "equivariant",
-    "partition_of": "equivariant",
     "point_of": "equivariant",
-    "quantum_chevalley_shape": "grass",
     "quantum_lr_rimhook": "oracles",
-    "remove_rim_hooks": "grass",
     "restrict_schubert": "equivariant",
     "restriction_table": "equivariant",
-    "specialize_q0": "quantum",
-    "specialize_x0": "quantum",
     "tangent_weights": "equivariant",
     "to_T_variables": "polyring",
-    "to_grassmannian_permutation": "grass",
     "verify_algebra": "suites",
     "verify_positivity": "suites",
     "__version__": "version",

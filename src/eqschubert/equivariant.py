@@ -88,11 +88,6 @@ def point_of(p):
     return FixedPoint(to_grassmannian_permutation(p)[: p.ctx.k], p.ctx)
 
 
-def partition_of(point):
-    """Inverse staircase dictionary."""
-    return partition_from_permutation(point.ctx, point.subset)
-
-
 @_per_context
 def fixed_points(ctx):
     """All fixed points, ordered like the classes they index."""
@@ -211,7 +206,7 @@ class RestrictionTable:
 
 
 @_per_context
-def restriction_table(ctx, family="schubert"):
+def restriction_table(ctx, family):
     return RestrictionTable(ctx, family)
 
 

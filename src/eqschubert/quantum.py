@@ -461,18 +461,3 @@ def eqlr(u, v, w, d):
     """Single structure constant, in x; zero whenever the grading is negative."""
     return y_to_x(eq_table(u.ctx).coefficient(u, v, w, d))
 
-
-def specialize_q0(elem):
-    """Drop all positive q-powers; the equivariant limit."""
-    ctx = elem.ctx
-    return {Partition(w, ctx): c for (w, d), c in elem.terms.items() if d == 0}
-
-
-def specialize_x0(elem):
-    """Set every x to zero; the quantum limit as integers."""
-    out = {}
-    for (w, d), c in elem.terms.items():
-        value = c.constant_term()
-        if value:
-            out[(Partition(w, elem.ctx), d)] = value
-    return out

@@ -1,6 +1,8 @@
-"""No dead imports or helpers in the package, found with ``ast`` alone."""
+"""No dead imports or helpers in the package, found with ``ast`` alone,
+and no public name that README's "Library entry points" does not document."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +10,27 @@ import eqschubert
 
 SRC = Path(eqschubert.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _entry_points():
+    """The text of README's "Library entry points" section."""
+    text = README.read_text()
+    start = text.index("\n## Library entry points\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end != -1 else len(text)]
+
+
+def test_the_exports_are_the_documented_entry_points():
+    # a public name is a list item of the section that opens with it
+    documented = re.findall(r"^- `(\w+)", _entry_points(), re.MULTILINE)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(eqschubert._EXPORTS)
+
+
+def test_the_entry_points_example_runs():
+    (example,) = re.findall(r"```python\n(.*?)```", _entry_points(), re.DOTALL)
+    exec(compile(example, str(README), "exec"), {})
 
 
 def _bound_name(alias):

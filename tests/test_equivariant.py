@@ -9,7 +9,6 @@ from eqschubert import (
     GrassContext,
     NonPolynomialError,
     Polynomial,
-    RationalExpression,
     elr,
     enumerate_classes,
     fixed_points,
@@ -17,7 +16,6 @@ from eqschubert import (
     is_x_nonnegative,
     lr_tableau,
     pairing,
-    partition_of,
     point_of,
     restrict_schubert,
     restriction_table,
@@ -33,8 +31,10 @@ from eqschubert.equivariant import (
     elr_table,
     gkm_violations,
 )
+from eqschubert.grass import partition_from_permutation
 from eqschubert.oracles import _b_forms_x, factorial_schur_zpoly
 from eqschubert.polyring import (
+    RationalExpression,
     _normalize_linear,
     _rational,
     add_product_into,
@@ -55,7 +55,7 @@ def test_fixed_point_dictionary(gr24):
     assert point_of(part(gr24, 2, 2)).subset == (3, 4)
     assert point_of(part(gr24, 2, 1)).subset == (2, 4)
     for p in enumerate_classes(gr24):
-        assert partition_of(point_of(p)) == p
+        assert partition_from_permutation(gr24, point_of(p).subset) == p
     with pytest.raises(ValueError):
         FixedPoint((1, 1), gr24)
 
@@ -100,7 +100,7 @@ def test_restriction_support(gr24, gr25, gr36):
         for p in enumerate_classes(ctx):
             for pt in fixed_points(ctx):
                 value = restrict_schubert(p, pt)
-                if not partition_of(pt).contains(p):
+                if not partition_from_permutation(ctx, pt.subset).contains(p):
                     assert value.is_zero
                 else:
                     assert not value.is_zero
@@ -192,7 +192,7 @@ def test_opposite_family_support(gr24):
     for p in enumerate_classes(gr24):
         for pt in fixed_points(gr24):
             value = table.restriction(p, pt)
-            if partition_of(pt).dual().contains(p):
+            if partition_from_permutation(gr24, pt.subset).dual().contains(p):
                 assert not value.is_zero
             else:
                 assert value.is_zero
@@ -204,8 +204,16 @@ def test_gkm_consistency_small(gr12, gr24):
         assert gkm_violations(ctx, "opposite") == []
 
 
+def test_restriction_table_takes_its_family(gr24):
+    # a default family would make restriction_table(ctx) a second store
+    # key, and a second build, of the Schubert table
+    with pytest.raises(TypeError):
+        restriction_table(gr24)
+    assert restriction_table(gr24, "schubert") is restriction_table(gr24, "schubert")
+
+
 def test_integrate_point_class(gr24):
-    table = restriction_table(gr24)
+    table = restriction_table(gr24, "schubert")
     top = part(gr24, 2, 2)
     values = {pt: (table.restriction(top, pt),) for pt in fixed_points(gr24)}
     assert integrate(gr24, values) == Polynomial.const(gr24.r, 1)
@@ -227,7 +235,7 @@ def test_integrate_rejects_inconsistent_table(gr12):
 
 
 def test_integrate_sigma_times_opposite(gr12):
-    sigma = restriction_table(gr12)
+    sigma = restriction_table(gr12, "schubert")
     tilde = restriction_table(gr12, "opposite")
     one = part(gr12, 1)
     values = {

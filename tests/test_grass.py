@@ -11,18 +11,20 @@ from eqschubert import (
     GrassContext,
     Partition,
     Polynomial,
-    add_box_shapes,
     enumerate_classes,
     fixed_points,
     integrate,
-    quantum_chevalley_shape,
-    remove_rim_hooks,
+    point_of,
     restriction_table,
     tangent_weights,
+)
+from eqschubert.grass import (
+    add_box_shapes,
+    partition_from_permutation,
+    quantum_chevalley_shape,
+    remove_rim_hooks,
     to_grassmannian_permutation,
 )
-from eqschubert.equivariant import partition_of, point_of
-from eqschubert.grass import partition_from_permutation
 from eqschubert.quantum import EQTable
 
 from conftest import homogeneous_of_degree, part
@@ -130,7 +132,8 @@ def test_permutation_against_descent_enumeration():
             w = to_grassmannian_permutation(p)
             assert w == by_code[p.padded()]
             assert partition_from_permutation(ctx, w) == p
-            assert point_of(p).subset == w[:k] and partition_of(point_of(p)) == p
+            subset = point_of(p).subset
+            assert subset == w[:k] and partition_from_permutation(ctx, subset) == p
 
 
 def test_add_box_shapes(gr24, gr36):

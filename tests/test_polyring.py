@@ -10,11 +10,11 @@ from eqschubert import (
     DimensionMismatchError,
     NonPolynomialError,
     Polynomial,
-    RationalExpression,
     is_x_nonnegative,
     to_T_variables,
 )
 from eqschubert.polyring import (
+    RationalExpression,
     w0_involution,
     y_to_x,
     _divide_heap,

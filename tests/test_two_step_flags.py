@@ -26,9 +26,10 @@ from itertools import combinations
 
 import pytest
 
-from eqschubert import GrassContext, Polynomial, RationalExpression
+from eqschubert import GrassContext, Polynomial
 from eqschubert.equivariant import FixedPoint, b_difference, restrict_schubert
 from eqschubert.grass import default_d_max, enumerate_classes
+from eqschubert.polyring import RationalExpression
 from eqschubert.quantum import eq_table
 
 
