@@ -46,7 +46,7 @@ from .polyring import (
     RationalExpression,
     _cancel,
     _normalize_linear,
-    _without_content,
+    _rational,
     add_product_into,
     finish_terms,
     shared_zero,
@@ -134,15 +134,15 @@ def tangent_weights(point):
 def _euler_factors(point):
     """The tangent Euler class at ``point`` normalized as a
     ``RationalExpression`` denominator, once per point: (map of positive
-    primitive linear forms to multiplicity, signed scale), from
+    primitive linear forms to multiplicity, sign), from
     ``polyring._normalize_linear`` of each tangent weight in turn."""
-    factors, scale = {}, 1
+    factors, sign = {}, 1
     for form in tangent_weights(point):
         form, s = _normalize_linear(form)
         form = _shared_form(point.ctx, form)
         factors[form] = factors.get(form, 0) + 1
-        scale *= s
-    return factors, scale
+        sign *= s
+    return factors, sign
 
 
 @_per_context
@@ -186,7 +186,8 @@ def restrict_schubert(p, point, family="schubert"):
     if family == "opposite":
         subset = point_of(partition_from_permutation(ctx, subset).dual()).subset
     value = _restrictions_at(ctx, subset).get(p.parts, shared_zero(ctx.r))
-    return w0_involution(value) if family == "opposite" else value
+    # a zero stays the shared zero
+    return w0_involution(value) if family == "opposite" and value.terms else value
 
 
 class RestrictionTable:
@@ -235,16 +236,14 @@ def integrate(ctx, factors):
         parts = factors.get(point)
         if parts is None or any(part.is_zero for part in parts):
             continue
-        left, scale = _euler_factors(point)
+        left, sign = _euler_factors(point)
         reduced = []
         for part in parts:
             rest = {}
             reduced.append(_cancel(part, left.items(), rest))
             left = rest
         value = prod(reduced[1:], start=reduced[0])
-        if scale < 0:
-            value, scale = -value, -scale
-        acc = acc.add(_without_content(value, scale, left))
+        acc = acc.add(_rational(-value if sign < 0 else value, left))
     return acc.expect_polynomial()
 
 
@@ -377,7 +376,7 @@ def gkm_edges(ctx):
     return out
 
 
-def gkm_violations(ctx, family="schubert"):
+def gkm_violations(ctx, family):
     """Edges where a restriction difference is not divisible by the weight,
     both in y."""
     table = restriction_table(ctx, family)

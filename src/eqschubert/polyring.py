@@ -66,10 +66,10 @@ the packed chain never meets the cap.  The ``tbasis`` suite packs the same
 groups in lanes of its own proven width and runs its per-value check once
 on each group's packed polynomial, unpacking only where it fails.
 
-Rational expressions keep the denominator factored as a multiset of primitive
-linear forms (a map from form to multiplicity) times a positive integer
-scalar.  Localization sums then cancel denominators factor by factor; nothing
-is ever divided out silently.
+Rational expressions keep the denominator factored as a multiset of positive
+primitive linear forms (a map from form to multiplicity).  Localization sums
+then cancel denominators factor by factor; nothing is ever divided out
+silently.
 """
 
 from __future__ import annotations
@@ -160,9 +160,6 @@ class Polynomial:
 
     def constant_term(self):
         return self.terms.get(0, 0)
-
-    def coefficient(self, exps):
-        return self.terms.get(_pack(exps), 0)
 
     def content(self):
         g = 0
@@ -775,58 +772,48 @@ def to_T_variables(p, m):
 
 
 def _normalize_linear(form):
-    """Split a linear form into (positive primitive form, integer scale)."""
+    """Split a primitive linear form into (positive form, sign)."""
     if form.is_zero:
         raise ZeroDivisionError("zero linear factor")
-    if form.degree() > 1:
+    if form.degree() != 1:
         raise ValueError("denominator factor is not linear")
-    scale = form.content()
-    lead = form.terms[max(form.terms)]
-    if lead < 0:
-        scale = -scale
-    if scale != 1:
-        form = Polynomial(form.nvars, {k: c // scale for k, c in form.terms.items()})
-    return form, scale
+    if form.content() != 1:
+        raise ValueError("denominator factor is not primitive")
+    if form.terms[max(form.terms)] < 0:
+        return -form, -1
+    return form, 1
 
 
 class RationalExpression:
-    """numerator / (scale * product of f**m over the factor map).
+    """numerator / (product of f**m over the factor map).
 
-    ``factors`` maps each positive primitive linear form to its multiplicity
-    and ``scale`` is a positive integer.  Only the constructor normalizes
-    caller input (sign and content of each form fold into ``scale``); every
-    operation builds its result from maps that are already normalized.
-    Instances are treated as immutable values.
+    ``factors`` maps each positive primitive linear form to its
+    multiplicity.  Only the constructor normalizes caller input (the sign
+    of each form folds into the numerator); every operation builds its
+    result from maps that are already normalized.  Instances are treated
+    as immutable values.
     """
 
-    __slots__ = ("numerator", "scale", "factors")
+    __slots__ = ("numerator", "factors")
 
-    def __init__(self, numerator, factors=(), scale=1):
-        if scale == 0:
-            raise ZeroDivisionError("zero denominator scale")
+    def __init__(self, numerator, factors=()):
         norm = {}
         for f in factors:
-            f, s = _normalize_linear(f)
-            scale *= s
+            f, sign = _normalize_linear(f)
+            if sign < 0:
+                numerator = -numerator
             norm[f] = norm.get(f, 0) + 1
-        if scale < 0:
-            scale = -scale
-            numerator = -numerator
-        if numerator.is_zero:
-            norm, scale = {}, 1
         self.numerator = numerator
-        self.scale = scale
-        self.factors = norm
+        self.factors = {} if numerator.is_zero else norm
 
     @property
     def is_zero(self):
         return self.numerator.is_zero
 
     def __repr__(self):
-        return "RationalExpression(%r, factors=%d, scale=%d)" % (
+        return "RationalExpression(%r, factors=%d)" % (
             self.numerator,
             sum(self.factors.values()),
-            self.scale,
         )
 
     def add(self, other):
@@ -835,8 +822,8 @@ class RationalExpression:
 
         Over the common denominator each numerator is multiplied by the
         forms it lacks.  A form whose multiplicity differs between the
-        operands thus divides the scaled numerator of the operand with the
-        smaller multiplicity, but not the other one: that is a reduced
+        operands thus divides the multiplied numerator of the operand with
+        the smaller multiplicity, but not the other one: that is a reduced
         numerator times other forms, and distinct positive primitive linear
         forms are distinct primes of Z[x].  So it cannot divide the sum,
         and only the forms of equal multiplicity on both sides are tried.
@@ -845,9 +832,7 @@ class RationalExpression:
             return other
         if other.is_zero:
             return self
-        s = self.scale * other.scale // gcd(self.scale, other.scale)
-        num_a = self.numerator * (s // self.scale)
-        num_b = other.numerator * (s // other.scale)
+        num_a, num_b = self.numerator, other.numerator
         # The map's order is the order of later trial divisions.  On the
         # Gr(2,5)..Gr(3,7) tables, in the engine coordinates y, the
         # argument's factors first and self's first both take 30,667
@@ -862,14 +847,14 @@ class RationalExpression:
                 num_b = num_b * f
         num = num_a + num_b
         if num.is_zero:
-            return _rational(num, 1, {})
+            return _rational(num, {})
         factors = {}
         for f, m in union.items():
             if self.factors.get(f) == other.factors.get(f):
                 num = _cancel(num, ((f, m),), factors)
             else:
                 factors[f] = m
-        return _without_content(num, s, factors)
+        return _rational(num, factors)
 
     def mul(self, other):
         """The product, reduced when both operands are (as every result of
@@ -883,19 +868,18 @@ class RationalExpression:
         could.
         """
         if self.is_zero or other.is_zero:
-            return _rational(self.numerator * other.numerator, 1, {})
+            return _rational(self.numerator * other.numerator, {})
         factors = {}  # argument first, as in add()
         num_a = _cancel(self.numerator, other.factors.items(), factors)
         num_b = _cancel(other.numerator, self.factors.items(), factors)
-        return _without_content(num_a * num_b, self.scale * other.scale, factors)
+        return _rational(num_a * num_b, factors)
 
     def reduced(self):
-        """Cancel common linear factors and integer content."""
-        if self.is_zero:
-            return _rational(self.numerator, 1, {})
+        """Cancel common linear factors.  A zero has no factors, so it
+        comes back as it is."""
         remaining = {}
         num = _cancel(self.numerator, self.factors.items(), remaining)
-        return _without_content(num, self.scale, remaining)
+        return _rational(num, remaining)
 
     def expect_polynomial(self):
         """The value as a polynomial; errors unless the denominator clears."""
@@ -904,16 +888,13 @@ class RationalExpression:
             raise NonPolynomialError(
                 "denominator retains %d linear factor(s)" % sum(r.factors.values())
             )
-        if r.scale != 1:
-            raise NonPolynomialError("denominator retains integer scale %d" % r.scale)
         return r.numerator
 
 
-def _rational(numerator, scale, factors):
+def _rational(numerator, factors):
     """A RationalExpression from an already normalized factor map."""
     out = RationalExpression.__new__(RationalExpression)
     out.numerator = numerator
-    out.scale = scale
     out.factors = factors
     return out
 
@@ -933,12 +914,3 @@ def _cancel(num, items, out):
         if m:
             out[f] = out.get(f, 0) + m
     return num
-
-
-def _without_content(num, scale, factors):
-    """num / (scale * factors) with the common integer content removed."""
-    g = gcd(num.content(), scale)
-    if g > 1:
-        num = num.divide_exact(g)
-        scale //= g
-    return _rational(num, scale, factors)

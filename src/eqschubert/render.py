@@ -381,7 +381,7 @@ def table_csv(payload, k, n, d_max):
     return buf.getvalue()
 
 
-def restriction_table_json(ctx, family="schubert"):
+def restriction_table_json(ctx, family):
     """The canonical restriction export of one family, in x, streamed as
     ``table_json`` streams the table."""
     from .equivariant import fixed_points, restriction_table

@@ -96,6 +96,32 @@ KEPT_METHODS = {
 }
 
 
+# non-dunder method names that more than one class defines, with the reason;
+# the method check matches names bare, so a name shared by two classes counts
+# a call of either as a call of both, and nothing else may share one
+SHARED_METHOD_NAMES = {
+    # Polynomial and RationalExpression are both values the engine tests
+    # for zero, and both are called
+    "is_zero",
+}
+
+
+def test_no_method_name_is_shared_unless_listed():
+    owners = Counter()
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                owners.update(
+                    {
+                        node.name
+                        for node in cls.body
+                        if isinstance(node, ast.FunctionDef)
+                        and not (node.name.startswith("__") and node.name.endswith("__"))
+                    }
+                )
+    assert {name for name, count in owners.items() if count > 1} == SHARED_METHOD_NAMES
+
+
 def _unused_methods(trees):
     """``file: Class.method`` for each method of a class in ``trees`` (name
     to parsed module), public or private, that no code outside its own

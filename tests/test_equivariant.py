@@ -23,6 +23,7 @@ from eqschubert import (
 )
 import eqschubert.equivariant as equivariant_mod
 import eqschubert.quantum as quantum_mod
+import eqschubert.render as render_mod
 from eqschubert.equivariant import (
     _euler_factors,
     _own_weights,
@@ -39,6 +40,7 @@ from eqschubert.polyring import (
     _rational,
     add_product_into,
     finish_terms,
+    shared_zero,
     y_to_x,
 )
 from eqschubert.suites import verify_specialization
@@ -210,6 +212,19 @@ def test_restriction_table_takes_its_family(gr24):
     with pytest.raises(TypeError):
         restriction_table(gr24)
     assert restriction_table(gr24, "schubert") is restriction_table(gr24, "schubert")
+    # and so do the readers of a table
+    with pytest.raises(TypeError):
+        gkm_violations(gr24)
+    with pytest.raises(TypeError):
+        render_mod.restriction_table_json(gr24)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 6)])
+def test_opposite_zeros_are_the_shared_zero(k, n):
+    # the involution of a zero is a zero, so it is not run on one
+    ctx = GrassContext(k, n)
+    zeros = [v for v in restriction_table(ctx, "opposite").entries.values() if v.is_zero]
+    assert zeros and all(v is shared_zero(ctx.r) for v in zeros)
 
 
 def test_integrate_point_class(gr24):
@@ -319,10 +334,10 @@ def test_elr_restricts_only_on_its_interval(k, n, cold_state, monkeypatch):
 @pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6)])
 def test_euler_factors_are_the_normalized_tangent_weights(k, n):
     for point in fixed_points(GrassContext(k, n)):
-        factors, scale = _euler_factors(point)
+        factors, sign = _euler_factors(point)
         normalized = [_normalize_linear(f) for f in tangent_weights(point)]
         assert list(factors.items()) == [(f, 1) for f, _ in normalized]
-        assert scale == prod(s for _, s in normalized)
+        assert sign == prod(s for _, s in normalized)
 
 
 def test_elr_unit(gr24):
@@ -433,10 +448,8 @@ def _product_then_reduce(ctx, factors):
         value = prod(factors[point], start=Polynomial.const(ctx.r, 1))
         if value.is_zero:
             continue
-        forms, scale = _euler_factors(point)
-        if scale < 0:
-            value, scale = -value, -scale
-        acc = acc.add(_rational(value, scale, forms).reduced())
+        forms, sign = _euler_factors(point)
+        acc = acc.add(_rational(sign * value, forms).reduced())
     return acc.expect_polynomial()
 
 
