@@ -64,7 +64,8 @@ key degree d, which no x coefficient exceeds; a group whose bound passes
 pass the cap, and over two or more variables its bound passes 63 bits, so
 the packed chain never meets the cap.  The ``tbasis`` suite packs the same
 groups in lanes of its own proven width and runs its per-value check once
-on each group's packed polynomial, unpacking only where it fails.
+on each group's packed polynomial; a group that fails is rechecked value by
+value.
 
 Rational expressions keep the denominator factored as a multiset of positive
 primitive linear forms (a map from form to multiplicity).  Localization sums
@@ -266,7 +267,12 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, tuple(sorted(self.terms.items()))))
+            terms = self.terms
+            # a constant equals its int (``__eq__``), so it hashes as one
+            if terms.keys() <= {0}:
+                self._hash = hash(terms.get(0, 0))
+            else:
+                self._hash = hash((self.nvars, tuple(sorted(terms.items()))))
         return self._hash
 
     def __repr__(self):
@@ -643,14 +649,6 @@ def _packed_lanes(values, size):
         k: (int.from_bytes(view[r : r + row], "little") ^ mask) - mask
         for k, r in zip(keys, range(0, len(view), row))
     }
-
-
-def _lane_digits(packed, size, m):
-    """The ``m`` signed digits of ``size`` bytes whose lanes sum to the int
-    ``packed``, the inverse of ``_packed_lanes`` on one monomial."""
-    mask = _lane_mask(size, m)
-    digits = ((packed + mask) ^ mask).to_bytes(m * size, "little")
-    return memoryview(digits).cast(_LANE_CODES[size])
 
 
 def _y_to_x_lanes(nvars, values, size, mixed):

@@ -3,6 +3,8 @@
 Each suite returns a JSON-friendly report, built by ``_report``, with a
 ``passed`` flag and enough detail to locate any violation.  Violations never
 raise: a failing suite is a result, and the caller decides the exit status.
+An engine error still raises (an inexact localization sum raises
+``NonPolynomialError``), and the command line exits 3 on it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .oracles import quantum_lr_rimhook
 from .polyring import (
     Polynomial,
     _lane_bytes,
-    _lane_digits,
     _lane_groups,
     _packed_lanes,
     _x_columns,
@@ -204,36 +205,22 @@ def _tbasis_failing(values, m):
     lanes hold that bound (``_lane_bytes``), so at every step a packed int
     is zero exactly when all its lanes are: the packed routes visit the
     union of the per-value routes' terms, so they meet the exponent cap
-    exactly when one of those does, and their term maps are equal exactly
-    where every lane is.  Only where they differ are the two ints decoded
-    (``_lane_digits``), to find the failing lanes.  A group whose bound
-    passes 63 bits goes value by value.
+    exactly when one of those does, and their images are equal exactly
+    when every lane's are.  A group whose images differ, or whose bound
+    passes 63 bits, is rechecked value by value: only the per-value check
+    names a failing value.
     """
     weights = [Polynomial.variable(m, 1) - Polynomial.variable(m, j + 1) for j in range(1, m)]
     bad = set()
     for nvars, d, _, norm, group in _lane_groups(values):
-        objects = [c for c, _ in group]
         size = _lane_bytes(norm * (2 * nvars) ** d)
-        if size is None:
-            failing = {
-                j
-                for j, c in enumerate(objects)
-                if to_T_variables(y_to_x(c), m) != c.substitute(weights, m)
-            }
-        else:
-            count = len(objects)
-            packed = Polynomial(nvars, _packed_lanes(objects, size))
-            got = to_T_variables(y_to_x(packed), m).terms
-            want = packed.substitute(weights, m).terms
-            failing = set()
-            if got != want:
-                for k in got.keys() | want.keys():
-                    a, b = got.get(k, 0), want.get(k, 0)
-                    if a != b:
-                        pairs = zip(_lane_digits(a, size, count), _lane_digits(b, size, count))
-                        failing.update(j for j, (x, y) in enumerate(pairs) if x != y)
-        for j in failing:
-            bad.update(group[j][1])
+        if size is not None:
+            packed = Polynomial(nvars, _packed_lanes([c for c, _ in group], size))
+            if to_T_variables(y_to_x(packed), m) == packed.substitute(weights, m):
+                continue
+        for c, positions in group:
+            if to_T_variables(y_to_x(c), m) != c.substitute(weights, m):
+                bad.update(positions)
     return bad
 
 
@@ -246,8 +233,9 @@ def verify_tbasis(ctx, d_max=None):
     to ``c`` with each y_j replaced by T_1 - T_{j+1}.  That binds the
     exported x coefficient, the engine's entry and the conversion.  Both
     routes run once per lane group of the distinct values, on the group's
-    one packed y polynomial (``_tbasis_failing``), and every row of a value
-    whose two images differ is a violation, in row order.
+    one packed y polynomial (``_tbasis_failing``); a group that fails is
+    rechecked value by value, and every row of a value whose two images
+    differ is a violation, in row order.
     """
     if d_max is None:
         d_max = default_d_max(ctx)

@@ -70,6 +70,14 @@ def max_key_degree(p):
     return max(map(_key_degree, p.terms), default=0)
 
 
+def lane_group_ids(values, *anchors):
+    """The sorted ids of the distinct objects of ``values`` in the lane
+    groups of ``anchors``, for values over one variable count, whose lane
+    group is their maximum key degree."""
+    degrees = set(map(max_key_degree, anchors))
+    return sorted({id(c) for c in values if max_key_degree(c) in degrees})
+
+
 def in_lane(p, j, size):
     """``p`` with each coefficient moved into lane j of a packed group whose
     lanes are ``size`` bytes wide."""

@@ -62,6 +62,17 @@ def test_mul_examples():
     assert Polynomial.zero(NVARS) * (x(1) + 5) == Polynomial.zero(NVARS)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-(2**70), 2**70), polys())
+def test_a_polynomial_equal_to_an_int_hashes_as_it(c, p):
+    # a constant equals its int, zero included, so sets and dicts find it by
+    # that int; an equal copy of any polynomial hashes as the original
+    const = Polynomial.const(NVARS, c)
+    assert const == c and hash(const) == hash(c)
+    assert len({const, c}) == 1 and {c: "c"}.get(const) == "c"
+    assert hash(Polynomial(NVARS, dict(p.terms))) == hash(p)
+
+
 def test_is_x_nonnegative():
     assert is_x_nonnegative(2 * x(1) * x(2) + x(3))
     assert not is_x_nonnegative(x(1) - x(2))

@@ -27,7 +27,14 @@ from eqschubert.equivariant import own_restriction, point_of, restriction_table
 from eqschubert.grass import add_box_shapes, default_d_max
 from eqschubert.quantum import EQTable
 
-from conftest import from_exponents, homogeneous_of_degree, in_lane, max_key_degree, part
+from conftest import (
+    from_exponents,
+    homogeneous_of_degree,
+    in_lane,
+    lane_group_ids,
+    max_key_degree,
+    part,
+)
 
 
 def x(ctx, i):
@@ -536,12 +543,23 @@ def test_other_box_shapes():
         assert verify_algebra(ctx)["passed"]
 
 
+def _rows_of(rows, planted):
+    """The violations ``tbasis`` reports when every row of ``planted`` fails."""
+    return [
+        {"u": list(u), "v": list(v), "w": list(w), "d": d}
+        for u, v, w, d, c in rows
+        if c is planted
+    ]
+
+
 def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
-    # in the packed T image of its lane group, the lane of the value of the
-    # most rows gains T_1, so it no longer equals the engine's entry with
-    # each y_j replaced by T_1 - T_{j+1}; to_T_variables runs once per lane
-    # group, on the x image of the group's one packed polynomial, and every
-    # row of the planted value fails, in row order
+    # the T image of the value of the most rows gains T_1, in its lane of its
+    # group's packed image and alone when checked value by value, so it no
+    # longer equals the engine's entry with each y_j replaced by
+    # T_1 - T_{j+1}; to_T_variables runs once per lane group on the x image
+    # of the group's one packed polynomial, then once per distinct value of
+    # the planted value's group, which is rechecked value by value, and
+    # every row of the planted value fails, in row order
     import eqschubert.suites as suites_mod
     from eqschubert.polyring import to_T_variables, y_to_x
 
@@ -549,7 +567,7 @@ def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
     uses = Counter(id(row[4]) for row in rows)
     planted = next(row[4] for row in rows if id(row[4]) == uses.most_common(1)[0][0])
     packed_lanes = suites_mod._packed_lanes
-    groups, images, calls = [], [], []
+    groups, images, per_value, calls = [], [], [], []
 
     def recorded(values, size):
         terms = packed_lanes(values, size)
@@ -557,18 +575,23 @@ def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
         return terms
 
     def converted(p):
-        assert p.terms is groups[-1][0]
-        images.append(y_to_x(p))
-        return images[-1]
+        x = y_to_x(p)
+        if groups and p.terms is groups[-1][0]:
+            images.append(x)
+        else:
+            per_value.append(p)
+        return x
 
     def corrupted(x, m):
         calls.append(x)
-        image = to_T_variables(x, m)
-        assert x is images[-1]
-        _, values, size = groups[-1]
-        for j, c in enumerate(values):
-            if c is planted:
-                image = image + in_lane(Polynomial.variable(m, 1), j, size)
+        image, plant = to_T_variables(x, m), Polynomial.variable(m, 1)
+        if images and x is images[-1]:
+            _, values, size = groups[-1]
+            for j, c in enumerate(values):
+                if c is planted:
+                    image = image + in_lane(plant, j, size)
+        elif per_value[-1] is planted:
+            image = image + plant
         return image
 
     monkeypatch.setattr(suites_mod, "_packed_lanes", recorded)
@@ -576,22 +599,21 @@ def test_tbasis_fails_an_image_that_does_not_round_trip(gr24, monkeypatch):
     monkeypatch.setattr(suites_mod, "to_T_variables", corrupted)
     report = suites_mod.verify_tbasis(gr24)
     lane_groups = {max_key_degree(c) for *_, c in rows}
-    assert len(calls) == len(groups) == len(lane_groups) < len(uses)
+    assert len(images) == len(groups) == len(lane_groups) < len(uses)
+    assert sorted(map(id, per_value)) == lane_group_ids([c for *_, c in rows], planted)
+    assert len(calls) == len(groups) + len(per_value)
     assert report["checked"] == len(rows)
-    expected = [
-        {"u": list(u), "v": list(v), "w": list(w), "d": d}
-        for u, v, w, d, c in rows
-        if c is planted
-    ]
+    expected = _rows_of(rows, planted)
     assert len(expected) == uses[id(planted)] > 1
     assert report["violations"] == expected
 
 
 def test_tbasis_fails_a_row_left_in_engine_coordinates(gr24, monkeypatch):
     # the one corruption a y -> x boundary invites: a value exported as its y
-    # entry, unconverted; the y -> x shear chain on a group's packed values
+    # entry, unconverted.  The y -> x shear chain on a group's packed values
     # leaves so the lane of the value of the most rows among those whose x
-    # and y forms differ, and each of its rows fails
+    # and y forms differ, and so does its conversion alone when its group
+    # is rechecked value by value; each of its rows fails
     import eqschubert.suites as suites_mod
     from eqschubert.polyring import y_to_x
 
@@ -599,33 +621,32 @@ def test_tbasis_fails_a_row_left_in_engine_coordinates(gr24, monkeypatch):
     uses = Counter(id(row[4]) for row in rows if y_to_x(row[4]) != row[4])
     planted = next(row[4] for row in rows if id(row[4]) == uses.most_common(1)[0][0])
     packed_lanes = suites_mod._packed_lanes
-    batches = []
+    batches, per_value = [], []
 
     def recorded(values, size):
-        batches.append((values, size))
-        return packed_lanes(values, size)
+        terms = packed_lanes(values, size)
+        batches.append((terms, values, size))
+        return terms
 
     def corrupted(p):
-        values, size = batches[-1]
-        images = y_to_x(p)
-        for j, c in enumerate(values):
-            if c is planted:
-                images = images + in_lane(planted - y_to_x(planted), j, size)
-        return images
+        if batches and p.terms is batches[-1][0]:
+            _, values, size = batches[-1]
+            left = planted - y_to_x(planted)
+            lanes = [in_lane(left, j, size) for j, c in enumerate(values) if c is planted]
+            return sum(lanes, y_to_x(p))
+        per_value.append(p)
+        return planted if p is planted else y_to_x(p)
 
     monkeypatch.setattr(suites_mod, "_packed_lanes", recorded)
     monkeypatch.setattr(suites_mod, "y_to_x", corrupted)
     report = suites_mod.verify_tbasis(gr24)
     # one batch per lane group, which together hold each distinct value once
-    converted = [id(c) for values, _ in batches for c in values]
+    converted = [id(c) for _, values, _ in batches for c in values]
     assert len(batches) == len({max_key_degree(c) for *_, c in rows})
     assert sorted(converted) == sorted({id(row[4]) for row in rows})
+    assert sorted(map(id, per_value)) == lane_group_ids([c for *_, c in rows], planted)
     assert report["checked"] == len(rows)
-    expected = [
-        {"u": list(u), "v": list(v), "w": list(w), "d": d}
-        for u, v, w, d, c in rows
-        if c is planted
-    ]
+    expected = _rows_of(rows, planted)
     assert len(expected) == uses[id(planted)] > 1
     assert report["violations"] == expected
 

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eqschubert.equivariant as equivariant_mod
 import eqschubert.polyring as polyring_mod
 import eqschubert.quantum as quantum_mod
 import eqschubert.suites as suites_mod
+from eqschubert.errors import NonPolynomialError
 from eqschubert.grass import default_d_max, enumerate_classes
 from eqschubert.polyring import Polynomial, to_T_variables, y_to_x
 from eqschubert.suites import SUITES
 
-from conftest import from_exponents, in_lane, max_key_degree
+from conftest import from_exponents, in_lane, lane_group_ids, max_key_degree, part
 
 REPORT_KEYS = {"suite", "context", "violations", "passed"}
 
@@ -52,23 +54,30 @@ def test_axioms_compute_each_associativity_side_once(gr25, monkeypatch):
     assert len(sides) == len(set(sides)) == 55 * 10
 
 
-def _planted_table(ctx):
-    """A walked table of ``ctx`` with its last nonzero coefficient of two
-    classes past the divisor doubled, and its products dropped so that they
-    are rebuilt from it."""
+def _planted_table(ctx, key=None):
+    """``(table, key)``: a walked table of ``ctx`` with its coefficient under
+    ``key`` doubled, by default its last nonzero coefficient of two classes
+    past the divisor, and its products dropped so that they are rebuilt
+    from it."""
     table = quantum_mod.EQTable(ctx)
     classes = enumerate_classes(ctx)
     for u in classes:
         for v in classes:
             table.element(u, v)
-    key = max(k for k, c in table._coeff.items() if k[0] > 1 and c.terms)
+    if key is None:
+        key = max(k for k, c in table._coeff.items() if k[0] > 1 and c.terms)
     table._coeff[key] = table._coeff[key] + table._coeff[key]
     table._elements.clear()
-    return table
+    return table, key
+
+
+def _laws(report, law):
+    """The violations of one law in an ``axioms`` report."""
+    return [f for f in report["violations"] if f["law"] == law]
 
 
 def test_a_planted_coefficient_fails_associativity_as_a_plain_loop_does(gr25, monkeypatch):
-    planted = _planted_table(gr25)
+    planted, _ = _planted_table(gr25)
     monkeypatch.setattr(suites_mod, "eq_table", lambda ctx: planted)
     report = suites_mod.verify_algebra(gr25)
     classes = enumerate_classes(gr25)
@@ -80,7 +89,59 @@ def test_a_planted_coefficient_fails_associativity_as_a_plain_loop_does(gr25, mo
         if planted.circ(planted.element(u, v), w) != planted.circ(planted.element(v, w), u)
     ]
     assert expected
-    assert [f for f in report["violations"] if f["law"] == "associativity"] == expected
+    assert _laws(report, "associativity") == expected
+
+
+def test_a_planted_coefficient_fails_commutativity_at_its_pair(gr25, cold_state, monkeypatch):
+    # the mirrored table recomputes every product, so the one pair whose
+    # product holds the doubled entry fails, and no other
+    planted, (iu, iv, _, _) = _planted_table(gr25)
+    monkeypatch.setattr(suites_mod, "eq_table", lambda ctx: planted)
+    report = suites_mod.verify_algebra(gr25)
+    classes = enumerate_classes(gr25)
+    u, v = classes[iu].parts, classes[iv].parts
+    assert _laws(report, "commutativity") == [
+        {"u": list(u), "v": list(v), "law": "commutativity"}
+    ]
+    assert _laws(report, "unit") == []
+
+
+def test_a_doubled_unit_entry_fails_the_unit_law_at_its_class(gr25, cold_state, monkeypatch):
+    # sigma([]) * sigma(v) holds 2 sigma(v), not sigma(v)
+    v = enumerate_classes(gr25).index(part(gr25, 2, 1))
+    planted, _ = _planted_table(gr25, (0, v, v, 0))
+    monkeypatch.setattr(suites_mod, "eq_table", lambda ctx: planted)
+    report = suites_mod.verify_algebra(gr25)
+    assert _laws(report, "unit") == [{"v": [2, 1], "law": "unit"}]
+
+
+def _double_a_restriction(ctx, family, parts, monkeypatch):
+    """Double the first nonzero restriction of the class ``parts`` in the
+    ``family`` table of ``ctx``.  Its degree is below the number of edges
+    at its point, so some edge weight no longer divides a difference."""
+    entries = equivariant_mod.restriction_table(ctx, family).entries
+    key = next(k for k, c in entries.items() if k[0] == parts and c.terms)
+    monkeypatch.setitem(entries, key, entries[key] + entries[key])
+
+
+@pytest.mark.parametrize("family", ["schubert", "opposite"])
+def test_a_doubled_restriction_fails_gkm_at_its_family_and_class(
+    gr25, cold_state, monkeypatch, family
+):
+    _double_a_restriction(gr25, family, (2, 1), monkeypatch)
+    report = suites_mod.verify_gkm(gr25)
+    assert report["violations"]
+    assert {(f["family"], tuple(f["class"])) for f in report["violations"]} == {
+        (family, (2, 1))
+    }
+
+
+def test_an_engine_error_raises_out_of_a_suite(gr25, cold_state, monkeypatch):
+    # a doubled opposite restriction leaves the Atiyah-Bott sums of the
+    # pairing with a denominator: an engine error, not a violation
+    _double_a_restriction(gr25, "opposite", (2, 1), monkeypatch)
+    with pytest.raises(NonPolynomialError):
+        suites_mod.verify_duality(gr25)
 
 
 def test_tbasis_runs_each_route_once_per_lane_group(gr36, monkeypatch):
@@ -175,8 +236,9 @@ def _reference(values, m, planted=None):
 
 def _lane_route(values, m, planted=None):
     """``(positions, per_value)``: what ``_tbasis_failing`` flags when the T
-    image of the object ``planted`` is T_1 (in its lane, on the packed
-    path), and the objects it converted value by value."""
+    image of the object ``planted``, one of ``values``, is T_1 (in its lane,
+    on the packed path), and the objects it converted value by value."""
+    assert planted is None or any(c is planted for c in values)
     packed_lanes = suites_mod._packed_lanes
     packed, images, per_value = [], [], []
 
@@ -222,29 +284,30 @@ def test_the_lane_route_passes_what_the_per_value_check_passes(case):
 # 127 * y_1**3 maps to 127 * (T_1 - T_2)**3, whose coefficients reach 381:
 # past a lane proven for its x image alone, inside one proven for T
 EDGE = from_exponents(1, [((3,), 127)])
+NEG = -EDGE
 
 
 @settings(max_examples=150, deadline=None)
 @given(value_lists())
 @example((2, [EDGE, Polynomial.zero(1), EDGE], EDGE))
-@example((2, [Polynomial.zero(1), EDGE, -EDGE], -EDGE))
+@example((2, [Polynomial.zero(1), EDGE, NEG], NEG))
 def test_the_lane_route_flags_one_planted_lane(case):
+    # the planted lane fails its group's packed check, so that group, and
+    # it alone, is rechecked value by value, each of its distinct objects once
     m, values, planted = case
     flagged, per_value = _lane_route(values, m, planted)
     assert flagged == _reference(values, m, planted)
     assert flagged == {i for i, c in enumerate(values) if c is planted}
-    assert per_value == []
+    assert sorted(map(id, per_value)) == lane_group_ids(values, planted)
 
 
 @settings(max_examples=150, deadline=None)
 @given(value_lists(huge=True))
 def test_a_group_past_63_bits_goes_value_by_value(case):
-    # the group of the huge value (the last), and it alone, converts value
-    # by value, each of its distinct objects once
+    # the group of the huge value (the last) and that of the planted value
+    # are checked value by value, each of their distinct objects once
     m, values, planted = case
     flagged, per_value = _lane_route(values, m, planted)
     assert flagged == _reference(values, m, planted)
     assert flagged == {i for i, c in enumerate(values) if c is planted}
-    assert sorted(map(id, per_value)) == sorted(
-        {id(c) for c in values if max_key_degree(c) == max_key_degree(values[-1])}
-    )
+    assert sorted(map(id, per_value)) == lane_group_ids(values, values[-1], planted)
