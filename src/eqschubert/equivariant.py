@@ -39,6 +39,7 @@ from .grass import (
     add_box_shapes,
     enumerate_classes,
     partition_from_permutation,
+    shared_context,
     to_grassmannian_permutation,
 )
 from .polyring import (
@@ -254,7 +255,7 @@ def pairing(u, v):
     p is contained in v dual, so only the points of that interval are
     restricted and integrated.
     """
-    ctx = u.ctx
+    ctx = shared_context(u, v)
     sigma = restriction_table(ctx, "schubert")
     tilde = restriction_table(ctx, "opposite")
     vd = v.dual()
@@ -280,7 +281,7 @@ def elr(u, v, w):
     restricted, each as its three factors, and no opposite table is built:
     for elr(sigma(1), a, a) one point, p = a, contributes.
     """
-    ctx = u.ctx
+    ctx = shared_context(u, v, w)
     if u.size + v.size < w.size:
         return shared_zero(ctx.r)
     sigma = restriction_table(ctx, "schubert")

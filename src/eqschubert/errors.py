@@ -2,7 +2,7 @@
 
 
 class ContextError(ValueError):
-    """Invalid Grassmannian parameters (need 0 < k < n)."""
+    """Invalid Grassmannian parameters (need ints 0 < k < n)."""
 
 
 class DimensionMismatchError(ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import wraps
 
-from .errors import ContextError
+from .errors import ContextError, DimensionMismatchError
 
 
 def _frozen(self, name, value=None):
@@ -27,8 +27,8 @@ class GrassContext:
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, k, n):
-        if not 0 < k < n:
-            raise ContextError("need 0 < k < n, got k=%r n=%r" % (k, n))
+        if not (type(k) is int and type(n) is int and 0 < k < n):
+            raise ContextError("need ints 0 < k < n, got k=%r n=%r" % (k, n))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
 
@@ -73,6 +73,14 @@ def _per_context(fn):
         return value
 
     return cached
+
+
+def shared_context(*classes):
+    """The context of ``classes``; ``DimensionMismatchError`` unless they share it."""
+    ctx = classes[0].ctx
+    if any(p.ctx != ctx for p in classes):
+        raise DimensionMismatchError("classes of %r and of another context" % (ctx,))
+    return ctx
 
 
 def forget(ctx=None):

@@ -49,23 +49,24 @@ reversal, then shears v_j -> v_j - v_{n-1}).
 ``positivity`` suite read, by columns of digits with no x polynomial per
 value: Kronecker packing (Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", JSC 2009) across values instead of
-across monomials.  The values are grouped by variable count and maximum
-key degree (``_lane_groups``); in a group, each y monomial gets one int
-whose lane j, a signed digit of a fixed width, is value j's coefficient
-(``_packed_lanes``), and the unchanged ``_shear`` runs once on those ints.
-A shear only adds coefficients and multiplies them by positive binomials,
-which are linear maps, so the packed int of each x monomial is exactly the
-sum of its lanes' values, and it is zero only where every lane is: the
-chain visits the union of the keys the per-value chains visit, and so
-fails the exponent cap exactly when one of them does.  The lane width
-comes from a proven bound, ``|p|_1 * nvars**d`` for a value p of maximum
-key degree d, which no x coefficient exceeds; a group whose bound passes
-63 bits converts value by value.  Only a value of degree past 2**15 can
-pass the cap, and over two or more variables its bound passes 63 bits, so
-the packed chain never meets the cap.  The ``tbasis`` suite packs the same
-groups in lanes of its own proven width and runs its per-value check once
-on each group's packed polynomial; a group that fails is rechecked value by
-value.
+across monomials.  The values, each homogeneous, are grouped by variable
+count and degree (``_lane_groups``); in a group, each y monomial gets one
+int whose lane j, a signed digit of a fixed width, is value j's
+coefficient (``_packed_lanes``), and the unchanged ``_shear`` runs once on
+those ints.  A shear only adds coefficients and multiplies them by
+positive binomials, which are linear maps, so the packed int of each x
+monomial is exactly the sum of its lanes' values, and it is zero only
+where every lane is: the chain visits the union of the keys the per-value
+chains visit, and so fails the exponent cap exactly when one of them does.
+The lane width comes from a proven bound, ``|p|_1 * nvars**d`` for a
+value p of degree d, which no x coefficient exceeds; a group whose bound
+passes 63 bits converts value by value.  Either path hands out x keys in
+descending (so graded-lex) order and a column of coefficients aligned with
+them per value.  Only a value of degree past 2**15 can pass the cap, and
+over two or more variables its bound passes 63 bits, so the packed chain
+never meets the cap.  The ``tbasis`` suite packs the same groups in lanes
+of its own proven width and runs its per-value check once on each group's
+packed polynomial; a group that fails is rechecked value by value.
 
 Rational expressions keep the denominator factored as a multiset of positive
 primitive linear forms (a map from form to multiplicity).  Localization sums
@@ -651,24 +652,21 @@ def _packed_lanes(values, size):
     }
 
 
-def _y_to_x_lanes(nvars, values, size, mixed):
+def _y_to_x_lanes(nvars, values, size):
     """``(keys, columns)``: the x keys of one y -> x shear chain on the
-    ``_packed_lanes`` of ``values``, in graded-lex descending order, and an
-    iterator of each value's column of x coefficients aligned with them.
-    The caller proves that every coefficient the chain forms fits a lane.
+    ``_packed_lanes`` of ``values``, in descending order, and an iterator of
+    each value's column of x coefficients aligned with them.  The caller
+    proves that every coefficient the chain forms fits a lane.
 
-    The shear keeps each term's degree, so unless the group is ``mixed``
-    (of more than one y degree) the descending key order is graded-lex.
-    The x ints are popped from the chain's map into one byte string, whose
-    strided views are the columns."""
+    The values are of one degree, which the shear keeps, so descending is
+    graded-lex.  The x ints are popped from the chain's map into one byte
+    string, whose strided views are the columns."""
     code, m = _LANE_CODES[size], len(values)
     row = m * size
     mask = _lane_mask(size, m)
     # the packed y map is a call temporary, freed after the first shear
     images = _shear(nvars, _packed_lanes(values, size), "y_to_x").terms
     keys = sorted(images, reverse=True)
-    if mixed:
-        keys.sort(key=lambda k: (_key_degree(k), k), reverse=True)
     blob = bytearray(len(keys) * row)
     for r, k in zip(range(0, len(blob), row), keys):
         blob[r : r + row] = ((images.pop(k) + mask) ^ mask).to_bytes(row, "little")
@@ -677,51 +675,53 @@ def _y_to_x_lanes(nvars, values, size, mixed):
     return keys, (digits[j::m] for j in range(m))
 
 
-def _lane_groups(polys):
-    """Yield ``(nvars, d, mixed, norm, group)`` per group of the distinct
-    objects of ``polys``, by variable count and maximum key degree d, the
-    largest first: ``group`` lists ``(p, positions)`` per object, in the
-    order of their first positions; ``mixed`` tells whether the group holds
-    more than one y degree, and ``norm`` is its largest ``|p|_1``, the sum
-    of a value's coefficients' absolute values."""
+def _lane_groups(polys, spread):
+    """Yield ``(nvars, size, group)`` per group of the distinct objects of
+    ``polys``, by variable count and degree d, the largest first: ``group``
+    lists ``(p, positions)`` per object, in the order of their first
+    positions, and ``size`` is the ``_lane_bytes`` of the largest bound
+    ``|p|_1 * (spread * nvars)**d``, with ``|p|_1`` the sum of p's
+    coefficients' absolute values.  ``ValueError`` for a value of more than
+    one degree.  A group is dropped as it is handed out."""
     members = {}
     for i, p in enumerate(polys):
         members.setdefault(id(p), (p, []))[1].append(i)
     degree = {k: _key_degree(k) for k in set().union(*(p.terms for p, _ in members.values()))}
-    groups, mixed = {}, set()
+    groups = {}
     for p, positions in members.values():
-        degrees = set(map(degree.__getitem__, p.terms))
-        group = (p.nvars, max(degrees, default=0))
-        groups.setdefault(group, []).append((p, positions))
+        degrees = set(map(degree.__getitem__, p.terms)) or {0}
         if len(degrees) > 1:
-            mixed.add(group)
+            raise ValueError("value of degrees %s is not homogeneous" % sorted(degrees))
+        groups.setdefault((p.nvars, *degrees), []).append((p, positions))
     del members, degree
     # the largest chains first, so later groups reuse the memory they free
-    for (nvars, d), group in sorted(groups.items(), reverse=True):
+    for nvars, d in sorted(groups, reverse=True):
+        group = groups.pop((nvars, d))
         norm = max(sum(map(abs, p.terms.values())) for p, _ in group)
-        yield nvars, d, (nvars, d) in mixed, norm, group
+        yield nvars, _lane_bytes(norm * (spread * nvars) ** d), group
 
 
 def _x_columns(polys):
-    """Yield ``(nvars, keys, items)`` per ``_lane_groups`` group of
-    ``polys``, with ``items`` yielding ``(column, positions)`` per object:
-    the lanes of ``_y_to_x_lanes``, or on the per-value path keys None and
-    the image ``y_to_x(p)`` as the column.  So each distinct object is
-    converted once.
+    """Yield ``(nvars, keys, items)`` per group of ``polys``, with ``keys``
+    the group's x keys in descending order and ``items`` yielding
+    ``(column, positions)`` per object, its x coefficients aligned with the
+    keys.  So each distinct object is converted once.
 
-    Every x coefficient of a value p of maximum key degree d is at most
+    Every x coefficient of a value p of degree d is at most
     ``|p|_1 * nvars**d``: the substitution sends y^a to at most
     ``nvars**|a|`` monomials with coefficient 1.  A group whose bound
-    passes 63 bits goes value by value.
+    passes 63 bits yields one group per value: the keys of its ``y_to_x``
+    image and their coefficients.
     """
-    for nvars, d, mixed, norm, group in _lane_groups(polys):
-        values = [p for p, _ in group]
-        size = _lane_bytes(norm * nvars**d)
+    for nvars, size, group in _lane_groups(polys, 1):
         if size is None:
-            keys, columns = None, map(y_to_x, values)
+            for p, positions in group:
+                image = y_to_x(p).terms
+                keys = sorted(image, reverse=True)
+                yield nvars, keys, [(list(map(image.__getitem__, keys)), positions)]
         else:
-            keys, columns = _y_to_x_lanes(nvars, values, size, mixed)
-        yield nvars, keys, zip(columns, (positions for _, positions in group))
+            keys, columns = _y_to_x_lanes(nvars, [p for p, _ in group], size)
+            yield nvars, keys, zip(columns, (positions for _, positions in group))
 
 
 @lru_cache(maxsize=None)

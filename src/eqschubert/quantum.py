@@ -63,6 +63,7 @@ from .grass import (
     add_box_shapes,
     enumerate_classes,
     quantum_chevalley_shape,
+    shared_context,
 )
 from .polyring import (
     Polynomial,
@@ -454,10 +455,11 @@ def eq_chevalley(p):
 
 def multiply(u, v):
     """The equivariant quantum product of two basis classes, in x."""
-    return _in_x(u.ctx, eq_table(u.ctx).element(u, v).terms)
+    ctx = shared_context(u, v)
+    return _in_x(ctx, eq_table(ctx).element(u, v).terms)
 
 
 def eqlr(u, v, w, d):
     """Single structure constant, in x; zero whenever the grading is negative."""
-    return y_to_x(eq_table(u.ctx).coefficient(u, v, w, d))
+    return y_to_x(eq_table(shared_context(u, v, w)).coefficient(u, v, w, d))
 

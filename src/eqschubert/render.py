@@ -3,26 +3,27 @@
 Monomials always print in graded-lex descending order and coefficients
 serialize as decimal strings, so every export is byte-stable for a fixed
 input and code version. The JSON form of every export is canonical: sorted
-keys, no whitespace. ``canonical_json`` encodes the envelopes and reports;
-the rows and polynomial terms of the JSON exports are written from the
-packed monomial keys' cached ``","e":[...]}`` fragments (``_term_encoder``)
-with the same bytes. A Tier-1 test pins the two byte for byte. The CSV
-export reads back, as text, only the canonical table JSON the program
-writes; any other payload is an error. So a warm CSV re-export never
-imports ``polyring``, which the module imports only inside the functions
-that build exports.
+keys, no whitespace. ``canonical_json`` encodes the envelopes, reports and
+module elements; the rows and polynomial terms of the table exports are
+written from the packed monomial keys' cached ``","e":[...]}`` fragments
+(``_key_fragments``) with the same bytes. A Tier-1 test pins the two byte
+for byte. The CSV export reads back, as text, only the canonical table JSON
+the program writes; any other payload is an error. So a warm CSV re-export
+never imports ``polyring``, which the module imports only inside the
+functions that build exports.
 
 Every export is in the simple roots x. The table and restriction exports
 read the engine's tables, which are in the torus-character coordinates y,
 and pass all their polynomials, repeats included, to the one batch
-conversion ``polyring._x_columns``, one shear chain per degree; each
-distinct value's text is written once straight from its column of lane
-digits (``_x_texts``), with no x polynomial built. The export keeps each
-row's fields, those texts shared by all the rows of their value, and
-streams: ``_Payload`` formats the rows in export order, in chunks of
-about ``CHUNK`` characters, as each pass over it writes them, so no list
-of row strings and no joined payload is ever built. The module elements
-that ``qelem_text`` and ``qelem_json`` render come from
+conversion ``polyring._x_columns``, which hands out x keys and one column
+of coefficients per distinct value on either of its paths; each value's
+text is written once straight from its column's nonzero digits
+(``_x_texts``), with no x polynomial built. The export keeps each row's
+fields, those texts shared by all the rows of their value, and streams:
+``_Payload`` formats the rows in export order, in chunks of about
+``CHUNK`` characters, as each pass over it writes them, so no list of row
+strings and no joined payload is ever built. The module elements that
+``qelem_text`` and ``qelem_json`` render come from
 ``quantum.multiply``, already in x, and are rendered as given.
 """
 
@@ -84,13 +85,10 @@ def _terms_text(coefficients, fragments):
     return '[{"c":"' + body + "]" if body else "[]"
 
 
-def _term_encoder(nvars):
-    """``(encode, fragment)`` over ``nvars`` variables: ``fragment(k)`` is
-    the ``","e":[...]}`` text of the packed key k, built once per encoder,
-    and ``encode(p)`` is the text of ``canonical_json(poly_json(p))`` for
-    any polynomial ``p``.  Packed keys compare as exponent vectors, so
-    (degree, key) order is the graded-lex order of ``canonical_terms``."""
-    from .polyring import _key_degree, _lanes
+def _key_fragments(nvars):
+    """``fragment(k)``: the ``","e":[...]}`` text of the packed key k over
+    ``nvars`` variables, built once per maker."""
+    from .polyring import _lanes
 
     unpack, size = _lanes(nvars), 2 * nvars
     fragments = {}
@@ -102,29 +100,22 @@ def _term_encoder(nvars):
             text = fragments[k] = '","e":[%s]}' % ",".join(map(str, exps))
         return text
 
-    def encode(p):
-        keys = sorted(p.terms, key=lambda k: (_key_degree(k), k), reverse=True)
-        return _terms_text(map(p.terms.__getitem__, keys), map(fragment, keys))
-
-    return encode, fragment
+    return fragment
 
 
 def _x_texts(values, nvars):
-    """Yield ``(i, encode(y_to_x(values[i])))`` for every position i, in
-    stream order, each distinct object's text made once.  A lane column of
-    ``polyring._x_columns`` is written straight from its nonzero digits and
-    the fragments of its group's keys, listed once per group; a per-value
-    image is encoded."""
+    """Yield ``(i, canonical_json(poly_json(y_to_x(values[i]))))`` for
+    every position i, in stream order, each distinct object's text made
+    once: a column of ``polyring._x_columns`` is written straight from its
+    nonzero digits and the fragments of its group's keys, listed once per
+    group."""
     from .polyring import _x_columns
 
-    encode, fragment = _term_encoder(nvars)
+    fragment = _key_fragments(nvars)
     for _, keys, items in _x_columns(values):
-        fragments = None if keys is None else list(map(fragment, keys))
+        fragments = list(map(fragment, keys))
         for column, positions in items:
-            if keys is None:
-                text = encode(column)
-            else:
-                text = _terms_text(compress(column, column), compress(fragments, column))
+            text = _terms_text(compress(column, column), compress(fragments, column))
             for i in positions:
                 yield i, text
 
@@ -205,10 +196,8 @@ def qelem_text(elem):
 
 def qelem_json(elem):
     """Canonical JSON list of the ``{"w", "d", "poly"}`` terms of an element."""
-    encode, _ = _term_encoder(elem.ctx.r)
-    return "[%s]" % ",".join(
-        '{"d":%d,"poly":%s,"w":%s}' % (d, encode(c), canonical_json(list(w)))
-        for (w, d), c in elem.canonical_items()
+    return canonical_json(
+        [{"w": list(w), "d": d, "poly": poly_json(c)} for (w, d), c in elem.canonical_items()]
     )
 
 

@@ -17,11 +17,9 @@ from .grass import Partition, default_d_max, enumerate_classes
 from .oracles import quantum_lr_rimhook
 from .polyring import (
     Polynomial,
-    _lane_bytes,
     _lane_groups,
     _packed_lanes,
     _x_columns,
-    is_x_nonnegative,
     shared_zero,
     to_T_variables,
     y_to_x,
@@ -54,9 +52,8 @@ def verify_positivity(ctx, d_max=None):
     """Check nonnegativity in x of every structure constant up to d_max.
 
     Each distinct value object is checked once, on its ``_x_columns``
-    column: a lane column must hold no negative digit, and a value past 63
-    bits, converted alone, must pass ``is_x_nonnegative``.  Every key whose
-    value has a negative x coefficient is a violation, in key order."""
+    column of x coefficients, which must hold no negative one.  Every key
+    whose value has a negative x coefficient is a violation, in key order."""
     if d_max is None:
         d_max = default_d_max(ctx)
     table = eq_table(ctx)
@@ -72,11 +69,10 @@ def verify_positivity(ctx, d_max=None):
                     keys.append((u, v, w, d))
                     values.append(table.coefficient(u, v, w, d))
     bad = set()
-    for _, x_keys, items in _x_columns(values):
+    for _, _, items in _x_columns(values):
         for column, positions in items:
-            # an all-zero group has no keys, so its columns are empty
-            ok = is_x_nonnegative(column) if x_keys is None else min(column, default=0) >= 0
-            if not ok:
+            # a zero value has no keys, so its column is empty
+            if min(column, default=0) < 0:
                 bad.update(positions)
     violations = [
         dict(_where(u=u, v=v, w=w), d=d) for i, (u, v, w, d) in enumerate(keys) if i in bad
@@ -189,7 +185,7 @@ def _tbasis_failing(values, m):
     sum of its lanes' per-value coefficients there.
 
     The lane width is proven: every coefficient either route forms for a
-    value p of maximum key degree d, final or intermediate, is at most
+    value p of degree d, final or intermediate, is at most
     ``|p|_1 * (2 * nvars)**d`` in absolute value.  Each step adds
     coefficients and multiplies them by binomials and signs, so by the
     triangle inequality a coefficient is at most the one the same steps
@@ -202,18 +198,17 @@ def _tbasis_failing(values, m):
     it each of those x_i has at most 2 terms (T_i + T_{i+1}), so at most
     ``2 * nvars``; Horner's images T_1 + T_{j+1} have 2, and its powers and
     partial products are sub-sums of their full expansion.  A group's
-    lanes hold that bound (``_lane_bytes``), so at every step a packed int
-    is zero exactly when all its lanes are: the packed routes visit the
-    union of the per-value routes' terms, so they meet the exponent cap
-    exactly when one of those does, and their images are equal exactly
-    when every lane's are.  A group whose images differ, or whose bound
+    lanes hold that bound (``_lane_groups`` with spread 2), so at every
+    step a packed int is zero exactly when all its lanes are: the packed
+    routes visit the union of the per-value routes' terms, so they meet the
+    exponent cap exactly when one of those does, and their images are equal
+    exactly when every lane's are.  A group whose images differ, or whose bound
     passes 63 bits, is rechecked value by value: only the per-value check
     names a failing value.
     """
     weights = [Polynomial.variable(m, 1) - Polynomial.variable(m, j + 1) for j in range(1, m)]
     bad = set()
-    for nvars, d, _, norm, group in _lane_groups(values):
-        size = _lane_bytes(norm * (2 * nvars) ** d)
+    for nvars, size, group in _lane_groups(values, 2):
         if size is not None:
             packed = Polynomial(nvars, _packed_lanes([c for c, _ in group], size))
             if to_T_variables(y_to_x(packed), m) == packed.substitute(weights, m):

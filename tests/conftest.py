@@ -133,6 +133,12 @@ def make_cache_file(header, payload):
     return gzip.compress(json.dumps(header).encode() + b"\n" + payload)
 
 
+def of_first_degree(items):
+    """The ``(exponents, coefficient)`` items of the first one's degree:
+    the terms of a homogeneous value."""
+    return [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
+
+
 def homogeneous_of_degree(p, d):
     """True if every monomial of ``p`` has degree ``d`` (vacuously when zero)."""
     return all(sum(exps) == d for exps, _ in p.canonical_terms())

@@ -88,6 +88,28 @@ def test_every_top_level_definition_has_a_user():
     assert unused == []
 
 
+# the internals of the y -> x lane batch: ``polyring._x_columns`` and
+# ``polyring._lane_groups`` are its interface, and only ``polyring`` sizes,
+# masks or converts lanes
+LANE_INTERNALS = {"_lane_bytes", "_lane_mask", "_y_to_x_lanes"}
+
+
+def test_only_polyring_reaches_the_lane_internals():
+    reached = []
+    for path in MODULES:
+        if path.name == "polyring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            reached += ["%s: %s" % (path.name, name) for name in sorted(names & LANE_INTERNALS)]
+    assert reached == []
+
+
 # methods that no code of the package calls by name but that are kept, with
 # the reason; nothing else may be
 KEPT_METHODS = {

@@ -41,6 +41,13 @@ def test_context_validation():
         GrassContext(4, 2)
 
 
+def test_a_context_needs_int_k_and_n():
+    # a bool or a float would be exported as it is, or fail deep in the engine
+    for k, n in [(True, 3), (1, True), (2.0, 4), (2, 4.0), ("2", 4), (None, 2)]:
+        with pytest.raises(ContextError):
+            GrassContext(k, n)
+
+
 def test_partition_validation(gr24):
     with pytest.raises(ValueError):
         Partition((3,), gr24)

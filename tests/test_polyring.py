@@ -29,8 +29,9 @@ from eqschubert.polyring import (
     finish_terms,
     linear_plan,
 )
+from eqschubert.render import _x_texts
 
-from conftest import from_exponents, homogeneous_of_degree
+from conftest import from_exponents, homogeneous_of_degree, of_first_degree
 
 NVARS = 3
 
@@ -480,24 +481,24 @@ def test_coordinate_changes_stay_below_the_guard_bit(nvars):
 def converted(polys):
     """The x images ``_x_columns(polys)`` gives, by position, once its
     contract is checked: each distinct object comes once, with all its
-    positions.  A lane column holds one digit per key of its group; its
-    image is its nonzero digits in key order, and its verdict
-    ``min(column, default=0) >= 0`` is its image's ``is_x_nonnegative``.
-    A per-value column is the image."""
+    positions.  Every group, a value past 63 bits included, hands out keys
+    of one degree in descending order, so graded-lex, and a column per
+    object with one digit per key; its image is its nonzero digits in key
+    order, and its verdict ``min(column, default=0) >= 0`` is its image's
+    ``is_x_nonnegative``."""
     out = [None] * len(polys)
     objects = set()
     for nvars, keys, items in _x_columns(polys):
+        assert keys == sorted(keys, reverse=True)
+        assert len(set(map(_key_degree, keys))) <= 1
         for column, positions in items:
             # one item per distinct object, with every position of it
             assert len({id(polys[i]) for i in positions}) == 1
             assert id(polys[positions[0]]) not in objects
             objects.add(id(polys[positions[0]]))
-            if keys is None:
-                image = column
-            else:
-                assert len(column) == len(keys)
-                image = Polynomial(nvars, {k: c for k, c in zip(keys, column) if c})
-                assert (min(column, default=0) >= 0) == is_x_nonnegative(image)
+            assert len(column) == len(keys)
+            image = Polynomial(nvars, {k: c for k, c in zip(keys, column) if c})
+            assert (min(column, default=0) >= 0) == is_x_nonnegative(image)
             for i in positions:
                 assert out[i] is None
                 out[i] = image
@@ -520,9 +521,9 @@ def test_y_to_x_many_matches_y_to_x_on_every_table_value(k, n):
 
 @st.composite
 def poly_lists(draw):
-    """Lists of polynomials over 1 to 6 variables, with negative coefficients
-    and coefficients wider than 64 bits, zero polynomials and repeated
-    objects; members are homogeneous or not."""
+    """Lists of homogeneous polynomials over 1 to 6 variables, with
+    negative coefficients and coefficients wider than 64 bits, zero
+    polynomials and repeated objects."""
     out = []
     for _ in range(draw(st.integers(0, 8))):
         if out and draw(st.booleans()):
@@ -531,9 +532,7 @@ def poly_lists(draw):
         nvars = draw(st.integers(1, 6))
         coefficient = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
         exps = st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars)
-        items = draw(st.lists(st.tuples(exps, coefficient), max_size=6))
-        if items and draw(st.booleans()):
-            items = [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
+        items = of_first_degree(draw(st.lists(st.tuples(exps, coefficient), max_size=6)))
         out.append(from_exponents(nvars, ((tuple(e), c) for e, c in items)))
     return out
 
@@ -548,8 +547,6 @@ ZERO = Polynomial.zero(3)
 @example([ZERO, Polynomial.zero(3)])
 # one zero object and one nonzero object, each at several positions
 @example([ZERO, x(1), ZERO, -(x(2) ** 2), x(1), ZERO])
-# a mixed-degree lane group: the first key is of lower degree than the last
-@example([x(1) - 5 * x(2) ** 3 * x(3), x(2) ** 4, x(3) ** 4 - x(1) ** 2 * x(2) * x(3)])
 # a group past 63 bits, beside a lane group of the same degree over more variables
 @example([x(2) ** 4 - 2**70 * x(3) ** 4, -x(1) ** 4, Polynomial.variable(4, 4) ** 4])
 def test_x_columns_keep_their_contract(polys):
@@ -557,6 +554,17 @@ def test_x_columns_keep_their_contract(polys):
     # image's coefficients in its group's key order
     images = {id(p): y_to_x(p) for p in polys}
     assert converted(polys) == [images[id(p)] for p in polys]
+
+
+def test_a_value_of_two_degrees_is_refused():
+    # a group holds one degree, so its keys' descending order is graded-lex;
+    # a value whose first key is of lower degree than its last has no group
+    mixed = x(1) - 5 * x(2) ** 3 * x(3)
+    for values in ([mixed], [x(2) ** 4, mixed, x(3) ** 4]):
+        with pytest.raises(ValueError):
+            list(_x_columns(values))
+        with pytest.raises(ValueError):
+            list(_x_texts(values, NVARS))
 
 
 def test_lane_bytes_is_the_narrowest_signed_lane():

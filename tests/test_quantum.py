@@ -9,6 +9,7 @@ import pytest
 import eqschubert.equivariant as equivariant_mod
 import eqschubert.quantum as quantum_mod
 from eqschubert import (
+    DimensionMismatchError,
     Partition,
     Polynomial,
     QModuleElement,
@@ -19,6 +20,7 @@ from eqschubert import (
     eqlr,
     lr_tableau,
     multiply,
+    pairing,
     quantum_lr_rimhook,
     verify_algebra,
     verify_positivity,
@@ -181,6 +183,25 @@ def test_a_raised_non_special_coefficient_breaks_associativity(gr25, monkeypatch
         assert not report["passed"]
         assert any(v["law"] == "associativity" for v in report["violations"]), key
     assert verify_algebra(gr25)["passed"]
+
+
+def test_classes_of_two_contexts_are_refused(gr24, gr25):
+    # each entry point reads the table of its first class's context, so a
+    # class of another context would get an answer of the wrong Grassmannian
+    a, b = Partition((1,), gr24), Partition((1,), gr25)
+    calls = [
+        (multiply, (a, b)),
+        (multiply, (b, a)),
+        (eqlr, (a, a, b, 0)),
+        (eqlr, (b, a, b, 0)),
+        (elr, (a, a, b)),
+        (elr, (a, b, a)),
+        (pairing, (a, b)),
+        (pairing, (b, a)),
+    ]
+    for entry, args in calls:
+        with pytest.raises(DimensionMismatchError):
+            entry(*args)
 
 
 def test_multiply_unit(gr24):
@@ -374,7 +395,6 @@ def test_verify_positivity_reports_every_key_of_a_bad_shared_value(gr25, monkeyp
         # positions
         batches.append(values)
         for nvars, keys, items in _x_columns(values):
-            assert keys is not None
             yield nvars, keys, negated(values, items)
 
     monkeypatch.setattr(suites_mod, "_x_columns", corrupted)

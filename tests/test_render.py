@@ -29,7 +29,7 @@ from eqschubert.render import (
     table_json,
 )
 
-from conftest import from_exponents, part, poly_from_json
+from conftest import from_exponents, of_first_degree, part, poly_from_json
 
 
 def x(i):
@@ -91,7 +91,7 @@ ENCODER_CONTEXTS = [GrassContext(k, n) for k, n in ((1, 2), (1, 3), (2, 4), (2, 
 def table_rows(draw):
     """A context and rows (u, v, w, d, poly) over its classes and variables.
 
-    Polynomials are homogeneous or not, may be zero, and take negative
+    Polynomials are homogeneous, may be zero, and take negative
     coefficients and coefficients wider than 64 bits."""
     ctx = draw(st.sampled_from(ENCODER_CONTEXTS))
     classes = st.sampled_from([p.parts for p in enumerate_classes(ctx)])
@@ -103,9 +103,7 @@ def table_rows(draw):
             # the table holds equal coefficients as one object
             poly = draw(st.sampled_from(rows))[4]
         else:
-            items = draw(st.lists(term, max_size=6))
-            if items and draw(st.booleans()):
-                items = [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
+            items = of_first_degree(draw(st.lists(term, max_size=6)))
             poly = from_exponents(ctx.r, ((tuple(e), c) for e, c in items))
         u, v, w = draw(classes), draw(classes), draw(classes)
         rows.append((u, v, w, draw(st.integers(0, 3)), poly))
@@ -158,12 +156,13 @@ def test_table_entries_convert_each_value_object_once(k, n, monkeypatch):
 
 def test_a_lane_export_builds_no_x_polynomial(gr36, monkeypatch):
     # every Gr(3,6) value takes the lane path, whose texts are written from
-    # the digit columns: no per-value conversion or encoding, and no
-    # polynomial but the one packed term map of each lane group's chain
+    # the digit columns and one fragment maker: no per-value conversion or
+    # reference encoding, and no polynomial but the one packed term map of
+    # each lane group's chain
     values = [c for *_, c in quantum_mod.eq_table(gr36).rows(default_d_max(gr36))]
     groups = {max(map(polyring_mod._key_degree, c.terms), default=0) for c in values}
-    built = []
-    init, make = Polynomial.__init__, render_mod._term_encoder
+    built, makers = [], []
+    init, make = Polynomial.__init__, render_mod._key_fragments
 
     def per_value(p):
         raise AssertionError("a Gr(3,6) value went value by value")
@@ -172,16 +171,20 @@ def test_a_lane_export_builds_no_x_polynomial(gr36, monkeypatch):
         built.append(len(terms))
         init(self, nvars, terms)
 
-    def no_encode(nvars):
-        return per_value, make(nvars)[1]
+    def counted_maker(nvars):
+        makers.append(nvars)
+        return make(nvars)
 
     monkeypatch.setattr(polyring_mod, "y_to_x", per_value)
-    monkeypatch.setattr(render_mod, "_term_encoder", no_encode)
+    monkeypatch.setattr(render_mod, "poly_json", per_value)
+    monkeypatch.setattr(render_mod, "_key_fragments", counted_maker)
     monkeypatch.setattr(Polynomial, "__init__", counted)
     entries = table_entries(gr36)
     monkeypatch.undo()
     assert len(built) == len(groups)
-    assert [json.loads(row)["poly"] for row in entries] == [poly_json(y_to_x(c)) for c in values]
+    assert makers == [gr36.r]
+    texts = ['"poly":%s,"u":' % canonical_json(poly_json(y_to_x(c))) for c in values]
+    assert all(text in row for row, text in zip(entries, texts))
 
 
 def test_a_cold_export_builds_no_opposite_table(cold_state, monkeypatch):
@@ -247,16 +250,15 @@ def test_lane_images_hold_their_keys_in_descending_order(gr36):
     groups = list(_x_columns(values))
     assert groups
     for _, keys, _ in groups:
-        assert keys is not None
         assert keys == sorted(keys, reverse=True)
         assert keys == sorted(keys, key=lambda k: (_key_degree(k), k), reverse=True)
 
 
 @st.composite
 def value_lists(draw):
-    """A variable count and a list of polynomials over it, with repeated
-    objects, zeros, homogeneous and mixed-degree values, and perhaps one
-    value wide enough to take the per-value path."""
+    """A variable count and a list of homogeneous polynomials over it, with
+    repeated objects and zeros, and perhaps one value wide enough to take
+    the per-value path."""
     nvars = draw(st.integers(1, 6))
     exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).map(tuple)
     out = []
@@ -265,13 +267,11 @@ def value_lists(draw):
             out.append(draw(st.sampled_from(out)))
             continue
         items = draw(st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=6))
-        if items and draw(st.booleans()):
-            items = [(e, c) for e, c in items if sum(e) == sum(items[0][0])]
-        out.append(from_exponents(nvars, items))
+        out.append(from_exponents(nvars, of_first_degree(items)))
     if draw(st.booleans()):
-        items = draw(st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=3))
-        items.append((draw(exps), draw(st.integers(2**64, 2**80))))
-        wide = from_exponents(nvars, items)
+        items = [(draw(exps), draw(st.integers(2**64, 2**80)))]
+        items += draw(st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=3))
+        wide = from_exponents(nvars, of_first_degree(items))
         out.insert(draw(st.integers(0, len(out))), wide)
     return nvars, out
 
@@ -280,12 +280,10 @@ def value_lists(draw):
 @given(value_lists())
 def test_lane_texts_match_the_encoder(case):
     nvars, values = case
-    encode, _ = render_mod._term_encoder(nvars)
     texts = [None] * len(values)
     for i, text in render_mod._x_texts(values, nvars):
         assert texts[i] is None
         texts[i] = text
-    assert texts == [encode(y_to_x(p)) for p in values]
     assert texts == [canonical_json(poly_json(y_to_x(p))) for p in values]
 
 
