@@ -30,7 +30,6 @@ _EXPORTS = {
     "fixed_points": "equivariant",
     "forget": "grass",
     "integrate": "equivariant",
-    "is_x_nonnegative": "polyring",
     "lr_tableau": "oracles",
     "multiply": "quantum",
     "pairing": "equivariant",

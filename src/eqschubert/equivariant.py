@@ -63,7 +63,10 @@ class FixedPoint:
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, subset, ctx):
-        s = tuple(sorted(subset))
+        s = tuple(subset)
+        if not all(type(i) is int for i in s):
+            raise ValueError("subset %r has a member that is not an int" % (s,))
+        s = tuple(sorted(s))
         object.__setattr__(self, "subset", s)
         object.__setattr__(self, "ctx", ctx)
         if len(s) != ctx.k or len(set(s)) != ctx.k:

@@ -22,14 +22,23 @@ from .polyring import Polynomial
 def lr_tableau(u, v, w):
     """The number of LR skew tableaux of shape w/u with content v.
 
-    Accepts Partitions or raw parts tuples.  For box partitions this is the
+    Accepts Partitions or raw parts tuples, whose trailing zeros are
+    dropped as ``Partition`` drops them.  For box partitions this is the
     Grassmannian structure constant: products land on box shapes only, and
     coefficients of wider shapes are simply discarded at Grassmannian level.
     """
-    ut = u.parts if isinstance(u, Partition) else tuple(u)
-    vt = v.parts if isinstance(v, Partition) else tuple(v)
-    wt = w.parts if isinstance(w, Partition) else tuple(w)
-    return _lr_coefficient(ut, vt, wt)
+    return _lr_coefficient(*map(_parts, (u, v, w)))
+
+
+def _parts(p):
+    """The parts of a Partition, or a raw tuple with its trailing zeros
+    dropped."""
+    if isinstance(p, Partition):
+        return p.parts
+    parts = tuple(p)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    return parts
 
 
 def _lr_coefficient(u, v, w):
@@ -243,9 +252,7 @@ def fs_product_expansion(ctx, u, v):
         if any(lead[i] < lead[i + 1] for i in range(len(lead) - 1)):
             raise ExpansionError("non-partition leading term %r" % (lead,))
         coeff = product[lead]
-        shape = lead
-        while shape and shape[-1] == 0:
-            shape = shape[:-1]
+        shape = _parts(lead)
         out[shape] = coeff
         for ze, c in factorial_schur_zpoly(ctx, shape).items():
             _zadd(product, ze, coeff * c * -1)

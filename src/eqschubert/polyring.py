@@ -12,19 +12,21 @@ big-endian bytes unpack to its exponents in one ``struct`` call.  Every
 variable has complex degree one; the degree of a monomial is the sum of its
 exponents.
 
-Exact division takes one of three paths by the divisor's shape.  A monomial
-divides in one pass over the dividend.  A linear form (every key a single
-lane's unit) divides synthetically in its lead variable, bucket by bucket,
-with no heap.  Any other divisor takes Monagan-Pearce heap division
-("Sparse polynomial division using a heap", JSC 2011), which is the general
-path and the reference the tests hold the other two against.  The linear
-path is one kernel, ``divide_linear``, that runs on a plan of the divisor
-(``linear_plan``: lead key, lead coefficient, tail, lane shift) and takes
-its dividend as a list of signed polynomials, folded straight into its
+Exact division takes one of two paths by the divisor's shape, the two shapes
+the engine divides by: every divisor is a tangent weight, a gap c_w - c_a or
+a product of them divided one form at a time.  A monomial (a constant
+included) divides in one pass over the dividend.  A linear form (every key a
+single lane's unit) divides synthetically in its lead variable, bucket by
+bucket, with no heap.  Any other divisor is refused.  The tests hold both
+paths against Monagan-Pearce heap division ("Sparse polynomial division
+using a heap", JSC 2011), kept under ``tests/`` as their reference.  The
+linear path is one kernel, ``divide_linear``, that runs on a plan of the
+divisor (``linear_plan``: lead key, lead coefficient, tail, lane shift) and
+takes its dividend as a list of signed polynomials, folded straight into its
 buckets with no sum built first.  Plans are cached by form in a bounded
 ``lru_cache``, so each distinct divisor is planned once however often
-``divide_exact`` meets it; the quantum table keeps one plan per divisor
-and hands the kernel the references of each relation as they are.
+``divide_exact`` meets it; the quantum table keeps one plan per divisor and
+hands the kernel the references of each relation as they are.
 
 Sums of products fold into one term map with ``add_product_into``, a fused
 multiply-accumulate that builds no polynomial per product and copies no
@@ -76,7 +78,6 @@ silently.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from array import array
 from functools import lru_cache, reduce
@@ -188,8 +189,14 @@ class Polynomial:
                 "polynomials over %d and %d variables" % (self.nvars, other.nvars)
             )
 
+    # + and * take a polynomial or an int on either side, - an int on the
+    # right only; any other operand gets NotImplemented, so a TypeError.  The
+    # class test comes first, so a polynomial operand makes no further call.
+
     def __add__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not Polynomial:
+            if not isinstance(other, int):
+                return NotImplemented
             other = Polynomial.const(self.nvars, other)
         self._check(other)
         a, b = self.terms, other.terms
@@ -210,15 +217,16 @@ class Polynomial:
         return Polynomial(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not Polynomial:
+            if not isinstance(other, int):
+                return NotImplemented
             other = Polynomial.const(self.nvars, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not Polynomial:
+            if not isinstance(other, int):
+                return NotImplemented
             if not other:
                 return Polynomial.zero(self.nvars)
             return Polynomial(self.nvars, {k: c * other for k, c in self.terms.items()})
@@ -334,27 +342,22 @@ class Polynomial:
         return horner(list(self.terms.items()), 0)
 
     def divide_exact(self, divisor):
-        """Exact quotient self / divisor over Z, or None when not divisible."""
-        if isinstance(divisor, int):
-            if divisor == 0:
-                raise ZeroDivisionError("division by zero polynomial")
-            out = {}
-            for k, c in self.terms.items():
-                if c % divisor:
-                    return None
-                out[k] = c // divisor
-            return Polynomial(self.nvars, out)
+        """Exact quotient self / divisor over Z, or None when not divisible.
+
+        ``divisor`` is a monomial (a constant included) or a linear form;
+        ``ValueError`` for any other polynomial, ``TypeError`` for anything
+        that is not a polynomial."""
+        if divisor.__class__ is not Polynomial:
+            raise TypeError("cannot divide a polynomial by %s" % type(divisor).__name__)
         self._check(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return self
         if len(divisor.terms) == 1:
             return _divide_monomial(self, divisor)
         plan = linear_plan(divisor)
-        if plan is not None:
-            return divide_linear(self.nvars, ((self, 1),), plan)
-        return _divide_heap(self, divisor)
+        if plan is None:
+            raise ValueError("divisor is neither a monomial nor a linear form")
+        return divide_linear(self.nvars, ((self, 1),), plan)
 
 
 @lru_cache(maxsize=None)
@@ -448,41 +451,6 @@ def divide_linear(nvars, parts, plan):
     return None if any(bucket.values()) else Polynomial(nvars, quotient)
 
 
-def _divide_heap(dividend, divisor):
-    """Monagan-Pearce division: the general path, and the reference the
-    tests hold the other two against."""
-    dlead = max(divisor.terms)
-    dlc = divisor.terms[dlead]
-    guard = _guard_mask(dividend.nvars)
-    dtail = [(k, c) for k, c in divisor.terms.items() if k != dlead]
-    work = dict(dividend.terms)
-    heap = [-k for k in work]
-    heapq.heapify(heap)
-    quotient = {}
-    while heap:
-        k = -heapq.heappop(heap)
-        c = work.get(k)
-        if not c:
-            continue
-        # a lane of k below the divisor's clears its guard bit
-        if ((k | guard) - dlead) & guard != guard or c % dlc:
-            return None
-        qk = k - dlead
-        qc = c // dlc
-        quotient[qk] = qc
-        del work[k]
-        for tk, tc in dtail:
-            nk = qk + tk
-            nc = work.get(nk, 0) - qc * tc
-            if nc:
-                if nk not in work:
-                    heapq.heappush(heap, -nk)
-                work[nk] = nc
-            elif nk in work:
-                del work[nk]
-    return Polynomial(dividend.nvars, quotient) if not work else None
-
-
 def add_into(terms, p, sign=1):
     """Fold ``sign * p`` into the term map ``terms`` in place (sign is +-1)."""
     get = terms.get
@@ -521,11 +489,6 @@ def finish_terms(nvars, terms):
     if reduce(or_, terms, 0) & _guard_mask(nvars):
         raise OverflowError("product exponent above %d" % _MAX_EXPONENT)
     return Polynomial(nvars, {k: c for k, c in terms.items() if c})
-
-
-def is_x_nonnegative(p):
-    """True iff every stored coefficient is nonnegative."""
-    return all(c > 0 for c in p.terms.values()) if p.terms else True
 
 
 # -- torus-character coordinates ---------------------------------------------

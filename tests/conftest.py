@@ -1,5 +1,6 @@
 import contextlib
 import gzip
+import heapq
 import io
 import json
 import sys
@@ -60,6 +61,45 @@ def from_exponents(nvars, items):
 def poly_from_json(terms, nvars):
     """The polynomial of a JSON term list ``[{"c": "C", "e": [...]}, ...]``."""
     return from_exponents(nvars, ((tuple(t["e"]), int(t["c"])) for t in terms))
+
+
+def divide_heap(dividend, divisor):
+    """Monagan-Pearce division ("Sparse polynomial division using a heap",
+    JSC 2011) by any nonzero divisor: the exact quotient, or None.  The
+    package divides by monomials and linear forms only; this general path
+    is the reference the tests hold both against."""
+    from eqschubert.polyring import _guard_mask
+
+    dlead = max(divisor.terms)
+    dlc = divisor.terms[dlead]
+    guard = _guard_mask(dividend.nvars)
+    dtail = [(k, c) for k, c in divisor.terms.items() if k != dlead]
+    work = dict(dividend.terms)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = work.get(k)
+        if not c:
+            continue
+        # a lane of k below the divisor's clears its guard bit
+        if ((k | guard) - dlead) & guard != guard or c % dlc:
+            return None
+        qk = k - dlead
+        qc = c // dlc
+        quotient[qk] = qc
+        del work[k]
+        for tk, tc in dtail:
+            nk = qk + tk
+            nc = work.get(nk, 0) - qc * tc
+            if nc:
+                if nk not in work:
+                    heapq.heappush(heap, -nk)
+                work[nk] = nc
+            elif nk in work:
+                del work[nk]
+    return Polynomial(dividend.nvars, quotient) if not work else None
 
 
 def max_key_degree(p):

@@ -34,6 +34,10 @@ def test_lr_wide_shapes():
     assert lr_tableau((2, 1), (2, 1), (5, 1)) == 0
     assert lr_tableau((2,), (1, 1), (3, 1)) == 1
     assert lr_tableau((2, 1), (2, 1), (2, 2, 1, 1)) == 1
+    # trailing zeros are dropped, as a class drops them
+    assert lr_tableau((1, 0), (1,), (2,)) == lr_tableau((1,), (1,), (2,)) == 1
+    assert lr_tableau((1,), (1, 0, 0), (1, 1, 0)) == 1
+    assert lr_tableau((2, 1, 0), (0,), (2, 1)) == 1
 
 
 def test_wide_expansion_degree_count():

@@ -8,14 +8,12 @@ from eqschubert import (
     DimensionMismatchError,
     NonPolynomialError,
     Polynomial,
-    is_x_nonnegative,
     to_T_variables,
 )
 from eqschubert.polyring import (
     RationalExpression,
     w0_involution,
     y_to_x,
-    _divide_heap,
     _key_degree,
     _lane_bytes,
     _pack,
@@ -31,7 +29,7 @@ from eqschubert.polyring import (
 )
 from eqschubert.render import _x_texts
 
-from conftest import from_exponents, homogeneous_of_degree, of_first_degree
+from conftest import divide_heap, from_exponents, homogeneous_of_degree, of_first_degree
 
 NVARS = 3
 
@@ -55,12 +53,19 @@ def test_add_examples():
     assert (x(1) + x(2)) + x(2) == x(1) + 2 * x(2)
     with pytest.raises(DimensionMismatchError):
         x(1) + Polynomial.variable(2, 1)
+    # an int operand is a constant
+    p, one = x(1) - 2 * x(2), Polynomial.const(NVARS, 1)
+    assert p + 1 == 1 + p == p + one
+    assert p - 1 == p - one
 
 
 def test_mul_examples():
     assert x(1) * x(2) == from_exponents(NVARS, [((1, 1, 0), 1)])
     assert (x(1) + x(2)) * (x(1) - x(2)) == x(1) ** 2 - x(2) ** 2
     assert Polynomial.zero(NVARS) * (x(1) + 5) == Polynomial.zero(NVARS)
+    p = x(1) - 2 * x(2)
+    assert 3 * p == p * 3 == p + p + p
+    assert p * 0 == 0 * p == Polynomial.zero(NVARS)
 
 
 @settings(max_examples=150, deadline=None)
@@ -74,12 +79,6 @@ def test_a_polynomial_equal_to_an_int_hashes_as_it(c, p):
     assert hash(Polynomial(NVARS, dict(p.terms))) == hash(p)
 
 
-def test_is_x_nonnegative():
-    assert is_x_nonnegative(2 * x(1) * x(2) + x(3))
-    assert not is_x_nonnegative(x(1) - x(2))
-    assert is_x_nonnegative(Polynomial.zero(NVARS))
-
-
 @settings(max_examples=150, deadline=None)
 @given(polys(), polys(), polys())
 def test_ring_axioms(a, b, c):
@@ -90,12 +89,23 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@pytest.mark.parametrize(
+    "expression",
+    ["p + 1.5", "1.5 + p", "p - 1.5", "1.5 - p", "p * 0.5", "0.5 * p", "p + '1'", "p * None"]
+    # an int is taken on the right of - only
+    + ["1 - p"],
+)
+def test_an_operand_of_another_type_raises_type_error(expression):
+    with pytest.raises(TypeError):
+        eval(expression, {"p": x(1) + 2 * x(3)})
+
+
 @settings(max_examples=80, deadline=None)
 @given(polys(), polys())
 def test_nonnegativity_closed_under_product(a, b):
     pos_a = Polynomial(a.nvars, {k: abs(c) for k, c in a.terms.items()})
     pos_b = Polynomial(b.nvars, {k: abs(c) for k, c in b.terms.items()})
-    assert is_x_nonnegative(pos_a * pos_b)
+    assert min((pos_a * pos_b).terms.values(), default=0) >= 0
 
 
 def test_homogeneity_tracking():
@@ -108,9 +118,31 @@ def test_homogeneity_tracking():
 def test_divide_exact():
     p = (x(1) + x(2)) * (x(2) + 2 * x(3)) * 3
     assert p.divide_exact(x(1) + x(2)) == 3 * (x(2) + 2 * x(3))
-    assert p.divide_exact(3) == (x(1) + x(2)) * (x(2) + 2 * x(3))
+    assert p.divide_exact(Polynomial.const(NVARS, 3)) == (x(1) + x(2)) * (x(2) + 2 * x(3))
     assert p.divide_exact(x(1) + x(3)) is None
-    assert p.divide_exact(2) is None
+    assert p.divide_exact(Polynomial.const(NVARS, 2)) is None
+    assert p.divide_exact(Polynomial.const(NVARS, -3) * x(2)) is None
+    # the lead coefficient 2 does not divide 3, though the floor quotient
+    # would leave no remainder
+    assert (3 * x(1) + 2 * x(2)).divide_exact(2 * x(1) + 2 * x(2)) is None
+    assert (p * x(2)).divide_exact(-3 * x(2)) == -p.divide_exact(Polynomial.const(NVARS, 3))
+
+
+def test_divide_exact_takes_a_monomial_or_a_linear_form():
+    # the engine's divisors are tangent weights and gaps c_w - c_a, divided
+    # one form at a time; any other divisor is refused, not divided
+    p = (x(1) + x(2)) * (x(1) * x(3) + x(2))
+    for dividend in (p, Polynomial.zero(NVARS)):
+        for divisor in (x(1) * x(3) + x(2), x(1) + 1, x(1) ** 2 - x(2) ** 2):
+            with pytest.raises(ValueError):
+                dividend.divide_exact(divisor)
+        for divisor in (3, 1, 1.5, None):
+            with pytest.raises(TypeError):
+                dividend.divide_exact(divisor)
+        with pytest.raises(ZeroDivisionError):
+            dividend.divide_exact(Polynomial.zero(NVARS))
+    assert Polynomial.zero(NVARS).divide_exact(x(1) - x(2)) == 0
+    assert Polynomial.zero(NVARS).divide_exact(x(2)) == 0
 
 
 def test_exponents_stay_below_the_guard_bit():
@@ -180,11 +212,27 @@ def linear_forms(nvars=NVARS):
     )
 
 
+def monomials(nvars=NVARS, max_exp=3, max_coeff=9):
+    return st.builds(
+        lambda e, c: from_exponents(nvars, [(tuple(e), c)]),
+        st.lists(st.integers(0, max_exp), min_size=nvars, max_size=nvars),
+        st.integers(1, max_coeff) | st.integers(-max_coeff, -1),
+    )
+
+
 @settings(max_examples=150, deadline=None)
-@given(polys(), polys().filter(lambda b: not b.is_zero), linear_forms())
+@given(polys(), st.one_of(monomials(), linear_forms()), linear_forms())
+@example(3 * x(1) - x(2), Polynomial.const(NVARS, -2), x(1) - x(3))
 def test_divide_exact_against_products(a, b, ell):
     assert (a * b).divide_exact(b) == a
     assert (a * ell + 1).divide_exact(ell) is None
+    ((key, c), *_) = b.terms.items()
+    if len(b.terms) == 1 and abs(c) > 1:
+        # a term whose coefficient the divisor's does not divide
+        assert (a * b + Polynomial(NVARS, {key: 1})).divide_exact(b) is None
+    if len(b.terms) == 1 and key:
+        # a term whose key does not clear the divisor's
+        assert (a * b + 1).divide_exact(b) is None
 
 
 def test_divide_exact_at_the_lane_edges():
@@ -193,7 +241,8 @@ def test_divide_exact_at_the_lane_edges():
     x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     assert p.divide_exact(x1 + x2) == from_exponents(2, [((top - 1, 1), 3)])
     assert p.divide_exact(x1**top) is None
-    assert (p * x2).divide_exact(p) == x2
+    assert (p * x2).divide_exact(x1 ** (top - 1) * x2**2) == 3 * (x1 + x2)
+    assert (p * x2).divide_exact(x1**top * x2**3) is None
     # x2**3 has a zero lane where the divisor's leading monomial x1 has a one
     assert (x2**3).divide_exact(x1 + x2) is None
     assert (x(2) ** 2 * x(3)).divide_exact(x(1)) is None
@@ -229,7 +278,7 @@ def test_linear_division_matches_the_heap(a, ell, m):
     # the kernels take a nonzero dividend
     dividend = product + m
     if not dividend.is_zero:
-        expected = _divide_heap(dividend, ell)
+        expected = divide_heap(dividend, ell)
         assert dividend.divide_exact(ell) == expected
         assert divide_linear(4, ((dividend, 1),), linear_plan(ell)) == expected
 
@@ -278,7 +327,7 @@ def test_the_planned_kernel_divides_a_signed_list_as_the_heap_divides_its_sum(ca
     parts, ell, quotient = case
     total = sum((p * sign for p, sign in parts), Polynomial.zero(4))
     got = divide_linear(4, parts, linear_plan(ell))
-    assert got == _divide_heap(total, ell)
+    assert got == divide_heap(total, ell)
     if quotient is not None:
         assert got == quotient
     assert total.divide_exact(ell) == got
@@ -308,7 +357,7 @@ def edge_monomials(nvars=2):
 def test_monomial_division_at_the_lane_edges_matches_the_heap(parts, mono):
     dividend = sum(parts, Polynomial.zero(2))
     if not dividend.is_zero:
-        assert dividend.divide_exact(mono) == _divide_heap(dividend, mono)
+        assert dividend.divide_exact(mono) == divide_heap(dividend, mono)
     # the terms with small exponents, times a monomial near the cap
     low = Polynomial(
         2, {k: c for k, c in dividend.terms.items() if max(_unpack(k, 2)) <= 2}
@@ -318,15 +367,18 @@ def test_monomial_division_at_the_lane_edges_matches_the_heap(parts, mono):
 
 
 def test_a_square_plus_a_variable_is_not_linear(monkeypatch):
-    # x1**2 has a power-of-two key too, but not one lane's unit
+    # x1**2 has a power-of-two key too, but not one lane's unit, so the form
+    # is refused and never reaches the linear kernel
     def refuse(nvars, parts, plan):
         raise AssertionError("divided by a nonlinear form as if linear")
 
     monkeypatch.setattr(polyring, "divide_linear", refuse)
     f = x(1) ** 2 + x(2)
     q = x(1) * x(3) - 2 * x(2) + 5
-    assert (q * f).divide_exact(f) == q
-    assert (q * f + x(3)).divide_exact(f) is None
+    assert linear_plan(f) is None
+    for dividend in (q * f, q * f + x(3)):
+        with pytest.raises(ValueError):
+            dividend.divide_exact(f)
 
 
 TOP = 2**15 - 1
@@ -484,8 +536,8 @@ def converted(polys):
     positions.  Every group, a value past 63 bits included, hands out keys
     of one degree in descending order, so graded-lex, and a column per
     object with one digit per key; its image is its nonzero digits in key
-    order, and its verdict ``min(column, default=0) >= 0`` is its image's
-    ``is_x_nonnegative``."""
+    order, and its verdict ``min(column, default=0) >= 0`` is that of its
+    image's coefficients."""
     out = [None] * len(polys)
     objects = set()
     for nvars, keys, items in _x_columns(polys):
@@ -498,7 +550,7 @@ def converted(polys):
             objects.add(id(polys[positions[0]]))
             assert len(column) == len(keys)
             image = Polynomial(nvars, {k: c for k, c in zip(keys, column) if c})
-            assert (min(column, default=0) >= 0) == is_x_nonnegative(image)
+            assert (min(column, default=0) >= 0) == (min(image.terms.values(), default=0) >= 0)
             for i in positions:
                 assert out[i] is None
                 out[i] = image
