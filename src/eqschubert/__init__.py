@@ -21,7 +21,6 @@ _EXPORTS = {
     "TableSolveError": "errors",
     "default_d_max": "grass",
     "elr": "equivariant",
-    "elr_factorial_schur": "oracles",
     "elr_table": "equivariant",
     "enumerate_classes": "grass",
     "eq_chevalley": "quantum",
@@ -30,7 +29,6 @@ _EXPORTS = {
     "fixed_points": "equivariant",
     "forget": "grass",
     "integrate": "equivariant",
-    "lr_tableau": "oracles",
     "multiply": "quantum",
     "pairing": "equivariant",
     "point_of": "equivariant",

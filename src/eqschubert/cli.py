@@ -37,7 +37,6 @@ from .errors import (
 )
 from .grass import GrassContext, default_d_max
 
-DEFAULT_FIXTURE_PATH = os.path.join("fixtures", "oracle_fixtures.json")
 # a failed check of the engine's own arithmetic, or a limit of the interpreter
 INTERNAL_ERRORS = (
     TableSolveError,
@@ -88,8 +87,8 @@ def _fail(message):
 
 
 def _emit(payload, out):
-    """Write ``payload`` to stdout or to ``out``.  A string (a warm read,
-    ``fixtures``) goes in slices of ``EMIT_SLICE`` characters, so no encoded
+    """Write ``payload`` to stdout or to ``out``.  A string (a warm JSON
+    read) goes in slices of ``EMIT_SLICE`` characters, so no encoded
     copy of the whole text is ever made; any other payload is a streamed
     export, an iterable of text chunks, each written as it is formatted.
     A symbolic link is followed to its target, which is written, so the
@@ -214,37 +213,12 @@ def restrictions(k, n, family, out):
     _emit(restriction_table_json(ctx, family), out)
 
 
-def fixtures(regen, path):
-    """Check (or with --regen, rewrite) the oracle-stamped fixture file."""
-    from .oracles import build_fixtures
-
-    fresh = json.dumps(build_fixtures(), sort_keys=True, indent=1) + "\n"
-    if regen:
-        try:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        except OSError as exc:
-            _fail("cannot write %s: %s" % (path, exc))
-        _emit(fresh, path)
-        print("wrote %s" % path)
-        return
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            on_disk = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        _fail("cannot read %s: %s" % (path, exc))
-    if on_disk != fresh:
-        print("fixture file %s is stale; rerun with --regen" % path, file=sys.stderr)
-        sys.exit(1)
-    print("fixtures match")
-
-
 # command name -> the function its parsed options are passed to, by keyword
 COMMANDS = {
     "table": table,
     "multiply": multiply_cmd,
     "verify": verify,
     "restrictions": restrictions,
-    "fixtures": fixtures,
 }
 
 
@@ -265,9 +239,9 @@ def _parser():
         )
         for name, fn in COMMANDS.items()
     }
-    for name in ("table", "multiply", "verify", "restrictions"):
-        subs[name].add_argument("--k", type=int, required=True)
-        subs[name].add_argument("--n", type=int, required=True)
+    for sub in subs.values():
+        sub.add_argument("--k", type=int, required=True)
+        sub.add_argument("--n", type=int, required=True)
 
     add = subs["table"].add_argument
     add("--d-max", type=int, metavar="D", help="Cap on exported q-powers.")
@@ -300,10 +274,6 @@ def _parser():
     add = subs["restrictions"].add_argument
     add("--family", choices=("schubert", "opposite"), default="schubert")
     add("--out", default="-", metavar="FILE")
-
-    add = subs["fixtures"].add_argument
-    add("--regen", action="store_true", help="Rewrite the fixture file.")
-    add("--path", default=DEFAULT_FIXTURE_PATH, help="(default: %(default)s)")
     return parser, subs
 
 

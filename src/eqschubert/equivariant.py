@@ -19,7 +19,7 @@ GKM, duality, and positivity checks:
   vanishes unless ``a`` is contained in ``m``; the nonzero ones come from one
   walk down the Chevalley graph per point, seeded at S by the product of the
   positive tangent weights (``own_restriction``).  The test suite pins every
-  value to the factorial Schur tableau formula in ``oracles``.
+  value to the factorial Schur tableau formula of its oracles.
 * The tangent weights at the subset S are { b_a - b_b : a in S, b not in S };
   pushing forward to a point divides by their product.
 * The opposite family is the first one composed with the substitution

@@ -97,6 +97,8 @@ class Partition:
 
     def __init__(self, parts, ctx):
         parts = tuple(parts)
+        if not all(type(p) is int for p in parts):
+            raise ValueError("parts %r have one that is not an int" % (parts,))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         object.__setattr__(self, "parts", parts)

@@ -142,11 +142,15 @@ class Polynomial:
 
     @classmethod
     def const(cls, nvars, c):
+        if type(c) is not int:
+            raise TypeError("coefficient %r is not an int" % (c,))
         return cls(nvars, {0: c} if c else {})
 
     @classmethod
     def variable(cls, nvars, index):
         """The variable with 1-based ``index``."""
+        if type(index) is not int:
+            raise TypeError("variable index %r is not an int" % (index,))
         if not 1 <= index <= nvars:
             raise DimensionMismatchError("variable index %d out of range" % index)
         return cls(nvars, {_pack([1 if i == index - 1 else 0 for i in range(nvars)]): 1})
@@ -195,7 +199,7 @@ class Polynomial:
 
     def __add__(self, other):
         if other.__class__ is not Polynomial:
-            if not isinstance(other, int):
+            if type(other) is not int:
                 return NotImplemented
             other = Polynomial.const(self.nvars, other)
         self._check(other)
@@ -218,14 +222,14 @@ class Polynomial:
 
     def __sub__(self, other):
         if other.__class__ is not Polynomial:
-            if not isinstance(other, int):
+            if type(other) is not int:
                 return NotImplemented
             other = Polynomial.const(self.nvars, other)
         return self + (-other)
 
     def __mul__(self, other):
         if other.__class__ is not Polynomial:
-            if not isinstance(other, int):
+            if type(other) is not int:
                 return NotImplemented
             if not other:
                 return Polynomial.zero(self.nvars)
@@ -317,7 +321,7 @@ class Polynomial:
             # items share their exponents of the first i variables
             if i == nvars:
                 ((_, c),) = items
-                return Polynomial.const(out_nvars, c)
+                return Polynomial(out_nvars, {0: c})
             shift = _SHIFT * (nvars - 1 - i)
             buckets = {}
             for k, c in items:

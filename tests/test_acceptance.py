@@ -14,11 +14,9 @@ import pytest
 from eqschubert import (
     GrassContext,
     Polynomial,
-    elr_factorial_schur,
     elr_table,
     enumerate_classes,
     eq_table,
-    lr_tableau,
     multiply,
     pairing,
     quantum_lr_rimhook,
@@ -29,6 +27,7 @@ from eqschubert.equivariant import gkm_violations
 from eqschubert.polyring import to_T_variables, y_to_x
 
 from conftest import homogeneous_of_degree
+from reference_oracles import elr_factorial_schur, lr_tableau
 
 CONTEXTS = [GrassContext(1, 2), GrassContext(2, 4), GrassContext(2, 5), GrassContext(3, 6)]
 

@@ -599,9 +599,10 @@ def test_help_exits_0(command):
         ("table", "--k", "2", "--n", "4", "--format", "xml"),
         ("table", "--k", "x", "--n", "4"),
         ("table", "--k", "1", "--n", "2", "--cache", "DIR"),
+        ("fixtures",),
     ],
     ids=["no-command", "unknown-command", "missing-k", "bad-format", "non-integer-k",
-         "abbreviated-option"],
+         "abbreviated-option", "fixtures-is-no-command"],
 )
 def test_parse_errors_exit_2_without_a_traceback(tmp_path, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
@@ -1045,24 +1046,24 @@ def test_a_doubled_restriction_seed_exits_3(cold_state, monkeypatch):
     assert result.stdout == ""
 
 
+# stands for the directory of the ``warm_cache`` fixture
+WARM = "<warm cache>"
+# a cold export streams its chunks; a warm JSON read hands ``_emit`` one string
+COLD_OUT = ("table", "--k", "1", "--n", "2", "--out")
+WARM_OUT = ("table", "--k", "2", "--n", "4", "--cache-dir", WARM, "--out")
+
+
 @pytest.mark.parametrize(
     "args, kind",
-    [
-        (("table", "--k", "1", "--n", "2", "--out"), "fifo"),
-        (("table", "--k", "1", "--n", "2", "--out"), "symlink"),
-        (("fixtures", "--regen", "--path"), "fifo"),
-    ],
-    ids=["table-fifo", "table-symlink", "fixtures-fifo"],
+    [(COLD_OUT, "fifo"), (COLD_OUT, "symlink"), (WARM_OUT, "fifo")],
+    ids=["table-fifo", "table-symlink", "table-warm-fifo"],
 )
-def test_output_onto_a_non_regular_file_is_written_in_place(tmp_path, args, kind):
+def test_output_onto_a_non_regular_file_is_written_in_place(tmp_path, args, kind, warm_cache):
     # a target that exists and is not a regular file is written through, not
     # replaced by a renamed temporary file
     out = tmp_path / "out"
-    if args[0] == "table":
-        expected = run("table", "--k", "1", "--n", "2").stdout_bytes
-    else:
-        with open(FIXTURE_FILE, "rb") as fh:
-            expected = fh.read()
+    args = [str(warm_cache) if arg == WARM else arg for arg in args]
+    expected = run(*args[:-1]).stdout_bytes
     reader = None
     if kind == "fifo":
         os.mkfifo(out)
@@ -1086,20 +1087,13 @@ def test_output_onto_a_non_regular_file_is_written_in_place(tmp_path, args, kind
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-@pytest.mark.parametrize(
-    "args",
-    [("table", "--k", "1", "--n", "2", "--out"), ("fixtures", "--regen", "--path")],
-    ids=["table", "fixtures"],
-)
+@pytest.mark.parametrize("args", [COLD_OUT, WARM_OUT], ids=["table", "table-warm"])
 @pytest.mark.parametrize("dangling", [False, True], ids=["target", "dangling"])
-def test_output_through_a_symlink_writes_its_target(tmp_path, args, dangling):
+def test_output_through_a_symlink_writes_its_target(tmp_path, args, dangling, warm_cache):
     # the link is followed: its target gets the bytes, renamed over it from a
     # temporary file beside it, and the link itself is left a link
-    if args[0] == "table":
-        expected = run("table", "--k", "1", "--n", "2").stdout_bytes
-    else:
-        with open(FIXTURE_FILE, "rb") as fh:
-            expected = fh.read()
+    args = [str(warm_cache) if arg == WARM else arg for arg in args]
+    expected = run(*args[:-1]).stdout_bytes
     target = tmp_path / "target.json"
     if not dangling:
         target.write_bytes(b"old bytes\n")
@@ -1140,10 +1134,6 @@ def test_emit_writes_slices_byte_for_byte(tmp_path):
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
-FIXTURE_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "oracle_fixtures.json")
-
-# stands for the directory of the ``warm_cache`` fixture
-WARM = "<warm cache>"
 
 # one run of each command that writes to stdout, and warm table reads
 STDOUT_COMMANDS = [
@@ -1158,7 +1148,6 @@ STDOUT_COMMANDS = [
     pytest.param(
         ("multiply", "--k", "2", "--n", "4", "--u", "[1]", "--v", "[1]"), id="multiply"
     ),
-    pytest.param(("fixtures", "--path", FIXTURE_FILE), id="fixtures"),
 ]
 
 
@@ -1244,27 +1233,3 @@ def test_restrictions_export(gr24):
     assert all(
         poly_from_json(r["poly"], gr24.r).constant_term() == 1 for r in unit_rows
     )
-
-
-def test_fixtures_check_mode(tmp_path):
-    path = tmp_path / "fx.json"
-    assert run("fixtures", "--regen", "--path", str(path)).exit_code == 0
-    assert run("fixtures", "--path", str(path)).exit_code == 0
-    path.write_text(path.read_text() + " ")
-    assert run("fixtures", "--path", str(path)).exit_code == 1
-
-
-def test_fixtures_regen_into_unwritable_path_exits_3(tmp_path):
-    blocker = tmp_path / "F"
-    blocker.write_text("")
-    result = run("fixtures", "--regen", "--path", str(blocker / "fx.json"))
-    assert result.exit_code == 3
-    assert result.stderr.startswith("cannot write ") and result.stderr.count("\n") == 1
-
-
-def test_fixtures_check_of_a_non_utf8_file_exits_3(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_bytes(b"\xff\xfe")
-    result = run("fixtures", "--path", str(path))
-    assert result.exit_code == 3
-    assert result.stderr.startswith("cannot read ") and result.stderr.count("\n") == 1

@@ -13,7 +13,6 @@ from eqschubert import (
     enumerate_classes,
     fixed_points,
     integrate,
-    lr_tableau,
     pairing,
     point_of,
     restrict_schubert,
@@ -32,7 +31,6 @@ from eqschubert.equivariant import (
     gkm_violations,
 )
 from eqschubert.grass import partition_from_permutation
-from eqschubert.oracles import _b_forms_x, factorial_schur_zpoly
 from eqschubert.polyring import (
     RationalExpression,
     _normalize_linear,
@@ -45,6 +43,7 @@ from eqschubert.polyring import (
 from eqschubert.suites import verify_specialization
 
 from conftest import divide_heap, homogeneous_of_degree, part
+from reference_oracles import _b_forms_x, factorial_schur_zpoly, lr_tableau
 
 
 def x(ctx, i):
@@ -112,7 +111,7 @@ def test_restriction_support(gr24, gr25, gr36):
 
 def test_restrictions_match_the_factorial_schur_oracle():
     # sigma(a)|S is the factorial Schur polynomial of a, from its tableau
-    # formula in the oracles, at z = (b_s for s in S), in x
+    # formula in reference_oracles, at z = (b_s for s in S), in x
     for k in (1, 2, 3):
         for n in range(k + 1, 7):
             ctx = GrassContext(k, n)

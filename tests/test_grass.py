@@ -48,6 +48,13 @@ def test_a_context_needs_int_k_and_n():
             GrassContext(k, n)
 
 
+def test_a_partition_needs_int_parts(gr24):
+    # a float part was built and failed later as a KeyError; a bool was kept
+    for parts in [(1.5,), (True,), (2, True), (2.0, 1), (1, 0.0), ("1",), (None,)]:
+        with pytest.raises(ValueError):
+            Partition(parts, gr24)
+
+
 def test_partition_validation(gr24):
     with pytest.raises(ValueError):
         Partition((3,), gr24)

@@ -1,18 +1,11 @@
 import pytest
 
 import eqschubert.oracles as oracles_mod
-from eqschubert import (
-    ExpansionError,
-    Polynomial,
-    elr,
-    elr_factorial_schur,
-    enumerate_classes,
-    lr_tableau,
-    quantum_lr_rimhook,
-)
-from eqschubert.oracles import fs_product_expansion, rim_reduce, wide_lr_expansion
+from eqschubert import ExpansionError, Polynomial, elr, enumerate_classes, quantum_lr_rimhook
+from eqschubert.oracles import rim_reduce, wide_lr_expansion
 
 from conftest import homogeneous_of_degree, part
+from reference_oracles import elr_factorial_schur, fs_product_expansion, lr_tableau
 
 
 def test_lr_examples(gr24):

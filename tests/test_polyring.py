@@ -92,12 +92,27 @@ def test_ring_axioms(a, b, c):
 @pytest.mark.parametrize(
     "expression",
     ["p + 1.5", "1.5 + p", "p - 1.5", "1.5 - p", "p * 0.5", "0.5 * p", "p + '1'", "p * None"]
+    # a bool is no int operand
+    + ["p + True", "True + p", "p - True", "p * True", "False * p"]
     # an int is taken on the right of - only
     + ["1 - p"],
 )
 def test_an_operand_of_another_type_raises_type_error(expression):
     with pytest.raises(TypeError):
         eval(expression, {"p": x(1) + 2 * x(3)})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, 2.0, True, False, "1", None],
+    ids=["float", "integral-float", "true", "false", "str", "none"],
+)
+def test_const_and_variable_take_an_int_only(value):
+    # a float coefficient was stored, and variable(3, 1.5) was the constant 1
+    with pytest.raises(TypeError):
+        Polynomial.const(NVARS, value)
+    with pytest.raises(TypeError):
+        Polynomial.variable(NVARS, value)
 
 
 @settings(max_examples=80, deadline=None)

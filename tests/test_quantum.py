@@ -18,7 +18,6 @@ from eqschubert import (
     eq_chevalley,
     eq_table,
     eqlr,
-    lr_tableau,
     multiply,
     pairing,
     quantum_lr_rimhook,
@@ -37,6 +36,7 @@ from conftest import (
     max_key_degree,
     part,
 )
+from reference_oracles import lr_tableau
 
 
 def x(ctx, i):

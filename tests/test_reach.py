@@ -46,7 +46,6 @@ COMMANDS = [
     ["restrictions", "--k", "2", "--n", "4", "--family", "opposite"],
     ["multiply", "--k", "2", "--n", "4", "--u", "[2, 1]", "--v", "[1]"],
     ["multiply", "--k", "2", "--n", "4", "--u", "[1, 1]", "--v", "[2]", "--format", "json"],
-    ["fixtures", "--path", str(REPO / "fixtures" / "oracle_fixtures.json")],
 ]
 
 # function -> why no command calls it
